@@ -3,9 +3,11 @@
 Groups are resampled with replacement and the estimator is recomputed per
 replication. Replications where the estimator is undefined (no switcher
 survives, collinear treatments, the resampled design loses its cohort
-structure) are excluded from the standard error and counted. Replication r
-draws from a Philox stream keyed by (seed, r), so the result is bit-identical
-whatever the parallelism degree or execution order.
+structure) are excluded from the standard error and counted; on the original
+panel the same errors propagate, so a flawed design reports its own error
+class and exit code. Replication r draws from a Philox stream keyed by
+(seed, r), so the result is bit-identical whatever the parallelism degree or
+execution order.
 
 No asymptotic theory backs these standard errors for the switcher and
 cohort estimators; they are a pragmatic stand-in and reports label them as
@@ -62,20 +64,17 @@ class BootstrapResult:
 
 def _evaluate(panel: PanelDataset, estimator: str, target: int,
               first: int, second: int, ell: int) -> float | None:
-    try:
-        if estimator == "twfe":
-            return twfe_coefficient(panel, target)
-        if estimator == "didm":
-            result = didm(panel, target)
-            if result.n_s == 0:
-                return None
-            return result.estimate
-        if estimator == "did_ell":
-            structure = build_cohorts(panel, first, second)
-            est, _ = did_ell(panel, structure, ell)
-            return est
-    except _DEGENERATE:
-        return None
+    if estimator == "twfe":
+        return twfe_coefficient(panel, target)
+    if estimator == "didm":
+        result = didm(panel, target)
+        if result.n_s == 0:
+            return None
+        return result.estimate
+    if estimator == "did_ell":
+        structure = build_cohorts(panel, first, second)
+        est, _ = did_ell(panel, structure, ell)
+        return est
     raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
 
 
@@ -102,7 +101,10 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
         )
         draw = rng.integers(0, G, size=G)
         resampled = panel.with_groups(draw.tolist(), labels)
-        return _evaluate(resampled, estimator, target, first, second, ell)
+        try:
+            return _evaluate(resampled, estimator, target, first, second, ell)
+        except _DEGENERATE:
+            return None
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -36,17 +36,12 @@ class FirstStageResult:
     """Residuals of the target treatment on fixed effects and other treatments.
 
     ``residuals`` has shape (G, T). ``coef_other[j]`` is the coefficient on
-    treatment ``j`` (original index) in the partialling regression. The fitted
-    fixed effects are kept for debugging; they are not part of any contract.
+    treatment ``j`` (original index) in the partialling regression.
     """
 
     target: int
     residuals: np.ndarray
     coef_other: dict[int, float]
-    rank_ok: bool
-    alpha: float = 0.0
-    group_effects: np.ndarray | None = None
-    period_effects: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,6 @@ class WeightDecomposition:
     beta_fe: float
     own: dict[tuple, float]
     contamination: dict[tuple, float]
-    raw_w: dict[tuple, float]
     per_other_treatment_sums: dict[int, float]
 
 
@@ -197,18 +191,7 @@ def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
         raise CollinearTreatments(
             f"treatment {target} is collinear with the other regressors"
         )
-
-    # fitted fixed effects, for debugging only: what remains of the target
-    # after the other treatments and the residual are taken out
-    adjusted = panel.d[target].astype(float)
-    for j, z in coef_other.items():
-        adjusted = adjusted - z * panel.d[j]
-    fe_fit = adjusted - eps
-    alpha = float(fe_fit[0, 0])
-    return FirstStageResult(target=target, residuals=eps, coef_other=coef_other,
-                            rank_ok=True, alpha=alpha,
-                            group_effects=fe_fit[:, 0] - alpha,
-                            period_effects=fe_fit[0, :] - alpha)
+    return FirstStageResult(target=target, residuals=eps, coef_other=coef_other)
 
 
 def twfe_coefficient(panel: PanelDataset, target: int,
@@ -258,10 +241,8 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
 
     own: dict[tuple, float] = {}
     contamination: dict[tuple, float] = {}
-    raw_w: dict[tuple, float] = {}
     for gi, g in enumerate(panel.group_labels):
         for ti, t in enumerate(panel.period_labels):
-            raw_w[(g, t)] = float(w[gi, ti])
             if treated[gi, ti]:
                 own[(g, t)] = float(W[gi, ti])
             if any_other[gi, ti]:
@@ -269,7 +250,7 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
 
     sums = {j: float(np.sum(W * (panel.d[j] > 0.5))) for j in others}
     return WeightDecomposition(target=target, beta_fe=beta, own=own,
-                               contamination=contamination, raw_w=raw_w,
+                               contamination=contamination,
                                per_other_treatment_sums=sums)
 
 

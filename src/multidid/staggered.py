@@ -8,18 +8,26 @@ not adopted it yet; because both arms have carried the first treatment for
 the same length of time, its (possibly dynamic) effect differences out as
 long as its path over time is common across groups.
 
-Per cohort f and calendar date t, the horizon-l contrast compares the
-long difference Y_t - Y_{t-l-1} of groups with second-adoption date t - l
-against that of cohort mates still unadopted at t; contrasts are averaged
-with weights proportional to adopter size. Placebo analogues shift the same
-two arms to the one-period pre-adoption window (t-l-2) -> (t-l-1), which is
-usable whenever t-l-2 >= f, and have expectation zero exactly when the
-first treatment's effect path is common.
+Every event study here is built from one contrast, the not-yet-treated
+comparison of Callaway & Sant'Anna (2021), over per-group adoption dates a,
+cohort dates c and caps k. At horizon l and date t, the adopters are the
+groups with a = t - l > c and t <= k, and the controls are their cohort mates
+with a > t. The contrast is the difference of the two arms' mean long
+differences Y_t - Y_{t-l-1}, each weighted by cell size at t, wherever both
+arms are non-empty; contrasts are averaged with weights proportional to
+adopter size. Placebos shift both arms to the window (t-l-2) -> (t-l-1),
+need a >= c + 2, and have expectation zero exactly when the first
+treatment's effect path is common. The second treatment's study uses
+(a, c, k) = (F2, F1, none); the first treatment's, on the second-free
+sample, (F1, 1, F2 - 1); the bundled treatment's (min(F1, F2), 1, none).
 
-Also provided: an event study of the first treatment on the second-free
-subsample, the event study of the bundled (summed) treatment, a per-group
-linear-trend extrapolation fallback for the second treatment, and the
-group partition by adoption order used to split mixed-order applications.
+A first-adoption cohort is eligible for the second-treatment study when its
+groups have at least two distinct second-adoption dates strictly after the
+cohort date, "never" counting as one; only eligible cohorts hold contrasts.
+
+Also provided: a per-group linear-trend extrapolation fallback for the
+second treatment, and the group partition by adoption order used to split
+mixed-order applications.
 """
 
 from __future__ import annotations
@@ -44,11 +52,12 @@ class CohortStructure:
     """Adoption dates and cohort bookkeeping for the two staggered treatments.
 
     Dates are 1-based dense period indices, with T + 1 meaning "never".
-    ``eligible`` lists the cohorts containing at least two groups with
-    distinct post-initial second-adoption dates; ``nt[f]`` is the last date
-    at which some cohort-f group is still unadopted, ``l_nt_f[f]`` the
-    largest horizon estimable inside cohort f, and ``n_ell[l]`` the total
-    adopter size reaching horizon l with a valid in-cohort comparison.
+    ``eligible`` lists the cohorts whose groups have at least two distinct
+    second-adoption dates strictly after the cohort date, T + 1 counting as
+    one; ``nt[f]`` is the last date at which some cohort-f group is still
+    unadopted, ``l_nt_f[f] >= 0`` the largest horizon estimable inside
+    cohort f, and ``n_ell[l]`` the total adopter size reaching horizon l
+    with a valid in-cohort comparison.
     """
 
     first: int
@@ -120,7 +129,6 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     Raises NotStaggered if the treatment ever switches off.
     """
     d = panel.d[k]
-    T = panel.n_periods
     if np.any(d[:, 1:] < d[:, :-1] - VALUE_TOL):
         gi, ti = np.argwhere(d[:, 1:] < d[:, :-1] - VALUE_TOL)[0]
         raise NotStaggered(
@@ -128,19 +136,16 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
             f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}"
         )
     on = d > 0.5
-    dates = np.full(panel.n_groups, T + 1, dtype=int)
-    rows, cols = np.nonzero(on)
-    for gi in range(panel.n_groups):
-        hit = cols[rows == gi]
-        if hit.size:
-            dates[gi] = int(hit.min()) + 1
-    return dates
+    return np.where(on.any(axis=1), on.argmax(axis=1) + 1, panel.n_periods + 1)
+
+
+def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
+    panel.require_binary("staggered-design estimation")
+    return adoption_dates(panel, first), adoption_dates(panel, second)
 
 
 def _validate_consecutive(panel: PanelDataset, first: int, second: int):
-    panel.require_binary("staggered-design estimation")
-    f1 = adoption_dates(panel, first)
-    f2 = adoption_dates(panel, second)
+    f1, f2 = _binary_adoption_dates(panel, first, second)
     bad = np.nonzero(f2 < f1)[0]
     if bad.size:
         raise WrongOrder(
@@ -150,107 +155,71 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
     return f1, f2
 
 
+def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
+               cap: np.ndarray | int, ell: int, placebo: bool) -> list[tuple]:
+    """Adopter-versus-not-yet contrasts at horizon ``ell``, as the module defines.
+
+    Each arm is summed per (cohort, date) with ``np.bincount`` over groups in
+    index order. Returns ``(cohort, date, value, n_treated, n_control)`` for
+    the pairs where both arms are non-empty, in (cohort, date) order.
+    """
+    T = panel.n_periods
+    t = np.arange(ell + 2 + placebo, T + 1)
+    hi, lo = (t - ell - 2, t - ell - 3) if placebo else (t - 1, t - ell - 2)
+    n_t = panel.n[:, t - 1]
+    dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
+    adopter = (adopt > cohort + placebo) & (adopt + ell <= cap)
+    treated = adopter[:, None] & (adopt[:, None] == t - ell)
+    keys = cohort[:, None] * (T + 1) + t
+    size = (T + 2) * (T + 1)
+
+    def arm(mask):
+        return (np.bincount(keys[mask], n_t[mask], size),
+                np.bincount(keys[mask], dy[mask], size))
+
+    n_tr, s_tr = arm(treated)
+    n_co, s_co = arm(adopt[:, None] > t)
+    hit = np.flatnonzero((n_tr > 0) & (n_co > 0))
+    value = s_tr[hit] / n_tr[hit] - s_co[hit] / n_co[hit]
+    f, date = np.divmod(hit, T + 1)
+    return list(zip(f.tolist(), date.tolist(), value.tolist(),
+                    n_tr[hit].tolist(), n_co[hit].tolist()))
+
+
 def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
     """Validate the consecutive staggered design and compute its cohort structure."""
     f1, f2 = _validate_consecutive(panel, first, second)
-    T = panel.n_periods
-
-    cohorts: dict[int, tuple[int, ...]] = {}
-    for f in sorted(set(int(v) for v in f1)):
-        cohorts[f] = tuple(int(g) for g in np.nonzero(f1 == f)[0])
-
-    eligible = []
-    for f, members in cohorts.items():
-        if f > T:
-            continue
-        dates = sorted(int(f2[g]) for g in members)
-        if any(1 < a < b for a in dates for b in dates):
-            eligible.append(f)
-    if not eligible:
-        raise PathologicalDesign(
-            "no cohort has two groups adopting the second treatment at "
-            "different dates after the first period"
-        )
-
+    cohorts = {int(f): tuple(np.flatnonzero(f1 == f).tolist()) for f in np.unique(f1)}
     nt: dict[int, int] = {}
     l_nt_f: dict[int, int] = {}
-    for f in eligible:
-        members = cohorts[f]
-        nt[f] = int(max(f2[g] for g in members)) - 1
-        # horizons are measured from usable adopters only: adoption strictly
-        # after the cohort date (simultaneous adopters never enter an arm)
-        # and within the observation window
-        usable = [int(f2[g]) for g in members if f < f2[g] <= T and f2[g] >= 2]
-        if usable:
-            l_nt_f[f] = nt[f] - min(usable)
-    if not l_nt_f:
+    for f in cohorts:
+        later = np.unique(f2[(f1 == f) & (f2 > f)])
+        if later.size >= 2:
+            nt[f] = int(later[-1]) - 1
+            l_nt_f[f] = nt[f] - int(later[0])
+    if not nt:
         raise PathologicalDesign(
-            "eligible cohorts contain no usable adopter of the second treatment"
+            "no cohort has two distinct second-treatment adoption dates after "
+            "its first-treatment adoption date"
         )
     l_nt = max(l_nt_f.values())
-
-    n_ell: dict[int, float] = {}
-    for ell in range(l_nt + 1):
-        total = 0.0
-        for f in eligible:
-            if f not in l_nt_f:
-                continue
-            for t in range(ell + f + 1, nt[f] + 1):
-                total += sum(panel.n[g, t - 1] for g in cohorts[f]
-                             if f2[g] == t - ell)
-        n_ell[ell] = total
-
+    n_ell = {ell: _adopter_size(_contrasts(panel, f2, f1, panel.n_periods, ell,
+                                           placebo=False))
+             for ell in range(l_nt + 1)}
     return CohortStructure(first=first, second=second, f1=f1, f2=f2,
-                           cohorts=cohorts, eligible=tuple(sorted(eligible)),
-                           nt=nt, l_nt_f=l_nt_f, l_nt=l_nt, n_ell=n_ell)
+                           cohorts=cohorts, eligible=tuple(nt), nt=nt,
+                           l_nt_f=l_nt_f, l_nt=l_nt, n_ell=n_ell)
 
 
-def _cohort_arm_components(panel: PanelDataset, structure: CohortStructure,
-                           ell: int, window: str):
-    """Shared adopter-versus-not-yet components for effects and placebos.
-
-    ``window`` selects the outcome contrast: "effect" uses the long difference
-    t -> t-l-1, "placebo" the pre-adoption step (t-l-2) -> (t-l-1).
-    """
-    f2 = structure.f2
-    out = []
-    for f in structure.eligible:
-        if f not in structure.l_nt_f:
-            continue
-        t_lo = ell + f + 1
-        if window == "placebo":
-            t_lo = ell + f + 2
-        for t in range(t_lo, structure.nt[f] + 1):
-            members = structure.cohorts[f]
-            adopters = [g for g in members if f2[g] == t - ell]
-            if not adopters:
-                continue
-            controls = [g for g in members if f2[g] > t]
-            n_tr = float(sum(panel.n[g, t - 1] for g in adopters))
-            n_co = float(sum(panel.n[g, t - 1] for g in controls))
-            if n_co == 0:
-                continue
-            if window == "effect":
-                hi, lo = t - 1, t - ell - 2
-            else:
-                hi, lo = t - ell - 2, t - ell - 3
-            dy_tr = sum(panel.n[g, t - 1] * (panel.y[g, hi] - panel.y[g, lo])
-                        for g in adopters) / n_tr
-            dy_co = sum(panel.n[g, t - 1] * (panel.y[g, hi] - panel.y[g, lo])
-                        for g in controls) / n_co
-            out.append((f, t, dy_tr - dy_co, n_tr, n_co))
-    return out
-
-
-def did_ell(panel: PanelDataset, structure: CohortStructure,
-            ell: int) -> tuple[float, tuple[HorizonComponent, ...]]:
-    """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
+def _check_horizon(structure: CohortStructure, ell: int) -> None:
     if not 0 <= ell <= structure.l_nt:
         raise HorizonOutOfRange(
             f"horizon {ell} outside the estimable range 0..{structure.l_nt}"
         )
-    raw = _cohort_arm_components(panel, structure, ell, window="effect")
-    n_ell = structure.n_ell[ell]
+
+
+def _weighted(panel: PanelDataset, raw: list[tuple],
+              n_ell: float) -> tuple[float, tuple[HorizonComponent, ...]]:
     components = []
     estimate = 0.0
     for f, t, value, n_tr, n_co in raw:
@@ -263,120 +232,81 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
     return float(estimate), tuple(components)
 
 
+def _adopter_size(raw: list[tuple]) -> float:
+    return sum(n_tr for _, _, _, n_tr, _ in raw)
+
+
+def _placebo_mean(raw: list[tuple]) -> float:
+    return float(sum(n_tr * value for _, _, value, n_tr, _ in raw)
+                 / _adopter_size(raw))
+
+
+def did_ell(panel: PanelDataset, structure: CohortStructure,
+            ell: int) -> tuple[float, tuple[HorizonComponent, ...]]:
+    """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
+    _check_horizon(structure, ell)
+    raw = _contrasts(panel, structure.f2, structure.f1, panel.n_periods, ell,
+                     placebo=False)
+    return _weighted(panel, raw, structure.n_ell[ell])
+
+
 def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> float:
     """Pre-adoption analogue of :func:`did_ell`; expectation zero under the
     common-evolution assumption on the first treatment's effect."""
-    if not 0 <= ell <= structure.l_nt:
-        raise HorizonOutOfRange(
-            f"horizon {ell} outside the estimable range 0..{structure.l_nt}"
-        )
-    raw = _cohort_arm_components(panel, structure, ell, window="placebo")
-    if not raw:
-        feasible = tuple(
-            l for l in range(structure.l_nt + 1)
-            if _cohort_arm_components(panel, structure, l, window="placebo")
-        )
+    _check_horizon(structure, ell)
+
+    def raw(l):
+        return _contrasts(panel, structure.f2, structure.f1, panel.n_periods, l,
+                          placebo=True)
+
+    pre = raw(ell)
+    if not pre:
         raise InsufficientPrePeriods(
             f"no pre-adoption window for horizon {ell}",
-            feasible_horizons=feasible,
+            feasible_horizons=tuple(l for l in range(structure.l_nt + 1) if raw(l)),
         )
-    total_n = sum(n_tr for _, _, _, n_tr, _ in raw)
-    return float(sum(n_tr * value for _, _, value, n_tr, _ in raw) / total_n)
+    return _placebo_mean(pre)
+
+
+def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
+                 cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
+    """Cohort event study: :func:`_contrasts` at every horizon that has one.
+
+    ``cohort=None`` puts all groups in one cohort dated period 1, so any
+    group adopting from period 2 on is an adopter; components are then
+    labelled by adoption date instead of cohort date.
+    """
+    one_cohort = cohort is None
+    if one_cohort:
+        cohort = np.ones_like(adopt)
+    estimates: dict[int, float] = {}
+    components: dict[int, tuple[HorizonComponent, ...]] = {}
+    placebo_map: dict[int, float] = {}
+    for ell in range(panel.n_periods - 1):
+        raw = _contrasts(panel, adopt, cohort, cap, ell, placebo=False)
+        if not raw:
+            continue
+        if one_cohort:
+            raw = [(t - ell, t, *rest) for _, t, *rest in raw]
+        estimates[ell], components[ell] = _weighted(panel, raw, _adopter_size(raw))
+        if placebos:
+            pre = _contrasts(panel, adopt, cohort, cap, ell, placebo=True)
+            if pre:
+                placebo_map[ell] = _placebo_mean(pre)
+    if not estimates:
+        raise NoControls(
+            "no adoption date has a not-yet-treated comparison group"
+        )
+    return DynamicEffectResult(estimates=estimates, components=components,
+                               placebos=placebo_map)
 
 
 def second_treatment_effects(panel: PanelDataset, first: int, second: int,
                              placebos: bool = True) -> DynamicEffectResult:
     """All estimable horizons of the second treatment, with placebos."""
     structure = build_cohorts(panel, first, second)
-    estimates: dict[int, float] = {}
-    components: dict[int, tuple[HorizonComponent, ...]] = {}
-    placebo_map: dict[int, float] = {}
-    for ell in range(structure.l_nt + 1):
-        est, comp = did_ell(panel, structure, ell)
-        estimates[ell] = est
-        components[ell] = comp
-        if placebos:
-            try:
-                placebo_map[ell] = placebo_ell(panel, structure, ell)
-            except InsufficientPrePeriods:
-                pass
-    return DynamicEffectResult(estimates=estimates, components=components,
-                               placebos=placebo_map)
-
-
-def _event_study(panel: PanelDataset, adopt: np.ndarray, cap: np.ndarray,
-                 placebos: bool) -> DynamicEffectResult:
-    """Cohort event study of one staggered treatment.
-
-    ``adopt[g]`` is the adoption date, ``cap[g]`` the last calendar period
-    (1-based) at which group g may serve in the adopter arm. Controls at date
-    t are groups with ``adopt > t``; adopters need a pre-period, so cohorts
-    adopting in period 1 never enter the adopter arm.
-    """
-    T = panel.n_periods
-    raw: dict[int, list] = {}
-    for ell in range(T - 1):
-        entries = []
-        for t in range(2 + ell, T + 1):
-            adopters = [g for g in range(panel.n_groups)
-                        if adopt[g] == t - ell and adopt[g] >= 2 and t <= cap[g]]
-            if not adopters:
-                continue
-            controls = [g for g in range(panel.n_groups) if adopt[g] > t]
-            if not controls:
-                continue
-            n_tr = float(sum(panel.n[g, t - 1] for g in adopters))
-            n_co = float(sum(panel.n[g, t - 1] for g in controls))
-            dy_tr = sum(panel.n[g, t - 1] * (panel.y[g, t - 1] - panel.y[g, t - ell - 2])
-                        for g in adopters) / n_tr
-            dy_co = sum(panel.n[g, t - 1] * (panel.y[g, t - 1] - panel.y[g, t - ell - 2])
-                        for g in controls) / n_co
-            entries.append((t, dy_tr - dy_co, n_tr, n_co, adopters, controls))
-        if entries:
-            raw[ell] = entries
-    if not raw:
-        raise NoControls(
-            "no adoption date has a not-yet-treated comparison group"
-        )
-
-    estimates: dict[int, float] = {}
-    components: dict[int, tuple[HorizonComponent, ...]] = {}
-    placebo_map: dict[int, float] = {}
-    for ell, entries in raw.items():
-        n_ell = sum(e[2] for e in entries)
-        est = 0.0
-        comp = []
-        for t, value, n_tr, n_co, _, _ in entries:
-            weight = n_tr / n_ell
-            est += weight * value
-            comp.append(HorizonComponent(
-                cohort=panel.period_labels[t - ell - 1],
-                period=panel.period_labels[t - 1],
-                value=value, n_treated=n_tr, n_control=n_co, weight=weight,
-            ))
-        estimates[ell] = float(est)
-        components[ell] = tuple(comp)
-
-        if placebos:
-            pl_entries = []
-            for t, _, _, _, adopters, controls in entries:
-                if t - ell - 3 < 0:
-                    continue
-                n_tr = float(sum(panel.n[g, t - 1] for g in adopters))
-                n_co = float(sum(panel.n[g, t - 1] for g in controls))
-                hi, lo = t - ell - 2, t - ell - 3
-                dy_tr = sum(panel.n[g, t - 1] * (panel.y[g, hi] - panel.y[g, lo])
-                            for g in adopters) / n_tr
-                dy_co = sum(panel.n[g, t - 1] * (panel.y[g, hi] - panel.y[g, lo])
-                            for g in controls) / n_co
-                pl_entries.append((n_tr, dy_tr - dy_co))
-            if pl_entries:
-                tot = sum(n for n, _ in pl_entries)
-                placebo_map[ell] = float(
-                    sum(n * v for n, v in pl_entries) / tot
-                )
-    return DynamicEffectResult(estimates=estimates, components=components,
-                               placebos=placebo_map)
+    return _event_study(panel, structure.f2, structure.f1, panel.n_periods,
+                        placebos)
 
 
 def first_treatment_effects(panel: PanelDataset, first: int,
@@ -388,7 +318,7 @@ def first_treatment_effects(panel: PanelDataset, first: int,
     those that have not adopted the first treatment yet.
     """
     f1, f2 = _validate_consecutive(panel, first, second)
-    return _event_study(panel, adopt=f1, cap=f2 - 1, placebos=placebos)
+    return _event_study(panel, f1, None, f2 - 1, placebos)
 
 
 def combined_effects(panel: PanelDataset, first: int, second: int,
@@ -399,14 +329,9 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
     first treatment's effect with the arrival of the second, and the two
     cannot be separated for groups adopting both at once.
     """
-    panel.require_binary("staggered-design estimation")
-    for k in (first, second):
-        adoption_dates(panel, k)  # monotonicity check
-    f1 = adoption_dates(panel, first)
-    f2 = adoption_dates(panel, second)
-    bundle_adopt = np.minimum(f1, f2)
-    cap = np.full(panel.n_groups, panel.n_periods, dtype=int)
-    return _event_study(panel, adopt=bundle_adopt, cap=cap, placebos=placebos)
+    f1, f2 = _binary_adoption_dates(panel, first, second)
+    return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods,
+                        placebos)
 
 
 @dataclass(frozen=True)
@@ -513,20 +438,13 @@ class OrderPartition:
 
 def split_by_order(panel: PanelDataset, first: int, second: int) -> OrderPartition:
     """Partition groups by which treatment arrives first (no order required)."""
-    panel.require_binary("staggered-design estimation")
-    f1 = adoption_dates(panel, first)
-    f2 = adoption_dates(panel, second)
-    T = panel.n_periods
-    fb, sb, sim, nev = [], [], [], []
-    for g, label in enumerate(panel.group_labels):
-        if f1[g] > T and f2[g] > T:
-            nev.append(label)
-        elif f1[g] < f2[g]:
-            fb.append(label)
-        elif f2[g] < f1[g]:
-            sb.append(label)
-        else:
-            sim.append(label)
-    return OrderPartition(first_before_second=tuple(fb),
-                          second_before_first=tuple(sb),
-                          simultaneous=tuple(sim), never_treated=tuple(nev))
+    f1, f2 = _binary_adoption_dates(panel, first, second)
+
+    def groups(mask):
+        return tuple(g for g, keep in zip(panel.group_labels, mask) if keep)
+
+    both = f1 == f2
+    return OrderPartition(first_before_second=groups(f1 < f2),
+                          second_before_first=groups(f2 < f1),
+                          simultaneous=groups(both & (f1 <= panel.n_periods)),
+                          never_treated=groups(both & (f1 > panel.n_periods)))

@@ -3,7 +3,8 @@
 Each oracle recomputes a target quantity from first principles over a code
 path disjoint from the library's: the regression coefficient comes from one
 dense weighted least-squares solve on the explicit dummy design, and the
-switcher estimates from literal transcriptions of their defining sums.
+switcher and event-study estimates from literal transcriptions of their
+defining sums.
 """
 
 from __future__ import annotations
@@ -121,3 +122,58 @@ def brute_force_single_didm(panel):
             n_s += n_dn
             total += n_dn * (wmean(stay1) - wmean(down))
     return 0.0 if n_s == 0 else float(total / n_s)
+
+
+def brute_force_event_study(panel, adopt, cohort, cap):
+    """Literal evaluation of the adopter-versus-not-yet event study.
+
+    ``adopt``, ``cohort`` and ``cap`` hold 1-based dates per group. At horizon
+    l and date t the adopters are the groups with adopt = t - l > cohort and
+    t <= cap, the controls their cohort mates with adopt > t; a contrast
+    exists where both are non-empty and compares the size-weighted (sizes at
+    t) mean change of outcome from t - l - 1 to t. The placebo takes the
+    change from t - l - 2 to t - l - 1 and needs adopt >= cohort + 2.
+    Returns ``(estimates, components, placebos)`` keyed by horizon, with
+    components as ``(cohort, t, value, n_treated, n_control, weight)``.
+    """
+    G, T = panel.n_groups, panel.n_periods
+    n, y = panel.n, panel.y
+
+    def contrast(c, t, ell, placebo):
+        adopters = [g for g in range(G)
+                    if cohort[g] == c and adopt[g] == t - ell
+                    and adopt[g] >= c + (2 if placebo else 1) and t <= cap[g]]
+        controls = [g for g in range(G) if cohort[g] == c and adopt[g] > t]
+        if not adopters or not controls:
+            return None
+        hi, lo = (t - ell - 1, t - ell - 2) if placebo else (t, t - ell - 1)
+
+        def arm(groups):
+            size = sum(n[g, t - 1] for g in groups)
+            change = sum(n[g, t - 1] * (y[g, hi - 1] - y[g, lo - 1])
+                         for g in groups) / size
+            return size, change
+
+        (n_tr, dy_tr), (n_co, dy_co) = arm(adopters), arm(controls)
+        return n_tr, n_co, dy_tr - dy_co
+
+    estimates, components, placebos = {}, {}, {}
+    for ell in range(T):
+        effects, pre = [], []
+        for c in sorted(set(int(v) for v in cohort)):
+            for t in range(1, T + 1):
+                r = contrast(c, t, ell, placebo=False)
+                if r is not None:
+                    effects.append((c, t) + r)
+                r = contrast(c, t, ell, placebo=True)
+                if r is not None:
+                    pre.append(r)
+        if effects:
+            n_ell = sum(e[2] for e in effects)
+            estimates[ell] = sum(e[2] / n_ell * e[4] for e in effects)
+            components[ell] = [(c, t, v, n_tr, n_co, n_tr / n_ell)
+                               for c, t, n_tr, n_co, v in effects]
+        if pre:
+            placebos[ell] = (sum(n_tr * v for n_tr, _, v in pre)
+                             / sum(n_tr for n_tr, _, _ in pre))
+    return estimates, components, placebos

@@ -154,14 +154,19 @@ def test_dynamic_linear_strategy(capsys, tmp_path):
 
 
 def test_dynamic_pathological_exit_code(capsys, tmp_path):
-    spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3, n_periods=4,
-                     seed=0, f1=(2, 2, 2), f2=(3, 3, 3))
-    path = tmp_path / "path.csv"
-    m.write_panel_csv(m.generate(spec).panel, path)
-    code, out, err = _run(capsys, "dynamic", "--input", str(path),
-                          "--first", "d1", "--second", "d2")
-    assert code == 5
-    assert "PathologicalDesign" in err
+    # the second design has a simultaneous adopter plus one later date, so
+    # only one second-adoption date falls after the cohort's
+    for n_periods, f1, f2 in [(4, (2, 2, 2), (3, 3, 3)), (5, (3, 3, 6), (3, 5, 6))]:
+        spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3,
+                         n_periods=n_periods, seed=0, f1=f1, f2=f2)
+        path = tmp_path / "path.csv"
+        m.write_panel_csv(m.generate(spec).panel, path)
+        for argv in (["dynamic"], ["dynamic", "--strategy", "linear"],
+                     ["bootstrap", "--estimator", "did_ell", "-B", "4"]):
+            code, out, err = _run(capsys, argv[0], "--input", str(path), "--first",
+                                  "d1", "--second", "d2", *argv[1:])
+            assert code == 5
+            assert "PathologicalDesign" in err
 
 
 def test_bootstrap_subcommand(capsys, four_group_csv):

@@ -10,9 +10,9 @@ from multidid.errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from multidid.staggered import _cohort_arm_components
 
 from .conftest import random_staggered_spec
+from .oracles import brute_force_event_study
 
 
 def test_cohort_structure_fixture(abc_staggered):
@@ -28,11 +28,13 @@ def test_cohort_structure_fixture(abc_staggered):
 
 
 def test_same_second_date_pathological():
-    spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3, n_periods=4,
-                     seed=0, f1=(2, 2, 2), f2=(3, 3, 3))
-    panel = m.generate(spec).panel
-    with pytest.raises(PathologicalDesign):
-        m.build_cohorts(panel, 0, 1)
+    # the second design has a simultaneous adopter plus one later date, so
+    # only one second-adoption date falls after the cohort's
+    for n_periods, f1, f2 in [(4, (2, 2, 2), (3, 3, 3)), (5, (3, 3, 6), (3, 5, 6))]:
+        spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3,
+                         n_periods=n_periods, seed=0, f1=f1, f2=f2)
+        with pytest.raises(PathologicalDesign):
+            m.build_cohorts(m.generate(spec).panel, 0, 1)
 
 
 def test_second_before_first_wrong_order():
@@ -280,8 +282,8 @@ def test_weight_closure_counts_exact():
         synthetic = m.generate(spec)
         st = m.build_cohorts(synthetic.panel, 0, 1)
         for ell in range(st.l_nt + 1):
-            raw = _cohort_arm_components(synthetic.panel, st, ell, "effect")
-            assert float(sum(n_tr for _, _, _, n_tr, _ in raw)) == st.n_ell[ell]
+            _, comps = m.did_ell(synthetic.panel, st, ell)
+            assert float(sum(c.n_treated for c in comps)) == st.n_ell[ell]
             assert st.n_ell[ell] > 0
 
 
@@ -293,7 +295,9 @@ def test_structural_control_validity():
         panel = synthetic.panel
         st = m.build_cohorts(panel, 0, 1)
         for ell in range(st.l_nt + 1):
-            for f, t, _, _, _ in _cohort_arm_components(panel, st, ell, "effect"):
+            for c in m.did_ell(panel, st, ell)[1]:
+                f = panel.period_index(c.cohort) + 1
+                t = panel.period_index(c.period) + 1
                 adopters = [g for g in st.cohorts[f] if st.f2[g] == t - ell]
                 controls = [g for g in st.cohorts[f] if st.f2[g] > t]
                 # never compares across cohorts, never uses an adopted control
@@ -310,3 +314,69 @@ def test_second_treatment_effects_wrapper(abc_staggered):
     payload = result.to_dict()
     assert payload["horizons"][0]["ell"] == 0
     assert payload["horizons"][0]["components"][0]["f"] == 2
+
+
+def _random_staggered_panel(rng):
+    """Consecutive staggered design with non-integer sizes, never-treated
+    groups and simultaneous adopters of both treatments."""
+    G, T = int(rng.integers(4, 13)), int(rng.integers(3, 9))
+    f1 = rng.choice(rng.integers(1, T + 2, size=3), size=G)
+    f1[rng.random(G) < 0.2] = T + 1
+    f2 = np.array([T + 1 if f > T or rng.random() < 0.2
+                   else f if rng.random() < 0.2
+                   else int(rng.integers(f, T + 2)) for f in f1])
+    periods = np.arange(1, T + 1)
+    d = np.stack([periods >= f1[:, None], periods >= f2[:, None]]).astype(float)
+    panel = m.PanelDataset(range(G), [1990 + 3 * t for t in periods],
+                           rng.standard_normal((G, T)),
+                           rng.uniform(0.5, 3.0, size=(G, T)), d)
+    return panel, f1, f2
+
+
+def test_event_studies_match_brute_force_oracle():
+    rng = np.random.default_rng(206)
+    estimated = 0
+    for _ in range(30):
+        panel, f1, f2 = _random_staggered_panel(rng)
+        T = panel.n_periods
+        one, never = np.ones_like(f1), np.full_like(f1, T)
+        for estimator, adopt, cohort, cap in (
+                (m.second_treatment_effects, f2, f1, never),
+                (m.first_treatment_effects, f1, one, f2 - 1),
+                (m.combined_effects, np.minimum(f1, f2), one, never)):
+            estimates, components, placebos = brute_force_event_study(
+                panel, adopt, cohort, cap)
+            try:
+                result = estimator(panel, 0, 1)
+            except (PathologicalDesign, NoControls):
+                assert not estimates
+                continue
+            estimated += 1
+            assert result.estimates.keys() == estimates.keys()
+            assert result.placebos.keys() == placebos.keys()
+            for ell, pl in placebos.items():
+                assert result.placebos[ell] == pytest.approx(pl, abs=1e-12)
+            for ell, est in estimates.items():
+                assert result.estimates[ell] == pytest.approx(est, abs=1e-12)
+                assert len(result.components[ell]) == len(components[ell])
+                for got, (c, t, value, n_tr, n_co, weight) in zip(
+                        result.components[ell], components[ell]):
+                    # one-cohort studies label components by adoption date
+                    label = c if estimator is m.second_treatment_effects else t - ell
+                    assert got.cohort == panel.period_labels[label - 1]
+                    assert got.period == panel.period_labels[t - 1]
+                    assert got.value == pytest.approx(value, abs=1e-12)
+                    assert got.n_treated == pytest.approx(n_tr, abs=1e-12)
+                    assert got.n_control == pytest.approx(n_co, abs=1e-12)
+                    assert got.weight == pytest.approx(weight, abs=1e-12)
+            if estimator is m.second_treatment_effects:
+                st = m.build_cohorts(panel, 0, 1)
+                for ell, est in estimates.items():
+                    assert m.did_ell(panel, st, ell)[0] == pytest.approx(est, abs=1e-12)
+                    if ell in placebos:
+                        assert m.placebo_ell(panel, st, ell) == pytest.approx(
+                            placebos[ell], abs=1e-12)
+                    else:
+                        with pytest.raises(InsufficientPrePeriods):
+                            m.placebo_ell(panel, st, ell)
+    assert estimated >= 45
