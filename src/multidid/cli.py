@@ -44,6 +44,7 @@ from .errors import (
     MultiDidError,
     NoControls,
     NonBinaryTreatment,
+    NonFiniteValue,
     NonPositiveWeight,
     NonSharpDesign,
     NotStaggered,
@@ -69,6 +70,7 @@ EXIT_CODES = {
     UnbalancedPanel: 3,
     DuplicateCell: 3,
     NonBinaryTreatment: 3,
+    NonFiniteValue: 3,
     NonPositiveWeight: 3,
     InsufficientVariation: 3,
     NonSharpDesign: 3,
@@ -89,8 +91,9 @@ _EXIT_DOC = """\
 exit codes:
   0  success
   2  bad command line
-  3  input validation failed (unbalanced/duplicate cells, non-binary or
-     non-positive values, missing columns, bad simulation spec)
+  3  input validation failed (unbalanced/duplicate cells, non-binary,
+     non-positive or non-finite values or labels, missing columns,
+     bad simulation spec)
   4  coefficient undefined (collinear treatments, degenerate denominator)
   5  design violated (treatment switches off, wrong adoption order,
      no usable cohort)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CollinearTreatments, DegenerateDenominator
-from .panel import VALUE_TOL, PanelDataset
+from .panel import PanelDataset
 
 RANK_RTOL = 1e-10
 
@@ -235,9 +235,7 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
     beta = twfe_coefficient(panel, target, stage)
 
     others = [j for j in range(panel.n_treatments) if j != target]
-    any_other = np.zeros_like(treated)
-    for j in others:
-        any_other |= np.abs(panel.d[j]) > VALUE_TOL
+    any_other = (panel.d[others] != 0).any(axis=0)
 
     own: dict[tuple, float] = {}
     contamination: dict[tuple, float] = {}
@@ -274,10 +272,7 @@ def summarize(decomp: WeightDecomposition, panel: PanelDataset) -> Decomposition
             negative_sum=float(arr[arr < 0].sum()) if arr.size else 0.0,
         ))
 
-    overlap = np.zeros(panel.y.shape, dtype=int)
-    for j in others:
-        overlap += (np.abs(panel.d[j]) > VALUE_TOL).astype(int)
-    exclusive = bool(np.all(overlap <= 1))
+    exclusive = bool(np.all((panel.d[others] != 0).sum(axis=0) <= 1))
 
     return DecompositionSummary(
         target=decomp.target,

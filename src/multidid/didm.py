@@ -3,20 +3,19 @@
 The estimator isolates one treatment by comparing consecutive-period outcome
 evolutions between "switchers" (cells whose target treatment changes while
 every other treatment stays put) and "stayers" (groups whose treatments all
-stay put and match the switcher's previous-period treatment vector). Each
-(period, baseline) stratum contributes one difference-in-differences, and the
-strata are averaged with weights proportional to switcher size.
+stay put). A cell's origin key is its period and its treatment vector one
+period earlier: the other treatments' values (the "baseline") and the
+target's previous value. A stratum is an origin key plus the target's new
+value. It contributes one difference-in-differences between its switchers
+and the stayers with the same origin key, divided by the size of the
+target's change, and the strata are averaged with weights proportional to
+switcher size.
 
 Both directions are used: cells gaining the treatment are compared to
 untreated stayers, cells losing it to treated stayers. Switching cells with
 no matching stayer, or whose other treatments move at the same time, are
 dropped and reported. The estimate is zero by convention when no switcher
-survives.
-
-Discrete ordered (non-binary) target treatments are supported as a natural
-extension: strata are formed on (previous value, new value, other-treatment
-baseline) and each stratum's contrast is divided by the size of the change.
-Pass ``binary_only=True`` to refuse non-binary targets instead.
+survives. Pass ``binary_only=True`` to refuse non-binary (ordered) targets.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonBinaryTreatment
-from .panel import VALUE_TOL, PanelDataset
+from .panel import PanelDataset
 
 
 @dataclass(frozen=True)
@@ -103,68 +102,78 @@ class DidmResult:
         }
 
 
-def _changed(a: float, b: float) -> bool:
-    return abs(a - b) > VALUE_TOL
+@dataclass(frozen=True)
+class _Strata:
+    """Usable switching cells, as indices (t - 1) * G + g in (period, group)
+    order, with each one's ``stratum`` row of ``key``: the strata, sorted by
+    (period index, baseline..., target_from, target_to)."""
+    kept: np.ndarray
+    stratum: np.ndarray
+    dropped: tuple[DroppedSwitcher, ...]
+    n_s: float
+    key: np.ndarray
+    n_switchers: np.ndarray
+    n_stayers: np.ndarray
+    value: np.ndarray
 
 
-def _stayer_groups(panel: PanelDataset, ti: int, target: int,
-                   target_value: float, baseline: np.ndarray) -> list[int]:
-    """Groups whose treatments are all unchanged over (ti-1, ti) and equal to
-    (target_value, baseline)."""
-    d = panel.d
-    others = [j for j in range(panel.n_treatments) if j != target]
-    out = []
-    for gi in range(panel.n_groups):
-        if _changed(d[target, gi, ti], d[target, gi, ti - 1]):
-            continue
-        if _changed(d[target, gi, ti - 1], target_value):
-            continue
-        ok = True
-        for pos, j in enumerate(others):
-            if _changed(d[j, gi, ti], d[j, gi, ti - 1]):
-                ok = False
-                break
-            if _changed(d[j, gi, ti - 1], baseline[pos]):
-                ok = False
-                break
-        if ok:
-            out.append(gi)
-    return out
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, the fixed order results are reproducible in."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _strata(panel: PanelDataset, target: int) -> _Strata:
+    K, G, T = panel.d.shape
+    others = [j for j in range(K) if j != target]
+    before = panel.d[:, :, :-1].transpose(0, 2, 1).reshape(K, -1)
+    after = panel.d[:, :, 1:].transpose(0, 2, 1).reshape(K, -1)
+    n = panel.n[:, 1:].T.ravel()
+    ndy = (panel.n[:, 1:] * (panel.y[:, 1:] - panel.y[:, :-1])).T.ravel()
+    switching = after[target] != before[target]
+    other_moved = (after[others] != before[others]).any(axis=0)
+    # stayers, whose origin key is their key at both dates, and the switchers
+    # that may match them are the cells whose other treatments stay put
+    still = np.flatnonzero(~other_moved)
+    origins, origin = np.unique(
+        np.column_stack([still // G + 1, before[others][:, still].T, before[target, still]]),
+        axis=0, return_inverse=True)
+    stayer = ~switching[still]
+    stay_n = np.bincount(origin[stayer], n[still[stayer]], len(origins))
+    stay_ndy = np.bincount(origin[stayer], ndy[still[stayer]], len(origins))
+    matched = ~stayer & (stay_n[origin] > 0)
+    kept = still[matched]
+    lost = np.setdiff1d(np.flatnonzero(switching), kept)
+    dropped = tuple(
+        DroppedSwitcher(panel.group_labels[i % G], panel.period_labels[i // G + 1],
+                        "other_treatment_changed" if moved else "no_matching_stayer")
+        for i, moved in zip(lost.tolist(), other_moved[lost].tolist()))
+
+    strata, stratum = np.unique(np.column_stack([origin[matched], after[target, kept]]),
+                                axis=0, return_inverse=True)
+    home = strata[:, 0].astype(np.intp)
+    key = np.column_stack([origins[home], strata[:, 1]])
+    sw_n = np.bincount(stratum, n[kept], len(strata))
+    sw_dy = np.bincount(stratum, ndy[kept], len(strata)) / sw_n
+    st_dy = stay_ndy[home] / stay_n[home]
+    return _Strata(kept=kept, stratum=stratum, dropped=dropped,
+                   n_s=_running_sum(n[kept]), key=key, n_switchers=sw_n,
+                   n_stayers=stay_n[home],
+                   value=(sw_dy - st_dy) / (key[:, -1] - key[:, -2]))
 
 
 def find_switchers(panel: PanelDataset, target: int) -> SwitcherSet:
     """Cells whose target treatment changes between consecutive periods and
     that have a matching stayer; unusable switching cells are reported."""
-    d = panel.d
-    others = [j for j in range(panel.n_treatments) if j != target]
-    cells: list[SwitcherCell] = []
-    dropped: list[DroppedSwitcher] = []
-    n_s = 0.0
-    for ti in range(1, panel.n_periods):
-        for gi in range(panel.n_groups):
-            prev = float(d[target, gi, ti - 1])
-            curr = float(d[target, gi, ti])
-            if not _changed(curr, prev):
-                continue
-            g = panel.group_labels[gi]
-            t = panel.period_labels[ti]
-            if any(_changed(d[j, gi, ti], d[j, gi, ti - 1]) for j in others):
-                dropped.append(DroppedSwitcher(g, t, "other_treatment_changed"))
-                continue
-            baseline = d[others, gi, ti - 1] if others else np.empty(0)
-            if not _stayer_groups(panel, ti, target, prev, baseline):
-                dropped.append(DroppedSwitcher(g, t, "no_matching_stayer"))
-                continue
-            cell = SwitcherCell(
-                group=g, period=t,
-                direction="up" if curr > prev else "down",
-                baseline=tuple(float(v) for v in baseline),
-                target_from=prev, target_to=curr,
-                n=float(panel.n[gi, ti]),
-            )
-            cells.append(cell)
-            n_s += cell.n
-    return SwitcherSet(cells=tuple(cells), n_s=n_s, dropped=tuple(dropped))
+    strata = _strata(panel, target)
+    G = panel.n_groups
+    cells = tuple(
+        SwitcherCell(group=panel.group_labels[i % G],
+                     period=panel.period_labels[i // G + 1],
+                     direction="up" if k[-1] > k[-2] else "down",
+                     baseline=tuple(k[1:-2]), target_from=k[-2], target_to=k[-1],
+                     n=float(panel.n[i % G, i // G + 1]))
+        for i, k in zip(strata.kept.tolist(), strata.key[strata.stratum].tolist()))
+    return SwitcherSet(cells=cells, n_s=strata.n_s, dropped=strata.dropped)
 
 
 def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmResult:
@@ -173,52 +182,21 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
     Strata are aggregated in a fixed order (ascending period, then baseline,
     then the target transition) so the reduction is bit-reproducible.
     """
-    d = panel.d
-    if binary_only:
-        vals = d[target]
-        if np.any((np.abs(vals) > VALUE_TOL) & (np.abs(vals - 1.0) > VALUE_TOL)):
-            raise NonBinaryTreatment(
-                "target treatment is not binary and binary_only was requested"
-            )
-    switchers = find_switchers(panel, target)
-
-    strata: dict[tuple, list[SwitcherCell]] = {}
-    for cell in switchers.cells:
-        ti = panel.period_index(cell.period)
-        key = (ti, cell.baseline, cell.target_from, cell.target_to)
-        strata.setdefault(key, []).append(cell)
-
-    components: list[DidmComponent] = []
-    estimate = 0.0
-    for key in sorted(strata):
-        ti, baseline, prev, curr = key
-        members = strata[key]
-        sw_n = sum(c.n for c in members)
-        dy_sw = 0.0
-        for c in members:
-            gi = panel.group_index(c.group)
-            dy_sw += c.n * (panel.y[gi, ti] - panel.y[gi, ti - 1])
-        dy_sw /= sw_n
-
-        stay = _stayer_groups(panel, ti, target, prev, np.asarray(baseline))
-        st_n = float(sum(panel.n[gi, ti] for gi in stay))
-        dy_st = sum(panel.n[gi, ti] * (panel.y[gi, ti] - panel.y[gi, ti - 1])
-                    for gi in stay) / st_n
-
-        value = (dy_sw - dy_st) / (curr - prev)
-        weight = sw_n / switchers.n_s
-        estimate += weight * value
-        components.append(DidmComponent(
-            period=panel.period_labels[ti], baseline=baseline,
-            direction="up" if curr > prev else "down",
-            target_from=prev, target_to=curr,
-            n_switchers=sw_n, n_stayers=st_n, value=value, weight=weight,
-        ))
-
-    if switchers.n_s == 0:
-        estimate = 0.0
-    return DidmResult(estimate=float(estimate), n_s=switchers.n_s,
-                      components=tuple(components), dropped=switchers.dropped)
+    if binary_only and not np.isin(panel.d[target], (0.0, 1.0)).all():
+        raise NonBinaryTreatment("target treatment is not binary and binary_only "
+                                 "was requested")
+    strata = _strata(panel, target)
+    weight = strata.n_switchers / strata.n_s
+    components = tuple(
+        DidmComponent(period=panel.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
+                      direction="up" if k[-1] > k[-2] else "down",
+                      target_from=k[-2], target_to=k[-1], n_switchers=sw_n,
+                      n_stayers=st_n, value=value, weight=w)
+        for k, sw_n, st_n, value, w in zip(
+            strata.key.tolist(), strata.n_switchers.tolist(),
+            strata.n_stayers.tolist(), strata.value.tolist(), weight.tolist()))
+    return DidmResult(estimate=_running_sum(weight * strata.value), n_s=strata.n_s,
+                      components=components, dropped=strata.dropped)
 
 
 def delta_s_oracle(synthetic, target: int) -> float:

@@ -29,6 +29,10 @@ class NonPositiveWeight(MultiDidError):
     """A cell size is zero or negative."""
 
 
+class NonFiniteValue(MultiDidError):
+    """An outcome, cell size, treatment value or label is NaN or infinite."""
+
+
 class InsufficientVariation(MultiDidError):
     """Fewer than two groups or two periods."""
 

@@ -11,6 +11,14 @@ observed period. Cell sizes are positive reals rather than integer counts so
 externally weighted panels can be analyzed; finite-sample statements in the
 literature are phrased for integer counts, which is worth keeping in mind
 when supplying non-integer weights.
+
+Outcomes, sizes and treatment values must be finite. Treatment values are
+made canonical once, at construction, so that every later comparison of them
+is exact: sorted distinct values no more than ``VALUE_TOL`` apart chain into
+one cluster, whose members all take one representative: the integer within
+``VALUE_TOL`` of some member if there is one, else the smallest member.
+Values already pairwise further apart, with none within ``VALUE_TOL`` of an
+integer it differs from, are kept bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .errors import (
     InsufficientVariation,
     MissingColumn,
     NonBinaryTreatment,
+    NonFiniteValue,
     NonPositiveWeight,
     NonSharpDesign,
     UnbalancedPanel,
@@ -35,6 +44,22 @@ from .errors import (
 
 #: Absolute tolerance for treatment-value equality (CSV round-trip noise).
 VALUE_TOL = 1e-12
+
+
+def _canonical(values: np.ndarray) -> np.ndarray:
+    """Canonical treatment values (rule in the module docstring); ``values``
+    itself when nothing moves."""
+    distinct = np.unique(values)
+    starts = np.diff(distinct, prepend=-np.inf) > VALUE_TOL
+    cluster = np.cumsum(starts) - 1
+    rep = distinct[starts]
+    whole = np.rint(distinct)
+    near = np.abs(distinct - whole) <= VALUE_TOL
+    rep[cluster[near]] = whole[near] + 0.0  # + 0.0 turns -0.0 into 0.0
+    snapped = rep[cluster]
+    if np.array_equal(snapped, distinct):
+        return values
+    return snapped[np.searchsorted(distinct, values)]
 
 
 @dataclass(frozen=True)
@@ -69,26 +94,32 @@ class PanelDataset:
         if self.n.shape != (g, t) or self.d.shape[1:] != (g, t):
             raise ValueError("inconsistent array shapes for panel construction")
         self.n_treatments = int(self.d.shape[0])
-        if np.any(self.n <= 0):
-            raise NonPositiveWeight("cell sizes must be strictly positive")
         if g < 2 or t < 2:
             raise InsufficientVariation(
                 f"panel needs at least 2 groups and 2 periods, got G={g}, T={t}"
             )
-        self.binary_treatments = bool(
-            np.all((np.abs(self.d) <= VALUE_TOL) | (np.abs(self.d - 1.0) <= VALUE_TOL))
-        )
-        # fixed summation order (groups outer, periods inner) so the reported
-        # total is reproducible bit for bit
-        total = 0.0
-        for gi in range(g):
-            for ti in range(t):
-                total += self.n[gi, ti]
-        self.total_n = total
+        names = ("y", "n", *(f"d{k + 1}" for k in range(self.n_treatments)))
+        for name, values in zip(names, (self.y, self.n, *self.d)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                raise NonFiniteValue(f"{name} is {float(values[tuple(bad[0])])!r} at "
+                                     f"{self._cell_name(*bad[0])}")
+        if np.any(self.n <= 0):
+            gi, ti = np.argwhere(self.n <= 0)[0]
+            raise NonPositiveWeight(f"cell size must be positive, got "
+                                    f"{float(self.n[gi, ti])} at {self._cell_name(gi, ti)}")
+        self.d = _canonical(self.d)
+        self.binary_treatments = bool(np.isin(self.d, (0.0, 1.0)).all())
+        # fixed left-to-right order (groups outer, periods inner) so the
+        # reported total is reproducible bit for bit
+        self.total_n = float(np.cumsum(self.n.ravel())[-1])
         self._group_index = {lab: i for i, lab in enumerate(self.group_labels)}
         self._period_index = {lab: i for i, lab in enumerate(self.period_labels)}
         for a in (self.y, self.n, self.d):
             a.setflags(write=False)
+
+    def _cell_name(self, gi: int, ti: int) -> str:
+        return f"group={self.group_labels[gi]!r}, period={self.period_labels[ti]!r}"
 
     # -- shape and lookups -------------------------------------------------
 
@@ -193,37 +224,21 @@ def load_panel(rows: Sequence[Sequence], n_treatments: int,
             f"{len(missing)} missing cell(s), first: group={missing[0][0]!r}, "
             f"period={missing[0][1]!r}"
         )
-    if len(groups) < 2 or len(periods) < 2:
-        raise InsufficientVariation(
-            f"panel needs at least 2 groups and 2 periods, got "
-            f"G={len(groups)}, T={len(periods)}"
-        )
-
     G, T = len(groups), len(periods)
     y = np.empty((G, T))
     n = np.empty((G, T))
     d = np.empty((k, G, T))
     for gi, g in enumerate(groups):
         for ti, t in enumerate(periods):
-            yv, nv, dv = seen[(g, t)]
-            if nv <= 0:
-                raise NonPositiveWeight(
-                    f"cell size must be positive, got {nv} at group={g!r}, period={t!r}"
-                )
-            y[gi, ti] = yv
-            n[gi, ti] = nv
-            d[:, gi, ti] = dv
-
-    if binary_required:
-        off = np.abs(d) > VALUE_TOL
-        off &= np.abs(d - 1.0) > VALUE_TOL
-        if np.any(off):
-            ks, gs, ts = np.nonzero(off)
-            raise NonBinaryTreatment(
-                f"treatment {ks[0] + 1} is {d[ks[0], gs[0], ts[0]]!r} at "
-                f"group={groups[gs[0]]!r}, period={periods[ts[0]]!r}"
-            )
-    return PanelDataset(groups, periods, y, n, d)
+            y[gi, ti], n[gi, ti], d[:, gi, ti] = seen[(g, t)]
+    panel = PanelDataset(groups, periods, y, n, d)
+    if binary_required and not panel.binary_treatments:
+        ks, gs, ts = np.nonzero(~np.isin(panel.d, (0.0, 1.0)))
+        raise NonBinaryTreatment(
+            f"treatment {ks[0] + 1} is {float(panel.d[ks[0], gs[0], ts[0]])!r} at "
+            f"{panel._cell_name(gs[0], ts[0])}"
+        )
+    return panel
 
 
 def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
@@ -311,8 +326,8 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
             if not rec or all(not f.strip() for f in rec):
                 continue
             try:
-                g = _parse_label(rec[pos["g"]])
-                t = _parse_label(rec[pos["t"]])
+                g = _parse_label(rec[pos["g"]], lineno)
+                t = _parse_label(rec[pos["t"]], lineno)
                 yv = float(rec[pos["y"]])
                 dv = [float(rec[pos[c]]) for c in tcols]
                 if has_n:
@@ -324,16 +339,19 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     return load_panel(rows, n_treatments=len(tcols), binary_required=binary_required)
 
 
-def _parse_label(text: str):
+def _parse_label(text: str, lineno: int):
     text = text.strip()
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    if not np.isfinite(value):
+        raise NonFiniteValue(f"line {lineno}: non-finite label {text!r}")
+    return value
 
 
 def write_panel_csv(panel: PanelDataset, path,

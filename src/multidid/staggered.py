@@ -44,7 +44,7 @@ from .errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from .panel import VALUE_TOL, PanelDataset
+from .panel import PanelDataset
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     Raises NotStaggered if the treatment ever switches off.
     """
     d = panel.d[k]
-    if np.any(d[:, 1:] < d[:, :-1] - VALUE_TOL):
-        gi, ti = np.argwhere(d[:, 1:] < d[:, :-1] - VALUE_TOL)[0]
+    if np.any(d[:, 1:] < d[:, :-1]):
+        gi, ti = np.argwhere(d[:, 1:] < d[:, :-1])[0]
         raise NotStaggered(
             f"treatment {k} switches off for group "
             f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}"

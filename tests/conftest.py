@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import multidid as m
+
+# derandomized so every run draws the same examples; few of them, so the
+# property suite adds seconds, not minutes
+settings.register_profile("multidid", derandomize=True, deadline=None,
+                          max_examples=30)
+settings.load_profile("multidid")
 
 
 @pytest.fixture

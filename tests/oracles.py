@@ -47,15 +47,20 @@ def dense_dummy_fit(panel, target):
 
 
 def brute_force_didm(panel, target):
-    """Literal evaluation of the switcher estimator for binary treatments.
+    """Literal evaluation of the switcher estimator over ordered values.
 
-    Loops over every period and every other-treatment value combination,
-    forms the four cell counts, the up and down contrasts with their zero
-    conventions, and the final weighted average.
+    Loops over every period, every combination of observed other-treatment
+    values and every ordered pair (a, b) of distinct observed target values.
+    The cells moving from a to b are compared with the cells staying at a,
+    among the cells whose other treatments hold that combination at both
+    dates; each contrast with both arms non-empty is divided by b - a, and
+    the contrasts are averaged with weights proportional to switcher size.
     """
     G, T, K = panel.n_groups, panel.n_periods, panel.n_treatments
     n, y, d = panel.n, panel.y, panel.d
     others = [j for j in range(K) if j != target]
+    values = sorted(set(d[target].ravel().tolist()))
+    other_values = [sorted(set(d[j].ravel().tolist())) for j in others]
 
     def is_val(g, t, k, v):
         return abs(d[k, g, t] - v) <= 1e-12
@@ -64,33 +69,28 @@ def brute_force_didm(panel, target):
         return all(is_val(g, t, j, dm[pos]) and is_val(g, t - 1, j, dm[pos])
                    for pos, j in enumerate(others))
 
+    def arm(groups, t, a, b):
+        cells = [g for g in groups
+                 if is_val(g, t - 1, target, a) and is_val(g, t, target, b)]
+        size = sum(n[g, t] for g in cells)
+        if size == 0:
+            return 0.0, 0.0
+        return size, sum(n[g, t] / size * (y[g, t] - y[g, t - 1]) for g in cells)
+
     n_s = 0.0
     terms = []
     for t in range(1, T):
-        for dm in product((0.0, 1.0), repeat=len(others)):
+        for dm in product(*other_values):
             groups = [g for g in range(G) if others_match(g, t, dm)]
-            n10 = sum(n[g, t] for g in groups
-                      if is_val(g, t, target, 1) and is_val(g, t - 1, target, 0))
-            n00 = sum(n[g, t] for g in groups
-                      if is_val(g, t, target, 0) and is_val(g, t - 1, target, 0))
-            n01 = sum(n[g, t] for g in groups
-                      if is_val(g, t, target, 0) and is_val(g, t - 1, target, 1))
-            n11 = sum(n[g, t] for g in groups
-                      if is_val(g, t, target, 1) and is_val(g, t - 1, target, 1))
-            if n10 > 0 and n00 > 0:
-                plus = sum(n[g, t] / n10 * (y[g, t] - y[g, t - 1]) for g in groups
-                           if is_val(g, t, target, 1) and is_val(g, t - 1, target, 0))
-                plus -= sum(n[g, t] / n00 * (y[g, t] - y[g, t - 1]) for g in groups
-                            if is_val(g, t, target, 0) and is_val(g, t - 1, target, 0))
-                n_s += n10
-                terms.append((n10, plus))
-            if n01 > 0 and n11 > 0:
-                minus = sum(n[g, t] / n11 * (y[g, t] - y[g, t - 1]) for g in groups
-                            if is_val(g, t, target, 1) and is_val(g, t - 1, target, 1))
-                minus -= sum(n[g, t] / n01 * (y[g, t] - y[g, t - 1]) for g in groups
-                             if is_val(g, t, target, 0) and is_val(g, t - 1, target, 1))
-                n_s += n01
-                terms.append((n01, minus))
+            for a in values:
+                n_stay, dy_stay = arm(groups, t, a, a)
+                for b in values:
+                    if b == a:
+                        continue
+                    n_move, dy_move = arm(groups, t, a, b)
+                    if n_move > 0 and n_stay > 0:
+                        n_s += n_move
+                        terms.append((n_move, (dy_move - dy_stay) / (b - a)))
     if n_s == 0:
         return 0.0
     return float(sum(nn * v for nn, v in terms) / n_s)

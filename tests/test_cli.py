@@ -201,3 +201,19 @@ def test_unreadable_input(capsys):
                           "--target", "d1")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, row, found", [
+    (["didm"], "2,2,nan,1,0", "y is nan at group=2, period=2"),
+    (["didm"], "2,2,0.5,inf,0", "n is inf at group=2, period=2"),
+    (["decompose"], "2,2,0.5,1,nan", "d1 is nan at group=2, period=2"),
+    (["didm"], "nan,2,0.5,1,0", "line 5: non-finite label 'nan'"),
+    (["didm"], "2,-inf,0.5,1,0", "line 5: non-finite label '-inf'"),
+])
+def test_non_finite_input_exit_code(capsys, tmp_path, argv, row, found):
+    path = tmp_path / "panel.csv"
+    path.write_text("g,t,y,n,d1\n1,1,0.0,1,0\n1,2,0.5,1,1\n2,1,0.0,1,0\n" + row + "\n")
+    code, out, err = _run(capsys, *argv, "--input", str(path), "--target", "d1")
+    assert code == 3
+    assert out == ""
+    assert f"NonFiniteValue: {found}" in err

@@ -7,6 +7,7 @@ from multidid.errors import (
     InsufficientVariation,
     MissingColumn,
     NonBinaryTreatment,
+    NonFiniteValue,
     NonPositiveWeight,
     NonSharpDesign,
     UnbalancedPanel,
@@ -63,6 +64,31 @@ def test_load_panel_binary_required():
         m.load_panel(rows, n_treatments=1, binary_required=True)
     panel = m.load_panel(rows, n_treatments=1)
     assert not panel.binary_treatments
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column, pos", [("y", 2), ("n", 3), ("d1", 4)])
+def test_non_finite_values_rejected(column, pos, bad):
+    rows = [list(r) for r in [(1, 1, 0.0, 1.0, 0.0), (1, 2, 0.0, 1.0, 1.0),
+                              (2, 1, 0.0, 1.0, 0.0), (2, 2, 0.0, 1.0, 0.0)]]
+    rows[3][pos] = bad
+    match = f"{column} is {bad!r} at group=2, period=2"
+    with pytest.raises(NonFiniteValue, match=match):
+        m.load_panel(rows, n_treatments=1, binary_required=True)
+    y, n, d = np.zeros((2, 2)), np.ones((2, 2)), np.zeros((1, 2, 2))
+    (y, n, d[0])[pos - 2][1, 1] = bad
+    with pytest.raises(NonFiniteValue, match=match):
+        m.PanelDataset((1, 2), (1, 2), y, n, d)
+
+
+def test_canonical_treatment_values():
+    d = np.array([[[0.0, 1e-13, -1e-13], [1.0 + 5e-13, 1.0 - 9e-13, 2.0],
+                   [0.3, 0.3 + 5e-13, 0.3 + 9e-13]]])
+    panel = m.PanelDataset(range(3), range(3), np.zeros((3, 3)), np.ones((3, 3)), d)
+    assert panel.d.tolist() == [[[0.0, 0.0, 0.0], [1.0, 1.0, 2.0], [0.3, 0.3, 0.3]]]
+    assert not np.signbit(panel.d).any()
+    rows = [(g, t, 0.0, 1.0 - 5e-13 if g == t else 0.0) for g in (1, 2) for t in (1, 2)]
+    assert m.load_panel(rows, n_treatments=1, binary_required=True).binary_treatments
 
 
 def test_missing_n_defaults_to_one():
