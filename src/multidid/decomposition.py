@@ -12,10 +12,12 @@ are computed here exactly.
 Computations run through the Frisch-Waugh route: the target treatment is
 residualized on the two-way fixed effects and the other treatments, and the
 coefficient is the ratio ``sum(n * eps * y) / sum(n * eps * d_target)``. The
-fixed-effect projection is solved from its (G + T - 1) normal equations with
-one iterative-refinement pass, and the remaining treatment block goes through
-a column-pivoted QR with rank threshold 1e-10 times the largest weighted
-column norm of the design.
+fixed effects are absorbed through the Schur complement of the period block:
+the group block of the normal equations is diagonal, so only a (T - 1) x
+(T - 1) system is factored, the group effects follow in closed form, and one
+iterative-refinement pass follows; the cost is O(G T^2 + T^3). The remaining
+treatment block goes through a column-pivoted QR with rank threshold 1e-10
+times the largest weighted column norm of the design.
 """
 
 from __future__ import annotations
@@ -44,22 +46,43 @@ class FirstStageResult:
     coef_other: dict[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightDecomposition:
     """Per-cell weights attached to the coefficient on one treatment.
 
-    ``own`` maps treated cells (target on) to their normalized weight; these
-    sum to one. ``contamination`` maps cells where any other treatment is
-    nonzero to the weight multiplying those treatments' effects; summed over
-    the cells with treatment j on, they cancel exactly for every j. A cell
-    can appear in both mappings.
+    ``weights`` is the read-only (G, T) grid ``n * eps / sum(n * eps *
+    d_target)``. On ``own_support`` (target on) it holds the own weights,
+    which sum to one. On ``contamination_support`` (any other treatment
+    nonzero) it holds the weights multiplying those treatments' effects;
+    summed over the cells with treatment j on, they cancel exactly for every
+    j. A cell can be in both supports. ``own`` and ``contamination`` give the
+    same weights as ``{(g, t): w}`` mappings in panel order (groups outer,
+    periods inner).
     """
 
     target: int
     beta_fe: float
-    own: dict[tuple, float]
-    contamination: dict[tuple, float]
+    weights: np.ndarray
+    own_support: np.ndarray
+    contamination_support: np.ndarray
     per_other_treatment_sums: dict[int, float]
+    group_labels: tuple
+    period_labels: tuple
+
+    @property
+    def own(self) -> dict[tuple, float]:
+        return {(g, t): w for g, t, w in self._cells(self.own_support)}
+
+    @property
+    def contamination(self) -> dict[tuple, float]:
+        return {(g, t): w for g, t, w in self._cells(self.contamination_support)}
+
+    def _cells(self, mask: np.ndarray) -> list[tuple]:
+        """``(g, t, weight)`` for the cells in ``mask``, in panel order."""
+        gi, ti = np.nonzero(mask)
+        g, t = self.group_labels, self.period_labels
+        return [(g[i], t[j], w) for i, j, w in
+                zip(gi.tolist(), ti.tolist(), self.weights[mask].tolist())]
 
 
 @dataclass(frozen=True)
@@ -114,34 +137,33 @@ class DecompositionSummary:
         }
 
 
-def _fit_two_way(n: np.ndarray, z: np.ndarray, cho) -> np.ndarray:
-    """Weighted projection of grid ``z`` onto group + period effects."""
-    G, T = z.shape
-    rhs = np.concatenate([(n * z).sum(axis=1), (n * z).sum(axis=0)[1:]])
-    coef = scipy.linalg.cho_solve(cho, rhs)
-    gamma = coef[:G]
-    nu = np.concatenate([[0.0], coef[G:]])
-    return gamma[:, None] + nu[None, :]
-
-
 def _two_way_residualize(n: np.ndarray, grids: list[np.ndarray]) -> list[np.ndarray]:
     """Residuals of each grid on the weighted two-way fixed-effect space.
 
-    Solves the normal equations of the (G + T - 1)-parameter dummy design
-    once (Cholesky) and applies one refinement pass, which pushes the
-    weighted orthogonality of the residuals to machine precision.
+    With the first period's effect fixed at zero, the group block of the
+    normal equations is the diagonal of group sizes, so eliminating it leaves
+    the (T - 1) x (T - 1) Schur complement ``diag(period sizes) - m' H`` of
+    the period block, with ``m`` the sizes of periods 1.. and ``H`` those
+    sizes over their group's size. It is factored once (Cholesky); the group
+    effects are the group means of ``z`` minus ``H`` times the period effects.
+    One refinement pass pushes the weighted orthogonality of the residuals to
+    machine precision.
     """
-    G, T = n.shape
-    M = np.zeros((G + T - 1, G + T - 1))
-    M[:G, :G] = np.diag(n.sum(axis=1))
-    M[G:, G:] = np.diag(n.sum(axis=0)[1:])
-    M[:G, G:] = n[:, 1:]
-    M[G:, :G] = n[:, 1:].T
-    cho = scipy.linalg.cho_factor(M)
+    m = n[:, 1:]
+    rows = n.sum(axis=1)
+    h = m / rows[:, None]
+    cho = scipy.linalg.cho_factor(np.diag(n.sum(axis=0)[1:]) - m.T @ h)
+
+    def fit(z):
+        nz = n * z
+        a = nz.sum(axis=1) / rows
+        b = scipy.linalg.cho_solve(cho, nz.sum(axis=0)[1:] - m.T @ a)
+        return (a - h @ b)[:, None] + np.concatenate([[0.0], b])
+
     out = []
     for z in grids:
-        r = z - _fit_two_way(n, z, cho)
-        r -= _fit_two_way(n, r, cho)
+        r = z - fit(z)
+        r -= fit(r)
         out.append(r)
     return out
 
@@ -221,90 +243,56 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
     """
     panel.require_binary("the weight decomposition")
     stage = first_stage(panel, target)
-    eps = stage.residuals
-    n = panel.n
-    n_k = panel.treated_count(target)
-    treated = panel.d[target] > 0.5
-    denom_avg = float(np.sum((n / n_k) * eps * treated))
-    if abs(denom_avg) < 1e-12:
-        raise DegenerateDenominator(
-            "average residual over treated cells is numerically zero"
-        )
-    w = eps / denom_avg
-    W = (n / n_k) * w
     beta = twfe_coefficient(panel, target, stage)
-
+    ne = panel.n * stage.residuals
+    W = ne / float(np.sum(ne * panel.d[target]))
     others = [j for j in range(panel.n_treatments) if j != target]
-    any_other = (panel.d[others] != 0).any(axis=0)
-
-    own: dict[tuple, float] = {}
-    contamination: dict[tuple, float] = {}
-    for gi, g in enumerate(panel.group_labels):
-        for ti, t in enumerate(panel.period_labels):
-            if treated[gi, ti]:
-                own[(g, t)] = float(W[gi, ti])
-            if any_other[gi, ti]:
-                contamination[(g, t)] = float(W[gi, ti])
-
+    own = panel.d[target] > 0.5
+    contamination = (panel.d[others] != 0).any(axis=0)
+    for a in (W, own, contamination):
+        a.setflags(write=False)
     sums = {j: float(np.sum(W * (panel.d[j] > 0.5))) for j in others}
-    return WeightDecomposition(target=target, beta_fe=beta, own=own,
-                               contamination=contamination,
-                               per_other_treatment_sums=sums)
+    return WeightDecomposition(target, beta, W, own, contamination, sums,
+                               panel.group_labels, panel.period_labels)
+
+
+def _signed(values: np.ndarray) -> tuple[int, float, int, float]:
+    """Count and sum of the positive, then of the negative ``values``."""
+    pos, neg = values[values > 0], values[values < 0]
+    return pos.size, float(pos.sum()), neg.size, float(neg.sum())
 
 
 def summarize(decomp: WeightDecomposition, panel: PanelDataset) -> DecompositionSummary:
     """Tabulate positive and negative weights, overall and per other treatment."""
-    own_vals = np.array(list(decomp.own.values())) if decomp.own else np.empty(0)
-    pos = own_vals > 0
-    neg = own_vals < 0
+    W, on = decomp.weights, decomp.contamination_support
     others = [j for j in range(panel.n_treatments) if j != decomp.target]
-
-    rows = []
-    for j in others:
-        vals = [wv for (g, t), wv in decomp.contamination.items()
-                if panel.d[j, panel.group_index(g), panel.period_index(t)] > 0.5]
-        arr = np.array(vals) if vals else np.empty(0)
-        rows.append(OtherTreatmentSummary(
-            treatment=j,
-            positive_count=int(np.sum(arr > 0)),
-            positive_sum=float(arr[arr > 0].sum()) if arr.size else 0.0,
-            negative_count=int(np.sum(arr < 0)),
-            negative_sum=float(arr[arr < 0].sum()) if arr.size else 0.0,
-        ))
-
+    rows = tuple(OtherTreatmentSummary(j, *_signed(W[on & (panel.d[j] > 0.5)]))
+                 for j in others)
     exclusive = bool(np.all((panel.d[others] != 0).sum(axis=0) <= 1))
-
-    return DecompositionSummary(
-        target=decomp.target,
-        beta_fe=decomp.beta_fe,
-        own_positive_count=int(np.sum(pos)),
-        own_positive_sum=float(own_vals[pos].sum()) if own_vals.size else 0.0,
-        own_negative_count=int(np.sum(neg)),
-        own_negative_sum=float(own_vals[neg].sum()) if own_vals.size else 0.0,
-        others=tuple(rows),
-        others_mutually_exclusive=exclusive,
-    )
+    return DecompositionSummary(decomp.target, decomp.beta_fe,
+                                *_signed(W[decomp.own_support]), rows, exclusive)
 
 
 def decomposition_report(decomp: WeightDecomposition,
                          summary: DecompositionSummary) -> dict:
     """JSON-ready report: coefficient, per-cell weights, and the summary table.
 
-    Cells are listed in panel order (groups outer, periods inner), the order
-    the mappings were built in.
+    Cells are listed in panel order (groups outer, periods inner).
     """
     return {
         "target": decomp.target,
         "beta_fe": decomp.beta_fe,
-        "own": [{"g": g, "t": t, "weight": wv} for (g, t), wv in decomp.own.items()],
-        "contamination": [{"g": g, "t": t, "weight": wv}
-                          for (g, t), wv in decomp.contamination.items()],
+        "own": [{"g": g, "t": t, "weight": w}
+                for g, t, w in decomp._cells(decomp.own_support)],
+        "contamination": [{"g": g, "t": t, "weight": w}
+                          for g, t, w in decomp._cells(decomp.contamination_support)],
         "summary": summary.to_dict(),
     }
 
 
 def decomposition_csv_rows(decomp: WeightDecomposition) -> list[tuple]:
     """Flat ``(g, t, role, weight)`` rows, the lossy tabular projection."""
-    rows = [(g, t, "own", wv) for (g, t), wv in decomp.own.items()]
-    rows += [(g, t, "contamination", wv) for (g, t), wv in decomp.contamination.items()]
+    rows = [(g, t, "own", w) for g, t, w in decomp._cells(decomp.own_support)]
+    rows += [(g, t, "contamination", w)
+             for g, t, w in decomp._cells(decomp.contamination_support)]
     return rows

@@ -422,15 +422,11 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
 def decomposition_rhs(synthetic: SyntheticPanel, decomp) -> float:
     """Right-hand side of the weight decomposition, from stored truths:
     own-weighted target effects plus contamination-weighted other effects."""
-    panel = synthetic.panel
-    own_eff = synthetic.target_effect_grid(decomp.target)
-    oth_eff = synthetic.others_effect_grid(decomp.target)
-    total = 0.0
-    for (g, t), w in decomp.own.items():
-        total += w * own_eff[panel.group_index(g), panel.period_index(t)]
-    for (g, t), w in decomp.contamination.items():
-        total += w * oth_eff[panel.group_index(g), panel.period_index(t)]
-    return float(total)
+    own, other = decomp.own_support, decomp.contamination_support
+    own_eff = synthetic.target_effect_grid(decomp.target)[own]
+    oth_eff = synthetic.others_effect_grid(decomp.target)[other]
+    return float(np.sum(decomp.weights[own] * own_eff)
+                 + np.sum(decomp.weights[other] * oth_eff))
 
 
 def delta_ell_oracle(synthetic: SyntheticPanel, structure: CohortStructure,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -35,6 +36,19 @@ def make_random_panel(rng, g_max=20, t_max=10, k_max=3, noise=1.0,
     else:
         n = rng.uniform(0.5, 3.0, size=(G, T))
     return m.PanelDataset(range(G), range(T), y, n, d)
+
+
+def degenerate_denominator_panel():
+    """d1 equals d2 except at one cell whose size is 1e-14: d1 partialled on
+    the fixed effects and d2 lives on that cell only, so its weighted
+    covariance with d1 is about 1e-14 while d2 itself is not collinear."""
+    d2 = np.array([[0, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1]], dtype=float)
+    d1 = d2.copy()
+    d1[2, 1] = 1.0
+    n = np.ones((4, 3))
+    n[2, 1] = 1e-14
+    return m.PanelDataset(range(1, 5), range(1, 4), np.arange(12.0).reshape(4, 3), n,
+                          np.stack([d1, d2]))
 
 
 def random_staggered_spec(rng, g_max=8, t_max=8):

@@ -6,6 +6,8 @@ import pytest
 import multidid as m
 from multidid.cli import main
 
+from .conftest import degenerate_denominator_panel
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -167,6 +169,17 @@ def test_dynamic_pathological_exit_code(capsys, tmp_path):
                                   "d1", "--second", "d2", *argv[1:])
             assert code == 5
             assert "PathologicalDesign" in err
+
+
+def test_degenerate_denominator_exit_code(capsys, tmp_path):
+    path = tmp_path / "degenerate.csv"
+    m.write_panel_csv(degenerate_denominator_panel(), path)
+    for argv in (["decompose"], ["bootstrap", "--estimator", "twfe", "-B", "4"]):
+        code, out, err = _run(capsys, argv[0], "--input", str(path), "--target", "d1",
+                              *argv[1:])
+        assert code == 4
+        assert out == ""
+        assert "DegenerateDenominator" in err
 
 
 def test_bootstrap_subcommand(capsys, four_group_csv):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import multidid as m
-from multidid.errors import CollinearTreatments, NonBinaryTreatment
+from multidid.errors import CollinearTreatments, DegenerateDenominator, NonBinaryTreatment
 
-from .conftest import make_random_panel
+from .conftest import degenerate_denominator_panel, make_random_panel
 from .oracles import dense_dummy_fit
 
 
@@ -95,6 +95,15 @@ def test_other_treatment_collinear_with_fixed_effects():
         m.first_stage(panel, 0)
 
 
+def test_degenerate_denominator():
+    panel = degenerate_denominator_panel()
+    m.first_stage(panel, 0)  # not collinear: the residual norm clears the rank threshold
+    with pytest.raises(DegenerateDenominator):
+        m.twfe_coefficient(panel, 0)
+    with pytest.raises(DegenerateDenominator):
+        m.decompose(panel, 0)
+
+
 def test_orthogonality_invariants_random_panels():
     rng = np.random.default_rng(42)
     checked = 0
@@ -111,6 +120,45 @@ def test_orthogonality_invariants_random_panels():
         assert np.all(np.abs((panel.n * eps).sum(axis=0)) <= 1e-8 * scale)
         for j in range(1, panel.n_treatments):
             assert abs(np.sum(panel.n * eps * panel.d[j])) <= 1e-8 * scale
+
+
+def test_orthogonality_with_cell_sizes_over_twelve_decades():
+    rng = np.random.default_rng(49)
+    checked = 0
+    while checked < 50:
+        G, T = int(rng.integers(4, 30)), int(rng.integers(3, 12))
+        d = (rng.random((3, G, T)) < 0.5).astype(float)
+        n = 10.0 ** rng.uniform(-6, 6, size=(G, T))
+        panel = m.PanelDataset(range(G), range(T), rng.standard_normal((G, T)), n, d)
+        try:
+            eps = m.first_stage(panel, 0).residuals
+        except CollinearTreatments:
+            continue
+        checked += 1
+        ne = panel.n * eps
+        scale = float(np.sum(np.abs(ne)))
+        assert np.max(np.abs(ne.sum(axis=1))) <= 1e-13 * scale
+        assert np.max(np.abs(ne.sum(axis=0))) <= 1e-13 * scale
+        for j in (1, 2):
+            assert abs(float(np.sum(ne * panel.d[j]))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("sizes", ["unit", "decades"])
+def test_near_collinear_treatments_refused(sizes):
+    # d4 is the mean of d2 and d3 except 1e-11 off at one cell: far enough
+    # from them not to be made canonical, far below the rank threshold
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        G, T = int(rng.integers(5, 20)), int(rng.integers(3, 8))
+        d = (rng.random((4, G, T)) < 0.5).astype(float)
+        d[3] = 0.5 * (d[1] + d[2])
+        d[3, int(rng.integers(G)), int(rng.integers(T))] += 1e-11
+        n = (np.ones((G, T)) if sizes == "unit"
+             else 10.0 ** rng.uniform(-6, 6, size=(G, T)))
+        panel = m.PanelDataset(range(G), range(T), rng.standard_normal((G, T)), n, d)
+        assert not np.array_equal(panel.d[3], 0.5 * (panel.d[1] + panel.d[2]))
+        with pytest.raises(CollinearTreatments):
+            m.twfe_coefficient(panel, 0)
 
 
 def test_weight_sums_random_panels():

@@ -1,14 +1,16 @@
-"""Property-based invariants of the switcher estimator and of canonical values."""
+"""Property-based invariants of the weight decomposition, of the switcher
+estimator and of canonical values."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
+from multidid.errors import CollinearTreatments, DegenerateDenominator
 
-from .oracles import brute_force_didm
+from .oracles import brute_force_didm, dense_dummy_fit
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
 SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
@@ -113,3 +115,106 @@ def test_sub_tolerance_noise_gives_the_exact_components(case, data):
     noisy = m.PanelDataset(exact.group_labels, exact.period_labels, exact.y,
                            exact.n, exact.d + noise)
     assert m.didm(noisy, target) == m.didm(exact, target)
+
+
+# -- the TWFE weight decomposition ------------------------------------------
+
+SIZES = (0.5, 1.0, 2.0, 3.25)
+
+
+@st.composite
+def binary_panels(draw):
+    """Random binary panel with sizes from ``SIZES`` and a target treatment."""
+    K, G, T = draw(st.integers(1, 3)), draw(st.integers(4, 8)), draw(st.integers(3, 5))
+    d = draw(arrays(float, (K, G, T), elements=st.sampled_from((0.0, 1.0)),
+                    fill=st.nothing()))
+    y = draw(arrays(float, (G, T), elements=st.integers(-40, 40).map(lambda v: v / 4),
+                    fill=st.nothing()))
+    n = draw(arrays(float, (G, T), elements=st.sampled_from(SIZES), fill=st.nothing()))
+    return m.PanelDataset(range(G), range(T), y, n, d), draw(st.integers(0, K - 1))
+
+
+def _decompose(panel, target):
+    try:
+        return m.decompose(panel, target)
+    except (CollinearTreatments, DegenerateDenominator):
+        assume(False)
+
+
+@given(binary_panels())
+def test_own_weights_sum_to_one_and_contamination_cancels(case):
+    panel, target = case
+    decomp = _decompose(panel, target)
+    assert sum(decomp.own.values()) == pytest.approx(1.0, abs=1e-12)
+    for j in range(panel.n_treatments):
+        if j == target:
+            continue
+        on = [w for (g, t), w in decomp.contamination.items()
+              if panel.d[j, panel.group_index(g), panel.period_index(t)] == 1.0]
+        assert sum(on) == pytest.approx(0.0, abs=1e-12)
+        assert decomp.per_other_treatment_sums[j] == pytest.approx(0.0, abs=1e-12)
+
+
+@given(binary_panels())
+def test_residuals_orthogonal_to_fixed_effects_and_other_treatments(case):
+    panel, target = case
+    try:
+        eps = m.first_stage(panel, target).residuals
+    except CollinearTreatments:
+        assume(False)
+    ne = panel.n * eps
+    scale = float(np.sum(np.abs(ne)))
+    assert np.max(np.abs(ne.sum(axis=1))) <= 1e-13 * scale
+    assert np.max(np.abs(ne.sum(axis=0))) <= 1e-13 * scale
+    for j in range(panel.n_treatments):
+        if j != target:
+            assert abs(float(np.sum(ne * panel.d[j]))) <= 1e-13 * scale
+
+
+@given(binary_panels())
+def test_coefficient_matches_dense_dummy_regression(case):
+    panel, target = case
+    decomp = _decompose(panel, target)
+    beta, _, _ = dense_dummy_fit(panel, target)
+    assert decomp.beta_fe == pytest.approx(beta, rel=1e-9, abs=1e-10)
+
+
+@given(st.integers(4, 10), st.integers(3, 6), st.integers(2, 3),
+       st.integers(0, 2 ** 31), st.sampled_from(("unit", "random")))
+def test_coefficient_equals_decomposition_rhs(n_groups, n_periods, n_treatments, seed,
+                                              sizes):
+    spec = m.DgpSpec(kind="random-binary", n_groups=n_groups, n_periods=n_periods,
+                     n_treatments=n_treatments, seed=seed, cell_sizes=sizes,
+                     effect_group_sd=1.0, effect_time_sd=1.0,
+                     interactions=((0, 1, 0.75),))
+    synthetic = m.generate(spec)
+    for target in range(n_treatments):
+        decomp = _decompose(synthetic.panel, target)
+        assert decomp.beta_fe == pytest.approx(m.decomposition_rhs(synthetic, decomp),
+                                               abs=1e-10)
+
+
+@given(binary_panels(), st.sampled_from((1e-3, 0.37, 7.5, 1e4)))
+def test_scaling_cell_sizes_leaves_weights_unchanged(case, factor):
+    panel, target = case
+    decomp = _decompose(panel, target)
+    scaled = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y,
+                            panel.n * factor, panel.d)
+    assert np.max(np.abs(m.decompose(scaled, target).weights - decomp.weights)) <= 1e-12
+
+
+@given(binary_panels(), st.randoms(use_true_random=False))
+def test_relabelling_groups_and_periods_keeps_each_cell_weight(case, rnd):
+    panel, target = case
+    decomp = _decompose(panel, target)
+    gp = rnd.sample(range(panel.n_groups), panel.n_groups)
+    tp = rnd.sample(range(panel.n_periods), panel.n_periods)
+    permuted = m.PanelDataset(
+        [panel.group_labels[i] for i in gp], [panel.period_labels[i] for i in tp],
+        panel.y[np.ix_(gp, tp)], panel.n[np.ix_(gp, tp)], panel.d[:, gp][:, :, tp])
+    other = m.decompose(permuted, target)
+    assert other.beta_fe == pytest.approx(decomp.beta_fe, rel=1e-12, abs=1e-12)
+    for got, want in ((other.own, decomp.own),
+                      (other.contamination, decomp.contamination)):
+        assert got.keys() == want.keys()
+        assert got == pytest.approx(want, abs=1e-12)
