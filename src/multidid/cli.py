@@ -129,7 +129,9 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _report(args, payload: dict) -> dict:
+def _emit_json(args, payload: dict, out_path: str | None) -> None:
+    """Write ``payload`` as a JSON report with the tool version, the effective
+    configuration and the input digest."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("func",) and not k.startswith("_")}
     report = {
@@ -139,7 +141,7 @@ def _report(args, payload: dict) -> dict:
     if getattr(args, "input", None):
         report["input_sha256"] = _sha256(args.input)
     report.update(payload)
-    return report
+    _emit(json.dumps(report, indent=2, default=str), out_path)
 
 
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
@@ -179,8 +181,7 @@ def _cmd_decompose(args) -> int:
         _emit(_csv_text(["g", "t", "role", "weight"],
                         decomposition_csv_rows(decomp)), args.out)
     else:
-        _emit(json.dumps(_report(args, decomposition_report(decomp, summary)),
-                         indent=2, default=str), args.out)
+        _emit_json(args, decomposition_report(decomp, summary), args.out)
     return 0
 
 
@@ -200,8 +201,7 @@ def _cmd_didm(args) -> int:
         _emit(_csv_text(["t", "baseline", "direction", "did", "weight"], rows),
               args.out)
     else:
-        _emit(json.dumps(_report(args, result.to_dict()), indent=2, default=str),
-              args.out)
+        _emit_json(args, result.to_dict(), args.out)
     return 0
 
 
@@ -248,7 +248,7 @@ def _cmd_dynamic(args) -> int:
         _emit(_csv_text(["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
                         rows), args.out)
     else:
-        _emit(json.dumps(_report(args, payload), indent=2, default=str), args.out)
+        _emit_json(args, payload, args.out)
     return 0
 
 
@@ -267,7 +267,7 @@ def _cmd_simulate(args) -> int:
         "n_treatments": synthetic.panel.n_treatments,
         "seed": spec.seed,
     }
-    _emit(json.dumps(_report(args, payload), indent=2, default=str), None)
+    _emit_json(args, payload, None)
     return 0
 
 
@@ -287,8 +287,7 @@ def _cmd_bootstrap(args) -> int:
     if result.n_degenerate:
         print(f"warning: {result.n_degenerate} replication(s) degenerate and "
               f"excluded", file=sys.stderr)
-    _emit(json.dumps(_report(args, result.to_dict()), indent=2, default=str),
-          args.out)
+    _emit_json(args, result.to_dict(), args.out)
     return 0
 
 

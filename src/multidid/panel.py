@@ -5,28 +5,35 @@ mean of its observations, a positive cell size used as a regression weight,
 and K treatment values shared by every observation in the cell (treatments
 are group-level variables, e.g. state laws).
 
-Period labels may be arbitrary ordered numbers (1987, 1992, 1997, ...); they
-are densely reindexed so that "the previous period" always means the previous
+Labels must be finite and orderable; each distinct spelling is parsed once,
+and equal labels (``1``, ``1.0``) are one label, spelled as the first. Period
+labels may be arbitrary ordered numbers (1987, 1992, 1997, ...); they are
+densely reindexed so that "the previous period" always means the previous
 observed period. Cell sizes are positive reals rather than integer counts so
 externally weighted panels can be analyzed; finite-sample statements in the
 literature are phrased for integer counts, which is worth keeping in mind
 when supplying non-integer weights.
 
-Outcomes, sizes and treatment values must be finite. Treatment values are
-made canonical once, at construction, so that every later comparison of them
-is exact: sorted distinct values no more than ``VALUE_TOL`` apart chain into
-one cluster, whose members all take one representative: the integer within
-``VALUE_TOL`` of some member if there is one, else the smallest member.
-Values already pairwise further apart, with none within ``VALUE_TOL`` of an
-integer it differs from, are kept bit for bit.
+Outcomes, sizes and treatment values must be finite. Of several defects, the
+first in this order is named: record length, group labels, period labels,
+duplicate cells, missing cells, values (column by column). Treatment values are
+made canonical once, at construction, so every later comparison of them is
+exact: sorted distinct values no more than ``VALUE_TOL`` apart chain into one
+cluster, whose members all take one representative: the integer within
+``VALUE_TOL`` of some member if there is one, else the smallest member. Values
+already pairwise further apart, with none within ``VALUE_TOL`` of an integer it
+differs from, are kept bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -172,11 +179,20 @@ class PanelDataset:
                             self.y[idx], self.n[idx], self.d[:, idx])
 
 
-def _sorted_labels(values, what: str):
+def _sorted_labels(column: list, what: str, parse, where) -> tuple[list, np.ndarray]:
+    """Sorted distinct labels of ``column`` and every row's index into them; a
+    dict keeps the first of equal keys, so 1 and 1.0 are one label, the first."""
+    spelled = {s: parse(s) for s in dict.fromkeys(column)}
+    if bad := [s for s, v in spelled.items() if v != v or v in (np.inf, -np.inf)]:
+        i = min(map(column.index, bad))
+        raise NonFiniteValue(f"{where(i)}: non-finite label {str(column[i]).strip()!r}")
     try:
-        return sorted(set(values))
+        labels = sorted(set(spelled.values()))
     except TypeError as exc:
         raise ValueError(f"{what} labels must be mutually orderable: {exc}") from None
+    index = {label: i for i, label in enumerate(labels)}
+    code = {s: index[v] for s, v in spelled.items()}
+    return labels, np.fromiter(map(code.__getitem__, column), np.intp)
 
 
 def load_panel(rows: Sequence[Sequence], n_treatments: int,
@@ -189,55 +205,53 @@ def load_panel(rows: Sequence[Sequence], n_treatments: int,
     :func:`aggregate_micro` for observation-level data).
     """
     rows = list(rows)
-    if not rows:
-        raise InsufficientVariation("no rows supplied")
     k = int(n_treatments)
     if k < 1:
         raise ValueError("n_treatments must be >= 1")
-    width = len(rows[0])
-    if width == 3 + k:
-        has_n = False
-    elif width == 4 + k:
-        has_n = True
-    else:
-        raise ValueError(
-            f"rows must have {3 + k} or {4 + k} fields for K={k}, got {width}"
-        )
+    width = len(rows[0]) if rows else 3 + k  # no rows: _ingest refuses them
+    if width not in (3 + k, 4 + k):
+        raise ValueError(f"rows must have {3 + k} or {4 + k} fields for K={k}, "
+                         f"got {width}")
+    if set(map(len, rows)) - {width}:
+        raise ValueError("rows have inconsistent lengths")
+    fields = (0, 1, 2, 3 if width == 4 + k else None, *range(width - k, width))
+    return _ingest(rows, fields, "rows[{}]".format, lambda s: s, binary_required)
 
-    seen: dict[tuple, tuple] = {}
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("rows have inconsistent lengths")
-        g, t = row[0], row[1]
-        if (g, t) in seen:
-            raise DuplicateCell(f"duplicate cell for group={g!r}, period={t!r}")
-        yv = float(row[2])
-        nv = float(row[3]) if has_n else 1.0
-        dv = tuple(float(v) for v in row[(4 if has_n else 3):])
-        seen[(g, t)] = (yv, nv, dv)
 
-    groups = _sorted_labels((g for g, _ in seen), "group")
-    periods = _sorted_labels((t for _, t in seen), "period")
-    missing = [(g, t) for g in groups for t in periods if (g, t) not in seen]
-    if missing:
-        raise UnbalancedPanel(
-            f"{len(missing)} missing cell(s), first: group={missing[0][0]!r}, "
-            f"period={missing[0][1]!r}"
-        )
+def _ingest(records, fields, where, parse, binary_required: bool) -> PanelDataset:
+    """The one ingestion step of both readers: ``fields`` are the positions of g,
+    t, y, n (None: sizes of 1), d_1..d_K in a record; ``where(i)`` names row i."""
+    if not records:
+        raise InsufficientVariation("no rows supplied")
+    raw = [list(map(itemgetter(j), records)) for j in fields[:2]]
+    (groups, gi), (periods, ti) = (_sorted_labels(column, what, parse, where)
+                                   for column, what in zip(raw, ("group", "period")))
     G, T = len(groups), len(periods)
-    y = np.empty((G, T))
-    n = np.empty((G, T))
-    d = np.empty((k, G, T))
-    for gi, g in enumerate(groups):
-        for ti, t in enumerate(periods):
-            y[gi, ti], n[gi, ti], d[:, gi, ti] = seen[(g, t)]
-    panel = PanelDataset(groups, periods, y, n, d)
+    flat = gi * T + ti
+    counts = np.bincount(flat, minlength=G * T)
+    if counts.max() > 1:  # name the first row that repeats an earlier cell
+        first = np.unique(flat, return_index=True)[1]
+        i = int(np.setdiff1d(np.arange(flat.size), first)[0])
+        g, t = (parse(column[i]) for column in raw)
+        raise DuplicateCell(f"duplicate cell for group={g!r}, period={t!r}")
+    if (missing := np.flatnonzero(counts == 0)).size:
+        gi, ti = divmod(int(missing[0]), T)
+        raise UnbalancedPanel(f"{missing.size} missing cell(s), first: "
+                              f"group={groups[gi]!r}, period={periods[ti]!r}")
+    grid = np.ones((len(fields) - 2, G, T))
+    try:
+        for row, j in zip(grid, fields[2:]):
+            if j is not None:
+                rest = iter(records)
+                row.flat[flat] = np.fromiter(map(float, map(itemgetter(j), rest)), float)
+    except ValueError as exc:  # float failed on the record just before ``rest``
+        i = len(records) - length_hint(rest) - 1
+        raise ValueError(f"{where(i)}: cannot parse row: {exc}") from None
+    panel = PanelDataset(groups, periods, grid[0], grid[1], grid[2:])
     if binary_required and not panel.binary_treatments:
-        ks, gs, ts = np.nonzero(~np.isin(panel.d, (0.0, 1.0)))
-        raise NonBinaryTreatment(
-            f"treatment {ks[0] + 1} is {float(panel.d[ks[0], gs[0], ts[0]])!r} at "
-            f"{panel._cell_name(gs[0], ts[0])}"
-        )
+        k, gi, ti = np.argwhere(~np.isin(panel.d, (0.0, 1.0)))[0]
+        raise NonBinaryTreatment(f"treatment {k + 1} is {float(panel.d[k, gi, ti])!r} "
+                                 f"at {panel._cell_name(gi, ti)}")
     return panel
 
 
@@ -319,39 +333,28 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
         if extra:
             warnings.warn(f"ignoring extra column(s): {', '.join(extra)}",
                           stacklevel=2)
-
-        has_n = "n" in pos
-        rows = []
+        fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
+        last = max(j for j in fields if j is not None)
+        records, lines = [], []
         for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(not f.strip() for f in rec):
-                continue
-            try:
-                g = _parse_label(rec[pos["g"]], lineno)
-                t = _parse_label(rec[pos["t"]], lineno)
-                yv = float(rec[pos["y"]])
-                dv = [float(rec[pos[c]]) for c in tcols]
-                if has_n:
-                    rows.append((g, t, yv, float(rec[pos["n"]]), *dv))
-                else:
-                    rows.append((g, t, yv, *dv))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"line {lineno}: cannot parse row: {exc}") from None
-    return load_panel(rows, n_treatments=len(tcols), binary_required=binary_required)
+            if any(map(str.strip, rec)):
+                if len(rec) <= last:
+                    raise ValueError(f"line {lineno}: cannot parse row: "
+                                     "list index out of range")
+                records.append(rec)
+                lines.append(lineno)
+    return _ingest(records, fields, lambda i: f"line {lines[i]}",
+                   functools.cache(_parse_label), binary_required)
 
 
-def _parse_label(text: str, lineno: int):
+def _parse_label(text: str):
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        return text
-    if not np.isfinite(value):
-        raise NonFiniteValue(f"line {lineno}: non-finite label {text!r}")
-    return value
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def write_panel_csv(panel: PanelDataset, path,
@@ -366,12 +369,9 @@ def write_panel_csv(panel: PanelDataset, path,
     ]
     if len(names) != panel.n_treatments:
         raise ValueError("one name per treatment required")
+    g, t = zip(*product(panel.group_labels, panel.period_labels))
+    values = (map(repr, a.ravel().tolist()) for a in (panel.y, panel.n, *panel.d))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["g", "t", "y", "n", *names])
-        for gi, g in enumerate(panel.group_labels):
-            for ti, t in enumerate(panel.period_labels):
-                writer.writerow([
-                    g, t, repr(float(panel.y[gi, ti])), repr(float(panel.n[gi, ti])),
-                    *(repr(float(v)) for v in panel.d[:, gi, ti]),
-                ])
+        writer.writerows(zip(g, t, *values))

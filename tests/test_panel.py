@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from multidid.errors import (
     NonSharpDesign,
     UnbalancedPanel,
 )
+
+CSV_BASE = ["g,t,y,n,d1", "1,1,0.5,1,0", "1,2,0.5,1,1", "2,1,0.5,1,0", "2,2,0.5,1,0"]
 
 
 def _four_by_two_rows():
@@ -67,18 +71,28 @@ def test_load_panel_binary_required():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("column, pos", [("y", 2), ("n", 3), ("d1", 4)])
+@pytest.mark.parametrize("column, pos",
+                         [("y", 2), ("n", 3), ("d1", 4), ("g", 0), ("t", 1)])
 def test_non_finite_values_rejected(column, pos, bad):
     rows = [list(r) for r in [(1, 1, 0.0, 1.0, 0.0), (1, 2, 0.0, 1.0, 1.0),
                               (2, 1, 0.0, 1.0, 0.0), (2, 2, 0.0, 1.0, 0.0)]]
-    rows[3][pos] = bad
-    match = f"{column} is {bad!r} at group=2, period=2"
-    with pytest.raises(NonFiniteValue, match=match):
+    if pos < 2:
+        # label 2 becomes the bad value in every row, so the panel stays
+        # balanced; the first such row is rows[2] for g and rows[1] for t
+        for row in rows:
+            if row[pos] == 2:
+                row[pos] = bad
+        match = f"rows[{2 - pos}]: non-finite label '{bad!r}'"
+    else:
+        rows[3][pos] = bad
+        match = f"{column} is {bad!r} at group=2, period=2"
+    with pytest.raises(NonFiniteValue, match=re.escape(match)):
         m.load_panel(rows, n_treatments=1, binary_required=True)
-    y, n, d = np.zeros((2, 2)), np.ones((2, 2)), np.zeros((1, 2, 2))
-    (y, n, d[0])[pos - 2][1, 1] = bad
-    with pytest.raises(NonFiniteValue, match=match):
-        m.PanelDataset((1, 2), (1, 2), y, n, d)
+    if pos >= 2:
+        y, n, d = np.zeros((2, 2)), np.ones((2, 2)), np.zeros((1, 2, 2))
+        (y, n, d[0])[pos - 2][1, 1] = bad
+        with pytest.raises(NonFiniteValue, match=match):
+            m.PanelDataset((1, 2), (1, 2), y, n, d)
 
 
 def test_canonical_treatment_values():
@@ -104,6 +118,18 @@ def test_period_labels_reindexed_in_sorted_order():
     assert panel.period_labels == (1987, 1992, 1997)
     assert panel.period_index(1992) == 1
     assert panel.cell("a", 1987).y == 1987.0
+
+
+def test_equal_labels_keep_the_first_spelling(tmp_path):
+    rows = [(1.0, 2, 0.0, 0.0), (1, 1.0, 0.0, 1.0), (2, 2.0, 0.0, 0.0),
+            (2, 1, 0.0, 0.0)]
+    panel = m.load_panel(rows, n_treatments=1)
+    assert [type(v) for v in panel.group_labels + panel.period_labels] == [float, int,
+                                                                           float, int]
+    lines = ["g,t,y,d1", " 1.0 ,2,0,0", "1,1.0,0,1", "+2,2.0,0,0", "2, 1 ,0,0"]
+    panel = m.read_panel_csv(_csv(tmp_path, lines))
+    assert [type(v) for v in panel.group_labels + panel.period_labels] == [float, int,
+                                                                           float, int]
 
 
 def test_total_n_matches_fixed_order_sum():
@@ -200,3 +226,52 @@ def test_arrays_read_only():
     panel = m.load_panel(_four_by_two_rows(), n_treatments=2)
     with pytest.raises(ValueError):
         panel.y[0, 0] = 1.0
+
+
+def _csv(tmp_path, lines):
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("lines, error, message", [
+    (CSV_BASE[:2] + ["1,2,0.5,1"] + CSV_BASE[3:], ValueError,
+     "line 3: cannot parse row: list index out of range"),
+    (CSV_BASE[:3] + ["2,1,abc,1,0"] + CSV_BASE[4:], ValueError,
+     "line 4: cannot parse row: could not convert string to float: 'abc'"),
+    (CSV_BASE[:4] + ["2,2,0.5,,0"], ValueError,
+     "line 5: cannot parse row: could not convert string to float: ''"),
+    (CSV_BASE + ["1.0,2,0.5,1,1"], DuplicateCell,
+     "duplicate cell for group=1.0, period=2"),
+    (CSV_BASE[:3] + ["3,1,0.5,1,0"] + CSV_BASE[4:], UnbalancedPanel,
+     "2 missing cell(s), first: group=2, period=1"),
+    (CSV_BASE[:1] + ["", "  ", ",,"] + CSV_BASE[1:3] + ["2, 1e999 ,0.5,1,0"]
+     + CSV_BASE[4:], NonFiniteValue, "line 7: non-finite label '1e999'"),
+    (CSV_BASE[:1] + ["", " , "] + CSV_BASE[1:4] + ["2,2,0.5,1,x"], ValueError,
+     "line 7: cannot parse row: could not convert string to float: 'x'"),
+    (CSV_BASE[:1], InsufficientVariation, "no rows supplied"),
+])
+def test_malformed_csv_names_the_defect(tmp_path, lines, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        m.read_panel_csv(_csv(tmp_path, lines))
+
+
+def test_malformed_csv_check_order(tmp_path):
+    """Of several defects, the first in the documented order is named. Each
+    fix keeps its line (blank or mended), so the other line numbers stay."""
+    lines = CSV_BASE[:1] + ["1,1,abc,1,0"] + CSV_BASE[2:] + [
+        "1,1,0.5,1,0", "3,1,0.5,1,0", "x,1,0.5,1,0", "nan,1,0.5,1,0", "2,2"]
+    expected = [
+        (9, "", ValueError, "line 10: cannot parse row: list index out of range"),
+        (8, "", NonFiniteValue, "line 9: non-finite label 'nan'"),
+        (7, "", ValueError, "group labels must be mutually orderable"),
+        (5, "", DuplicateCell, "duplicate cell for group=1, period=1"),
+        (6, "", UnbalancedPanel, "1 missing cell(s), first: group=3, period=2"),
+        (1, CSV_BASE[1], ValueError,
+         "line 2: cannot parse row: could not convert string to float: 'abc'"),
+    ]
+    for fix, mended, error, message in expected:
+        with pytest.raises(error, match=re.escape(message)):
+            m.read_panel_csv(_csv(tmp_path, lines))
+        lines[fix] = mended
+    assert m.read_panel_csv(_csv(tmp_path, lines)).n_groups == 2

@@ -1,5 +1,5 @@
 """Property-based invariants of the weight decomposition, of the switcher
-estimator and of canonical values."""
+estimator, of canonical values and of CSV round trips."""
 
 import numpy as np
 import pytest
@@ -218,3 +218,70 @@ def test_relabelling_groups_and_periods_keeps_each_cell_weight(case, rnd):
                       (other.contamination, decomp.contamination)):
         assert got.keys() == want.keys()
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- CSV round trips ---------------------------------------------------------
+
+LABEL_KINDS = [
+    st.integers(-50, 50),
+    st.integers(394, 406).map(lambda v: 5 * v),  # 1970, 1975, ... period-style years
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.text(alphabet="abcxyz_", min_size=1, max_size=3),  # never int, float, nan or inf
+]
+SPECIAL = (0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, -1.75)
+CSV_VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e6, 1e6, allow_nan=False))
+CSV_SIZES = st.one_of(st.sampled_from((5e-324, 1e300, 0.5, 2.75)), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def labelled_panels(draw):
+    """A panel with int, year, float or str labels and values that include
+    -0.0, subnormals and +-1e300; sizes are all 1 when the file has no n."""
+    G, T, K = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    groups, periods = (sorted(draw(st.lists(draw(st.sampled_from(LABEL_KINDS)),
+                                            min_size=size, max_size=size, unique=True)))
+                       for size in (G, T))
+    with_n = draw(st.booleans())
+
+    def grid(shape, elements):
+        return draw(arrays(float, shape, elements=elements, fill=st.nothing()))
+
+    n = grid((G, T), CSV_SIZES) if with_n else np.ones((G, T))
+    panel = m.PanelDataset(groups, periods, grid((G, T), CSV_VALUES), n,
+                           grid((K, G, T), CSV_VALUES))
+    return panel, with_n
+
+
+def _assert_same_panel(got, want):
+    for a, b in ((got.group_labels, want.group_labels),
+                 (got.period_labels, want.period_labels)):
+        assert a == b and list(map(type, a)) == list(map(type, b))
+    for a, b in ((got.y, want.y), (got.n, want.n), (got.d, want.d)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # bit for bit, -0.0 too
+
+
+@given(labelled_panels(), st.data())
+def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
+    panel, with_n = case
+    path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
+    m.write_panel_csv(panel, path)
+    header, *body = path.read_text().splitlines()
+    if not with_n:  # no field is quoted, so the n column is the fourth field
+        header, *body = (",".join(line.split(",")[:3] + line.split(",")[4:])
+                         for line in [header, *body])
+        path.write_text("\n".join([header, *body]) + "\n")
+    back = m.read_panel_csv(path)
+    _assert_same_panel(back, panel)
+
+    shuffled = data.draw(st.permutations(body))
+    for _ in range(data.draw(st.integers(0, 3))):
+        shuffled.insert(data.draw(st.integers(0, len(shuffled))),
+                        data.draw(st.sampled_from(("", "   ", ",,", " , "))))
+    path.write_text("\n".join([header, *shuffled]) + "\n")
+    _assert_same_panel(m.read_panel_csv(path), panel)
+
+    rows = [(g, t, float(panel.y[gi, ti]), *([float(panel.n[gi, ti])] if with_n else []),
+             *map(float, panel.d[:, gi, ti]))
+            for gi, g in enumerate(panel.group_labels)
+            for ti, t in enumerate(panel.period_labels)]
+    _assert_same_panel(m.load_panel(rows, panel.n_treatments), back)
