@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonBinaryTreatment
+from .errors import NonBinaryTreatment, NonFiniteValue
 from .panel import PanelDataset
 
 
@@ -122,13 +122,22 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
+def _cell(panel: PanelDataset, i: int) -> str:
+    """Name of the cell at index ``i = (t - 1) * G + g`` of the consecutive pairs."""
+    G = panel.n_groups
+    return panel._cell_name(i % G, i // G + 1)
+
+
 def _strata(panel: PanelDataset, target: int) -> _Strata:
     K, G, T = panel.d.shape
     others = [j for j in range(K) if j != target]
     before = panel.d[:, :, :-1].transpose(0, 2, 1).reshape(K, -1)
     after = panel.d[:, :, 1:].transpose(0, 2, 1).reshape(K, -1)
     n = panel.n[:, 1:].T.ravel()
-    ndy = (panel.n[:, 1:] * (panel.y[:, 1:] - panel.y[:, :-1])).T.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ndy = (panel.n[:, 1:] * (panel.y[:, 1:] - panel.y[:, :-1])).T.ravel()
+    if (bad := np.flatnonzero(~np.isfinite(ndy))).size:
+        raise NonFiniteValue(f"n * (y - previous y) overflows at {_cell(panel, bad[0])}")
     switching = after[target] != before[target]
     other_moved = (after[others] != before[others]).any(axis=0)
     # stayers, whose origin key is their key at both dates, and the switchers
@@ -153,12 +162,17 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     home = strata[:, 0].astype(np.intp)
     key = np.column_stack([origins[home], strata[:, 1]])
     sw_n = np.bincount(stratum, n[kept], len(strata))
-    sw_dy = np.bincount(stratum, ndy[kept], len(strata)) / sw_n
-    st_dy = stay_ndy[home] / stay_n[home]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sw_dy = np.bincount(stratum, ndy[kept], len(strata)) / sw_n
+        st_dy = stay_ndy[home] / stay_n[home]
+        value = (sw_dy - st_dy) / (key[:, -1] - key[:, -2])
+    if (bad := np.flatnonzero(~np.isfinite(value))).size:
+        first = kept[np.flatnonzero(stratum == bad[0])[0]]
+        raise NonFiniteValue(f"the switcher-stayer contrast overflows in the stratum "
+                             f"of {_cell(panel, first)}")
     return _Strata(kept=kept, stratum=stratum, dropped=dropped,
                    n_s=_running_sum(n[kept]), key=key, n_switchers=sw_n,
-                   n_stayers=stay_n[home],
-                   value=(sw_dy - st_dy) / (key[:, -1] - key[:, -2]))
+                   n_stayers=stay_n[home], value=value)
 
 
 def find_switchers(panel: PanelDataset, target: int) -> SwitcherSet:

@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, length_hint
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,11 +150,6 @@ class PanelDataset:
         return PanelCell(group, period, float(self.y[gi, ti]), float(self.n[gi, ti]),
                          tuple(float(v) for v in self.d[:, gi, ti]))
 
-    def cells(self) -> Iterator[PanelCell]:
-        for g in self.group_labels:
-            for t in self.period_labels:
-                yield self.cell(g, t)
-
     def treated_count(self, k: int) -> float:
         """Total size of the cells where treatment ``k`` is on (binary k)."""
         return float(np.sum(self.n * self.d[k]))
@@ -188,8 +183,10 @@ def _sorted_labels(column: list, what: str, parse, where) -> tuple[list, np.ndar
         raise NonFiniteValue(f"{where(i)}: non-finite label {str(column[i]).strip()!r}")
     try:
         labels = sorted(set(spelled.values()))
-    except TypeError as exc:
-        raise ValueError(f"{what} labels must be mutually orderable: {exc}") from None
+    except TypeError:  # its text follows the set's hash order; name the types sorted
+        kinds = sorted({type(v).__name__ for v in spelled.values()})
+        raise ValueError(f"{what} labels must be mutually orderable, got labels of "
+                         f"type {', '.join(kinds)}") from None
     index = {label: i for i, label in enumerate(labels)}
     code = {s: index[v] for s, v in spelled.items()}
     return labels, np.fromiter(map(code.__getitem__, column), np.intp)

@@ -9,7 +9,12 @@ always the stored potential outcome at the realized treatments.
 
 Randomness uses counter-based Philox streams keyed by (seed, stream id,
 coordinates), so generation is order independent and reproducible bit for
-bit; the stream ids are the ``STREAM_*`` constants below. Noise, when
+bit; the stream ids are the ``STREAM_*`` constants below. The stream
+(seed, stream, *c) is ``Generator(Philox(SeedSequence((seed, stream, *c))))``
+from numpy. Its uniform and bounded-integer draws are computed for all keys
+at once, in uint64 array arithmetic that repeats numpy's SeedSequence
+hashing, Philox4x64-10 and the derivations of ``random`` and ``integers``;
+normal draws run numpy's own ziggurat on a rekeyed bit generator. Noise, when
 requested, enters only the never-treated baseline and is therefore shared by
 all potential outcomes of a cell: parallel-trends conditions keep holding
 exactly, which makes Monte-Carlo averages of the estimators clean tests of
@@ -44,10 +49,129 @@ STREAM_SECOND = 11
 KINDS = ("random-binary", "standard-did", "consecutive-staggered")
 
 
-def _stream(seed: int, stream: int, *coords: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence((seed, stream, *coords)))
-    )
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and Philox4x64-10
+# (numpy/random/src/philox/philox.h) constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 entropy words SeedSequence makes of a nonnegative integer."""
+    value = int(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _keys(seed: int, stream: int, *coords) -> np.ndarray:
+    """Philox keys, shape (2, *S), of ``SeedSequence((seed, stream, *c))`` for
+    every c of the coordinate arrays broadcast to shape S, with entries in
+    [0, 2**32): SeedSequence's entropy mixing over its 4-word pool, then
+    ``generate_state(2, uint64)``, on uint32 arrays."""
+    cols = np.broadcast_arrays(*coords)
+    entropy = [np.full(cols[0].shape, w, np.uint32) for w in _words(seed) + _words(stream)]
+    entropy += [c.astype(np.uint32) for c in cols]
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return value ^ value >> np.uint32(16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    w = [hashmix(word, _MULT_B).astype(np.uint64) for word in pool]
+    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)])
+
+
+def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a·b, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
+    mid = (b_lo * a_lo >> np.uint64(32)) + (b_hi * a_lo & np.uint64(_MASK32)) \
+        + (b_lo * a_hi & np.uint64(_MASK32))
+    return (b_hi * a_hi + (b_hi * a_lo >> np.uint64(32)) + (b_lo * a_hi >> np.uint64(32))
+            + (mid >> np.uint64(32)))
+
+
+def _philox(keys: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` 64-bit outputs, shape (*S, n), of a fresh numpy Philox
+    under each key: Philox4x64-10 blocks at counters 1, 2, ..."""
+    zero = np.zeros(keys.shape[1:], np.uint64)
+    outputs = []
+    for counter in range(1, -(-n // 4) + 1):
+        c = [zero + np.uint64(counter), zero, zero, zero]
+        k0, k1 = keys
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+            lo0, lo1 = c[0] * np.uint64(_PHILOX_M[0]), c[2] * np.uint64(_PHILOX_M[1])
+            c = [_mulhi(_PHILOX_M[1], c[2]) ^ c[1] ^ k0, lo1,
+                 _mulhi(_PHILOX_M[0], c[0]) ^ c[3] ^ k1, lo0]
+        outputs += c
+    return np.stack(outputs[:n], axis=-1)
+
+
+def _replay(keys: np.ndarray):
+    """For each key, in flat order, the numpy Generator in the state
+    ``Generator(Philox(SeedSequence(...)))`` starts in: one bit generator is
+    rekeyed in place, which skips the SeedSequence build."""
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # counter 0, empty buffer
+    gen = np.random.Generator(bitgen)
+    for key in keys.reshape(2, -1).T:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
+
+
+def _uniforms(seed: int, stream: int, size: int, *coords) -> np.ndarray:
+    """``.random(size)`` of the stream (seed, stream, *c) for every coordinate
+    c, shape (*S, size): the top 53 bits of each output, scaled by 2**-53."""
+    return (_philox(_keys(seed, stream, *coords), size) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _integers(seed: int, stream: int, low, high, *coords) -> np.ndarray:
+    """``.integers(low, high)`` of the stream (seed, stream, *c) for every
+    coordinate c, with 1 <= high - low < 2**32: numpy's Lemire method on the
+    low 32 bits of the first output. A draw it would reject is replayed by
+    numpy itself."""
+    keys = _keys(seed, stream, *coords)
+    low, high = (np.broadcast_to(a, keys.shape[1:]).astype(np.int64) for a in (low, high))
+    span = (high - low).astype(np.uint64)
+    m = (_philox(keys, 1)[..., 0] & np.uint64(_MASK32)) * span
+    out = low + (m >> np.uint64(32)).astype(np.int64)
+    rejected = np.flatnonzero(m & np.uint64(_MASK32) < (np.uint64(2 ** 32) - span) % span)
+    for i, gen in zip(rejected, _replay(keys.reshape(2, -1)[:, rejected])):
+        out.flat[i] = gen.integers(low.flat[i], high.flat[i])
+    return out
+
+
+def _normals(seed: int, stream: int, *coords, size: int | None = None) -> np.ndarray:
+    """``.standard_normal(size)`` of the stream (seed, stream, *c) for every
+    coordinate c, shape S or (*S, size), from numpy's own ziggurat."""
+    keys = _keys(seed, stream, *coords)
+    draws = [gen.standard_normal(size) for gen in _replay(keys)]
+    return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
 
 
 @dataclass(frozen=True)
@@ -139,53 +263,31 @@ class SyntheticPanel:
 
     def potential_outcome(self, gi: int, ti: int, d: Sequence[float]) -> float:
         """Outcome of cell (gi, ti) under treatment vector ``d`` (binary)."""
-        if self.po is None:
-            raise MissingPotentialOutcomes(
-                "static potential outcomes are not stored for this panel"
-            )
         mask = 0
         for k, v in enumerate(d):
             if v > 0.5:
                 mask |= 1 << k
-        return float(self.po[gi, ti, mask])
+        return float(self._require_po()[gi, ti, mask])
+
+    def _require_po(self) -> np.ndarray:
+        if self.po is None:
+            raise MissingPotentialOutcomes(
+                "static potential outcomes are not stored for this panel"
+            )
+        return self.po
 
     def target_effect_grid(self, target: int) -> np.ndarray:
         """Effect of switching ``target`` on, holding the other treatments at
         their observed values, for every cell."""
-        if self.po is None:
-            raise MissingPotentialOutcomes(
-                "static potential outcomes are not stored for this panel"
-            )
-        G, T = self.panel.y.shape
-        out = np.zeros((G, T))
-        for gi in range(G):
-            for ti in range(T):
-                d = self.panel.d[:, gi, ti].copy()
-                d_on = d.copy()
-                d_on[target] = 1.0
-                d_off = d.copy()
-                d_off[target] = 0.0
-                out[gi, ti] = (self.potential_outcome(gi, ti, d_on)
-                               - self.potential_outcome(gi, ti, d_off))
-        return out
+        po, masks = self._require_po(), _mask_grid(self.panel.d)
+        bit = 1 << target
+        return _at(po, masks | bit) - _at(po, masks & ~bit)
 
     def others_effect_grid(self, target: int) -> np.ndarray:
         """Effect of the observed other treatments versus none, with the
         target held off, for every cell."""
-        if self.po is None:
-            raise MissingPotentialOutcomes(
-                "static potential outcomes are not stored for this panel"
-            )
-        G, T = self.panel.y.shape
-        out = np.zeros((G, T))
-        zero = np.zeros(self.panel.n_treatments)
-        for gi in range(G):
-            for ti in range(T):
-                d_obs = self.panel.d[:, gi, ti].copy()
-                d_obs[target] = 0.0
-                out[gi, ti] = (self.potential_outcome(gi, ti, d_obs)
-                               - self.potential_outcome(gi, ti, zero))
-        return out
+        po, masks = self._require_po(), _mask_grid(self.panel.d)
+        return _at(po, masks & ~(1 << target)) - po[:, :, 0]
 
     # -- staggered designs ---------------------------------------------------
 
@@ -207,6 +309,10 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
         raise InvalidSpec("need at least 2 groups and 2 periods")
     if spec.noise_sd < 0:
         raise InvalidSpec("noise_sd must be nonnegative")
+    for name in ("seed", "noise_seed"):
+        value = getattr(spec, name)
+        if value is not None and not (isinstance(value, (int, np.integer)) and value >= 0):
+            raise InvalidSpec(f"{name} must be a nonnegative integer, got {value!r}")
     if spec.kind == "consecutive-staggered":
         if spec.n_treatments != 2:
             raise InvalidSpec("the staggered design uses exactly 2 treatments")
@@ -216,46 +322,40 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
 
 def _cell_sizes(spec: DgpSpec) -> np.ndarray:
     G, T = spec.n_groups, spec.n_periods
+    g, t = np.arange(G), np.arange(T)
     if spec.cell_sizes == "unit":
         return np.ones((G, T))
     if spec.cell_sizes == "random":
-        n = np.empty((G, T))
-        for g in range(G):
-            for t in range(T):
-                n[g, t] = float(_stream(spec.seed, STREAM_CELL_SIZE, g, t)
-                                .integers(1, 5))
-        return n
+        return _integers(spec.seed, STREAM_CELL_SIZE, 1, 5, g[:, None], t) * 1.0
     if spec.cell_sizes == "product":
-        a = np.array([float(_stream(spec.seed, STREAM_CELL_SIZE, g).integers(1, 5))
-                      for g in range(G)])
-        b = np.array([float(_stream(spec.seed, STREAM_CELL_SIZE, G + t).integers(1, 5))
-                      for t in range(T)])
-        return np.outer(a, b)
+        return np.outer(_integers(spec.seed, STREAM_CELL_SIZE, 1, 5, g) * 1.0,
+                        _integers(spec.seed, STREAM_CELL_SIZE, 1, 5, G + t) * 1.0)
     raise InvalidSpec(f"unknown cell_sizes rule {spec.cell_sizes!r}")
 
 
 def _baseline(spec: DgpSpec) -> np.ndarray:
     G, T = spec.n_groups, spec.n_periods
-    theta = np.array([
-        spec.group_sd * _stream(spec.seed, STREAM_GROUP_FE, g).standard_normal()
-        for g in range(G)
-    ])
+    g, t = np.arange(G), np.arange(T)
+    theta = spec.group_sd * _normals(spec.seed, STREAM_GROUP_FE, g)
     periods = np.arange(1, T + 1, dtype=float)
     eta = spec.time_slope * periods + spec.time_curvature * periods ** 2
     if spec.time_sd:
-        eta = eta + np.array([
-            spec.time_sd * _stream(spec.seed, STREAM_TIME_FE, t).standard_normal()
-            for t in range(T)
-        ])
+        eta = eta + spec.time_sd * _normals(spec.seed, STREAM_TIME_FE, t)
     base = theta[:, None] + eta[None, :]
     if spec.noise_sd > 0:
         nseed = spec.seed if spec.noise_seed is None else spec.noise_seed
-        noise = np.empty((G, T))
-        for g in range(G):
-            for t in range(T):
-                noise[g, t] = _stream(nseed, STREAM_NOISE, g, t).standard_normal()
-        base = base + spec.noise_sd * noise
+        base = base + spec.noise_sd * _normals(nseed, STREAM_NOISE, g[:, None], t)
     return base
+
+
+def _mask_grid(d: np.ndarray) -> np.ndarray:
+    """Each cell's treatment combination as a bit mask: bit k is d_k > 0.5."""
+    return ((d > 0.5) << np.arange(len(d))[:, None, None]).sum(axis=0)
+
+
+def _at(po: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``po[g, t, masks[g, t]]`` for every cell."""
+    return np.take_along_axis(po, masks[:, :, None], axis=2)[:, :, 0]
 
 
 def _generate_static(spec: DgpSpec) -> SyntheticPanel:
@@ -269,7 +369,7 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
         if not (0 <= k < K and 0 <= j < K and k != j):
             raise InvalidSpec(f"bad interaction pair ({k}, {j})")
 
-    d = np.zeros((K, G, T))
+    g, t = np.arange(G), np.arange(T)
     if spec.kind == "standard-did":
         if K != 2:
             raise InvalidSpec("the standard design uses exactly 2 treatments")
@@ -280,33 +380,21 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec(
                 "thresholds must satisfy 1 < G1 < G2 <= G and 1 < T1 < T2 <= T"
             )
-        for g in range(G):
-            for t in range(T):
-                d[0, g, t] = float(g + 1 >= g1 and t + 1 >= t1)
-                d[1, g, t] = float(g + 1 >= g2 and t + 1 >= t2)
+        d = np.stack([np.outer(g + 1 >= g1, t + 1 >= t1),
+                      np.outer(g + 1 >= g2, t + 1 >= t2)]) * 1.0
     else:
         if not 0.0 <= spec.treat_prob <= 1.0:
             raise InvalidSpec("treat_prob must lie in [0, 1]")
-        for g in range(G):
-            for t in range(T):
-                u = _stream(spec.seed, STREAM_TREATMENT, g, t).random(K)
-                d[:, g, t] = (u < spec.treat_prob).astype(float)
+        u = _uniforms(spec.seed, STREAM_TREATMENT, K, g[:, None], t)
+        d = np.moveaxis(u < spec.treat_prob, 2, 0) * 1.0
 
     # per-treatment effect surface split into group and period parts, so all
     # potential outcomes share common trends
-    tau = np.empty((K, G, T))
-    for k in range(K):
-        gpart = np.array([
-            spec.effect_group_sd
-            * _stream(spec.seed, STREAM_EFFECT_GROUP, k, g).standard_normal()
-            for g in range(G)
-        ])
-        tpart = np.array([
-            spec.effect_time_sd
-            * _stream(spec.seed, STREAM_EFFECT_TIME, k, t).standard_normal()
-            for t in range(T)
-        ])
-        tau[k] = base_eff[k] + gpart[:, None] + tpart[None, :]
+    k = np.arange(K)[:, None]
+    gpart = spec.effect_group_sd * _normals(spec.seed, STREAM_EFFECT_GROUP, k, g)
+    tpart = spec.effect_time_sd * _normals(spec.seed, STREAM_EFFECT_TIME, k, t)
+    tau = np.array(base_eff, dtype=float)[:, None, None] + gpart[:, :, None] \
+        + tpart[:, None, :]
 
     base = _baseline(spec)
     po = np.empty((G, T, 1 << K))
@@ -320,37 +408,30 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
                 surf += coef
         po[:, :, mask] = surf
 
-    masks = np.zeros((G, T), dtype=int)
-    for k in range(K):
-        masks |= (d[k] > 0.5).astype(int) << k
-    y = np.take_along_axis(po, masks[:, :, None], axis=2)[:, :, 0]
-
     n = _cell_sizes(spec)
-    panel = PanelDataset(range(1, G + 1), range(1, T + 1), y, n, d)
+    panel = PanelDataset(range(1, G + 1), range(1, T + 1), _at(po, _mask_grid(d)), n, d)
     return SyntheticPanel(panel, spec.kind, po=po)
 
 
 def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     G, T = spec.n_groups, spec.n_periods
+    g = np.arange(G)
     if spec.f1 is not None:
         if len(spec.f1) != G:
             raise InvalidSpec("f1 must have one date per group")
         f1 = np.asarray(spec.f1, dtype=int)
     else:
-        f1 = np.array([
-            int(_stream(spec.seed, STREAM_ADOPTION, g).integers(2, T + 1))
-            for g in range(G)
-        ])
+        f1 = _integers(spec.seed, STREAM_ADOPTION, 2, T + 1, g)
     if spec.f2 is not None:
         if len(spec.f2) != G:
             raise InvalidSpec("f2 must have one date per group")
         f2 = np.asarray(spec.f2, dtype=int)
     else:
-        f2 = np.empty(G, dtype=int)
-        for g in range(G):
-            rng = _stream(spec.seed, STREAM_ADOPTION, G + g)
-            lo = int(f1[g]) + 1
-            f2[g] = int(rng.integers(lo, T + 2)) if lo <= T + 1 else T + 1
+        # groups adopting the first treatment by T draw the second after it;
+        # a date outside 1..T+1 is refused below, whatever is drawn here
+        f2 = np.full(G, T + 1)
+        drawn = np.flatnonzero((f1 >= 1) & (f1 <= T))
+        f2[drawn] = _integers(spec.seed, STREAM_ADOPTION, f1[drawn] + 1, T + 2, G + drawn)
     if np.any(f1 < 1) or np.any(f1 > T + 1) or np.any(f2 < 1) or np.any(f2 > T + 1):
         raise InvalidSpec("adoption dates must lie in 1..T+1")
     if np.any(f2 < f1):
@@ -361,55 +442,43 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec("first_level must have one entry per group")
         lam = np.asarray(spec.first_level, dtype=float)
     else:
-        lam = np.array([
-            spec.first_level_sd
-            * _stream(spec.seed, STREAM_FIRST_LEVEL, g).standard_normal()
-            for g in range(G)
-        ])
+        lam = spec.first_level_sd * _normals(spec.seed, STREAM_FIRST_LEVEL, g)
 
+    # event time t - F1 of every treated cell; the first-effect path is keyed
+    # by (F1, t), so groups adopting together share it
+    periods = np.arange(1, T + 1)
+    on1 = periods >= f1[:, None]
+    gi, ti = np.nonzero(on1)
+    f, t = f1[gi], periods[ti]
+    path = 0.0
+    if spec.first_path_sd:
+        dates, cell = np.unique(np.column_stack([f, t]), axis=0, return_inverse=True)
+        path = spec.first_path_sd * _normals(spec.seed, STREAM_FIRST_PATH,
+                                             dates[:, 0], dates[:, 1])[cell.ravel()]
+    viol = 0.0
+    if spec.break_common_evolution:
+        viol = spec.break_common_evolution * _normals(spec.seed, STREAM_VIOLATION, g)[gi]
     first_effect = np.zeros((G, T))
-    for g in range(G):
-        f = int(f1[g])
-        if f > T:
-            continue
-        viol = 0.0
-        if spec.break_common_evolution:
-            viol = spec.break_common_evolution \
-                * _stream(spec.seed, STREAM_VIOLATION, g).standard_normal()
-        for t in range(f, T + 1):
-            path = 0.0
-            if spec.first_path_sd:
-                path = spec.first_path_sd \
-                    * _stream(spec.seed, STREAM_FIRST_PATH, f, t).standard_normal()
-            first_effect[g, t - 1] = (lam[g] + spec.first_growth * (t - f)
-                                      + path + viol * (t - f))
+    first_effect[gi, ti] = lam[gi] + spec.first_growth * (t - f) + path + viol * (t - f)
 
     second_effect = np.zeros((G, T))
     if spec.second_effects is not None:
         if len(spec.second_effects) != G:
             raise InvalidSpec("second_effects must have one row per group")
-        for g, row in enumerate(spec.second_effects):
+        for i, row in enumerate(spec.second_effects):
             for ell, v in enumerate(row[:T]):
-                second_effect[g, ell] = float(v)
+                second_effect[i, ell] = float(v)
     else:
-        for g in range(G):
-            draws = _stream(spec.seed, STREAM_SECOND, g).standard_normal(T)
-            for ell in range(T):
-                second_effect[g, ell] = (spec.second_base
-                                         + spec.second_growth * ell
-                                         + spec.second_sd * draws[ell])
+        draws = _normals(spec.seed, STREAM_SECOND, g, size=T)
+        second_effect[:] = spec.second_base + spec.second_growth * np.arange(T) \
+            + spec.second_sd * draws
 
     base = _baseline(spec)
     y = base.copy()
-    d = np.zeros((2, G, T))
-    for g in range(G):
-        for t in range(1, T + 1):
-            if t >= f1[g]:
-                d[0, g, t - 1] = 1.0
-                y[g, t - 1] += first_effect[g, t - 1]
-            if t >= f2[g]:
-                d[1, g, t - 1] = 1.0
-                y[g, t - 1] += second_effect[g, t - f2[g]]
+    y[on1] += first_effect[on1]
+    on2 = periods >= f2[:, None]
+    y[on2] += second_effect[np.nonzero(on2)[0], (periods - f2[:, None])[on2]]
+    d = np.stack([on1, on2]) * 1.0
 
     n = _cell_sizes(spec)
     panel = PanelDataset(range(1, G + 1), range(1, T + 1), y, n, d)
@@ -501,11 +570,8 @@ def four_group_example() -> SyntheticPanel:
     po[2, 1, 2] = 0.0   # group 3: second treatment has no effect
     po[2, 1, 3] = 0.7
     po[2, 1, 1] = 0.7
-    masks = np.zeros((G, T), dtype=int)
-    for k in range(K):
-        masks |= (d[k] > 0.5).astype(int) << k
-    y = np.take_along_axis(po, masks[:, :, None], axis=2)[:, :, 0]
-    panel = PanelDataset(range(1, G + 1), range(1, T + 1), y, np.ones((G, T)), d)
+    panel = PanelDataset(range(1, G + 1), range(1, T + 1), _at(po, _mask_grid(d)),
+                         np.ones((G, T)), d)
     return SyntheticPanel(panel, "random-binary", po=po)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import multidid as m
 from multidid.cli import main
+from multidid.errors import InsufficientPrePeriods
 
-from .conftest import degenerate_denominator_panel
+from .conftest import degenerate_denominator_panel, random_staggered_spec
 
 
 def _run(capsys, *argv):
@@ -222,6 +224,7 @@ def test_unreadable_input(capsys):
     (["decompose"], "2,2,0.5,1,nan", "d1 is nan at group=2, period=2"),
     (["didm"], "nan,2,0.5,1,0", "line 5: non-finite label 'nan'"),
     (["didm"], "2,-inf,0.5,1,0", "line 5: non-finite label '-inf'"),
+    (["didm"], "2,2,1e300,1e300,0", "n * (y - previous y) overflows at group=2, period=2"),
 ])
 def test_non_finite_input_exit_code(capsys, tmp_path, argv, row, found):
     path = tmp_path / "panel.csv"
@@ -230,3 +233,79 @@ def test_non_finite_input_exit_code(capsys, tmp_path, argv, row, found):
     assert code == 3
     assert out == ""
     assert f"NonFiniteValue: {found}" in err
+
+
+def _linear_payload(panel):
+    """The linear-trends report: every horizon that has a usable group."""
+    structure = m.build_cohorts(panel, 0, 1)
+    horizons = []
+    for ell in range(structure.l_nt + 1):
+        with contextlib.suppress(InsufficientPrePeriods):
+            horizons.append({"ell": ell,
+                             **m.did_ell_linear_trends(panel, structure, ell).to_dict()})
+    return {"horizons": horizons}
+
+
+REPORTS = {
+    "decompose": (["decompose", "--target", "d2"], "static",
+                  lambda p: m.decomposition_report(m.decompose(p, 1),
+                                                   m.summarize(m.decompose(p, 1), p))),
+    "didm": (["didm", "--target", "d1"], "static", lambda p: m.didm(p, 0).to_dict()),
+    "bootstrap-twfe": (["bootstrap", "--estimator", "twfe", "--target", "d1", "-B", "6",
+                        "--seed", "3", "--parallelism", "2"], "static",
+                       lambda p: m.bootstrap_se(p, "twfe", 6, 3, target=0,
+                                                parallelism=2).to_dict()),
+    "bootstrap-didm": (["bootstrap", "--estimator", "didm", "--target", "d2", "-B", "6",
+                        "--parallelism", "1"], "static",
+                       lambda p: m.bootstrap_se(p, "didm", 6, 0, target=1).to_dict()),
+    "bootstrap-did_ell": (["bootstrap", "--estimator", "did_ell", "--first", "d1",
+                           "--second", "d2", "--ell", "0", "-B", "6", "--parallelism", "1"],
+                          "staggered",
+                          lambda p: m.bootstrap_se(p, "did_ell", 6, 0, first=0, second=1,
+                                                   ell=0).to_dict()),
+    **{f"dynamic-{strategy}": (["dynamic", "--first", "d1", "--second", "d2",
+                                "--strategy", strategy], "staggered", payload)
+       for strategy, payload in [
+           ("second", lambda p: m.second_treatment_effects(p, 0, 1).to_dict()),
+           ("first", lambda p: m.first_treatment_effects(p, 0, 1).to_dict()),
+           ("combined", lambda p: m.combined_effects(p, 0, 1).to_dict()),
+           ("linear", _linear_payload),
+           ("split", lambda p: m.split_by_order(p, 0, 1).to_dict())]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_every_report_parses_to_the_library_result(capsys, tmp_path, name):
+    """Each subcommand writes its report as one JSON line: the header plus the
+    library's own result, equal after parsing."""
+    argv, kind, payload = REPORTS[name]
+    spec = (random_staggered_spec(np.random.default_rng(0)) if kind == "staggered" else
+            m.DgpSpec(kind="random-binary", n_groups=12, n_periods=5, n_treatments=2,
+                      seed=5, cell_sizes="random", base_effects=(1.0, -0.5),
+                      effect_group_sd=1.0))
+    panel = m.generate(spec).panel
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(panel, path)
+    code, out, err = _run(capsys, *argv, "--input", str(path))
+    assert code == 0
+    assert out.endswith("}\n") and out.count("\n") == 1
+    report = json.loads(out)
+    header = {key: report.pop(key) for key in ("tool", "config", "input_sha256")}
+    assert header["tool"] == {"name": "multidid", "version": m.__version__}
+    assert header["config"]["input"] == str(path) and header["config"]["subcommand"] == argv[0]
+    assert report == json.loads(json.dumps(payload(m.read_panel_csv(path)), default=str))
+
+
+def test_simulate_report(capsys, tmp_path):
+    spec_path, csv_path = tmp_path / "spec.json", tmp_path / "sim.csv"
+    spec_path.write_text(m.DgpSpec(kind="consecutive-staggered", n_groups=5,
+                                   n_periods=4, seed=2).to_json())
+    code, out, err = _run(capsys, "simulate", "--spec", str(spec_path), "--out",
+                          str(csv_path), "--seed", "9")
+    assert code == 0
+    assert out.endswith("}\n") and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["config"]["seed"] == 9 and "input_sha256" not in report
+    assert {k: v for k, v in report.items() if k not in ("tool", "config")} == {
+        "written": str(csv_path), "kind": "consecutive-staggered", "n_groups": 5,
+        "n_periods": 4, "n_treatments": 2, "seed": 9}

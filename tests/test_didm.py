@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import multidid as m
-from multidid.errors import NonBinaryTreatment
+from multidid.errors import NonBinaryTreatment, NonFiniteValue
 
 from .conftest import make_random_panel
 from .oracles import brute_force_didm, brute_force_single_didm
@@ -181,3 +183,24 @@ def test_result_serialization(four_group):
     assert data["estimate"] == pytest.approx(result.estimate)
     assert data["n_switchers"] == result.n_s
     assert data["dropped"] == [{"g": 4, "t": 2, "reason": "other_treatment_changed"}]
+
+
+@pytest.mark.parametrize("rows, message", [
+    # n * (y - previous y) overflows; only a later period holds another
+    # overflowing cell, so (period, group) order names group 2
+    ([(1, 1, 0.0, 1e300, 0.0), (1, 2, 0.0, 1e300, 1.0), (1, 3, 1e300, 1e300, 1.0),
+      (2, 1, -1e300, 1e300, 0.0), (2, 2, 1e300, 1e300, 0.0), (2, 3, 0.0, 1.0, 0.0)],
+     "n * (y - previous y) overflows at group=2, period=2"),
+    ([(1, 1, -1e300, 1e300, 0.0), (1, 2, 1e300, 1e300, 1.0), (2, 1, 0.0, 1.0, 0.0),
+      (2, 2, 0.0, 1.0, 0.0)],
+     "n * (y - previous y) overflows at group=1, period=2"),
+    # each switcher's n * (y - previous y) is finite, their sum is not
+    ([(1, 1, 0.0, 1.0, 0.0), (1, 2, 1e308, 1.0, 1.0), (2, 1, 0.0, 1.0, 0.0),
+      (2, 2, 1e308, 1.0, 1.0), (3, 1, 0.0, 1.0, 0.0), (3, 2, 0.0, 1.0, 0.0)],
+     "the switcher-stayer contrast overflows in the stratum of group=1, period=2"),
+])
+def test_overflow_is_refused_with_the_cell(rows, message):
+    panel = m.load_panel(rows, 1)
+    for estimator in (m.didm, m.find_switchers):
+        with pytest.raises(NonFiniteValue, match=f"^{re.escape(message)}$"):
+            estimator(panel, 0)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +279,23 @@ def test_malformed_csv_check_order(tmp_path):
             m.read_panel_csv(_csv(tmp_path, lines))
         lines[fix] = mended
     assert m.read_panel_csv(_csv(tmp_path, lines)).n_groups == 2
+
+
+def test_unorderable_label_text_is_independent_of_hash_seed(tmp_path):
+    """The unorderable-label message names the types sorted; Python's own
+    comparison error names them in the set's hash order, which under hash
+    seeds 0 and 10 differs for these labels."""
+    path = _csv(tmp_path, ["g,t,y,d1"] + [f"{g},{t},0,{int(g == '1' and t == 2)}"
+                                          for g in ("1", "2", "zz", "3") for t in (1, 2)])
+    src = str(Path(m.__file__).parents[1])
+    errs = set()
+    for seed in ("0", "10"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "multidid.cli", "didm", "--input",
+                              str(path), "--target", "d1"],
+                             capture_output=True, text=True, env=env, check=False)
+        assert run.returncode == 1
+        errs.add(run.stderr)
+    assert errs == {"error: ValueError: group labels must be mutually orderable, "
+                    "got labels of type int, str\n"}

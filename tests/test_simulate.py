@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import multidid as m
 from multidid.errors import InvalidSpec, MissingPotentialOutcomes
+from multidid.simulate import _integers, _normals, _uniforms
+
+
+def _numpy_stream(seed, stream, *coords):
+    """The keyed stream as numpy itself builds it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, *coords))))
 
 
 def test_identical_spec_identical_panel():
@@ -148,3 +156,57 @@ def test_product_cell_sizes_factor():
         for t in range(3):
             assert n[g, t] * n[g + 1, t + 1] == pytest.approx(
                 n[g, t + 1] * n[g + 1, t], rel=1e-12)
+
+
+WORD = st.integers(0, 2 ** 32 - 1)
+
+
+@given(seed=st.one_of(WORD, st.integers(2 ** 32, 2 ** 96)), stream=st.integers(0, 2 ** 40),
+       width=st.integers(1, 3), size=st.integers(1, 6), data=st.data())
+@example(seed=2 ** 32, stream=0, width=1, size=1, data=None)
+@example(seed=2 ** 64 + 5, stream=2 ** 32, width=3, size=6, data=None)
+@example(seed=0, stream=0, width=2, size=5, data=None)
+def test_keyed_streams_match_numpy(seed, stream, width, size, data):
+    """The vectorized uniform, bounded-integer and normal streams equal what
+    numpy's Generator draws from the same SeedSequence, key by key; a numpy
+    change to SeedSequence, Philox or either derivation fails here."""
+    keys = [(0,) * width, tuple(range(width))]
+    if data is not None:
+        keys += data.draw(st.lists(st.tuples(*[WORD] * width), max_size=6))
+    lows = np.arange(len(keys)) - 3
+    spans = np.array([1, 4, 3, 2 ** 31 + 1, 2 ** 32 - 1, 7, 5, 2 ** 30 * 3 + 1][:len(keys)])
+    coords = [np.array(c) for c in zip(*keys)]
+    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(_uniforms(seed, stream, size, *coords),
+                          [gen.random(size) for gen in streams])
+    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(_integers(seed, stream, lows, lows + spans, *coords),
+                          [gen.integers(lo, lo + n) for gen, lo, n in
+                           zip(streams, lows.tolist(), spans.tolist())])
+    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(_normals(seed, stream, *coords, size=size),
+                          [gen.standard_normal(size) for gen in streams])
+    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(_normals(seed, stream, *coords),
+                          [gen.standard_normal() for gen in streams])
+
+
+def test_rejected_bounded_draws_are_replayed():
+    """With a span just above 2**31 numpy's Lemire method rejects about half
+    the first draws; those keys go back to numpy, the rest stay vectorized."""
+    g = np.arange(200)
+    span = 2 ** 31 + 1
+    got = _integers(11, 7, 0, span, g)
+    first = np.array([_numpy_stream(11, 7, i).bit_generator.random_raw() & 0xFFFFFFFF
+                      for i in g.tolist()])
+    assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 50
+    assert got.tolist() == [_numpy_stream(11, 7, i).integers(0, span) for i in g.tolist()]
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", "7"),
+                                          ("noise_seed", -3)])
+def test_seeds_must_be_nonnegative_integers(field, value):
+    spec = m.DgpSpec(kind="random-binary", n_groups=4, n_periods=3, noise_sd=1.0,
+                     **{field: value})
+    with pytest.raises(InvalidSpec, match=f"^{field} must be a nonnegative integer"):
+        m.generate(spec)
