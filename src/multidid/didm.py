@@ -165,8 +165,9 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     with np.errstate(over="ignore", invalid="ignore"):
         sw_dy = np.bincount(stratum, ndy[kept], len(strata)) / sw_n
         st_dy = stay_ndy[home] / stay_n[home]
-        value = (sw_dy - st_dy) / (key[:, -1] - key[:, -2])
-    if (bad := np.flatnonzero(~np.isfinite(value))).size:
+        step = key[:, -1] - key[:, -2]
+        value = (sw_dy - st_dy) / step
+    if (bad := np.flatnonzero(~np.isfinite(value) | ~np.isfinite(step))).size:
         first = kept[np.flatnonzero(stratum == bad[0])[0]]
         raise NonFiniteValue(f"the switcher-stayer contrast overflows in the stratum "
                              f"of {_cell(panel, first)}")

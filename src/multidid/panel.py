@@ -57,7 +57,8 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     """Canonical treatment values (rule in the module docstring); ``values``
     itself when nothing moves."""
     distinct = np.unique(values)
-    starts = np.diff(distinct, prepend=-np.inf) > VALUE_TOL
+    with np.errstate(over="ignore"):  # a gap past the float range is a gap all the same
+        starts = np.diff(distinct, prepend=-np.inf) > VALUE_TOL
     cluster = np.cumsum(starts) - 1
     rep = distinct[starts]
     whole = np.rint(distinct)

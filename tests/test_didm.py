@@ -198,6 +198,10 @@ def test_result_serialization(four_group):
     ([(1, 1, 0.0, 1.0, 0.0), (1, 2, 1e308, 1.0, 1.0), (2, 1, 0.0, 1.0, 0.0),
       (2, 2, 1e308, 1.0, 1.0), (3, 1, 0.0, 1.0, 0.0), (3, 2, 0.0, 1.0, 0.0)],
      "the switcher-stayer contrast overflows in the stratum of group=1, period=2"),
+    # the target's change itself overflows
+    ([(1, 1, 0.0, 1.0, -1e308), (1, 2, 1.0, 1.0, 1e308), (2, 1, 0.0, 1.0, -1e308),
+      (2, 2, 0.0, 1.0, -1e308)],
+     "the switcher-stayer contrast overflows in the stratum of group=1, period=2"),
 ])
 def test_overflow_is_refused_with_the_cell(rows, message):
     panel = m.load_panel(rows, 1)
