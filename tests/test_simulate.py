@@ -124,6 +124,23 @@ def test_noise_only_moves_baseline():
     assert not np.allclose(a.panel.y, b.panel.y)
 
 
+def test_effect_grids_match_potential_outcomes_cell_by_cell():
+    spec = m.DgpSpec(kind="random-binary", n_groups=6, n_periods=4, n_treatments=3,
+                     seed=8, noise_sd=0.5, effect_group_sd=1.0, effect_time_sd=0.5,
+                     interactions=((0, 2, 0.7), (1, 2, -0.4)))
+    synthetic = m.generate(spec)
+    panel = synthetic.panel
+    for k in range(3):
+        target, others = synthetic.target_effect_grid(k), synthetic.others_effect_grid(k)
+        for gi in range(panel.n_groups):
+            for ti in range(panel.n_periods):
+                on, off = panel.d[:, gi, ti].copy(), panel.d[:, gi, ti].copy()
+                on[k], off[k] = 1.0, 0.0
+                po = lambda d: synthetic.potential_outcome(gi, ti, d)  # noqa: E731
+                assert target[gi, ti] == po(on) - po(off)
+                assert others[gi, ti] == po(off) - po(np.zeros(3))
+
+
 def test_staggered_panel_has_no_static_outcomes(abc_staggered):
     with pytest.raises(MissingPotentialOutcomes):
         abc_staggered.potential_outcome(0, 0, (0.0, 0.0))
