@@ -210,17 +210,12 @@ def _cmd_dynamic(args) -> int:
     panel, names = _load(args)
     first = _column_index(names, args.first, "first treatment")
     second = _column_index(names, args.second, "second treatment")
-    if args.strategy == "second":
-        result = second_treatment_effects(panel, first, second,
-                                          placebos=not args.no_placebos)
-        payload = result.to_dict()
-    elif args.strategy == "first":
-        result = first_treatment_effects(panel, first, second,
-                                         placebos=not args.no_placebos)
-        payload = result.to_dict()
-    elif args.strategy == "combined":
-        result = combined_effects(panel, first, second,
-                                  placebos=not args.no_placebos)
+    # built per call so that the names resolve to the module's current attributes
+    studies = {"second": second_treatment_effects, "first": first_treatment_effects,
+               "combined": combined_effects}
+    if args.strategy in studies:
+        result = studies[args.strategy](panel, first, second,
+                                        placebos=not args.no_placebos)
         payload = result.to_dict()
     elif args.strategy == "linear":
         structure = build_cohorts(panel, first, second)
@@ -242,7 +237,7 @@ def _cmd_dynamic(args) -> int:
     else:  # split
         payload = split_by_order(panel, first, second).to_dict()
 
-    if args.output == "csv" and args.strategy in ("second", "first", "combined"):
+    if args.output == "csv" and args.strategy in studies:
         rows = [(h["ell"], c["f"], c["t"], c["did"], c["n_treated"],
                  c["n_control"], c["weight"])
                 for h in payload["horizons"] for c in h["components"]]
@@ -290,6 +285,15 @@ def _cmd_bootstrap(args) -> int:
               f"excluded", file=sys.stderr)
     _emit_json(args, result.to_dict(), args.out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _default_parallelism() -> int:
@@ -360,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first", default=None, help="first treatment column (did_ell)")
     p.add_argument("--second", default=None, help="second treatment column (did_ell)")
     p.add_argument("--ell", type=int, default=0, help="horizon (did_ell)")
-    p.add_argument("-B", "--replications", type=int, default=200)
+    p.add_argument("-B", "--replications", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=_default_parallelism(),
+    p.add_argument("--parallelism", type=_positive_int, default=_default_parallelism(),
                    help=f"worker count (default: ${PARALLELISM_ENV} or 1)")
     p.add_argument("--dump-replicates", action="store_true")
     p.set_defaults(func=_cmd_bootstrap)

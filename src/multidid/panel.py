@@ -14,15 +14,16 @@ externally weighted panels can be analyzed; finite-sample statements in the
 literature are phrased for integer counts, which is worth keeping in mind
 when supplying non-integer weights.
 
-Outcomes, sizes and treatment values must be finite. Of several defects, the
-first in this order is named: record length, group labels, period labels,
-duplicate cells, missing cells, values (column by column). Treatment values are
-made canonical once, at construction, so every later comparison of them is
-exact: sorted distinct values no more than ``VALUE_TOL`` apart chain into one
-cluster, whose members all take one representative: the integer within
-``VALUE_TOL`` of some member if there is one, else the smallest member. Values
-already pairwise further apart, with none within ``VALUE_TOL`` of an integer it
-differs from, are kept bit for bit.
+Outcomes, sizes and treatment values must be finite, and so must the sum of
+the sizes. Of several defects, the first in this order is named: record
+length, group labels, period labels, duplicate cells, missing cells, values
+(column by column), the sum of the sizes. Treatment values are made canonical
+once, at construction, so every later comparison of them is exact: sorted
+distinct values no more than ``VALUE_TOL`` apart chain into one cluster, whose
+members all take one representative: the integer within ``VALUE_TOL`` of some
+member if there is one, else the smallest member. Values already pairwise
+further apart, with none within ``VALUE_TOL`` of an integer it differs from,
+are kept bit for bit.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ class PanelDataset:
         self.binary_treatments = bool(np.isin(self.d, (0.0, 1.0)).all())
         # fixed left-to-right order (groups outer, periods inner) so the
         # reported total is reproducible bit for bit
-        self.total_n = float(np.cumsum(self.n.ravel())[-1])
+        with np.errstate(over="ignore"):
+            self.total_n = float(np.cumsum(self.n.ravel())[-1])
+        if self.total_n == np.inf:
+            raise NonFiniteValue("cell sizes n sum past the float range")
         self._group_index = {lab: i for i, lab in enumerate(self.group_labels)}
         self._period_index = {lab: i for i, lab in enumerate(self.period_labels)}
         for a in (self.y, self.n, self.d):

@@ -92,34 +92,20 @@ class DynamicEffectResult:
     standard_errors: dict[int, float] | None = None
 
     def to_dict(self) -> dict:
+        def by_ell(values, key):
+            return [{"ell": ell, key: v} for ell, v in sorted(values.items())]
+
         return {
             "horizons": [
-                {
-                    "ell": ell,
-                    "estimate": est,
-                    "components": [
-                        {
-                            "f": c.cohort,
-                            "t": c.period,
-                            "did": c.value,
-                            "n_treated": c.n_treated,
-                            "n_control": c.n_control,
-                            "weight": c.weight,
-                        }
-                        for c in self.components.get(ell, ())
-                    ],
-                }
-                for ell, est in sorted(self.estimates.items())
-            ],
-            "placebos": [
-                {"ell": ell, "estimate": est}
-                for ell, est in sorted(self.placebos.items())
-            ],
-            "standard_errors": (
-                None if self.standard_errors is None
-                else [{"ell": ell, "se": se}
-                      for ell, se in sorted(self.standard_errors.items())]
-            ),
+                {"ell": ell, "estimate": est, "components": [
+                    {"f": c.cohort, "t": c.period, "did": c.value,
+                     "n_treated": c.n_treated, "n_control": c.n_control,
+                     "weight": c.weight}
+                    for c in self.components.get(ell, ())]}
+                for ell, est in sorted(self.estimates.items())],
+            "placebos": by_ell(self.placebos, "estimate"),
+            "standard_errors": (None if self.standard_errors is None
+                                else by_ell(self.standard_errors, "se")),
         }
 
 
@@ -203,8 +189,8 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
             "its first-treatment adoption date"
         )
     l_nt = max(l_nt_f.values())
-    n_ell = {ell: _adopter_size(_contrasts(panel, f2, f1, panel.n_periods, ell,
-                                           placebo=False))
+    n_ell = {ell: sum(n_tr for _, _, _, n_tr, _ in
+                      _contrasts(panel, f2, f1, panel.n_periods, ell, placebo=False))
              for ell in range(l_nt + 1)}
     return CohortStructure(first=first, second=second, f1=f1, f2=f2,
                            cohorts=cohorts, eligible=tuple(nt), nt=nt,
@@ -218,36 +204,43 @@ def _check_horizon(structure: CohortStructure, ell: int) -> None:
         )
 
 
-def _weighted(panel: PanelDataset, raw: list[tuple],
-              n_ell: float) -> tuple[float, tuple[HorizonComponent, ...]]:
-    components = []
+def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
+             cap: np.ndarray | int, ell: int, placebo: bool):
+    """Horizon ``ell`` of a cohort event study, None where no contrast exists.
+
+    Calls :func:`_contrasts` once; returns the placebo mean if ``placebo``,
+    else the estimate and its components, weighted by adopter size.
+    ``cohort=None`` puts all groups in one cohort dated period 1, so any
+    group adopting from period 2 on is an adopter; components are then
+    labelled by adoption date instead of cohort date.
+    """
+    one_cohort = cohort is None
+    raw = _contrasts(panel, adopt, np.ones_like(adopt) if one_cohort else cohort,
+                     cap, ell, placebo)
+    if not raw:
+        return None
+    n_ell = sum(n_tr for _, _, _, n_tr, _ in raw)
+    if placebo:
+        return float(sum(n_tr * value for _, _, value, n_tr, _ in raw) / n_ell)
+    labels = panel.period_labels
+    components = tuple(
+        HorizonComponent(cohort=labels[(t - ell if one_cohort else f) - 1],
+                         period=labels[t - 1], value=value, n_treated=n_tr,
+                         n_control=n_co, weight=n_tr / n_ell)
+        for f, t, value, n_tr, n_co in raw)
     estimate = 0.0
-    for f, t, value, n_tr, n_co in raw:
-        weight = n_tr / n_ell
-        estimate += weight * value
-        components.append(HorizonComponent(
-            cohort=panel.period_labels[f - 1], period=panel.period_labels[t - 1],
-            value=value, n_treated=n_tr, n_control=n_co, weight=weight,
-        ))
-    return float(estimate), tuple(components)
-
-
-def _adopter_size(raw: list[tuple]) -> float:
-    return sum(n_tr for _, _, _, n_tr, _ in raw)
-
-
-def _placebo_mean(raw: list[tuple]) -> float:
-    return float(sum(n_tr * value for _, _, value, n_tr, _ in raw)
-                 / _adopter_size(raw))
+    for c in components:
+        estimate += c.weight * c.value
+    return float(estimate), components
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
             ell: int) -> tuple[float, tuple[HorizonComponent, ...]]:
     """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
     _check_horizon(structure, ell)
-    raw = _contrasts(panel, structure.f2, structure.f1, panel.n_periods, ell,
-                     placebo=False)
-    return _weighted(panel, raw, structure.n_ell[ell])
+    # every horizon in 0..l_nt has a contrast, so this is never None
+    return _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
+                    placebo=False)
 
 
 def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> float:
@@ -255,48 +248,34 @@ def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> fl
     common-evolution assumption on the first treatment's effect."""
     _check_horizon(structure, ell)
 
-    def raw(l):
-        return _contrasts(panel, structure.f2, structure.f1, panel.n_periods, l,
-                          placebo=True)
+    def pre(l):
+        return _horizon(panel, structure.f2, structure.f1, panel.n_periods, l,
+                        placebo=True)
 
-    pre = raw(ell)
-    if not pre:
+    if (value := pre(ell)) is None:
         raise InsufficientPrePeriods(
             f"no pre-adoption window for horizon {ell}",
-            feasible_horizons=tuple(l for l in range(structure.l_nt + 1) if raw(l)),
-        )
-    return _placebo_mean(pre)
+            feasible_horizons=tuple(l for l in range(structure.l_nt + 1)
+                                    if pre(l) is not None))
+    return value
 
 
 def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
                  cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
-    """Cohort event study: :func:`_contrasts` at every horizon that has one.
-
-    ``cohort=None`` puts all groups in one cohort dated period 1, so any
-    group adopting from period 2 on is an adopter; components are then
-    labelled by adoption date instead of cohort date.
-    """
-    one_cohort = cohort is None
-    if one_cohort:
-        cohort = np.ones_like(adopt)
+    """Cohort event study: :func:`_horizon` at every horizon that has a contrast."""
     estimates: dict[int, float] = {}
     components: dict[int, tuple[HorizonComponent, ...]] = {}
     placebo_map: dict[int, float] = {}
     for ell in range(panel.n_periods - 1):
-        raw = _contrasts(panel, adopt, cohort, cap, ell, placebo=False)
-        if not raw:
+        effect = _horizon(panel, adopt, cohort, cap, ell, placebo=False)
+        if effect is None:
             continue
-        if one_cohort:
-            raw = [(t - ell, t, *rest) for _, t, *rest in raw]
-        estimates[ell], components[ell] = _weighted(panel, raw, _adopter_size(raw))
-        if placebos:
-            pre = _contrasts(panel, adopt, cohort, cap, ell, placebo=True)
-            if pre:
-                placebo_map[ell] = _placebo_mean(pre)
+        estimates[ell], components[ell] = effect
+        pre = _horizon(panel, adopt, cohort, cap, ell, placebo=True) if placebos else None
+        if pre is not None:
+            placebo_map[ell] = pre
     if not estimates:
-        raise NoControls(
-            "no adoption date has a not-yet-treated comparison group"
-        )
+        raise NoControls("no adoption date has a not-yet-treated comparison group")
     return DynamicEffectResult(estimates=estimates, components=components,
                                placebos=placebo_map)
 
@@ -354,47 +333,48 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
                           ell: int) -> LinearTrendsResult:
     """Second-treatment effect at horizon ``ell`` via per-group linear trends.
 
-    For each adopting group, a linear trend is fit (size-weighted) on its
-    outcomes between first and second adoption and extrapolated to the
-    horizon date; the counterfactual needs no in-cohort control, at the cost
-    of assuming the pre-adoption evolution really is linear. Groups with
-    fewer than two fit points are dropped and reported.
+    For each adopting group, a linear trend is fit (size-weighted least
+    squares) on its outcomes from first adoption F1 to F2 - 1, the period
+    before second adoption, and extrapolated to the horizon date F2 + ell;
+    the counterfactual needs no in-cohort control, at the cost of assuming
+    the pre-adoption evolution really is linear. Groups with fewer than two
+    fit points are dropped and reported. Negative horizons would put the
+    target date inside the fit window and raise HorizonOutOfRange.
     """
+    if ell < 0:
+        raise HorizonOutOfRange(f"horizon {ell} is negative; linear trends "
+                                f"estimate horizons 0 and up")
     f1, f2 = structure.f1, structure.f2
-    T = panel.n_periods
-    contributions = []
-    dropped = []
-    for g in range(panel.n_groups):
-        if not f1[g] < f2[g] <= T:
-            continue
-        t_target = int(f2[g]) + ell
-        if t_target > T:
-            continue
-        lo, hi = int(f1[g]), int(f2[g]) - 1
-        periods = np.arange(lo, hi + 1, dtype=float)
-        if periods.size < 2:
-            dropped.append((panel.group_labels[g], "fewer_than_two_pre_periods"))
-            continue
-        yv = panel.y[g, lo - 1:hi]
-        wv = panel.n[g, lo - 1:hi]
-        slope, intercept = np.polyfit(periods, yv, 1, w=np.sqrt(wv))
-        predicted = intercept + slope * t_target
-        contributions.append(
-            (panel.group_labels[g],
-             float(panel.y[g, t_target - 1] - predicted),
-             float(panel.n[g, t_target - 1]))
-        )
-    if not contributions:
+    reach = (f1 < f2) & (f2 + ell <= panel.n_periods)
+    short = reach & (f2 - f1 < 2)
+    dropped = tuple((panel.group_labels[g], "fewer_than_two_pre_periods")
+                    for g in np.flatnonzero(short))
+    fit = np.flatnonzero(reach & ~short)
+    if not fit.size:
         raise InsufficientPrePeriods(
             f"no group has both a two-point pre-adoption window and an "
             f"observation at horizon {ell}",
-            dropped=tuple(dropped),
+            dropped=dropped,
         )
-    total = sum(w for _, _, w in contributions)
-    estimate = sum(w * v for _, v, w in contributions) / total
-    out = tuple((g, v, w / total) for g, v, w in contributions)
-    return LinearTrendsResult(estimate=float(estimate), contributions=out,
-                              dropped=tuple(dropped))
+    # every group's fit at once: weights are the cell sizes inside its
+    # window and 0 outside, and x and y are centred on the group's weighted
+    # means, which keeps the extrapolation accurate when y is far from 0
+    x = np.arange(1.0, panel.n_periods + 1)
+    w = np.where((x >= f1[fit, None]) & (x < f2[fit, None]), panel.n[fit], 0.0)
+    sw = w.sum(axis=1)
+    y = panel.y[fit]
+    xc = x - (w @ x / sw)[:, None]
+    yc = y - ((w * y).sum(axis=1) / sw)[:, None]
+    slope = (w * xc * yc).sum(axis=1) / (w * xc * xc).sum(axis=1)
+    rows, cols = np.arange(fit.size), f2[fit] + ell - 1  # cols: the date F2 + ell
+    value = yc[rows, cols] - slope * xc[rows, cols]
+    size = panel.n[fit, cols]
+    total = size.sum()
+    groups = [panel.group_labels[g] for g in fit]
+    return LinearTrendsResult(
+        estimate=float(size @ value / total),
+        contributions=tuple(zip(groups, value.tolist(), (size / total).tolist())),
+        dropped=dropped)
 
 
 @dataclass(frozen=True)

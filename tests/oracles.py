@@ -4,7 +4,8 @@ Each oracle recomputes a target quantity from first principles over a code
 path disjoint from the library's: the regression coefficient comes from one
 dense weighted least-squares solve on the explicit dummy design, and the
 switcher and event-study estimates from literal transcriptions of their
-defining sums.
+defining sums, and the linear-trend fallback from one ``np.polyfit`` per
+group.
 """
 
 from __future__ import annotations
@@ -177,3 +178,45 @@ def brute_force_event_study(panel, adopt, cohort, cap):
             placebos[ell] = (sum(n_tr * v for n_tr, _, v in pre)
                              / sum(n_tr for n_tr, _, _ in pre))
     return estimates, components, placebos
+
+
+def polyfit_linear_trends(panel, structure, ell):
+    """Per-group linear-trend extrapolation, one ``np.polyfit`` per group.
+
+    Every group adopting both treatments, the second at a date F2 with
+    F2 + ell <= T, is fit on its outcomes at F1..F2 - 1 with the cell sizes as
+    least-squares weights, or dropped if that window has fewer than two
+    periods. A fitted group contributes its outcome at F2 + ell minus the
+    fitted line there, weighted by its size at that date. Returns
+    ``(estimate, contributions, dropped)``, with ``estimate`` None when no
+    group is fitted and contributions as ``(group, value, weight)``.
+    """
+    f1, f2 = structure.f1, structure.f2
+    T = panel.n_periods
+    contributions = []
+    dropped = []
+    for g in range(panel.n_groups):
+        if not f1[g] < f2[g] <= T:
+            continue
+        t_target = int(f2[g]) + ell
+        if t_target > T:
+            continue
+        lo, hi = int(f1[g]), int(f2[g]) - 1
+        periods = np.arange(lo, hi + 1, dtype=float)
+        if periods.size < 2:
+            dropped.append((panel.group_labels[g], "fewer_than_two_pre_periods"))
+            continue
+        # polyfit weights multiply the residuals, so sqrt(n) minimises
+        # the size-weighted sum of squares
+        slope, intercept = np.polyfit(periods, panel.y[g, lo - 1:hi], 1,
+                                      w=np.sqrt(panel.n[g, lo - 1:hi]))
+        predicted = intercept + slope * t_target
+        contributions.append((panel.group_labels[g],
+                              float(panel.y[g, t_target - 1] - predicted),
+                              float(panel.n[g, t_target - 1])))
+    if not contributions:
+        return None, (), tuple(dropped)
+    total = sum(w for _, _, w in contributions)
+    estimate = sum(w * v for _, v, w in contributions) / total
+    return (float(estimate), tuple((g, v, w / total) for g, v, w in contributions),
+            tuple(dropped))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import multidid as m
+from multidid import cli
 from multidid.cli import main
 from multidid.errors import InsufficientPrePeriods
 
@@ -195,6 +196,37 @@ def test_bootstrap_subcommand(capsys, four_group_csv):
     assert report["inference_note"].startswith("group block bootstrap")
 
 
+@pytest.mark.parametrize("option, value", [("-B", "0"), ("-B", "-3"), ("-B", "two"),
+                                           ("--parallelism", "0"),
+                                           ("--parallelism", "-2")])
+def test_bootstrap_counts_must_be_positive(capsys, four_group_csv, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bootstrap", "--input", four_group_csv, "--estimator", "twfe",
+              "--target", "d1", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"expected a positive integer, got '{value}'" in captured.err
+
+
+def test_dynamic_resolves_event_studies_at_call_time(capsys, monkeypatch, staggered_csv):
+    # wrappers set on the module's attributes, as the traced benchmark sets
+    # them after import, must see every call
+    called = []
+    for name in ("second_treatment_effects", "first_treatment_effects",
+                 "combined_effects"):
+        def wrapper(*args, _name=name, _wrapped=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    for strategy in ("second", "first", "combined"):
+        _run(capsys, "dynamic", "--input", staggered_csv, "--first", "d1",
+             "--second", "d2", "--strategy", strategy)
+    assert called == ["second_treatment_effects", "first_treatment_effects",
+                      "combined_effects"]
+
+
 def test_out_file(capsys, four_group_csv, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = _run(capsys, "decompose", "--input", four_group_csv,
@@ -225,6 +257,8 @@ def test_unreadable_input(capsys):
     (["didm"], "nan,2,0.5,1,0", "line 5: non-finite label 'nan'"),
     (["didm"], "2,-inf,0.5,1,0", "line 5: non-finite label '-inf'"),
     (["didm"], "2,2,1e300,1e300,0", "n * (y - previous y) overflows at group=2, period=2"),
+    pytest.param(["didm"], "2,2,0.5,1e308,0\n3,1,0.0,1e308,0\n3,2,0.0,1,0",
+                 "cell sizes n sum past the float range", id="n-total-overflows"),
 ])
 def test_non_finite_input_exit_code(capsys, tmp_path, argv, row, found):
     path = tmp_path / "panel.csv"

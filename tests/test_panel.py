@@ -99,6 +99,17 @@ def test_non_finite_values_rejected(column, pos, bad):
             m.PanelDataset((1, 2), (1, 2), y, n, d)
 
 
+def test_non_finite_total_size_rejected():
+    # every size is finite, their sum is not
+    rows = [(1, 1, 0.0, 1e308, 0.0), (1, 2, 1.0, 1e308, 1.0),
+            (2, 1, 0.0, 1e308, 0.0), (2, 2, 0.0, 1e308, 0.0)]
+    with pytest.raises(NonFiniteValue, match="cell sizes n sum past the float range"):
+        m.load_panel(rows, n_treatments=1)
+    with pytest.raises(NonFiniteValue, match="cell sizes n sum past the float range"):
+        m.PanelDataset((1, 2), (1, 2), np.zeros((2, 2)), np.full((2, 2), 1e308),
+                       np.zeros((1, 2, 2)))
+
+
 def test_canonical_treatment_values():
     d = np.array([[[0.0, 1e-13, -1e-13], [1.0 + 5e-13, 1.0 - 9e-13, 2.0],
                    [0.3, 0.3 + 5e-13, 0.3 + 9e-13]]])

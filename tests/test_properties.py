@@ -1,5 +1,6 @@
 """Property-based invariants of the weight decomposition, of the switcher
-estimator, of canonical values and of CSV round trips."""
+estimator, of canonical values, of CSV round trips and of the staggered
+horizon path."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
-from multidid.errors import CollinearTreatments, DegenerateDenominator
+from multidid.errors import (
+    CollinearTreatments,
+    DegenerateDenominator,
+    InsufficientPrePeriods,
+)
 
-from .oracles import brute_force_didm, dense_dummy_fit
+from .oracles import brute_force_didm, dense_dummy_fit, polyfit_linear_trends
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
 SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
@@ -285,3 +290,76 @@ def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
             for gi, g in enumerate(panel.group_labels)
             for ti, t in enumerate(panel.period_labels)]
     _assert_same_panel(m.load_panel(rows, panel.n_treatments), back)
+
+
+# -- the staggered horizon path ----------------------------------------------
+
+
+@st.composite
+def staggered_panels(draw):
+    """Consecutive staggered panel: per group 1 <= F1 <= F2 <= T + 1, T + 1
+    meaning never, with never-treated groups and simultaneous adopters.
+    Groups 0 and 1 share a cohort c <= T - 1 and adopt the second treatment
+    at some a > c and never, which makes cohort c eligible."""
+    G, T = draw(st.integers(2, 10)), draw(st.integers(3, 8))
+    c = draw(st.integers(1, T - 1))
+    a = draw(st.integers(c + 1, T))
+    dates = sorted({c, T + 1, *draw(st.lists(st.integers(1, T), max_size=2))})
+    f1 = np.array([c, c] + draw(st.lists(st.sampled_from(dates), min_size=G - 2,
+                                         max_size=G - 2)))
+    f2 = np.array([a, T + 1] + [draw(st.integers(f, T + 1)) for f in f1[2:]])
+    periods = np.arange(1, T + 1)
+    d = np.stack([periods >= f1[:, None], periods >= f2[:, None]]).astype(float)
+    y = draw(arrays(float, (G, T), elements=st.floats(-50, 50), fill=st.nothing()))
+    # sizes whose sums round, so that a change of summation order shows
+    n = draw(arrays(float, (G, T), elements=st.floats(0.1, 4.0), fill=st.nothing()))
+    return m.PanelDataset(range(G), [2000 + 2 * t for t in periods], y, n, d)
+
+
+@given(staggered_panels())
+def test_did_ell_is_the_event_study_horizon(panel):
+    structure = m.build_cohorts(panel, 0, 1)
+    study = m.second_treatment_effects(panel, 0, 1)
+    assert sorted(study.estimates) == list(range(structure.l_nt + 1))
+    for ell in range(structure.l_nt + 1):
+        estimate, components = m.did_ell(panel, structure, ell)
+        assert estimate == study.estimates[ell]
+        assert components == study.components[ell]
+        assert sum(c.n_treated for c in components) == structure.n_ell[ell]
+
+
+@given(staggered_panels())
+def test_placebo_ell_is_the_event_study_placebo(panel):
+    structure = m.build_cohorts(panel, 0, 1)
+    placebos = m.second_treatment_effects(panel, 0, 1).placebos
+    feasible = tuple(ell for ell in sorted(placebos) if ell <= structure.l_nt)
+    for ell in range(structure.l_nt + 1):
+        if ell in placebos:
+            assert m.placebo_ell(panel, structure, ell) == placebos[ell]
+        else:
+            with pytest.raises(InsufficientPrePeriods) as err:
+                m.placebo_ell(panel, structure, ell)
+            assert err.value.feasible_horizons == feasible
+
+
+def _same(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+@given(staggered_panels())
+def test_linear_trends_match_the_polyfit_oracle(panel):
+    structure = m.build_cohorts(panel, 0, 1)
+    for ell in range(panel.n_periods):
+        estimate, contributions, dropped = polyfit_linear_trends(panel, structure, ell)
+        if estimate is None:
+            with pytest.raises(InsufficientPrePeriods) as err:
+                m.did_ell_linear_trends(panel, structure, ell)
+            assert err.value.dropped == dropped
+            continue
+        result = m.did_ell_linear_trends(panel, structure, ell)
+        assert result.dropped == dropped
+        assert [g for g, _, _ in result.contributions] == [g for g, _, _ in contributions]
+        assert _same(result.estimate, estimate)
+        for (_, value, weight), (_, want_value, want_weight) in zip(
+                result.contributions, contributions):
+            assert _same(value, want_value) and _same(weight, want_weight)

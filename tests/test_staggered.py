@@ -248,6 +248,34 @@ def test_linear_trends_single_pre_period_dropped():
     assert err.value.dropped == ((0, "fewer_than_two_pre_periods"),)
 
 
+def test_linear_trends_refuse_negative_horizons():
+    # ell < 0 would put the target date F2 + ell inside the fit window F1..F2 - 1
+    synthetic = m.generate(m.DgpSpec(kind="consecutive-staggered", n_groups=60,
+                                     n_periods=8, seed=1, cell_sizes="random"))
+    st = m.build_cohorts(synthetic.panel, 0, 1)
+    for ell in (-1, -3):
+        with pytest.raises(HorizonOutOfRange, match=f"horizon {ell} is negative"):
+            m.did_ell_linear_trends(synthetic.panel, st, ell)
+    assert len(m.did_ell_linear_trends(synthetic.panel, st, 0).contributions) == 29
+
+
+def test_linear_trends_past_the_in_cohort_range():
+    # F1 = 2 for both groups, F2 = 4 and 5, so l_nt = 0; linear trends need
+    # no in-cohort control and still reach horizon 2 of group 0
+    t = np.arange(1.0, 7.0)
+    y = np.vstack([t + 5.0 * (t >= 4), t])
+    d = np.zeros((2, 2, 6))
+    d[0, :, 1:] = 1.0
+    d[1, 0, 3:] = 1.0
+    d[1, 1, 4:] = 1.0
+    panel = m.PanelDataset(range(2), range(1, 7), y, np.ones((2, 6)), d)
+    st = m.build_cohorts(panel, 0, 1)
+    assert st.l_nt == 0
+    result = m.did_ell_linear_trends(panel, st, 2)
+    assert result.estimate == pytest.approx(5.0, abs=1e-12)
+    assert [g for g, _, _ in result.contributions] == [0]
+
+
 def test_split_by_order_partition():
     # (F1, F2) = (2, 3), (3, 2), (2, 2), (5, 5) over T = 4
     d = np.zeros((2, 4, 4))
