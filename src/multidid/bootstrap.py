@@ -1,13 +1,20 @@
 """Group-level block bootstrap standard errors.
 
-Groups are resampled with replacement and the estimator is recomputed per
-replication. Replications where the estimator is undefined (no switcher
-survives, collinear treatments, the resampled design loses its cohort
-structure) are excluded from the standard error and counted; on the original
-panel the same errors propagate, so a flawed design reports its own error
-class and exit code. Replication r draws from a Philox stream keyed by
-(seed, r), so the result is bit-identical whatever the parallelism degree or
-execution order.
+Groups are resampled with replacement. A replication never copies the panel:
+every estimator here is size-weighted and gives copies of a group identical
+fixed effects, so a draw is the original panel with each group's cell sizes
+multiplied by its number of copies, and undrawn groups at size 0. Each
+estimator is one reducer over the original panel's cell keys, evaluated
+with one copy of each group for the point estimate and with the draw's
+counts for a replication.
+
+Replications where the estimator is undefined (no switcher survives,
+collinear treatments, the resampled design loses its cohort structure, the
+resampled sizes or sums pass the float range) are excluded from the
+standard error and counted; on the original panel the same errors
+propagate, so a flawed design reports its own error class and exit code.
+Replication r draws from a Philox stream keyed by (seed, r), so the result
+is bit-identical whatever the parallelism degree or execution order.
 
 No asymptotic theory backs these standard errors for the switcher and
 cohort estimators; they are a pragmatic stand-in and reports label them as
@@ -21,22 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import twfe_coefficient
-from .didm import didm
+from .decomposition import _twfe_reducer, twfe_coefficient
+from .didm import _didm_reducer, didm
 from .errors import (
     AllReplicationsDegenerate,
     CollinearTreatments,
     DegenerateDenominator,
     HorizonOutOfRange,
+    NonFiniteValue,
     PathologicalDesign,
 )
 from .panel import PanelDataset
-from .staggered import build_cohorts, did_ell
+from .staggered import _did_ell_reducer, build_cohorts, did_ell
 
 ESTIMATORS = ("twfe", "didm", "did_ell")
 
+# the errors that make a replication degenerate
 _DEGENERATE = (CollinearTreatments, DegenerateDenominator, PathologicalDesign,
-               HorizonOutOfRange)
+               HorizonOutOfRange, NonFiniteValue)
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,12 @@ class BootstrapResult:
 
 def _evaluate(panel: PanelDataset, estimator: str, target: int,
               first: int, second: int, ell: int) -> float | None:
+    """The estimator through its public function, None where it is undefined.
+
+    This is the copy path: on ``panel.with_groups(draw, labels)`` it gives
+    what the count-weighted replication of ``draw`` gives, up to summation
+    order.
+    """
     if estimator == "twfe":
         return twfe_coefficient(panel, target)
     if estimator == "didm":
@@ -78,6 +93,17 @@ def _evaluate(panel: PanelDataset, estimator: str, target: int,
     raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
 
 
+def _reducer(panel: PanelDataset, estimator: str, target: int, first: int,
+             second: int, ell: int):
+    """The estimator as a function of per-group draw counts (None: the point
+    estimate); it returns None where the estimate is undefined."""
+    if estimator == "twfe":
+        return _twfe_reducer(panel, target)
+    if estimator == "didm":
+        return _didm_reducer(panel, target)
+    return _did_ell_reducer(panel, first, second, ell)
+
+
 def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
                  target: int = 0, first: int = 0, second: int = 1, ell: int = 0,
                  parallelism: int = 1, keep_replicates: bool = False) -> BootstrapResult:
@@ -86,23 +112,26 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if b < 1:
         raise ValueError("b must be >= 1")
-    point = _evaluate(panel, estimator, target, first, second, ell)
+    estimate = _reducer(panel, estimator, target, first, second, ell)
+    point = estimate(None)
     if point is None:
         raise AllReplicationsDegenerate(
             "the estimator is undefined on the original panel"
         )
 
     G = panel.n_groups
-    labels = list(range(G))
+    group_n = panel.n.sum(axis=1)
 
     def one(rep: int) -> float | None:
         rng = np.random.Generator(
             np.random.Philox(seed=np.random.SeedSequence((seed, rep)))
         )
-        draw = rng.integers(0, G, size=G)
-        resampled = panel.with_groups(draw.tolist(), labels)
+        counts = np.bincount(rng.integers(0, G, size=G), minlength=G).astype(float)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(counts @ group_n):  # a panel PanelDataset refuses
+                return None
         try:
-            return _evaluate(resampled, estimator, target, first, second, ell)
+            return estimate(counts)
         except _DEGENERATE:
             return None
 

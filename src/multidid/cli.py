@@ -190,19 +190,19 @@ def _cmd_didm(args) -> int:
     panel, names = _load(args)
     target = _column_index(names, args.target, "target treatment")
     result = didm(panel, target, binary_only=args.binary_only)
-    if result.n_s == 0:
-        print("warning: no usable switcher, estimate is 0 by convention",
-              file=sys.stderr)
-    for drop in result.dropped:
-        print(f"warning: dropped switching cell g={drop.group!r} t={drop.period!r}"
-              f" ({drop.reason})", file=sys.stderr)
+    report = result.to_dict()
+    warned = [] if result.n_s else ["no usable switcher, estimate is 0 by convention"]
+    warned += [f"dropped switching cell g={drop['g']!r} t={drop['t']!r} ({drop['reason']})"
+               for drop in report["dropped"]]
+    if warned:  # one write, however many cells were dropped
+        sys.stderr.write("".join(f"warning: {w}\n" for w in warned))
     if args.output == "csv":
         rows = [(c.period, "|".join(repr(v) for v in c.baseline), c.direction,
                  c.value, c.weight) for c in result.components]
         _emit(_csv_text(["t", "baseline", "direction", "did", "weight"], rows),
               args.out)
     else:
-        _emit_json(args, result.to_dict(), args.out)
+        _emit_json(args, report, args.out)
     return 0
 
 

@@ -168,27 +168,20 @@ def _two_way_residualize(n: np.ndarray, grids: list[np.ndarray]) -> list[np.ndar
     return out
 
 
-def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
-    """Residualize treatment ``target`` on fixed effects and the other treatments.
-
-    The residuals are weighted-least-squares residuals, so their n-weighted
-    sums vanish within every group, within every period, and against every
-    other treatment included in the regression.
-    """
-    K = panel.n_treatments
-    if not 0 <= target < K:
-        raise ValueError(f"target must be in 0..{K - 1}, got {target}")
-    n = panel.n
+def _partial(n: np.ndarray, d: np.ndarray, total_n: float,
+             target: int) -> tuple[np.ndarray, dict[int, float]]:
+    """:func:`first_stage` on the arrays of a panel: residuals of ``d[target]``
+    and the coefficients on the other treatments."""
+    K = d.shape[0]
     others = [j for j in range(K) if j != target]
-    grids = [panel.d[target]] + [panel.d[j] for j in others]
-    resid = _two_way_residualize(n, grids)
+    resid = _two_way_residualize(n, [d[target]] + [d[j] for j in others])
     rt, ro = resid[0], resid[1:]
 
     sqrtn = np.sqrt(n).ravel()
     # rank threshold is relative to the largest weighted column norm of the
     # full design (the intercept column always attains it for binary data)
-    col_norms = [np.sqrt(panel.total_n)]
-    col_norms += [float(np.linalg.norm(sqrtn * panel.d[j].ravel())) for j in range(K)]
+    col_norms = [np.sqrt(total_n)]
+    col_norms += [float(np.linalg.norm(sqrtn * d[j].ravel())) for j in range(K)]
     tol = RANK_RTOL * max(col_norms)
 
     coef_other: dict[int, float] = {}
@@ -213,6 +206,32 @@ def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
         raise CollinearTreatments(
             f"treatment {target} is collinear with the other regressors"
         )
+    return eps, coef_other
+
+
+def _coefficient(n: np.ndarray, y: np.ndarray, d_target: np.ndarray,
+                 eps: np.ndarray, total_n: float) -> float:
+    """``sum(n * eps * y) / sum(n * eps * d_target)``, refusing a numerically
+    zero denominator."""
+    denom = float(np.sum(n * eps * d_target))
+    if abs(denom) < 1e-12 * total_n:
+        raise DegenerateDenominator(
+            "partialled treatment has numerically zero weighted variance"
+        )
+    return float(np.sum(n * eps * y)) / denom
+
+
+def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
+    """Residualize treatment ``target`` on fixed effects and the other treatments.
+
+    The residuals are weighted-least-squares residuals, so their n-weighted
+    sums vanish within every group, within every period, and against every
+    other treatment included in the regression.
+    """
+    K = panel.n_treatments
+    if not 0 <= target < K:
+        raise ValueError(f"target must be in 0..{K - 1}, got {target}")
+    eps, coef_other = _partial(panel.n, panel.d, panel.total_n, target)
     return FirstStageResult(target=target, residuals=eps, coef_other=coef_other)
 
 
@@ -225,13 +244,23 @@ def twfe_coefficient(panel: PanelDataset, target: int,
     """
     if stage is None:
         stage = first_stage(panel, target)
-    eps = stage.residuals
-    denom = float(np.sum(panel.n * eps * panel.d[target]))
-    if abs(denom) < 1e-12 * panel.total_n:
-        raise DegenerateDenominator(
-            "partialled treatment has numerically zero weighted variance"
-        )
-    return float(np.sum(panel.n * eps * panel.y)) / denom
+    return _coefficient(panel.n, panel.y, panel.d[target], stage.residuals,
+                        panel.total_n)
+
+
+def _twfe_reducer(panel: PanelDataset, target: int):
+    """The TWFE coefficient as a function of per-group draw counts: copies of
+    a group get identical fixed effects, so a bootstrap draw is the drawn
+    groups with cell sizes ``counts[g] * n`` (None: the panel itself)."""
+    def estimate(counts: np.ndarray | None) -> float:
+        if counts is None:
+            return twfe_coefficient(panel, target)
+        drawn = np.flatnonzero(counts)
+        n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
+        total_n = float(np.cumsum(n.ravel())[-1])  # PanelDataset's order
+        eps, _ = _partial(n, d, total_n, target)
+        return _coefficient(n, panel.y[drawn], d[target], eps, total_n)
+    return estimate
 
 
 def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:

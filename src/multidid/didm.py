@@ -20,7 +20,9 @@ survives. Pass ``binary_only=True`` to refuse non-binary (ordered) targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import starmap
 
 import numpy as np
 
@@ -46,11 +48,50 @@ class DroppedSwitcher:
     reason: str  # "other_treatment_changed" or "no_matching_stayer"
 
 
+_REASONS = ("no_matching_stayer", "other_treatment_changed")
+
+
+@dataclass(frozen=True, eq=False)
+class LostCells:
+    """Switching cells that no stratum can use, kept as arrays: their indices
+    (t - 1) * G + g in (period, group) order, and whether another treatment
+    moved there. ``records`` builds the :class:`DroppedSwitcher` records on
+    first read; equality compares them."""
+    cells: np.ndarray
+    moved: np.ndarray
+    group_labels: tuple
+    period_labels: tuple
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def rows(self) -> list[tuple]:
+        """``(group, period, reason)`` per cell, without building records."""
+        G = len(self.group_labels)
+        return list(zip(map(self.group_labels.__getitem__, (self.cells % G).tolist()),
+                        map(self.period_labels.__getitem__, (self.cells // G + 1).tolist()),
+                        map(_REASONS.__getitem__, self.moved.tolist())))
+
+    @cached_property
+    def records(self) -> tuple[DroppedSwitcher, ...]:
+        return tuple(starmap(DroppedSwitcher, self.rows()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LostCells) and self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+
 @dataclass(frozen=True)
 class SwitcherSet:
     cells: tuple[SwitcherCell, ...]
     n_s: float
-    dropped: tuple[DroppedSwitcher, ...]
+    lost: LostCells = field(repr=False)
+
+    @property
+    def dropped(self) -> tuple[DroppedSwitcher, ...]:
+        return self.lost.records
 
 
 @dataclass(frozen=True)
@@ -71,12 +112,16 @@ class DidmResult:
     estimate: float
     n_s: float
     components: tuple[DidmComponent, ...]
-    dropped: tuple[DroppedSwitcher, ...]
+    lost: LostCells = field(repr=False)
     standard_error: float | None = None
 
     @property
+    def dropped(self) -> tuple[DroppedSwitcher, ...]:
+        return self.lost.records
+
+    @property
     def n_dropped(self) -> int:
-        return len(self.dropped)
+        return len(self.lost)
 
     def to_dict(self) -> dict:
         return {
@@ -94,27 +139,35 @@ class DidmResult:
                 }
                 for c in self.components
             ],
-            "dropped": [
-                {"g": d.group, "t": d.period, "reason": d.reason}
-                for d in self.dropped
-            ],
+            "dropped": [{"g": g, "t": t, "reason": reason}
+                        for g, t, reason in self.lost.rows()],
             "standard_error": self.standard_error,
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Strata:
-    """Usable switching cells, as indices (t - 1) * G + g in (period, group)
-    order, with each one's ``stratum`` row of ``key``: the strata, sorted by
-    (period index, baseline..., target_from, target_to)."""
-    kept: np.ndarray
-    stratum: np.ndarray
-    dropped: tuple[DroppedSwitcher, ...]
-    n_s: float
+    """The cell keys of one panel and target, which no cell size changes.
+
+    ``cells`` holds the usable switching cells, as indices (t - 1) * G + g in
+    (period, group) order, then the stayer cells whose origin key is some
+    stratum's, in the same order. ``bins`` puts a switching cell in its
+    stratum s < S, a row of ``key`` (the strata, sorted by period index,
+    baseline..., target_from, target_to), and a stayer in S + h, h its origin
+    among the strata's distinct origins; ``home[s]`` is the h of stratum s.
+    ``n`` and ``ndy`` are n and n * Δy per cell.
+    """
+    panel: PanelDataset
+    cells: np.ndarray
+    n_kept: int
+    bins: np.ndarray
+    n: np.ndarray
+    ndy: np.ndarray
     key: np.ndarray
-    n_switchers: np.ndarray
-    n_stayers: np.ndarray
-    value: np.ndarray
+    home: np.ndarray
+    n_bins: int
+    step: np.ndarray
+    lost: LostCells
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -126,6 +179,22 @@ def _cell(panel: PanelDataset, i: int) -> str:
     """Name of the cell at index ``i = (t - 1) * G + g`` of the consecutive pairs."""
     G = panel.n_groups
     return panel._cell_name(i % G, i // G + 1)
+
+
+def _pack(key: np.ndarray, radix: int, columns) -> np.ndarray:
+    """Extend the int64 ``key``, whose values are below ``radix``, by the
+    ``np.unique`` code of each column in mixed radix, so that packed keys sort
+    as the rows do; the key is first coded densely whenever the radix would
+    pass 2**62."""
+    for column in columns:
+        _, code = np.unique(column, return_inverse=True)
+        m = int(code.max()) + 1 if code.size else 1
+        if radix * m > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            radix = int(key.max()) + 1
+        key = key * m + code
+        radix *= m
+    return key
 
 
 def _strata(panel: PanelDataset, target: int) -> _Strata:
@@ -143,52 +212,91 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     # stayers, whose origin key is their key at both dates, and the switchers
     # that may match them are the cells whose other treatments stay put
     still = np.flatnonzero(~other_moved)
-    origins, origin = np.unique(
-        np.column_stack([still // G + 1, before[others][:, still].T, before[target, still]]),
-        axis=0, return_inverse=True)
+    columns = [*before[others][:, still], before[target, still]]
+    _, first, origin = np.unique(_pack(still // G, T - 1, columns),
+                                 return_index=True, return_inverse=True)
     stayer = ~switching[still]
-    stay_n = np.bincount(origin[stayer], n[still[stayer]], len(origins))
-    stay_ndy = np.bincount(origin[stayer], ndy[still[stayer]], len(origins))
-    matched = ~stayer & (stay_n[origin] > 0)
+    matched = ~stayer & (np.bincount(origin[stayer], minlength=first.size) > 0)[origin]
     kept = still[matched]
     lost = np.setdiff1d(np.flatnonzero(switching), kept)
-    dropped = tuple(
-        DroppedSwitcher(panel.group_labels[i % G], panel.period_labels[i // G + 1],
-                        "other_treatment_changed" if moved else "no_matching_stayer")
-        for i, moved in zip(lost.tolist(), other_moved[lost].tolist()))
 
-    strata, stratum = np.unique(np.column_stack([origin[matched], after[target, kept]]),
-                                axis=0, return_inverse=True)
-    home = strata[:, 0].astype(np.intp)
-    key = np.column_stack([origins[home], strata[:, 1]])
-    sw_n = np.bincount(stratum, n[kept], len(strata))
+    to = after[target, kept]
+    _, head, stratum = np.unique(_pack(origin[matched], first.size, [to]),
+                                 return_index=True, return_inverse=True)
+    origins, home = np.unique(origin[matched][head], return_inverse=True)
+    h = np.full(first.size, -1)  # h of each origin, -1 where no stratum has it
+    h[origins] = np.arange(origins.size)
+    h = h[origin[stayer]]
+    at = first[origins[home]]  # a cell of each stratum's origin, as a place in ``still``
+    key = np.column_stack([still[at] // G + 1, *(c[at] for c in columns), to[head]])
+    cells = np.concatenate([kept, still[stayer][h >= 0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        sw_dy = np.bincount(stratum, ndy[kept], len(strata)) / sw_n
-        st_dy = stay_ndy[home] / stay_n[home]
         step = key[:, -1] - key[:, -2]
-        value = (sw_dy - st_dy) / step
-    if (bad := np.flatnonzero(~np.isfinite(value) | ~np.isfinite(step))).size:
-        first = kept[np.flatnonzero(stratum == bad[0])[0]]
+    return _Strata(panel=panel, cells=cells, n_kept=kept.size,
+                   bins=np.concatenate([stratum, head.size + h[h >= 0]]),
+                   n=n[cells], ndy=ndy[cells], key=key, home=home,
+                   n_bins=head.size + origins.size, step=step,
+                   lost=LostCells(lost, other_moved[lost], panel.group_labels,
+                                  panel.period_labels))
+
+
+def _reduce(strata: _Strata, counts: np.ndarray | None = None):
+    """DID_M over the strata with cell sizes ``counts[g] * n``, ``counts``
+    the copies of each group in a bootstrap draw (None: one of each).
+
+    A stratum counts while its switchers and its origin's stayers both have
+    positive size, which at one copy of each group every stratum has.
+    Returns the estimate and n_s, then, per counted stratum, its weight,
+    switcher size, stayer size and value.
+    """
+    n, ndy, S = strata.n, strata.ndy, len(strata.key)
+    if counts is not None:
+        copies = counts[strata.cells % strata.panel.n_groups]
+        with np.errstate(over="ignore", invalid="ignore"):
+            n, ndy = n * copies, ndy * copies
+    size = np.bincount(strata.bins, n, strata.n_bins)
+    total = np.bincount(strata.bins, ndy, strata.n_bins)
+    sw_n, st_n = size[:S], size[S:][strata.home]
+    live = (sw_n > 0) & (st_n > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (total[:S] / sw_n - total[S:][strata.home] / st_n) / strata.step
+    bad = np.flatnonzero(live & (~np.isfinite(value) | ~np.isfinite(strata.step)))
+    if bad.size:
+        first = strata.cells[np.flatnonzero(strata.bins == bad[0])[0]]
         raise NonFiniteValue(f"the switcher-stayer contrast overflows in the stratum "
-                             f"of {_cell(panel, first)}")
-    return _Strata(kept=kept, stratum=stratum, dropped=dropped,
-                   n_s=_running_sum(n[kept]), key=key, n_switchers=sw_n,
-                   n_stayers=stay_n[home], value=value)
+                             f"of {_cell(strata.panel, first)}")
+    n_s = _running_sum(n[:strata.n_kept][live[strata.bins[:strata.n_kept]]])
+    sw_n, st_n, value = sw_n[live], st_n[live], value[live]
+    weight = sw_n / n_s
+    return _running_sum(weight * value), n_s, weight, sw_n, st_n, value
+
+
+def _didm_reducer(panel: PanelDataset, target: int):
+    """The DID_M estimate as a function of per-group draw counts (see
+    :func:`_reduce`); None when no switcher is left."""
+    strata = _strata(panel, target)
+
+    def estimate(counts: np.ndarray | None) -> float | None:
+        value, n_s = _reduce(strata, counts)[:2]
+        return value if n_s else None
+    return estimate
 
 
 def find_switchers(panel: PanelDataset, target: int) -> SwitcherSet:
     """Cells whose target treatment changes between consecutive periods and
     that have a matching stayer; unusable switching cells are reported."""
     strata = _strata(panel, target)
+    n_s = _reduce(strata)[1]
     G = panel.n_groups
+    kept = strata.cells[:strata.n_kept]
     cells = tuple(
         SwitcherCell(group=panel.group_labels[i % G],
                      period=panel.period_labels[i // G + 1],
                      direction="up" if k[-1] > k[-2] else "down",
                      baseline=tuple(k[1:-2]), target_from=k[-2], target_to=k[-1],
                      n=float(panel.n[i % G, i // G + 1]))
-        for i, k in zip(strata.kept.tolist(), strata.key[strata.stratum].tolist()))
-    return SwitcherSet(cells=cells, n_s=strata.n_s, dropped=strata.dropped)
+        for i, k in zip(kept.tolist(), strata.key[strata.bins[:kept.size]].tolist()))
+    return SwitcherSet(cells=cells, n_s=n_s, lost=strata.lost)
 
 
 def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmResult:
@@ -201,17 +309,16 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
         raise NonBinaryTreatment("target treatment is not binary and binary_only "
                                  "was requested")
     strata = _strata(panel, target)
-    weight = strata.n_switchers / strata.n_s
+    estimate, n_s, weight, sw_n, st_n, value = _reduce(strata)
     components = tuple(
         DidmComponent(period=panel.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
                       direction="up" if k[-1] > k[-2] else "down",
-                      target_from=k[-2], target_to=k[-1], n_switchers=sw_n,
-                      n_stayers=st_n, value=value, weight=w)
-        for k, sw_n, st_n, value, w in zip(
-            strata.key.tolist(), strata.n_switchers.tolist(),
-            strata.n_stayers.tolist(), strata.value.tolist(), weight.tolist()))
-    return DidmResult(estimate=_running_sum(weight * strata.value), n_s=strata.n_s,
-                      components=components, dropped=strata.dropped)
+                      target_from=k[-2], target_to=k[-1], n_switchers=sw,
+                      n_stayers=st, value=v, weight=w)
+        for k, sw, st, v, w in zip(strata.key.tolist(), sw_n.tolist(), st_n.tolist(),
+                                   value.tolist(), weight.tolist()))
+    return DidmResult(estimate=estimate, n_s=n_s, components=components,
+                      lost=strata.lost)
 
 
 def delta_s_oracle(synthetic, target: int) -> float:

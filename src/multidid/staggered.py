@@ -142,17 +142,19 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
 
 
 def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
-               cap: np.ndarray | int, ell: int, placebo: bool) -> list[tuple]:
+               cap: np.ndarray | int, ell: int, placebo: bool,
+               n: np.ndarray | None = None) -> list[tuple]:
     """Adopter-versus-not-yet contrasts at horizon ``ell``, as the module defines.
 
     Each arm is summed per (cohort, date) with ``np.bincount`` over groups in
-    index order. Returns ``(cohort, date, value, n_treated, n_control)`` for
-    the pairs where both arms are non-empty, in (cohort, date) order.
+    index order, with cell sizes ``n`` (default: the panel's). Returns
+    ``(cohort, date, value, n_treated, n_control)`` for the pairs where both
+    arms have positive size, in (cohort, date) order.
     """
     T = panel.n_periods
     t = np.arange(ell + 2 + placebo, T + 1)
     hi, lo = (t - ell - 2, t - ell - 3) if placebo else (t - 1, t - ell - 2)
-    n_t = panel.n[:, t - 1]
+    n_t = (panel.n if n is None else n)[:, t - 1]
     dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
     adopter = (adopt > cohort + placebo) & (adopt + ell <= cap)
     treated = adopter[:, None] & (adopt[:, None] == t - ell)
@@ -172,13 +174,12 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
                     n_tr[hit].tolist(), n_co[hit].tolist()))
 
 
-def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
-    """Validate the consecutive staggered design and compute its cohort structure."""
-    f1, f2 = _validate_consecutive(panel, first, second)
-    cohorts = {int(f): tuple(np.flatnonzero(f1 == f).tolist()) for f in np.unique(f1)}
+def _reach(f1: np.ndarray, f2: np.ndarray) -> tuple[dict[int, int], dict[int, int]]:
+    """``nt`` and ``l_nt_f`` of :class:`CohortStructure` for the eligible
+    cohorts; raises PathologicalDesign when there is none."""
     nt: dict[int, int] = {}
     l_nt_f: dict[int, int] = {}
-    for f in cohorts:
+    for f in np.unique(f1).tolist():
         later = np.unique(f2[(f1 == f) & (f2 > f)])
         if later.size >= 2:
             nt[f] = int(later[-1]) - 1
@@ -188,6 +189,14 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
             "no cohort has two distinct second-treatment adoption dates after "
             "its first-treatment adoption date"
         )
+    return nt, l_nt_f
+
+
+def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
+    """Validate the consecutive staggered design and compute its cohort structure."""
+    f1, f2 = _validate_consecutive(panel, first, second)
+    cohorts = {int(f): tuple(np.flatnonzero(f1 == f).tolist()) for f in np.unique(f1)}
+    nt, l_nt_f = _reach(f1, f2)
     l_nt = max(l_nt_f.values())
     n_ell = {ell: sum(n_tr for _, _, _, n_tr, _ in
                       _contrasts(panel, f2, f1, panel.n_periods, ell, placebo=False))
@@ -197,26 +206,26 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
                            l_nt_f=l_nt_f, l_nt=l_nt, n_ell=n_ell)
 
 
-def _check_horizon(structure: CohortStructure, ell: int) -> None:
-    if not 0 <= ell <= structure.l_nt:
-        raise HorizonOutOfRange(
-            f"horizon {ell} outside the estimable range 0..{structure.l_nt}"
-        )
+def _check_horizon(l_nt: int, ell: int) -> None:
+    if not 0 <= ell <= l_nt:
+        raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
 
 
 def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-             cap: np.ndarray | int, ell: int, placebo: bool):
+             cap: np.ndarray | int, ell: int, placebo: bool,
+             n: np.ndarray | None = None):
     """Horizon ``ell`` of a cohort event study, None where no contrast exists.
 
-    Calls :func:`_contrasts` once; returns the placebo mean if ``placebo``,
-    else the estimate and its components, weighted by adopter size.
+    Calls :func:`_contrasts` once, with cell sizes ``n`` (default: the
+    panel's); returns the placebo mean if ``placebo``, else the estimate and
+    its components, weighted by adopter size.
     ``cohort=None`` puts all groups in one cohort dated period 1, so any
     group adopting from period 2 on is an adopter; components are then
     labelled by adoption date instead of cohort date.
     """
     one_cohort = cohort is None
     raw = _contrasts(panel, adopt, np.ones_like(adopt) if one_cohort else cohort,
-                     cap, ell, placebo)
+                     cap, ell, placebo, n)
     if not raw:
         return None
     n_ell = sum(n_tr for _, _, _, n_tr, _ in raw)
@@ -237,16 +246,30 @@ def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
 def did_ell(panel: PanelDataset, structure: CohortStructure,
             ell: int) -> tuple[float, tuple[HorizonComponent, ...]]:
     """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
-    _check_horizon(structure, ell)
+    _check_horizon(structure.l_nt, ell)
     # every horizon in 0..l_nt has a contrast, so this is never None
     return _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
                     placebo=False)
 
 
+def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
+    """:func:`did_ell` as a function of per-group draw counts: a bootstrap
+    draw is the panel with cell sizes ``counts[g] * n`` (None: one copy of
+    each group), and only the drawn groups decide which cohorts are eligible."""
+    f1, f2 = _validate_consecutive(panel, first, second)
+
+    def estimate(counts: np.ndarray | None) -> float:
+        drawn = slice(None) if counts is None else counts > 0
+        _check_horizon(max(_reach(f1[drawn], f2[drawn])[1].values()), ell)
+        n = None if counts is None else counts[:, None] * panel.n
+        return _horizon(panel, f2, f1, panel.n_periods, ell, placebo=False, n=n)[0]
+    return estimate
+
+
 def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> float:
     """Pre-adoption analogue of :func:`did_ell`; expectation zero under the
     common-evolution assumption on the first treatment's effect."""
-    _check_horizon(structure, ell)
+    _check_horizon(structure.l_nt, ell)
 
     def pre(l):
         return _horizon(panel, structure.f2, structure.f1, panel.n_periods, l,

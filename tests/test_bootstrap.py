@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import multidid as m
+from multidid.bootstrap import _DEGENERATE, _evaluate, _reducer
 from multidid.errors import AllReplicationsDegenerate
+
+from .conftest import make_random_panel, random_staggered_spec
 
 
 def _noisy_panel(seed=50):
@@ -86,3 +89,77 @@ def test_replicates_hidden_by_default():
     result = m.bootstrap_se(_noisy_panel(), "twfe", 5, 1, target=0)
     assert result.replicates is None
     assert result.to_dict()["replicates"] is None
+
+
+def _defined(f, *args):
+    try:
+        return f(*args)
+    except _DEGENERATE:
+        return None
+
+
+def _replicates_match_the_copy_path(panel, estimator, rng, **kwargs):
+    """Compare count-weighted replicates with the estimator on copied panels,
+    for random draws and draws of one or two groups; returns the largest
+    relative difference and the number of degenerate draws."""
+    args = (kwargs.get("target", 0), kwargs.get("first", 0), kwargs.get("second", 1),
+            kwargs.get("ell", 0))
+    G = panel.n_groups
+    estimate = _reducer(panel, estimator, *args)
+    point = _defined(estimate, None)
+    assert point == _defined(_evaluate, panel, estimator, *args)  # bit for bit
+    draws = [rng.integers(0, G, size=G) for _ in range(12)]
+    draws += [np.zeros(G, int), np.full(G, G - 1), np.arange(G) % 2]
+    worst, degenerate = 0.0, 0
+    for draw in draws:
+        copied = _defined(_evaluate, panel.with_groups(draw.tolist(), range(G)),
+                          estimator, *args)
+        counted = _defined(estimate, np.bincount(draw, minlength=G).astype(float))
+        assert (copied is None) == (counted is None)
+        if copied is None:
+            degenerate += 1
+            continue
+        worst = max(worst, abs(copied - counted) / max(1.0, abs(copied), abs(counted)))
+    assert worst <= 1e-12
+    return degenerate
+
+
+@pytest.mark.parametrize("estimator", ["twfe", "didm"])
+def test_count_weighted_replicates_match_the_copy_path(estimator):
+    rng = np.random.default_rng(808)
+    degenerate = 0
+    for i in range(40):
+        panel = make_random_panel(rng, g_max=9, t_max=6, k_max=3,
+                                  integer_sizes=i % 2 == 0)
+        if i % 4 == 3:  # ordered treatment values
+            panel = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y,
+                                   panel.n, np.minimum(panel.d * 2 + panel.d[:1], 2.0))
+        target = int(rng.integers(0, panel.n_treatments))
+        degenerate += _replicates_match_the_copy_path(panel, estimator, rng,
+                                                      target=target)
+    assert degenerate > 0
+
+
+def test_count_weighted_did_ell_replicates_match_the_copy_path():
+    rng = np.random.default_rng(809)
+    degenerate = 0
+    for _ in range(25):
+        panel = m.generate(random_staggered_spec(rng)).panel
+        structure = m.build_cohorts(panel, 0, 1)
+        for ell in range(structure.l_nt + 1):
+            degenerate += _replicates_match_the_copy_path(panel, "did_ell", rng, ell=ell)
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("estimator", ["didm", "twfe"])
+def test_replicates_whose_sizes_overflow_are_degenerate(estimator):
+    # the sizes sum to 1.59e308; a draw with group 0 twice passes the float range
+    d = np.array([[[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 0]]], dtype=float)
+    y = np.array([[0, 1, 2], [0, 0.5, 0.2], [1, 0, 2], [0, 1, 1]], dtype=float)
+    n = np.full((4, 3), 1e306)
+    n[0] = 5e307
+    panel = m.PanelDataset(range(4), range(3), y, n, d)
+    result = m.bootstrap_se(panel, estimator, 20, 0, target=0, keep_replicates=True)
+    assert result.n_degenerate > 0
+    assert result.n_retained + result.n_degenerate == 20
+    assert all(np.isfinite(result.replicates))

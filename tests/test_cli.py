@@ -73,6 +73,25 @@ def test_didm_no_switchers_warning(capsys, tmp_path):
     assert "no usable switcher" in err
 
 
+def test_didm_dropped_cell_warnings_are_pinned(capsys, tmp_path):
+    # a: up at 2 (matched by b), down at 3 with no treated stayer; b: stayer;
+    # c: up at 2 while d2 moves; d: up at 3 under d2 with no such stayer
+    path = tmp_path / "drops.csv"
+    path.write_text("g,t,y,d1,d2\n"
+                    "a,1,0,0,0\na,2,1,1,0\na,3,0,0,0\n"
+                    "b,1,0,0,0\nb,2,0,0,0\nb,3,0,0,0\n"
+                    "c,1,0,0,0\nc,2,2,1,1\nc,3,2,1,1\n"
+                    "d,1,0,0,1\nd,2,0,0,1\nd,3,3,1,1\n")
+    for output in ("json", "csv"):
+        code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d1",
+                              "--output", output)
+        assert code == 0
+        assert err == (
+            "warning: dropped switching cell g='c' t=2 (other_treatment_changed)\n"
+            "warning: dropped switching cell g='a' t=3 (no_matching_stayer)\n"
+            "warning: dropped switching cell g='d' t=3 (no_matching_stayer)\n")
+
+
 def test_missing_treatment_column_exit_code(capsys, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("g,t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n2,2,0,0\n")

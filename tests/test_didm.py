@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import multidid as m
+from multidid.didm import DroppedSwitcher, _pack
 from multidid.errors import NonBinaryTreatment, NonFiniteValue
 
 from .conftest import make_random_panel
@@ -208,3 +209,25 @@ def test_overflow_is_refused_with_the_cell(rows, message):
     for estimator in (m.didm, m.find_switchers):
         with pytest.raises(NonFiniteValue, match=f"^{re.escape(message)}$"):
             estimator(panel, 0)
+
+
+def test_packed_keys_sort_and_group_as_the_rows():
+    # six columns of 2000 distinct values pass 2**62 in mixed radix, so the
+    # packing has to re-code the key densely on the way
+    rng = np.random.default_rng(105)
+    rows = np.column_stack([rng.integers(0, 9, 4000)]
+                           + [rng.choice(rng.standard_normal(2000), 4000) for _ in range(6)])
+    rows[1::2] = rows[::2]  # every row twice
+    packed = _pack(rows[:, 0].astype(np.intp), 9, rows[:, 1:].T)
+    _, want = np.unique(rows, axis=0, return_inverse=True)
+    _, got = np.unique(packed, return_inverse=True)
+    assert np.array_equal(got, want)
+
+
+def test_dropped_records_are_built_when_read():
+    result = m.didm(_matched_switcher_panel(), 0)
+    assert "records" not in vars(result.lost)
+    assert result.n_dropped == 1
+    assert "records" not in vars(result.lost)
+    assert result.dropped == (DroppedSwitcher(3, 2, "no_matching_stayer"),)
+    assert result.dropped is result.lost.records
