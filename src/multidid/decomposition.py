@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CollinearTreatments, DegenerateDenominator
+from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
 from .panel import PanelDataset
 
 RANK_RTOL = 1e-10
@@ -212,13 +212,18 @@ def _partial(n: np.ndarray, d: np.ndarray, total_n: float,
 def _coefficient(n: np.ndarray, y: np.ndarray, d_target: np.ndarray,
                  eps: np.ndarray, total_n: float) -> float:
     """``sum(n * eps * y) / sum(n * eps * d_target)``, refusing a numerically
-    zero denominator."""
-    denom = float(np.sum(n * eps * d_target))
+    zero denominator and sums past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ne = n * eps
+        denom = float(np.sum(ne * d_target))
+        numer = float(np.sum(ne * y))
     if abs(denom) < 1e-12 * total_n:
         raise DegenerateDenominator(
             "partialled treatment has numerically zero weighted variance"
         )
-    return float(np.sum(n * eps * y)) / denom
+    if not (np.isfinite(denom) and np.isfinite(numer)):
+        raise NonFiniteValue(f"sum(n * eps * {'y' if np.isfinite(denom) else 'd'}) overflows")
+    return numer / denom
 
 
 def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:

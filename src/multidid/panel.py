@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import re
 import warnings
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .errors import (
     DuplicateCell,
     InsufficientVariation,
     MissingColumn,
+    MultiDidError,
     NonBinaryTreatment,
     NonFiniteValue,
     NonPositiveWeight,
@@ -217,38 +219,54 @@ def load_panel(rows: Sequence[Sequence], n_treatments: int,
     if set(map(len, rows)) - {width}:
         raise ValueError("rows have inconsistent lengths")
     fields = (0, 1, 2, 3 if width == 4 + k else None, *range(width - k, width))
-    return _ingest(rows, fields, "rows[{}]".format, lambda s: s, binary_required)
+    where = "rows[{}]".format
+    return _ingest(*_columns(rows, fields, where), where, lambda s: s, binary_required)
 
 
-def _ingest(records, fields, where, parse, binary_required: bool) -> PanelDataset:
-    """The one ingestion step of both readers: ``fields`` are the positions of g,
-    t, y, n (None: sizes of 1), d_1..d_K in a record; ``where(i)`` names row i."""
-    if not records:
+def _columns(records, fields, where) -> tuple[list, Iterable]:
+    """The label columns of ``records`` and a lazy float column per value field:
+    ``fields`` are the positions of g, t, y, n (None: sizes of 1), d_1..d_K in a
+    record; ``where(i)`` names record i."""
+    labels = [list(map(itemgetter(j), records)) for j in fields[:2]]
+    return labels, (None if j is None else _floats(records, j, where) for j in fields[2:])
+
+
+def _floats(records, j: int, where) -> np.ndarray:
+    rest = iter(records)
+    try:
+        return np.fromiter(map(float, map(itemgetter(j), rest)), float)
+    except ValueError as exc:  # float failed on the record just before ``rest``
+        i = len(records) - length_hint(rest) - 1
+        raise ValueError(f"{where(i)}: cannot parse row: {exc}") from None
+
+
+def _ingest(labels, values, where, parse, binary_required: bool) -> PanelDataset:
+    """The one ingestion step of every reader: ``labels`` are the group and
+    period columns; ``values`` yields the float columns of y, n (None: sizes of
+    1) and d_1..d_K, taken one by one after the label and cell checks;
+    ``where(i)`` names row i."""
+    if not labels[0]:
         raise InsufficientVariation("no rows supplied")
-    raw = [list(map(itemgetter(j), records)) for j in fields[:2]]
     (groups, gi), (periods, ti) = (_sorted_labels(column, what, parse, where)
-                                   for column, what in zip(raw, ("group", "period")))
+                                   for column, what in zip(labels, ("group", "period")))
     G, T = len(groups), len(periods)
     flat = gi * T + ti
     counts = np.bincount(flat, minlength=G * T)
     if counts.max() > 1:  # name the first row that repeats an earlier cell
         first = np.unique(flat, return_index=True)[1]
         i = int(np.setdiff1d(np.arange(flat.size), first)[0])
-        g, t = (parse(column[i]) for column in raw)
+        g, t = (parse(column[i]) for column in labels)
         raise DuplicateCell(f"duplicate cell for group={g!r}, period={t!r}")
     if (missing := np.flatnonzero(counts == 0)).size:
         gi, ti = divmod(int(missing[0]), T)
         raise UnbalancedPanel(f"{missing.size} missing cell(s), first: "
                               f"group={groups[gi]!r}, period={periods[ti]!r}")
-    grid = np.ones((len(fields) - 2, G, T))
-    try:
-        for row, j in zip(grid, fields[2:]):
-            if j is not None:
-                rest = iter(records)
-                row.flat[flat] = np.fromiter(map(float, map(itemgetter(j), rest)), float)
-    except ValueError as exc:  # float failed on the record just before ``rest``
-        i = len(records) - length_hint(rest) - 1
-        raise ValueError(f"{where(i)}: cannot parse row: {exc}") from None
+    grid = []
+    for column in values:
+        cells = np.ones(G * T)
+        if column is not None:
+            cells[flat] = column
+        grid.append(cells.reshape(G, T))
     panel = PanelDataset(groups, periods, grid[0], grid[1], grid[2:])
     if binary_required and not panel.binary_treatments:
         k, gi, ti = np.argwhere(~np.isin(panel.d, (0.0, 1.0)))[0]
@@ -307,46 +325,106 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     Column names are matched case-insensitively; ``n`` is optional. When
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
     numeric order. Extra columns are ignored with a warning listing them.
+
+    The file's text is read once. A text with no ``"`` has its body tokenized
+    by numpy's C reader; quoted text, and any body numpy refuses or whose panel
+    would be refused, goes through the ``csv`` module's records, which alone
+    name defects. Both accept the same files with the same value bits: numpy
+    parses a field only if Python's ``float`` gives that very value, and labels
+    stay plain ``str`` until each distinct spelling is parsed. A field longer
+    than ``csv.field_size_limit()`` is refused with a ValueError naming its line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("empty file, header row required") from None
-        lower = [h.strip().lower() for h in header]
-        pos = {name: i for i, name in enumerate(lower)}
-        for required in ("g", "t", "y"):
-            if required not in pos:
-                raise MissingColumn(f"required column {required!r} not found")
-        if treatment_cols is None:
-            found = [(int(m.group(1)), name) for name in lower
-                     if (m := _TREATMENT_PATTERN.match(name))]
-            if not found:
-                raise MissingColumn("no treatment columns (d1, d2, ...) found")
-            tcols = [name for _, name in sorted(found)]
-        else:
-            tcols = [c.strip().lower() for c in treatment_cols]
-            for c in tcols:
-                if c not in pos:
-                    raise MissingColumn(f"treatment column {c!r} not found")
-        used = {"g", "t", "y", "n"} | set(tcols)
-        extra = [header[i] for i, name in enumerate(lower) if name not in used]
-        if extra:
-            warnings.warn(f"ignoring extra column(s): {', '.join(extra)}",
-                          stacklevel=2)
-        fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
-        last = max(j for j in fields if j is not None)
-        records, lines = [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if any(map(str.strip, rec)):
-                if len(rec) <= last:
-                    raise ValueError(f"line {lineno}: cannot parse row: "
-                                     "list index out of range")
-                records.append(rec)
-                lines.append(lineno)
-    return _ingest(records, fields, lambda i: f"line {lines[i]}",
-                   functools.cache(_parse_label), binary_required)
+            text = fh.read()
+        except UnicodeDecodeError:  # read as a stream, header defects come first
+            fh.seek(0)
+            return _read_records(fh, treatment_cols, binary_required)
+    return _read_records(io.StringIO(text, newline=""), treatment_cols,
+                         binary_required, plain=_plain(text))
+
+
+def _plain(text: str) -> bool:
+    """Whether numpy may tokenize ``text``: no quotes (where two tokenizers can
+    disagree), a line after the header (else numpy warns of no data), and no
+    field that may pass ``csv.field_size_limit()``, which the records name. Such
+    a field fills a whole block of half the limit with no separator."""
+    block = max(1, (csv.field_size_limit() + 1) // 2)
+    return ('"' not in text and re.search("[\r\n][^\r\n]", text) is not None
+            and all(any(text.find(sep, i, i + block) >= 0 for sep in ",\r\n")
+                    for i in range(0, len(text) - block + 1, block)))
+
+
+def _csv_records(lines):
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_records(lines, treatment_cols, binary_required: bool,
+                  plain: bool = False) -> PanelDataset:
+    """The header, then the body: numpy's when ``plain``, else, or when numpy
+    refuses it or its panel, the ``csv`` module's records of ``lines``."""
+    records = _csv_records(lines)
+    header = next(records, None)
+    if header is None:
+        raise MissingColumn("empty file, header row required")
+    lower = [h.strip().lower() for h in header]
+    pos = {name: i for i, name in enumerate(lower)}
+    for required in ("g", "t", "y"):
+        if required not in pos:
+            raise MissingColumn(f"required column {required!r} not found")
+    if treatment_cols is None:
+        found = [(int(m.group(1)), name) for name in lower
+                 if (m := _TREATMENT_PATTERN.match(name))]
+        if not found:
+            raise MissingColumn("no treatment columns (d1, d2, ...) found")
+        tcols = [name for _, name in sorted(found)]
+    else:
+        tcols = [c.strip().lower() for c in treatment_cols]
+        for c in tcols:
+            if c not in pos:
+                raise MissingColumn(f"treatment column {c!r} not found")
+    used = {"g", "t", "y", "n"} | set(tcols)
+    extra = [header[i] for i, name in enumerate(lower) if name not in used]
+    if extra:
+        warnings.warn(f"ignoring extra column(s): {', '.join(extra)}", stacklevel=3)
+    fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
+    parse = functools.cache(_parse_label)
+    if plain:
+        body = lines.tell()
+        try:
+            return _read_plain(lines, fields, parse, binary_required)
+        except (ValueError, MultiDidError):  # the records name the defect
+            lines.seek(body)
+    last = max(j for j in fields if j is not None)
+    kept, linenos = [], []
+    for lineno, rec in enumerate(records, start=2):
+        if any(map(str.strip, rec)):
+            if len(rec) <= last:
+                raise ValueError(f"line {lineno}: cannot parse row: "
+                                 "list index out of range")
+            kept.append(rec)
+            linenos.append(lineno)
+
+    def where(i):
+        return f"line {linenos[i]}"
+    return _ingest(*_columns(kept, fields, where), where, parse, binary_required)
+
+
+def _read_plain(lines, fields, parse, binary_required: bool) -> PanelDataset:
+    """The body in one pass of numpy's C tokenizer. Labels are read as ``str``
+    objects: a fixed-width string array would hold the longest label's width
+    for every row."""
+    used = sorted({j for j in fields if j is not None})
+    table = np.loadtxt(lines, dtype=[(str(j), object if j in fields[:2] else float)
+                                     for j in used],
+                       delimiter=",", comments=None, usecols=used, ndmin=1)
+    labels = [table[str(j)].tolist() for j in fields[:2]]
+    values = [None if j is None else np.asarray(table[str(j)], float) for j in fields[2:]]
+    return _ingest(labels, values, str, parse, binary_required)
 
 
 def _parse_label(text: str):

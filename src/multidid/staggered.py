@@ -32,6 +32,7 @@ mixed-order applications.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
     HorizonOutOfRange,
     InsufficientPrePeriods,
     NoControls,
+    NonFiniteValue,
     NotStaggered,
     PathologicalDesign,
     WrongOrder,
@@ -155,7 +157,8 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     t = np.arange(ell + 2 + placebo, T + 1)
     hi, lo = (t - ell - 2, t - ell - 3) if placebo else (t - 1, t - ell - 2)
     n_t = (panel.n if n is None else n)[:, t - 1]
-    dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
     adopter = (adopt > cohort + placebo) & (adopt + ell <= cap)
     treated = adopter[:, None] & (adopt[:, None] == t - ell)
     keys = cohort[:, None] * (T + 1) + t
@@ -168,7 +171,8 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     n_tr, s_tr = arm(treated)
     n_co, s_co = arm(adopt[:, None] > t)
     hit = np.flatnonzero((n_tr > 0) & (n_co > 0))
-    value = s_tr[hit] / n_tr[hit] - s_co[hit] / n_co[hit]
+    with np.errstate(over="ignore", invalid="ignore"):  # _horizon refuses the result
+        value = s_tr[hit] / n_tr[hit] - s_co[hit] / n_co[hit]
     f, date = np.divmod(hit, T + 1)
     return list(zip(f.tolist(), date.tolist(), value.tolist(),
                     n_tr[hit].tolist(), n_co[hit].tolist()))
@@ -230,17 +234,21 @@ def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
         return None
     n_ell = sum(n_tr for _, _, _, n_tr, _ in raw)
     if placebo:
-        return float(sum(n_tr * value for _, _, value, n_tr, _ in raw) / n_ell)
-    labels = panel.period_labels
-    components = tuple(
-        HorizonComponent(cohort=labels[(t - ell if one_cohort else f) - 1],
-                         period=labels[t - 1], value=value, n_treated=n_tr,
-                         n_control=n_co, weight=n_tr / n_ell)
-        for f, t, value, n_tr, n_co in raw)
-    estimate = 0.0
-    for c in components:
-        estimate += c.weight * c.value
-    return float(estimate), components
+        estimate = float(sum(n_tr * value for _, _, value, n_tr, _ in raw) / n_ell)
+    else:
+        labels = panel.period_labels
+        components = tuple(
+            HorizonComponent(cohort=labels[(t - ell if one_cohort else f) - 1],
+                             period=labels[t - 1], value=value, n_treated=n_tr,
+                             n_control=n_co, weight=n_tr / n_ell)
+            for f, t, value, n_tr, n_co in raw)
+        estimate = 0.0
+        for c in components:
+            estimate += c.weight * c.value
+    if not math.isfinite(estimate):
+        raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
+                             f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
+    return estimate if placebo else (float(estimate), components)
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,

@@ -38,6 +38,20 @@ def make_random_panel(rng, g_max=20, t_max=10, k_max=3, noise=1.0,
     return m.PanelDataset(range(G), range(T), y, n, d)
 
 
+def overflowing_twfe_panel():
+    """Finite input whose TWFE numerator sum(n * eps * y) passes the float range."""
+    return m.load_panel([(1, 1, 0.0, 1e10, 0.0), (1, 2, 1e300, 1e10, 1.0),
+                         (2, 1, 0.0, 1e10, 0.0), (2, 2, -1e300, 1e10, 0.0),
+                         (3, 1, 0.0, 1e10, 0.0), (3, 2, 0.0, 1e10, 1.0)], 1)
+
+
+def overflowing_staggered_panel():
+    """The three-cohort example with outcomes times 1e299 and sizes times 1e10:
+    every adopter-versus-not-yet contrast overflows."""
+    p = m.three_cohort_example().panel
+    return m.PanelDataset(p.group_labels, p.period_labels, p.y * 1e299, p.n * 1e10, p.d)
+
+
 def degenerate_denominator_panel():
     """d1 equals d2 except at one cell whose size is 1e-14: d1 partialled on
     the fixed effects and d2 lives on that cell only, so its weighted

@@ -163,3 +163,24 @@ def test_replicates_whose_sizes_overflow_are_degenerate(estimator):
     assert result.n_degenerate > 0
     assert result.n_retained + result.n_degenerate == 20
     assert all(np.isfinite(result.replicates))
+
+
+@pytest.mark.parametrize("estimator", ["twfe", "did_ell"])
+def test_replicates_whose_products_overflow_are_degenerate(estimator):
+    # sizes near 1e300 leave the point estimate finite, but some draws put
+    # sum(n * eps * y) or n * (y - earlier y) past the float range
+    if estimator == "twfe":
+        d = np.array([[[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 0]]], dtype=float)
+        y = np.array([[0, 1, 2], [0, 0.5, 0.2], [1, 0, 2], [0, 1, 1]]) * 1.4e8
+        panels = [m.PanelDataset(range(4), range(3), y, np.full((4, 3), n), d)
+                  for n in (1.0, 1e300)]
+    else:
+        p = m.three_cohort_example().panel
+        panels = [m.PanelDataset(p.group_labels, p.period_labels, p.y * 1e7, p.n * n, p.d)
+                  for n in (1.0, 1e300)]
+    plain, huge = (m.bootstrap_se(panel, estimator, 20, 0, keep_replicates=True)
+                   for panel in panels)
+    assert huge.estimate == pytest.approx(plain.estimate, rel=1e-12)
+    assert huge.n_degenerate > plain.n_degenerate
+    assert huge.n_retained + huge.n_degenerate == 20
+    assert all(np.isfinite(huge.replicates))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 
 import numpy as np
@@ -9,7 +10,12 @@ from multidid import cli
 from multidid.cli import main
 from multidid.errors import InsufficientPrePeriods
 
-from .conftest import degenerate_denominator_panel, random_staggered_spec
+from .conftest import (
+    degenerate_denominator_panel,
+    overflowing_staggered_panel,
+    overflowing_twfe_panel,
+    random_staggered_spec,
+)
 
 
 def _run(capsys, *argv):
@@ -202,6 +208,48 @@ def test_degenerate_denominator_exit_code(capsys, tmp_path):
         assert code == 4
         assert out == ""
         assert "DegenerateDenominator" in err
+
+
+@pytest.mark.parametrize("panel, argv, message", [
+    (overflowing_twfe_panel, ["decompose", "--target", "d1"],
+     "sum(n * eps * y) overflows"),
+    (overflowing_twfe_panel, ["bootstrap", "--estimator", "twfe", "--target", "d1", "-B", "4"],
+     "sum(n * eps * y) overflows"),
+    (overflowing_staggered_panel, ["dynamic", "--first", "d1", "--second", "d2"],
+     "n * (y - earlier y) overflows in the estimate at horizon 0"),
+    (overflowing_staggered_panel, ["bootstrap", "--estimator", "did_ell", "--first", "d1",
+                                   "--second", "d2", "-B", "4"],
+     "n * (y - earlier y) overflows in the estimate at horizon 0"),
+], ids=["decompose", "bootstrap-twfe", "dynamic", "bootstrap-did_ell"])
+def test_overflowing_products_exit_code(capsys, tmp_path, panel, argv, message):
+    path = tmp_path / "overflow.csv"
+    m.write_panel_csv(panel(), path)
+    code, out, err = _run(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert (code, out, err) == (3, "", f"error: NonFiniteValue: {message}\n")
+
+
+@pytest.mark.parametrize("line, field", [(1, "g"), (3, "1"), (3, "0")])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_over_long_fields_are_refused_with_the_line(capsys, tmp_path, line, field, quoted):
+    """A field past the csv module's limit is refused, naming its line, whether
+    the file is quoted or not; one at the limit is read. The limit itself is
+    left as it was."""
+    limit = csv.field_size_limit()
+    lines = ["g,t,y,n,d1,note", "1,1,0,1,0,", "1,2,1,1,1,", "2,1,0,1,0,", "2,2,0,1,0,"]
+    for width, expected in [(limit, 0), (limit + 1, 1)]:
+        long = field.rjust(width) if field != "g" else field.ljust(width)
+        rows = [row.split(",") for row in lines]
+        rows[line - 1][0 if line == 1 else 5 if field == "0" else 0] = long
+        if quoted:
+            rows[1][5] = '"a, b"'
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(map(",".join, rows)) + "\n")
+        code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d1")
+        assert code == expected
+        if expected:
+            assert (out, err) == ("", f"error: ValueError: line {line}: "
+                                      f"field larger than field limit ({limit})\n")
+    assert csv.field_size_limit() == limit
 
 
 def test_bootstrap_subcommand(capsys, four_group_csv):

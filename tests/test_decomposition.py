@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 import multidid as m
-from multidid.errors import CollinearTreatments, DegenerateDenominator, NonBinaryTreatment
+from multidid.errors import (
+    CollinearTreatments,
+    DegenerateDenominator,
+    NonBinaryTreatment,
+    NonFiniteValue,
+)
 
-from .conftest import degenerate_denominator_panel, make_random_panel
+from .conftest import degenerate_denominator_panel, make_random_panel, overflowing_twfe_panel
 from .oracles import dense_dummy_fit
 
 
@@ -102,6 +107,13 @@ def test_degenerate_denominator():
         m.twfe_coefficient(panel, 0)
     with pytest.raises(DegenerateDenominator):
         m.decompose(panel, 0)
+
+
+def test_overflowing_numerator_is_refused():
+    panel = overflowing_twfe_panel()
+    for estimator in (m.twfe_coefficient, m.decompose):
+        with pytest.raises(NonFiniteValue, match=r"^sum\(n \* eps \* y\) overflows$"):
+            estimator(panel, 0)
 
 
 def test_orthogonality_invariants_random_panels():

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -310,3 +311,25 @@ def test_unorderable_label_text_is_independent_of_hash_seed(tmp_path):
         errs.add(run.stderr)
     assert errs == {"error: ValueError: group labels must be mutually orderable, "
                     "got labels of type int, str\n"}
+
+
+@pytest.mark.parametrize("header", ["g,t,y,d1", "h,t,y,d1"])
+def test_invalid_utf8_is_named_as_a_streaming_read_names_it(tmp_path, header):
+    """The whole text is read at once, but a byte that is not UTF-8 is named
+    as reading the file record by record names it: at its offset within the
+    chunk being decoded, and after any defect of the header."""
+    lines = [header] + [f"{g},{t},0.5,{int(t == 2 and g % 2)}" for g in range(1, 800)
+                        for t in (1, 2)]
+    raw = "\n".join(lines).encode()
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw[:12000] + b"\xff" + raw[12000:])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for _ in csv.reader(fh):
+                pass
+    except UnicodeDecodeError as exc:
+        streamed = exc
+    expected = (MissingColumn, "required column 'g' not found") if header[0] == "h" \
+        else (UnicodeDecodeError, str(streamed))
+    with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
+        m.read_panel_csv(path)

@@ -1,18 +1,25 @@
 """Property-based invariants of the weight decomposition, of the switcher
-estimator, of canonical values, of CSV round trips, of the staggered
-horizon path and of the bootstrap's parallelism."""
+estimator, of canonical values, of CSV round trips and the two CSV readers,
+of the staggered horizon path and of the bootstrap's parallelism."""
+
+import contextlib
+import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
+from multidid import panel as panel_mod
 from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
     InsufficientPrePeriods,
+    MultiDidError,
 )
 
 from .oracles import brute_force_didm, dense_dummy_fit, polyfit_linear_trends
@@ -290,6 +297,144 @@ def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
             for gi, g in enumerate(panel.group_labels)
             for ti, t in enumerate(panel.period_labels)]
     _assert_same_panel(m.load_panel(rows, panel.n_treatments), back)
+
+
+# -- the two CSV readers -----------------------------------------------------
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+LONG_LABEL = "a-group-label-longer-than-32-characters-"
+ODD_VALUES = ("1_000", "\uff11", "\xa01.5", "1e999", "nan", "-0.0", "5e-324", "", "x")
+ODD_LABELS = ("1e999", "nan", "zz", "a\x00", "\uff11")
+BLANKS = ("  ", ",,", " , ", "\t")
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, treatment columns, plain): a long CSV panel, then up to three
+    edits among blank and comma-only lines, quoted fields and label columns,
+    doubled-quote and mid-field quotes, ragged records, odd values and labels,
+    repeated and lost records, with any mix of line ends. ``plain`` marks
+    texts that numpy must read itself: no quotes, nothing only Python's float
+    accepts, no defect."""
+    K, G, T = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    names = draw(st.permutations(["g", "t", "y", "d1", "d2", "d3"][:3 + K]
+                                 + ["n"] * draw(st.booleans())
+                                 + ["note"] * draw(st.booleans())))
+    long_groups, mixed = draw(st.booleans()), draw(st.booleans())
+    spell = st.sampled_from(("{}", "{}.0", " {} "))  # one label, three spellings
+    spelled = {}
+
+    def label(column, i):
+        if column == "g" and long_groups:
+            return LONG_LABEL + str(i)
+        if mixed or (column, i) not in spelled:  # mixed: each record spells anew
+            spelled[column, i] = draw(spell).format(i)
+        return spelled[column, i]
+
+    def cell(g, t):
+        fields = {"g": label("g", g), "t": label("t", t), "y": repr(draw(CSV_VALUES)),
+                  "n": repr(draw(CSV_SIZES)), "note": draw(st.sampled_from(("", "x", "a b")))}
+        fields.update((f"d{k}", draw(st.sampled_from(("0", "1", "1.0", " 0 "))))
+                      for k in (1, 2, 3))
+        return [fields[name] for name in names]
+
+    rows = draw(st.permutations([cell(g, t) for g in range(1, G + 1)
+                                 for t in range(1, T + 1)]))
+    plain = True
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("blank", "odd blank", "quote", "quote labels",
+                                     "doubled quote", "mid quote", "ragged long", "short",
+                                     "value", "label", "repeat", "lose")))
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        j = draw(st.integers(0, max(len(row) - 1, 0)))
+        if edit in ("value", "label", "quote labels"):
+            j = names.index(draw(st.sampled_from(
+                [c for c in names if c not in ("g", "t", "note")] if edit == "value"
+                else ["g", "t"])))
+        plain &= edit == "blank" or edit == "ragged long" and len(row) == len(names)
+        if edit == "blank":
+            rows.insert(at, [""])
+        elif edit == "odd blank":
+            rows.insert(at, [draw(st.sampled_from(BLANKS))])
+        elif edit == "quote labels":  # numpy would keep the quotes in every label
+            for other in rows:
+                other[j:j + 1] = [f'"{v}"' for v in other[j:j + 1]]
+        elif edit == "ragged long":
+            row += ["", "extra"][:draw(st.integers(1, 2))]
+        elif edit == "short":
+            del row[-1]
+        elif edit == "repeat":
+            rows.insert(at, list(row))
+        elif edit == "lose":
+            del rows[at]
+        elif j >= len(row):  # an earlier edit shortened the record
+            pass
+        elif edit in ("value", "label"):
+            row[j] = draw(st.sampled_from(ODD_VALUES if edit == "value" else ODD_LABELS))
+        else:
+            row[j] = {"quote": f'"{row[j]}"', "doubled quote": f'"{row[j]}""q"',
+                      "mid quote": f'{row[j][:1]}"{row[j][1:]}'}[edit]
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, ends)))
+    treatments = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([f"D{k}" for k in range(1, K + 1)] + [" d1 "]),
+        min_size=1, max_size=K)))
+    return text, treatments, plain
+
+
+def _read_outcome(read, *args):
+    """What a reader gives: labels with their types and the value bits, or the
+    exception's class and message; plus the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            p = read(*args)
+        except (ValueError, MultiDidError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (p.group_labels, tuple(map(type, p.group_labels)), p.period_labels,
+                      tuple(map(type, p.period_labels)), p.d.shape,
+                      p.y.tobytes(), p.n.tobytes(), p.d.tobytes())
+    return result, [str(w.message) for w in caught]
+
+
+@contextlib.contextmanager
+def _numpy_reads():
+    """The panels numpy's path returns inside the block."""
+    real, panels = panel_mod._read_plain, []
+
+    def spy(*args):
+        panels.append(real(*args))
+        return panels[-1]
+    panel_mod._read_plain = spy
+    try:
+        yield panels
+    finally:
+        panel_mod._read_plain = real
+
+
+_LIMIT = csv.field_size_limit()
+
+
+@settings(max_examples=300)
+@given(csv_texts())
+@example((f"g,t,y,d1,note\n1,1,0,0,{'x' * (_LIMIT + 1)}\n", None, False))
+@example((f"g,t,y,d1\n{'1'.rjust(_LIMIT + 1)},1,0,0\n", None, False))
+@example((f"g,t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n{'2'.rjust(_LIMIT)},2,0,0\n", None, False))
+def test_numpy_reads_what_the_records_read(tmp_path_factory, case):
+    text, treatments, plain = case
+    path = tmp_path_factory.mktemp("readers") / "panel.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    with _numpy_reads() as fast:
+        got = _read_outcome(m.read_panel_csv, path, treatments)
+    want = _read_outcome(panel_mod._read_records, io.StringIO(text, newline=""),
+                         treatments, False)
+    assert got == want
+    assert fast or not plain
 
 
 # -- the staggered horizon path ----------------------------------------------

@@ -6,12 +6,13 @@ from multidid.errors import (
     HorizonOutOfRange,
     InsufficientPrePeriods,
     NoControls,
+    NonFiniteValue,
     NotStaggered,
     PathologicalDesign,
     WrongOrder,
 )
 
-from .conftest import random_staggered_spec
+from .conftest import overflowing_staggered_panel, random_staggered_spec
 from .oracles import brute_force_event_study
 
 
@@ -333,6 +334,18 @@ def test_structural_control_validity():
                     assert st.f1[g] == f
                 for g in controls:
                     assert st.f2[g] > t
+
+
+def test_overflowing_contrasts_are_refused():
+    panel = overflowing_staggered_panel()
+    structure = m.build_cohorts(panel, 0, 1)  # sizes alone: nothing overflows
+    assert structure.n_ell == {0: 2e10, 1: 1e10}
+    for call, what in [(lambda: m.did_ell(panel, structure, 0), "estimate"),
+                       (lambda: m.placebo_ell(panel, structure, 0), "placebo"),
+                       (lambda: m.second_treatment_effects(panel, 0, 1), "estimate")]:
+        with pytest.raises(NonFiniteValue, match=rf"^n \* \(y - earlier y\) overflows "
+                                                 rf"in the {what} at horizon 0$"):
+            call()
 
 
 def test_second_treatment_effects_wrapper(abc_staggered):
