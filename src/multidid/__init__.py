@@ -26,7 +26,6 @@ from .decomposition import (
 from .didm import DidmResult, SwitcherSet, delta_s_oracle, didm, find_switchers
 from .errors import MultiDidError
 from .panel import (
-    PanelCell,
     PanelDataset,
     aggregate_micro,
     load_panel,
@@ -69,7 +68,6 @@ __all__ = [
     "FirstStageResult",
     "MultiDidError",
     "OrderPartition",
-    "PanelCell",
     "PanelDataset",
     "SwitcherSet",
     "SyntheticPanel",

@@ -9,7 +9,7 @@ with one copy of each group for the point estimate and with the draw's
 counts for a replication.
 
 Replications where the estimator is undefined (no switcher survives,
-collinear treatments, the resampled design loses its cohort structure, the
+collinear treatments, the drawn groups hold no contrast at the horizon, the
 resampled sizes or sums pass the float range) are excluded from the
 standard error and counted; on the original panel the same errors
 propagate, so a flawed design reports its own error class and exit code.
@@ -34,9 +34,7 @@ from .errors import (
     AllReplicationsDegenerate,
     CollinearTreatments,
     DegenerateDenominator,
-    HorizonOutOfRange,
     NonFiniteValue,
-    PathologicalDesign,
 )
 from .panel import PanelDataset
 from .staggered import _did_ell_reducer, build_cohorts, did_ell
@@ -44,8 +42,7 @@ from .staggered import _did_ell_reducer, build_cohorts, did_ell
 ESTIMATORS = ("twfe", "didm", "did_ell")
 
 # the errors that make a replication degenerate
-_DEGENERATE = (CollinearTreatments, DegenerateDenominator, PathologicalDesign,
-               HorizonOutOfRange, NonFiniteValue)
+_DEGENERATE = (CollinearTreatments, DegenerateDenominator, NonFiniteValue)
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,11 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
             f"all {b} replications produced an undefined estimate"
         )
     degenerate = len(retained) < 2
-    se = 0.0 if degenerate else float(np.std(retained, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = 0.0 if degenerate else float(np.std(retained, ddof=1))
+    if not np.isfinite(se):
+        raise NonFiniteValue("the squared deviations of the bootstrap replicates "
+                             "pass the float range")
     return BootstrapResult(
         estimate=float(point), standard_error=se, n_replications=b,
         n_retained=len(retained), n_degenerate=b - len(retained),

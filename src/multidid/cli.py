@@ -296,14 +296,6 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
-def _default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multidid",
@@ -366,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=0, help="horizon (did_ell)")
     p.add_argument("-B", "--replications", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=_positive_int, default=_default_parallelism(),
+    # a string default goes through _positive_int like a command-line value
+    p.add_argument("--parallelism", type=_positive_int,
+                   default=os.environ.get(PARALLELISM_ENV, "1"),
                    help=f"worker count (default: ${PARALLELISM_ENV} or 1)")
     p.add_argument("--dump-replicates", action="store_true")
     p.set_defaults(func=_cmd_bootstrap)

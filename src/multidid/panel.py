@@ -33,7 +33,6 @@ import functools
 import io
 import re
 import warnings
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, length_hint
 from typing import Iterable, Sequence
@@ -71,17 +70,6 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     if np.array_equal(snapped, distinct):
         return values
     return snapped[np.searchsorted(distinct, values)]
-
-
-@dataclass(frozen=True)
-class PanelCell:
-    """One group observed in one period."""
-
-    group: object
-    period: object
-    y: float
-    n: float
-    d: tuple[float, ...]
 
 
 class PanelDataset:
@@ -150,12 +138,6 @@ class PanelDataset:
 
     def period_index(self, label) -> int:
         return self._period_index[label]
-
-    def cell(self, group, period) -> PanelCell:
-        gi = self._group_index[group]
-        ti = self._period_index[period]
-        return PanelCell(group, period, float(self.y[gi, ti]), float(self.n[gi, ti]),
-                         tuple(float(v) for v in self.d[:, gi, ti]))
 
     def treated_count(self, k: int) -> float:
         """Total size of the cells where treatment ``k`` is on (binary k)."""

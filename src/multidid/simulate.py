@@ -500,8 +500,8 @@ def decomposition_rhs(synthetic: SyntheticPanel, decomp) -> float:
 
 def delta_ell_oracle(synthetic: SyntheticPanel, structure: CohortStructure,
                      ell: int) -> float:
-    """True horizon-``ell`` effect of the second treatment, averaged over the
-    adopter cells the estimator uses, read off stored effects."""
+    """True horizon-``ell`` effect of the second treatment, read off stored
+    effects and averaged over the adopter cells that have in-cohort controls."""
     if synthetic.second_effect is None:
         raise MissingPotentialOutcomes(
             "staggered potential outcomes are not stored for this panel"
@@ -510,17 +510,17 @@ def delta_ell_oracle(synthetic: SyntheticPanel, structure: CohortStructure,
         raise HorizonOutOfRange(
             f"horizon {ell} outside the estimable range 0..{structure.l_nt}"
         )
-    panel = synthetic.panel
-    f2 = structure.f2
-    total = 0.0
-    for f in structure.eligible:
-        if f not in structure.l_nt_f:
-            continue
-        for t in range(ell + f + 1, structure.nt[f] + 1):
-            for g in structure.cohorts[f]:
-                if f2[g] == t - ell:
-                    total += panel.n[g, t - 1] * synthetic.second_effect_at(g, ell)
-    return float(total / structure.n_ell[ell])
+    f2, n = structure.f2.tolist(), synthetic.panel.n
+    total = size = 0.0
+    for f in np.unique(structure.f1).tolist():
+        cohort = np.flatnonzero(structure.f1 == f).tolist()
+        # the dates before the cohort's last second adoption have controls
+        for t in range(ell + f + 1, max(f2[g] for g in cohort)):
+            adopters = [g for g in cohort if f2[g] == t - ell]
+            size += sum(n[g, t - 1] for g in adopters)
+            for g in adopters:
+                total += n[g, t - 1] * synthetic.second_effect_at(g, ell)
+    return float(total / size)
 
 
 def standard_did_residual_closed_form(n: np.ndarray, g1: int, t1: int,

@@ -51,27 +51,17 @@ from .panel import PanelDataset
 
 @dataclass(frozen=True)
 class CohortStructure:
-    """Adoption dates and cohort bookkeeping for the two staggered treatments.
+    """Adoption dates of the two staggered treatments and the horizon range.
 
-    Dates are 1-based dense period indices, with T + 1 meaning "never".
-    ``eligible`` lists the cohorts whose groups have at least two distinct
-    second-adoption dates strictly after the cohort date, T + 1 counting as
-    one; ``nt[f]`` is the last date at which some cohort-f group is still
-    unadopted, ``l_nt_f[f] >= 0`` the largest horizon estimable inside
-    cohort f, and ``n_ell[l]`` the total adopter size reaching horizon l
-    with a valid in-cohort comparison.
+    Dates are 1-based dense period indices, with T + 1 meaning "never", and
+    ``l_nt`` is the largest horizon estimable inside some eligible cohort.
     """
 
     first: int
     second: int
     f1: np.ndarray
     f2: np.ndarray
-    cohorts: dict[int, tuple[int, ...]]
-    eligible: tuple[int, ...]
-    nt: dict[int, int]
-    l_nt_f: dict[int, int]
     l_nt: int
-    n_ell: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -178,36 +168,23 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
                     n_tr[hit].tolist(), n_co[hit].tolist()))
 
 
-def _reach(f1: np.ndarray, f2: np.ndarray) -> tuple[dict[int, int], dict[int, int]]:
-    """``nt`` and ``l_nt_f`` of :class:`CohortStructure` for the eligible
-    cohorts; raises PathologicalDesign when there is none."""
-    nt: dict[int, int] = {}
-    l_nt_f: dict[int, int] = {}
-    for f in np.unique(f1).tolist():
-        later = np.unique(f2[(f1 == f) & (f2 > f)])
-        if later.size >= 2:
-            nt[f] = int(later[-1]) - 1
-            l_nt_f[f] = nt[f] - int(later[0])
-    if not nt:
+def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
+    """Validate the consecutive staggered design and compute its cohort
+    structure; raises PathologicalDesign when no cohort is eligible."""
+    f1, f2 = _validate_consecutive(panel, first, second)
+    # per cohort date: the last and first second-adoption dates after it
+    later = f2 > f1
+    last = np.zeros(panel.n_periods + 2, dtype=f2.dtype)
+    first_later = np.full_like(last, panel.n_periods + 2)
+    np.maximum.at(last, f1[later], f2[later])
+    np.minimum.at(first_later, f1[later], f2[later])
+    l_nt = int((last - first_later).max()) - 1
+    if l_nt < 0:
         raise PathologicalDesign(
             "no cohort has two distinct second-treatment adoption dates after "
             "its first-treatment adoption date"
         )
-    return nt, l_nt_f
-
-
-def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
-    """Validate the consecutive staggered design and compute its cohort structure."""
-    f1, f2 = _validate_consecutive(panel, first, second)
-    cohorts = {int(f): tuple(np.flatnonzero(f1 == f).tolist()) for f in np.unique(f1)}
-    nt, l_nt_f = _reach(f1, f2)
-    l_nt = max(l_nt_f.values())
-    n_ell = {ell: sum(n_tr for _, _, _, n_tr, _ in
-                      _contrasts(panel, f2, f1, panel.n_periods, ell, placebo=False))
-             for ell in range(l_nt + 1)}
-    return CohortStructure(first=first, second=second, f1=f1, f2=f2,
-                           cohorts=cohorts, eligible=tuple(nt), nt=nt,
-                           l_nt_f=l_nt_f, l_nt=l_nt, n_ell=n_ell)
+    return CohortStructure(first=first, second=second, f1=f1, f2=f2, l_nt=l_nt)
 
 
 def _check_horizon(l_nt: int, ell: int) -> None:
@@ -263,14 +240,16 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
     """:func:`did_ell` as a function of per-group draw counts: a bootstrap
     draw is the panel with cell sizes ``counts[g] * n`` (None: one copy of
-    each group), and only the drawn groups decide which cohorts are eligible."""
-    f1, f2 = _validate_consecutive(panel, first, second)
+    each group). A draw has a contrast at ``ell`` exactly when ``ell`` is at
+    most its drawn groups' ``l_nt``; the estimate is None where it has none."""
+    structure = build_cohorts(panel, first, second)
+    _check_horizon(structure.l_nt, ell)
 
-    def estimate(counts: np.ndarray | None) -> float:
-        drawn = slice(None) if counts is None else counts > 0
-        _check_horizon(max(_reach(f1[drawn], f2[drawn])[1].values()), ell)
+    def estimate(counts: np.ndarray | None) -> float | None:
         n = None if counts is None else counts[:, None] * panel.n
-        return _horizon(panel, f2, f1, panel.n_periods, ell, placebo=False, n=n)[0]
+        effect = _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
+                          placebo=False, n=n)
+        return None if effect is None else effect[0]
     return estimate
 
 
@@ -394,16 +373,21 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
     w = np.where((x >= f1[fit, None]) & (x < f2[fit, None]), panel.n[fit], 0.0)
     sw = w.sum(axis=1)
     y = panel.y[fit]
-    xc = x - (w @ x / sw)[:, None]
-    yc = y - ((w * y).sum(axis=1) / sw)[:, None]
-    slope = (w * xc * yc).sum(axis=1) / (w * xc * xc).sum(axis=1)
     rows, cols = np.arange(fit.size), f2[fit] + ell - 1  # cols: the date F2 + ell
-    value = yc[rows, cols] - slope * xc[rows, cols]
     size = panel.n[fit, cols]
     total = size.sum()
+    with np.errstate(all="ignore"):  # refused below
+        xc = x - (w @ x / sw)[:, None]
+        yc = y - ((w * y).sum(axis=1) / sw)[:, None]
+        slope = (w * xc * yc).sum(axis=1) / (w * xc * xc).sum(axis=1)
+        value = yc[rows, cols] - slope * xc[rows, cols]
+        estimate = float(size @ value / total)
+    if not math.isfinite(estimate):
+        raise NonFiniteValue(f"the size-weighted linear-trend fit overflows at "
+                             f"horizon {ell}")
     groups = [panel.group_labels[g] for g in fit]
     return LinearTrendsResult(
-        estimate=float(size @ value / total),
+        estimate=estimate,
         contributions=tuple(zip(groups, value.tolist(), (size / total).tolist())),
         dropped=dropped)
 

@@ -45,11 +45,20 @@ def overflowing_twfe_panel():
                          (3, 1, 0.0, 1e10, 0.0), (3, 2, 0.0, 1e10, 1.0)], 1)
 
 
-def overflowing_staggered_panel():
+def overflowing_staggered_panel(extra_never_treated=False):
     """The three-cohort example with outcomes times 1e299 and sizes times 1e10:
-    every adopter-versus-not-yet contrast overflows."""
-    p = m.three_cohort_example().panel
+    every adopter-versus-not-yet contrast overflows. The never-treated fourth
+    group makes every estimator defined on it."""
+    p = m.three_cohort_example(extra_never_treated).panel
     return m.PanelDataset(p.group_labels, p.period_labels, p.y * 1e299, p.n * 1e10, p.d)
+
+
+def overflowing_replicates_panel():
+    """Finite input with unit sizes and outcomes near 1e300: every bootstrap
+    replicate is finite, but their squared deviations pass the float range."""
+    d = np.array([[[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 0]]], dtype=float)
+    y = np.array([[0, 1, 2], [0, 0.5, 0.2], [1, 0, 2], [0, 1, 1]]) * 1e300
+    return m.PanelDataset(range(4), range(3), y, np.ones((4, 3)), d)
 
 
 def degenerate_denominator_panel():

@@ -4,8 +4,8 @@ Each oracle recomputes a target quantity from first principles over a code
 path disjoint from the library's: the regression coefficient comes from one
 dense weighted least-squares solve on the explicit dummy design, and the
 switcher and event-study estimates from literal transcriptions of their
-defining sums, and the linear-trend fallback from one ``np.polyfit`` per
-group.
+defining sums, the linear-trend fallback from one ``np.polyfit`` per group,
+and the staggered horizon range from a loop over cohorts.
 """
 
 from __future__ import annotations
@@ -178,6 +178,22 @@ def brute_force_event_study(panel, adopt, cohort, cap):
             placebos[ell] = (sum(n_tr * v for n_tr, _, v in pre)
                              / sum(n_tr for n_tr, _, _ in pre))
     return estimates, components, placebos
+
+
+def cohort_reach(f1, f2):
+    """Largest second-treatment horizon estimable inside some cohort, None
+    when no cohort is eligible.
+
+    A cohort f is eligible when its groups have at least two distinct
+    second-adoption dates after f, T + 1 ("never") counting as one; at its
+    first such date a and last b, its adopters reach horizons 0..b - 1 - a.
+    """
+    reach = []
+    for f in np.unique(f1).tolist():
+        later = np.unique(f2[(f1 == f) & (f2 > f)])
+        if later.size >= 2:
+            reach.append(int(later[-1]) - 1 - int(later[0]))
+    return max(reach) if reach else None
 
 
 def polyfit_linear_trends(panel, structure, ell):

@@ -100,10 +100,11 @@ def test_criterion_4_four_group_fixture():
     with criterion(4, "four-group fixture"):
         panel = m.four_group_example().panel
         decomp = m.decompose(panel, 0)
-        did_clean = (panel.cell(2, 2).y - panel.cell(2, 1).y
-                     - (panel.cell(1, 2).y - panel.cell(1, 1).y))
-        did_mixed = (panel.cell(4, 2).y - panel.cell(4, 1).y
-                     - (panel.cell(3, 2).y - panel.cell(3, 1).y))
+        def y(g, t):
+            return panel.y[panel.group_index(g), panel.period_index(t)]
+
+        did_clean = y(2, 2) - y(2, 1) - (y(1, 2) - y(1, 1))
+        did_mixed = y(4, 2) - y(4, 1) - (y(3, 2) - y(3, 1))
         assert abs(decomp.beta_fe - 1.5) <= 1e-10
         assert abs(decomp.beta_fe - (0.5 * did_clean + 0.5 * did_mixed)) <= 1e-10
         assert abs(decomp.own[(2, 2)] - 0.5) <= 1e-10

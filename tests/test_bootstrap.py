@@ -3,9 +3,14 @@ import pytest
 
 import multidid as m
 from multidid.bootstrap import _DEGENERATE, _evaluate, _reducer
-from multidid.errors import AllReplicationsDegenerate
+from multidid.errors import (
+    AllReplicationsDegenerate,
+    HorizonOutOfRange,
+    NonFiniteValue,
+    PathologicalDesign,
+)
 
-from .conftest import make_random_panel, random_staggered_spec
+from .conftest import make_random_panel, overflowing_replicates_panel, random_staggered_spec
 
 
 def _noisy_panel(seed=50):
@@ -92,9 +97,11 @@ def test_replicates_hidden_by_default():
 
 
 def _defined(f, *args):
+    # the copy path rebuilds the cohort structure from the drawn groups alone,
+    # so a draw without a contrast at the horizon raises there
     try:
         return f(*args)
-    except _DEGENERATE:
+    except (*_DEGENERATE, PathologicalDesign, HorizonOutOfRange):
         return None
 
 
@@ -184,3 +191,11 @@ def test_replicates_whose_products_overflow_are_degenerate(estimator):
     assert huge.n_degenerate > plain.n_degenerate
     assert huge.n_retained + huge.n_degenerate == 20
     assert all(np.isfinite(huge.replicates))
+
+
+@pytest.mark.parametrize("estimator", ["twfe", "didm"])
+def test_replicates_whose_squares_overflow_are_refused(estimator):
+    # every replicate is finite, near 1e300, but their squared deviations are not
+    with pytest.raises(NonFiniteValue, match="^the squared deviations of the bootstrap "
+                                             "replicates pass the float range$"):
+        m.bootstrap_se(overflowing_replicates_panel(), estimator, 20, 0)

@@ -12,6 +12,7 @@ from multidid.errors import InsufficientPrePeriods
 
 from .conftest import (
     degenerate_denominator_panel,
+    overflowing_replicates_panel,
     overflowing_staggered_panel,
     overflowing_twfe_panel,
     random_staggered_spec,
@@ -220,12 +221,56 @@ def test_degenerate_denominator_exit_code(capsys, tmp_path):
     (overflowing_staggered_panel, ["bootstrap", "--estimator", "did_ell", "--first", "d1",
                                    "--second", "d2", "-B", "4"],
      "n * (y - earlier y) overflows in the estimate at horizon 0"),
-], ids=["decompose", "bootstrap-twfe", "dynamic", "bootstrap-did_ell"])
+    (overflowing_staggered_panel, ["dynamic", "--first", "d1", "--second", "d2",
+                                   "--strategy", "linear"],
+     "the size-weighted linear-trend fit overflows at horizon 0"),
+    (overflowing_replicates_panel, ["bootstrap", "--estimator", "twfe", "--target", "d1",
+                                    "-B", "20"],
+     "the squared deviations of the bootstrap replicates pass the float range"),
+], ids=["decompose", "bootstrap-twfe", "dynamic", "bootstrap-did_ell", "dynamic-linear",
+        "bootstrap-se"])
 def test_overflowing_products_exit_code(capsys, tmp_path, panel, argv, message):
     path = tmp_path / "overflow.csv"
     m.write_panel_csv(panel(), path)
     code, out, err = _run(capsys, argv[0], "--input", str(path), *argv[1:])
     assert (code, out, err) == (3, "", f"error: NonFiniteValue: {message}\n")
+
+
+def _overflow_sweep():
+    """Every subcommand on every overflow fixture; each fixture has a defined
+    estimate for every command it runs, so only overflow can stop one."""
+    for name, panel in [("twfe", overflowing_twfe_panel),
+                        ("staggered", lambda: overflowing_staggered_panel(True)),
+                        ("replicates", overflowing_replicates_panel)]:
+        runs = [["decompose", "--target", "d1"], ["didm", "--target", "d1"],
+                *(["bootstrap", "--estimator", estimator, "--target", "d1", "-B", "20"]
+                  for estimator in ("twfe", "didm"))]
+        if name == "staggered":
+            runs += [["dynamic", "--first", "d1", "--second", "d2", "--strategy", strategy]
+                     for strategy in ("second", "first", "combined", "linear", "split")]
+            runs.append(["bootstrap", "--estimator", "did_ell", "--first", "d1",
+                         "--second", "d2", "-B", "20"])
+        for argv in runs:
+            label = {"bootstrap": argv[2], "dynamic": argv[-1]}.get(argv[0])
+            yield pytest.param(panel, argv, id="-".join(filter(None, [name, argv[0], label])))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in the report")
+
+
+@pytest.mark.parametrize("panel, argv", _overflow_sweep())
+def test_overflow_inputs_give_finite_reports_or_exit_3(capsys, tmp_path, panel, argv):
+    """A report is finite JSON, or the run names NonFiniteValue and exits 3;
+    a raw numpy warning fails the test through the warning filter."""
+    path = tmp_path / "overflow.csv"
+    m.write_panel_csv(panel(), path)
+    code, out, err = _run(capsys, argv[0], "--input", str(path), *argv[1:])
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1].startswith("error: NonFiniteValue: ")
 
 
 @pytest.mark.parametrize("line, field", [(1, "g"), (3, "1"), (3, "0")])
@@ -275,6 +320,33 @@ def test_bootstrap_counts_must_be_positive(capsys, four_group_csv, option, value
     assert captured.out == ""
     assert "usage:" in captured.err
     assert f"expected a positive integer, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_parallelism_environment_is_a_usage_error(capsys, monkeypatch, four_group_csv,
+                                                      value):
+    monkeypatch.setenv(cli.PARALLELISM_ENV, value)
+    argv = ["bootstrap", "--input", four_group_csv, "--estimator", "twfe",
+            "--target", "d1", "-B", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"expected a positive integer, got '{value}'" in captured.err
+    # an explicit flag overrides the variable
+    code, out, err = _run(capsys, *argv, "--parallelism", "2")
+    assert code == 0
+    assert json.loads(out)["config"]["parallelism"] == 2
+
+
+def test_parallelism_environment_sets_the_default(capsys, monkeypatch, four_group_csv):
+    monkeypatch.setenv(cli.PARALLELISM_ENV, "3")
+    code, out, err = _run(capsys, "bootstrap", "--input", four_group_csv, "--estimator",
+                          "twfe", "--target", "d1", "-B", "4")
+    assert code == 0
+    assert json.loads(out)["config"]["parallelism"] == 3
 
 
 def test_dynamic_resolves_event_studies_at_call_time(capsys, monkeypatch, staggered_csv):

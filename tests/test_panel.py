@@ -133,7 +133,7 @@ def test_period_labels_reindexed_in_sorted_order():
     panel = m.load_panel(rows, n_treatments=1)
     assert panel.period_labels == (1987, 1992, 1997)
     assert panel.period_index(1992) == 1
-    assert panel.cell("a", 1987).y == 1987.0
+    assert panel.y[panel.group_index("a"), panel.period_index(1987)] == 1987.0
 
 
 def test_equal_labels_keep_the_first_spelling(tmp_path):
@@ -214,7 +214,7 @@ def test_csv_case_insensitive_and_extra_column_warning(tmp_path):
     with pytest.warns(UserWarning, match="Junk"):
         panel = m.read_panel_csv(path)
     assert panel.n_treatments == 1
-    assert panel.cell(1, 2).y == 0.5
+    assert panel.y[panel.group_index(1), panel.period_index(2)] == 0.5
 
 
 def test_csv_missing_column(tmp_path):
@@ -235,7 +235,8 @@ def test_restrict_groups():
     panel = m.load_panel(_four_by_two_rows(), n_treatments=2)
     sub = panel.restrict_groups([1, 3])
     assert sub.group_labels == (1, 3)
-    assert sub.cell(3, 2).d == panel.cell(3, 2).d
+    assert np.array_equal(sub.d[:, sub.group_index(3), sub.period_index(2)],
+                          panel.d[:, panel.group_index(3), panel.period_index(2)])
 
 
 def test_arrays_read_only():

@@ -20,9 +20,11 @@ from multidid.errors import (
     DegenerateDenominator,
     InsufficientPrePeriods,
     MultiDidError,
+    PathologicalDesign,
 )
+from multidid.staggered import adoption_dates
 
-from .oracles import brute_force_didm, dense_dummy_fit, polyfit_linear_trends
+from .oracles import brute_force_didm, cohort_reach, dense_dummy_fit, polyfit_linear_trends
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
 SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
@@ -441,24 +443,41 @@ def test_numpy_reads_what_the_records_read(tmp_path_factory, case):
 
 
 @st.composite
-def staggered_panels(draw):
+def staggered_panels(draw, anchored=True):
     """Consecutive staggered panel: per group 1 <= F1 <= F2 <= T + 1, T + 1
     meaning never, with never-treated groups and simultaneous adopters.
     Groups 0 and 1 share a cohort c <= T - 1 and adopt the second treatment
-    at some a > c and never, which makes cohort c eligible."""
+    at some a > c and never, which makes cohort c eligible; without
+    ``anchored`` they draw their dates like the others, so the design may
+    have no eligible cohort."""
     G, T = draw(st.integers(2, 10)), draw(st.integers(3, 8))
     c = draw(st.integers(1, T - 1))
     a = draw(st.integers(c + 1, T))
     dates = sorted({c, T + 1, *draw(st.lists(st.integers(1, T), max_size=2))})
-    f1 = np.array([c, c] + draw(st.lists(st.sampled_from(dates), min_size=G - 2,
-                                         max_size=G - 2)))
-    f2 = np.array([a, T + 1] + [draw(st.integers(f, T + 1)) for f in f1[2:]])
+    head = 2 if anchored else 0
+    f1 = np.array([c, c][:head] + draw(st.lists(st.sampled_from(dates), min_size=G - head,
+                                                max_size=G - head)))
+    f2 = np.array([a, T + 1][:head] + [draw(st.integers(f, T + 1)) for f in f1[head:]])
     periods = np.arange(1, T + 1)
     d = np.stack([periods >= f1[:, None], periods >= f2[:, None]]).astype(float)
     y = draw(arrays(float, (G, T), elements=st.floats(-50, 50), fill=st.nothing()))
     # sizes whose sums round, so that a change of summation order shows
     n = draw(arrays(float, (G, T), elements=st.floats(0.1, 4.0), fill=st.nothing()))
     return m.PanelDataset(range(G), [2000 + 2 * t for t in periods], y, n, d)
+
+
+@given(staggered_panels(anchored=False))
+def test_l_nt_is_the_reach_of_the_eligible_cohorts(panel):
+    """``l_nt`` is the loop reference's largest in-cohort reach and the last
+    horizon of the second treatment's event study; a design without an
+    eligible cohort, and only such a design, is pathological."""
+    reach = cohort_reach(adoption_dates(panel, 0), adoption_dates(panel, 1))
+    if reach is None:
+        with pytest.raises(PathologicalDesign):
+            m.build_cohorts(panel, 0, 1)
+        return
+    assert m.build_cohorts(panel, 0, 1).l_nt == reach
+    assert max(m.second_treatment_effects(panel, 0, 1, placebos=False).estimates) == reach
 
 
 @given(staggered_panels())
@@ -470,7 +489,8 @@ def test_did_ell_is_the_event_study_horizon(panel):
         estimate, components = m.did_ell(panel, structure, ell)
         assert estimate == study.estimates[ell]
         assert components == study.components[ell]
-        assert sum(c.n_treated for c in components) == structure.n_ell[ell]
+        n_ell = sum(c.n_treated for c in components)
+        assert [c.weight for c in components] == [c.n_treated / n_ell for c in components]
 
 
 @given(staggered_panels())

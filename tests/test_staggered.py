@@ -17,15 +17,17 @@ from .oracles import brute_force_event_study
 
 
 def test_cohort_structure_fixture(abc_staggered):
-    st = m.build_cohorts(abc_staggered.panel, 0, 1)
-    assert st.eligible == (2,)
-    assert st.nt == {2: 4}
-    assert st.l_nt_f == {2: 1}
-    assert st.l_nt == 1
-    assert st.n_ell == {0: 2.0, 1: 1.0}
-    assert st.cohorts[2] == (0, 1, 2)
+    panel = abc_staggered.panel
+    st = m.build_cohorts(panel, 0, 1)
+    assert (st.first, st.second, st.l_nt) == (0, 1, 1)
     assert list(st.f1) == [2, 2, 2]
     assert list(st.f2) == [3, 5, 4]
+    # cohort 2 holds every contrast, the last at date 4, the last date with
+    # an unadopted group; adopter sizes are 2 at horizon 0 and 1 at horizon 1
+    for ell, dates, size in [(0, [3, 4], 2.0), (1, [4], 1.0)]:
+        comps = m.did_ell(panel, st, ell)[1]
+        assert [(c.cohort, c.period) for c in comps] == [(2, t) for t in dates]
+        assert sum(c.n_treated for c in comps) == size
 
 
 def test_same_second_date_pathological():
@@ -310,10 +312,14 @@ def test_weight_closure_counts_exact():
         spec = random_staggered_spec(rng)
         synthetic = m.generate(spec)
         st = m.build_cohorts(synthetic.panel, 0, 1)
+        _, oracle, _ = brute_force_event_study(
+            synthetic.panel, st.f2, st.f1, np.full_like(st.f2, spec.n_periods))
         for ell in range(st.l_nt + 1):
             _, comps = m.did_ell(synthetic.panel, st, ell)
-            assert float(sum(c.n_treated for c in comps)) == st.n_ell[ell]
-            assert st.n_ell[ell] > 0
+            n_ell = sum(c.n_treated for c in comps)
+            assert n_ell > 0
+            assert [(c.n_treated, c.weight) for c in comps] == [
+                (n_tr, w) for _, _, _, n_tr, _, w in oracle[ell]]
 
 
 def test_structural_control_validity():
@@ -327,25 +333,32 @@ def test_structural_control_validity():
             for c in m.did_ell(panel, st, ell)[1]:
                 f = panel.period_index(c.cohort) + 1
                 t = panel.period_index(c.period) + 1
-                adopters = [g for g in st.cohorts[f] if st.f2[g] == t - ell]
-                controls = [g for g in st.cohorts[f] if st.f2[g] > t]
-                # never compares across cohorts, never uses an adopted control
-                for g in adopters + controls:
-                    assert st.f1[g] == f
-                for g in controls:
-                    assert st.f2[g] > t
+                # never compares across cohorts, never uses an adopted
+                # control: both arms are the cohort-f groups alone
+                adopters = np.flatnonzero((st.f1 == f) & (st.f2 == t - ell))
+                controls = np.flatnonzero((st.f1 == f) & (st.f2 > t))
+                assert c.n_treated == sum(panel.n[g, t - 1] for g in adopters)
+                assert c.n_control == sum(panel.n[g, t - 1] for g in controls)
 
 
 def test_overflowing_contrasts_are_refused():
     panel = overflowing_staggered_panel()
-    structure = m.build_cohorts(panel, 0, 1)  # sizes alone: nothing overflows
-    assert structure.n_ell == {0: 2e10, 1: 1e10}
+    structure = m.build_cohorts(panel, 0, 1)  # dates alone: nothing overflows
+    assert structure.l_nt == 1
     for call, what in [(lambda: m.did_ell(panel, structure, 0), "estimate"),
                        (lambda: m.placebo_ell(panel, structure, 0), "placebo"),
                        (lambda: m.second_treatment_effects(panel, 0, 1), "estimate")]:
         with pytest.raises(NonFiniteValue, match=rf"^n \* \(y - earlier y\) overflows "
                                                  rf"in the {what} at horizon 0$"):
             call()
+
+
+def test_overflowing_linear_trends_are_refused():
+    panel = overflowing_staggered_panel()
+    structure = m.build_cohorts(panel, 0, 1)
+    with pytest.raises(NonFiniteValue, match=r"^the size-weighted linear-trend fit "
+                                             r"overflows at horizon 0$"):
+        m.did_ell_linear_trends(panel, structure, 0)
 
 
 def test_second_treatment_effects_wrapper(abc_staggered):
