@@ -1,0 +1,112 @@
+"""Bit-for-bit guard on JSON reports.
+
+Each case writes a small panel, runs one command of the command line from
+the panel's directory with a relative ``--input`` (so that ``config`` holds
+the same path on every machine) and pins the SHA-256 digest of its full
+standard output. The cases cover ``decompose`` with one treatment (empty
+contamination table), with three, with string labels that need escaping and
+with float labels that json spells in exponent form, then ``didm``,
+``dynamic`` and ``bootstrap``. The digests were taken before the decompose
+tables were written from the weight grid; a changed byte of any report fails
+here. The tool version is part of every report, so a version bump changes
+every digest.
+
+Print the current digests with ``PYTHONPATH=src python -m tests.test_report_digests``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import pytest
+
+import multidid as m
+from multidid.cli import main
+
+STRING_GROUPS = ('a "quoted" group', "back\\slash", "comma, space", "Zürich",
+                 "東京", "plain")
+FLOAT_GROUPS = (0.5, 2.75, 1e16, 3.5e20, 1.2345678901234567e-7)
+FLOAT_PERIODS = (1.5, 1e16, 2.5e16, 1e300)
+
+
+def _synthetic(K: int, G: int, T: int, seed: int) -> m.PanelDataset:
+    spec = m.DgpSpec(kind="random-binary", n_groups=G, n_periods=T, n_treatments=K,
+                     seed=seed, noise_sd=0.5, cell_sizes="random", treat_prob=0.45,
+                     base_effects=tuple(1.0 - 0.5 * k for k in range(K)),
+                     effect_group_sd=1.0, effect_time_sd=0.3)
+    return m.generate(spec).panel
+
+
+def _relabelled(panel: m.PanelDataset, groups, periods=None) -> m.PanelDataset:
+    return m.PanelDataset(groups, periods or panel.period_labels, panel.y, panel.n,
+                          panel.d)
+
+
+def _panels() -> dict[str, m.PanelDataset]:
+    return {
+        "k1": _synthetic(1, 8, 5, 11),
+        "k3": _synthetic(3, 10, 5, 12),
+        "strings": _relabelled(_synthetic(2, len(STRING_GROUPS), 4, 13), STRING_GROUPS,
+                               ("p, 1", "p, 2", 'p "3"', "p\\4")),
+        "floats": _relabelled(_synthetic(2, len(FLOAT_GROUPS), 4, 14), FLOAT_GROUPS,
+                              FLOAT_PERIODS),
+        "staggered": m.three_cohort_example(extra_never_treated=True).panel,
+    }
+
+
+CASES = {
+    "decompose-k1": ("k1", ["decompose", "--target", "d1"]),
+    "decompose-k3": ("k3", ["decompose", "--target", "d2"]),
+    "decompose-string-labels": ("strings", ["decompose", "--target", "d1"]),
+    "decompose-float-labels": ("floats", ["decompose", "--target", "d2"]),
+    "didm": ("k1", ["didm", "--target", "d1"]),
+    "dynamic-second": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                     "--strategy", "second"]),
+    "bootstrap-twfe": ("k3", ["bootstrap", "--estimator", "twfe", "--target", "d1",
+                              "-B", "20", "--seed", "3", "--parallelism", "1"]),
+}
+
+DIGESTS = {
+    "bootstrap-twfe": "f4a3e499449dff236bd242e8f61d508c6cdb434e1c2e0111f92d7301b4f29b5f",
+    "decompose-float-labels": "74e2524b2ce2070057412dea2f0a33b3c2df7050a3cbc0e0be7912b583108313",
+    "decompose-k1": "b6626a76daa3002390b4971bcdec7acb3ec06e9d168532224ce422151273b3d1",
+    "decompose-k3": "9a7d0a052b997067211af32d71c036aacb5796933318f1645cb4859278881235",
+    "decompose-string-labels": "3816e00d83aedcd7ac09bd3afe712e1b735fb8a4ec480ed831d93427dbca8ebf",
+    "didm": "bb966e0eddaf62dbdf8182cdd164e045c18f7ffee959e081c9d507142ba6d258",
+    "dynamic-second": "8e4760b99a000ab3f989695e35a7d51874e6e521c9de61a84374deea0d255205",
+}
+
+
+def _stdout(panel: m.PanelDataset, argv: list[str]) -> str:
+    """Standard output of ``argv`` on ``panel``, written to ``panel.csv`` in
+    the current directory."""
+    m.write_panel_csv(panel, "panel.csv")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--input", "panel.csv"])
+    assert code == 0
+    return out.getvalue()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_pinned(case, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    name, argv = CASES[case]
+    assert _digest(_stdout(_panels()[name], argv)) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    panels = _panels()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for case, (name, argv) in sorted(CASES.items()):
+            sys.stdout.write(f'    "{case}": "{_digest(_stdout(panels[name], argv))}",\n')
