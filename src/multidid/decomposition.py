@@ -16,21 +16,34 @@ fixed effects are absorbed through the Schur complement of the period block:
 the group block of the normal equations is diagonal, so only a (T - 1) x
 (T - 1) system is factored, the group effects follow in closed form, and one
 iterative-refinement pass follows; the cost is O(G T^2 + T^3). The remaining
-treatment block goes through a column-pivoted QR with rank threshold 1e-10
-times the largest weighted column norm of the design.
+treatment block goes through a column-pivoted QR with rank threshold
+``RANK_RTOL`` times the largest weighted column norm of the design.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
 from .panel import PanelDataset
+from .tolerances import DENOM_RTOL, RANK_RTOL
 
-RANK_RTOL = 1e-10
+# no indent keeps json on its C encoder; the separators are json.dumps' own
+_ENCODER = json.JSONEncoder(default=str, allow_nan=False)
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, default=str)``, refusing NaN and infinity: the one
+    encoder of every JSON report."""
+    try:
+        return _ENCODER.encode(value)
+    except ValueError as exc:  # on a tree, json raises it only for allow_nan
+        raise NonFiniteValue(f"report holds a non-finite number ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -217,7 +230,7 @@ def _coefficient(n: np.ndarray, y: np.ndarray, d_target: np.ndarray,
         ne = n * eps
         denom = float(np.sum(ne * d_target))
         numer = float(np.sum(ne * y))
-    if abs(denom) < 1e-12 * total_n:
+    if abs(denom) < DENOM_RTOL * total_n:
         raise DegenerateDenominator(
             "partialled treatment has numerically zero weighted variance"
         )
@@ -322,6 +335,33 @@ def decomposition_report(decomp: WeightDecomposition,
                           for g, t, w in decomp._cells(decomp.contamination_support)],
         "summary": summary.to_dict(),
     }
+
+
+def decomposition_report_json(decomp: WeightDecomposition,
+                              summary: DecompositionSummary) -> dict[str, str]:
+    """:func:`decomposition_report` with each value as its :func:`encode_json`
+    text, the cell tables written straight from the weight grid.
+
+    Each distinct label is encoded once, and so are the weights of the cells
+    in either support, in one list, so that a float's spelling is json's own.
+    A row ``{"g": <g>, "t": <t>, "weight": <w>}`` is its group's piece, its
+    period's piece and its weight, joined; each table takes its rows from
+    those of both supports by mask.
+    """
+    cells = decomp.own_support | decomp.contamination_support
+    gi, ti = np.nonzero(cells)
+    g_piece = [f'{{"g": {encode_json(g)}, "t": ' for g in decomp.group_labels]
+    t_piece = [f'{encode_json(t)}, "weight": ' for t in decomp.period_labels]
+    # a float's spelling has no ", "; with no cell, zip stops at the empty gi
+    weights = encode_json(decomp.weights[cells].tolist())[1:-1].split(", ")
+    rows = list(map("".join, zip(map(g_piece.__getitem__, gi.tolist()),
+                                 map(t_piece.__getitem__, ti.tolist()),
+                                 weights, repeat("}"))))
+    own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
+                          for mask in (decomp.own_support, decomp.contamination_support))
+    return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),
+            "own": own, "contamination": contamination,
+            "summary": encode_json(summary.to_dict())}
 
 
 def decomposition_csv_rows(decomp: WeightDecomposition) -> list[tuple]:

@@ -50,9 +50,7 @@ from .errors import (
     NonSharpDesign,
     UnbalancedPanel,
 )
-
-#: Absolute tolerance for treatment-value equality (CSV round-trip noise).
-VALUE_TOL = 1e-12
+from .tolerances import VALUE_TOL
 
 
 def _canonical(values: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import multidid as m
 from multidid import cli
 from multidid.cli import main
-from multidid.errors import InsufficientPrePeriods
+from multidid.decomposition import decomposition_report_json
+from multidid.errors import InsufficientPrePeriods, NonFiniteValue
 
 from .conftest import (
     degenerate_denominator_panel,
@@ -271,6 +273,23 @@ def test_overflow_inputs_give_finite_reports_or_exit_3(capsys, tmp_path, panel, 
     else:
         assert (code, out) == (3, "")
         assert err.splitlines()[-1].startswith("error: NonFiniteValue: ")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_report_values_are_refused(capsys, value):
+    """The report encoder raises NonFiniteValue (exit 3) rather than print
+    NaN or Infinity, in a nested value and in a decompose cell table."""
+    args = cli.build_parser().parse_args(["simulate", "--spec", "s.json", "--out", "p.csv"])
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        cli._emit_json(args, {"estimate": 1.0, "replicates": [0.5, value]}, None)
+    panel = m.four_group_example().panel
+    decomp = m.decompose(panel, 0)
+    weights = decomp.weights.copy()
+    weights[3, 1] = value  # a cell of both tables
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        decomposition_report_json(dataclasses.replace(decomp, weights=weights),
+                                  m.summarize(decomp, panel))
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("line, field", [(1, "g"), (3, "1"), (3, "0")])

@@ -4,7 +4,9 @@ of the staggered horizon path and of the bootstrap's parallelism."""
 
 import contextlib
 import csv
+import hashlib
 import io
+import json
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
+from multidid import cli
 from multidid import panel as panel_mod
 from multidid.errors import (
     CollinearTreatments,
@@ -299,6 +302,51 @@ def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
             for gi, g in enumerate(panel.group_labels)
             for ti, t in enumerate(panel.period_labels)]
     _assert_same_panel(m.load_panel(rows, panel.n_treatments), back)
+
+
+# -- the decompose report against json's own encoding ------------------------
+
+REPORT_LABELS = [
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(-1e20, 1e20, allow_nan=False),  # 1e16 and up are spelled 1e+16
+    # text the reader keeps as str: no edge whitespace, nothing int or float parses
+    st.text(alphabet='ab",\\ é東', min_size=1, max_size=4).filter(
+        lambda s: s == s.strip() and isinstance(panel_mod._parse_label(s), str)),
+]
+
+
+@st.composite
+def report_panels(draw):
+    """A binary panel with K = 1..4, int, float or str labels and a target."""
+    K, G, T = draw(st.integers(1, 4)), draw(st.integers(4, 8)), draw(st.integers(3, 5))
+    groups, periods = (sorted(draw(st.lists(draw(st.sampled_from(REPORT_LABELS)),
+                                            min_size=size, max_size=size, unique=True)))
+                       for size in (G, T))
+    d = draw(arrays(float, (K, G, T), elements=st.sampled_from((0.0, 1.0)),
+                    fill=st.nothing()))
+    y = draw(arrays(float, (G, T), elements=st.floats(-50, 50), fill=st.nothing()))
+    n = draw(arrays(float, (G, T), elements=st.sampled_from(SIZES), fill=st.nothing()))
+    return m.PanelDataset(groups, periods, y, n, d), draw(st.integers(0, K - 1))
+
+
+@given(report_panels())
+@example((m.four_group_example().panel, 0))  # contamination weights of -0.5 and 0.5
+def test_decompose_report_is_json_dumps_of_the_report_dict(tmp_path_factory, case):
+    panel, target = case
+    path = tmp_path_factory.mktemp("report") / "panel.csv"
+    m.write_panel_csv(panel, path)
+    back = m.read_panel_csv(path, binary_required=True)
+    decomp = _decompose(back, target)
+    argv = ["decompose", "--input", str(path), "--target", f"d{target + 1}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    config = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+              if k != "func"}
+    head = {"tool": {"name": "multidid", "version": m.__version__}, "config": config,
+            "input_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    report = m.decomposition_report(decomp, m.summarize(decomp, back))
+    assert out.getvalue() == json.dumps(head | report, default=str) + "\n"
 
 
 # -- the two CSV readers -----------------------------------------------------
