@@ -109,6 +109,8 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if b < 1:
         raise ValueError("b must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     estimate = _reducer(panel, estimator, target, first, second, ell)
     point = estimate(None)
     if point is None:

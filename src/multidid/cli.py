@@ -121,13 +121,14 @@ def _sha256(path: str) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text``, ending in a newline, to ``out_path`` or standard output."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_json(args, payload: dict, out_path: str | None) -> None:
@@ -297,13 +298,20 @@ def _cmd_bootstrap(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if (value := int(text)) >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_from(low: int, kind: str):
+    """An argparse type taking integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_non_negative_int = _int_from(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--second", default=None, help="second treatment column (did_ell)")
     p.add_argument("--ell", type=int, default=0, help="horizon (did_ell)")
     p.add_argument("-B", "--replications", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     # a string default goes through _positive_int like a command-line value
     p.add_argument("--parallelism", type=_positive_int,
                    default=os.environ.get(PARALLELISM_ENV, "1"),

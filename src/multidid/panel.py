@@ -161,9 +161,14 @@ class PanelDataset:
                             self.y[idx], self.n[idx], self.d[:, idx])
 
 
-def _sorted_labels(column: list, what: str, parse, where) -> tuple[list, np.ndarray]:
-    """Sorted distinct labels of ``column`` and every row's index into them; a
-    dict keeps the first of equal keys, so 1 and 1.0 are one label, the first."""
+def _sorted_labels(column, what: str, parse, where) -> tuple[list, np.ndarray]:
+    """Sorted distinct labels of ``column`` and every row's index into them.
+    An int64 array is coded by numpy, its labels made Python ints; in a list of
+    spellings a dict keeps the first of equal keys, so 1 and 1.0 are one label,
+    the first."""
+    if isinstance(column, np.ndarray):
+        labels, codes = np.unique(column, return_inverse=True)
+        return labels.tolist(), codes
     spelled = {s: parse(s) for s in dict.fromkeys(column)}
     if bad := [s for s, v in spelled.items() if v != v or v in (np.inf, -np.inf)]:
         i = min(map(column.index, bad))
@@ -222,10 +227,10 @@ def _floats(records, j: int, where) -> np.ndarray:
 
 def _ingest(labels, values, where, parse, binary_required: bool) -> PanelDataset:
     """The one ingestion step of every reader: ``labels`` are the group and
-    period columns; ``values`` yields the float columns of y, n (None: sizes of
-    1) and d_1..d_K, taken one by one after the label and cell checks;
-    ``where(i)`` names row i."""
-    if not labels[0]:
+    period columns, lists of spellings or int64 arrays; ``values`` yields the
+    float columns of y, n (None: sizes of 1) and d_1..d_K, taken one by one
+    after the label and cell checks; ``where(i)`` names row i."""
+    if len(labels[0]) == 0:
         raise InsufficientVariation("no rows supplied")
     (groups, gi), (periods, ti) = (_sorted_labels(column, what, parse, where)
                                    for column, what in zip(labels, ("group", "period")))
@@ -306,22 +311,25 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
     numeric order. Extra columns are ignored with a warning listing them.
 
-    The file's text is read once. A text with no ``"`` has its body tokenized
-    by numpy's C reader; quoted text, and any body numpy refuses or whose panel
-    would be refused, goes through the ``csv`` module's records, which alone
-    name defects. Both accept the same files with the same value bits: numpy
-    parses a field only if Python's ``float`` gives that very value, and labels
-    stay plain ``str`` until each distinct spelling is parsed. A field longer
-    than ``csv.field_size_limit()`` is refused with a ValueError naming its line.
+    The file's text is read once, a leading UTF-8 byte-order mark dropped. A
+    text with no ``"`` has its body tokenized by numpy's C reader; quoted text,
+    and any body numpy refuses or whose panel would be refused, goes through
+    the ``csv`` module's records, which alone name defects. Both accept the
+    same files with the same labels and value bits: numpy parses a field only
+    if Python's ``float`` gives that very value; in an ASCII text it first asks
+    for the labels as int64, which any label that is not an int64 integer
+    refuses, and then labels stay plain ``str`` until each distinct spelling is
+    parsed. A field longer than ``csv.field_size_limit()`` is refused with a
+    ValueError naming its line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drop a BOM
         try:
             text = fh.read()
         except UnicodeDecodeError:  # read as a stream, header defects come first
             fh.seek(0)
             return _read_records(fh, treatment_cols, binary_required)
     return _read_records(io.StringIO(text, newline=""), treatment_cols,
-                         binary_required, plain=_plain(text))
+                         binary_required, plain=_plain(text), ascii_text=text.isascii())
 
 
 def _plain(text: str) -> bool:
@@ -344,9 +352,10 @@ def _csv_records(lines):
 
 
 def _read_records(lines, treatment_cols, binary_required: bool,
-                  plain: bool = False) -> PanelDataset:
-    """The header, then the body: numpy's when ``plain``, else, or when numpy
-    refuses it or its panel, the ``csv`` module's records of ``lines``."""
+                  plain: bool = False, ascii_text: bool = False) -> PanelDataset:
+    """The header, then the body: numpy's when ``plain`` (int64 labels tried
+    first in an ``ascii_text``), else, or when numpy refuses it or its panel,
+    the ``csv`` module's records of ``lines``."""
     records = _csv_records(lines)
     header = next(records, None)
     if header is None:
@@ -376,7 +385,7 @@ def _read_records(lines, treatment_cols, binary_required: bool,
     if plain:
         body = lines.tell()
         try:
-            return _read_plain(lines, fields, parse, binary_required)
+            return _read_plain(lines, fields, parse, binary_required, ascii_text)
         except (ValueError, MultiDidError):  # the records name the defect
             lines.seek(body)
     last = max(j for j in fields if j is not None)
@@ -394,16 +403,37 @@ def _read_records(lines, treatment_cols, binary_required: bool,
     return _ingest(*_columns(kept, fields, where), where, parse, binary_required)
 
 
-def _read_plain(lines, fields, parse, binary_required: bool) -> PanelDataset:
-    """The body in one pass of numpy's C tokenizer. Labels are read as ``str``
-    objects: a fixed-width string array would hold the longest label's width
-    for every row."""
+def _read_plain(lines, fields, parse, binary_required: bool,
+                ascii_text: bool) -> PanelDataset:
+    """The body in one pass of numpy's C tokenizer, y, n and d as floats. In
+    an ASCII text the labels are asked for as int64, which numpy sorts and
+    codes with no Python object per row; only there, as numpy's integer parser
+    misreads some other digits (it can read U+0968 as 2360). If numpy refuses
+    a label, or the text is not ASCII, the labels are read as ``str`` objects,
+    each spelling parsed once; a fixed-width string array would hold the
+    longest label's width for every row."""
     used = sorted({j for j in fields if j is not None})
-    table = np.loadtxt(lines, dtype=[(str(j), object if j in fields[:2] else float)
-                                     for j in used],
-                       delimiter=",", comments=None, usecols=used, ndmin=1)
-    labels = [table[str(j)].tolist() for j in fields[:2]]
-    values = [None if j is None else np.asarray(table[str(j)], float) for j in fields[2:]]
+
+    def table(label_type):
+        return np.loadtxt(lines, dtype=[(str(j), label_type if j in fields[:2] else float)
+                                        for j in used],
+                          delimiter=",", comments=None, usecols=used, ndmin=1)
+    rows = None
+    if ascii_text:
+        body = lines.tell()
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads "1.5" as the int 1, with only this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = table(np.int64)
+        except (ValueError, OverflowError, DeprecationWarning):
+            lines.seek(body)
+    if rows is None:
+        rows = table(object)
+        labels = [rows[str(j)].tolist() for j in fields[:2]]
+    else:  # int names a repeated cell's labels
+        labels, parse = [rows[str(j)] for j in fields[:2]], int
+    values = [None if j is None else np.asarray(rows[str(j)], float) for j in fields[2:]]
     return _ingest(labels, values, str, parse, binary_required)
 
 

@@ -341,6 +341,25 @@ def test_bootstrap_counts_must_be_positive(capsys, four_group_csv, option, value
     assert f"expected a positive integer, got '{value}'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "one"])
+def test_bootstrap_seed_must_be_non_negative(capsys, monkeypatch, four_group_csv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bootstrap", "--input", four_group_csv, "--estimator", "twfe",
+              "--target", "d1", "--seed", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"expected a non-negative integer, got '{value}'" in captured.err
+    # the library refuses the seed before it computes the point estimate
+    monkeypatch.setattr(m.bootstrap, "_reducer", None)
+    panel = m.read_panel_csv(four_group_csv)
+    for seed in (-1, 1.0):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, "
+                                             f"got {seed!r}$"):
+            m.bootstrap_se(panel, "twfe", 4, seed)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_bad_parallelism_environment_is_a_usage_error(capsys, monkeypatch, four_group_csv,
                                                       value):
@@ -392,6 +411,21 @@ def test_out_file(capsys, four_group_csv, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["beta_fe"] == pytest.approx(1.5)
+    # a --out file holds exactly the bytes standard output would, but for the
+    # config's "out" entry
+    for argv in (["decompose", "--target", "d1"], ["decompose", "--target", "d1",
+                                                   "--output", "csv"],
+                 ["didm", "--target", "d1"], ["didm", "--target", "d1", "--output", "csv"],
+                 ["bootstrap", "--estimator", "twfe", "--target", "d1", "-B", "4"]):
+        argv += ["--input", four_group_csv]
+        code, out, err = _run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (0, "")
+        written = out_path.read_bytes()
+        assert written.endswith(b"\n")
+        code, out, err = _run(capsys, *argv)
+        assert code == 0
+        assert written.decode() == out.replace('"out": null',
+                                               f'"out": {json.dumps(str(out_path))}')
 
 
 def test_version_flag(capsys):

@@ -1,4 +1,7 @@
+import codecs
 import csv
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -9,6 +12,8 @@ import numpy as np
 import pytest
 
 import multidid as m
+from multidid import panel as panel_mod
+from multidid.cli import main
 from multidid.errors import (
     DuplicateCell,
     InsufficientVariation,
@@ -312,6 +317,42 @@ def test_unorderable_label_text_is_independent_of_hash_seed(tmp_path):
         errs.add(run.stderr)
     assert errs == {"error: ValueError: group labels must be mutually orderable, "
                     "got labels of type int, str\n"}
+
+
+@pytest.mark.parametrize("path_taken", ["plain", "quoted", "invalid utf-8"])
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, capsys,
+                                                     path_taken):
+    """A UTF-8 byte-order mark, as spreadsheet programs write it, is dropped
+    before the header on every path; the input digest still covers it."""
+    lines = ["g,t,y,d1"] + [f"{g},{t},0.5,{int(t == 2 and g % 2)}" for g in range(1, 800)
+                            for t in (1, 2)]
+    if path_taken == "quoted":
+        lines[1] = '"1",1,0.5,0'
+    raw = "\n".join(lines).encode()
+    if path_taken == "invalid utf-8":  # past the first chunk the stream decodes
+        raw = raw[:12000] + b"\xff" + raw[12000:]
+    path, bare = tmp_path / "bom.csv", tmp_path / "bare.csv"
+    path.write_bytes(codecs.BOM_UTF8 + raw)
+    if path_taken == "invalid utf-8":  # named as a stream names it, not the header
+        with pytest.raises(UnicodeDecodeError) as streamed:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                list(csv.reader(fh))
+        with pytest.raises(UnicodeDecodeError, match=f"^{re.escape(str(streamed.value))}$"):
+            m.read_panel_csv(path)
+        return
+    plain = []
+    monkeypatch.setattr(panel_mod, "_read_plain",
+                        lambda *a, real=panel_mod._read_plain: plain.append(1) or real(*a))
+    panel = m.read_panel_csv(path)
+    assert plain == ([1] if path_taken == "plain" else [])
+    bare.write_bytes(raw)
+    expected = m.read_panel_csv(bare)
+    assert panel.group_labels == expected.group_labels
+    assert panel.period_labels == expected.period_labels
+    assert panel.d.tobytes() == expected.d.tobytes()
+    assert main(["didm", "--input", str(path), "--target", "d1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input_sha256"] == hashlib.sha256(codecs.BOM_UTF8 + raw).hexdigest()
 
 
 @pytest.mark.parametrize("header", ["g,t,y,d1", "h,t,y,d1"])

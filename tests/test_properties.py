@@ -354,7 +354,17 @@ def test_decompose_report_is_json_dumps_of_the_report_dict(tmp_path_factory, cas
 LINE_ENDS = ("\n", "\r\n", "\r")
 LONG_LABEL = "a-group-label-longer-than-32-characters-"
 ODD_VALUES = ("1_000", "\uff11", "\xa01.5", "1e999", "nan", "-0.0", "5e-324", "", "x")
-ODD_LABELS = ("1e999", "nan", "zz", "a\x00", "\uff11")
+ODD_LABELS = ("1e999", "nan", "zz", "a\x00", "\uff11",
+              # integers: spellings of 2, then at and past the int64 ends
+              "-0", "+2", "02", " \xa02\u3000", "\x1c2\x1f", "1_000", "\u0968",
+              str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), "9" * 30)
+# spellings of one label: those numpy reads as an int64, of any sign, then of a
+# positive one; then the others: a float, Unicode blanks, digit groups and
+# Devanagari digits (numpy's integer parser can read U+0968 as 2360)
+INT_SPELLINGS = ("{}", " {} ", "\t{}\x0c", "\x1c{}\x1f")
+UNSIGNED_SPELLINGS = ("0{}", "+{}")
+OTHER_SPELLINGS = ("{}.0", "\xa0{}\u3000", "0_{}", "{deva}")
+BIG_BASES = (2**63 - 2, -2**63 - 2, 10**20)  # labels past and at the int64 ends
 BLANKS = ("  ", ",,", " , ", "\t")
 
 
@@ -363,22 +373,27 @@ def csv_texts(draw):
     """(text, treatment columns, plain): a long CSV panel, then up to three
     edits among blank and comma-only lines, quoted fields and label columns,
     doubled-quote and mid-field quotes, ragged records, odd values and labels,
-    repeated and lost records, with any mix of line ends. ``plain`` marks
-    texts that numpy must read itself: no quotes, nothing only Python's float
-    accepts, no defect."""
+    repeated and lost records, with any mix of line ends. Labels are 1, 2, ...
+    or, shifted, run past an end of int64, and may all be spelled as numpy reads
+    an int64; the last group label may be spelled anew as a float or a string.
+    ``plain`` marks texts that numpy must read itself: no quotes, nothing only
+    Python's float accepts, no defect."""
     K, G, T = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
     names = draw(st.permutations(["g", "t", "y", "d1", "d2", "d3"][:3 + K]
                                  + ["n"] * draw(st.booleans())
                                  + ["note"] * draw(st.booleans())))
     long_groups, mixed = draw(st.booleans()), draw(st.booleans())
-    spell = st.sampled_from(("{}", "{}.0", " {} "))  # one label, three spellings
+    base, ints = draw(st.sampled_from((0,) * 3 + BIG_BASES)), draw(st.booleans())
+    # past int64 "{}.0" would merge labels
+    spell = st.sampled_from(INT_SPELLINGS + (() if base else UNSIGNED_SPELLINGS)
+                            + (() if base or ints else OTHER_SPELLINGS))
     spelled = {}
 
     def label(column, i):
         if column == "g" and long_groups:
             return LONG_LABEL + str(i)
         if mixed or (column, i) not in spelled:  # mixed: each record spells anew
-            spelled[column, i] = draw(spell).format(i)
+            spelled[column, i] = draw(spell).format(base + i, deva=chr(0x966 + i))
         return spelled[column, i]
 
     def cell(g, t):
@@ -388,9 +403,12 @@ def csv_texts(draw):
                       for k in (1, 2, 3))
         return [fields[name] for name in names]
 
-    rows = draw(st.permutations([cell(g, t) for g in range(1, G + 1)
-                                 for t in range(1, T + 1)]))
-    plain = True
+    cells = draw(st.permutations([(g, t) for g in range(1, G + 1) for t in range(1, T + 1)]))
+    rows = [cell(g, t) for g, t in cells]
+    # the last group label spelled anew, after int64 labels in every record before
+    if late := draw(st.sampled_from(("", "", "{}.0", "s{}"))):
+        rows[-1][names.index("g")] = late.format(base + cells[-1][0])
+    plain = not late or late == "{}.0" and not base and not long_groups
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(("blank", "odd blank", "quote", "quote labels",
                                      "doubled quote", "mid quote", "ragged long", "short",
@@ -466,6 +484,45 @@ def _numpy_reads():
         panel_mod._read_plain = real
 
 
+@contextlib.contextmanager
+def _label_columns():
+    """The kinds of label column ingestion sorts inside the block: numpy's
+    dtype for an array, else ``list``."""
+    real, kinds = panel_mod._sorted_labels, []
+
+    def spy(column, *args):
+        kinds.append(column.dtype.name if isinstance(column, np.ndarray) else "list")
+        return real(column, *args)
+    panel_mod._sorted_labels = spy
+    try:
+        yield kinds
+    finally:
+        panel_mod._sorted_labels = real
+
+
+@pytest.mark.parametrize("spelling, records, kind", [
+    ("{}", slice(1, None), "int64"), ("g{}", slice(1, None), "list"),
+    ("{}.0", slice(-1, None), "list"), ("{}\u3000", slice(-1, None), "list")])
+def test_integer_labels_are_coded_by_numpy(tmp_path, spelling, records, kind):
+    """A file shaped like the benchmark's has its labels read and coded as int64
+    by numpy; str labels, a late float spelling or a text that is not ASCII
+    send the labels through the str path, with the same result."""
+    spec = m.DgpSpec(kind="random-binary", n_groups=40, n_periods=6, n_treatments=3,
+                     seed=3, cell_sizes="random", base_effects=(1.0, 2.0, -1.0))
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[records] = [spelling.format(g) + "," + rest
+                      for g, rest in (line.split(",", 1) for line in lines[records])]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _numpy_reads() as fast, _label_columns() as kinds:
+        got = _read_outcome(m.read_panel_csv, path)
+    assert fast and kinds == [kind, kind]
+    want = _read_outcome(panel_mod._read_records, io.StringIO(path.read_text("utf-8"),
+                                                              newline=""), None, False)
+    assert got == want
+
+
 _LIMIT = csv.field_size_limit()
 
 
@@ -474,6 +531,8 @@ _LIMIT = csv.field_size_limit()
 @example((f"g,t,y,d1,note\n1,1,0,0,{'x' * (_LIMIT + 1)}\n", None, False))
 @example((f"g,t,y,d1\n{'1'.rjust(_LIMIT + 1)},1,0,0\n", None, False))
 @example((f"g,t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n{'2'.rjust(_LIMIT)},2,0,0\n", None, False))
+# Devanagari 2 and New Tai Lue 0, which numpy's integer parser can read as 2360 and 6560
+@example(("g,t,y,d1\n\u0968,1,0,0\n\u0968,2,0,1\n\u19d0,1,0,0\n\u19d0,2,0,0\n", None, True))
 def test_numpy_reads_what_the_records_read(tmp_path_factory, case):
     text, treatments, plain = case
     path = tmp_path_factory.mktemp("readers") / "panel.csv"
