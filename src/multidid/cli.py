@@ -53,7 +53,7 @@ from .errors import (
     UnbalancedPanel,
     WrongOrder,
 )
-from .panel import read_panel_csv, write_panel_csv
+from .panel import _repeated, read_panel_csv, write_panel_csv
 from .simulate import DgpSpec, generate
 from .staggered import (
     build_cohorts,
@@ -112,14 +112,6 @@ def _exit_code(exc: MultiDidError) -> int:
     return 1
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _emit(text: str, out_path: str | None) -> None:
     """Write ``text``, ending in a newline, to ``out_path`` or standard output."""
     if not text.endswith("\n"):
@@ -149,7 +141,7 @@ def _emit_report(args, fields: dict[str, str], out_path: str | None) -> None:
         "config": config,
     }
     if getattr(args, "input", None):
-        head["input_sha256"] = _sha256(args.input)
+        head["input_sha256"] = args._input_sha256
     fields = {key: encode_json(value) for key, value in head.items()} | fields
     # json.dumps of a dict is exactly this join, so a value may arrive encoded
     _emit("{" + ", ".join(f"{encode_json(key)}: {text}" for key, text in fields.items())
@@ -164,11 +156,22 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
+class _UsageError(Exception):
+    """A command line whose column names contradict each other (exit 2)."""
+
+
 def _load(args, binary_required: bool = False):
+    """The panel of ``--input``, whose bytes are read once: they are hashed
+    into ``args._input_sha256`` for the report and decoded for the reader."""
     treatments = args.treatments.split(",") if args.treatments else None
+    if treatments and (twice := _repeated([c.strip().lower() for c in treatments])):
+        raise _UsageError(f"--treatments names the column {twice!r} twice")
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    args._input_sha256 = hashlib.sha256(data).hexdigest()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        panel = read_panel_csv(args.input, treatment_cols=treatments,
+        panel = read_panel_csv(io.BytesIO(data), treatment_cols=treatments,
                                binary_required=binary_required)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -182,6 +185,15 @@ def _column_index(names: list[str], name: str, what: str) -> int:
     if key not in names:
         raise MissingColumn(f"{what} {name!r} is not among the treatments {names}")
     return names.index(key)
+
+
+def _distinct(args, names: list[str], first: int, second: int) -> None:
+    """Refuse ``--first`` and ``--second`` naming one column, either by default."""
+    if first == second:
+        def named(option, value):
+            return f"{option} {value!r}" if value else f"{option} (default {names[first]!r})"
+        raise _UsageError(f"{named('--first', args.first)} and "
+                          f"{named('--second', args.second)} name the same treatment column")
 
 
 def _cmd_decompose(args) -> int:
@@ -221,6 +233,7 @@ def _cmd_dynamic(args) -> int:
     panel, names = _load(args)
     first = _column_index(names, args.first, "first treatment")
     second = _column_index(names, args.second, "second treatment")
+    _distinct(args, names, first, second)
     # built per call so that the names resolve to the module's current attributes
     studies = {"second": second_treatment_effects, "first": first_treatment_effects,
                "combined": combined_effects}
@@ -284,6 +297,8 @@ def _cmd_bootstrap(args) -> int:
         if args.target else 0
     first = _column_index(names, args.first, "first treatment") if args.first else 0
     second = _column_index(names, args.second, "second treatment") if args.second else 1
+    if args.estimator == "did_ell":
+        _distinct(args, names, first, second)
     result = bootstrap_se(panel, args.estimator, args.replications, args.seed,
                           target=target, first=first, second=second, ell=args.ell,
                           parallelism=args.parallelism,
@@ -390,6 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(f"{args.subcommand}: {exc}")
     except MultiDidError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

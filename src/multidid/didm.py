@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NonBinaryTreatment, NonFiniteValue
 from .panel import PanelDataset
+from .simulate import _mask_grid
 
 
 @dataclass(frozen=True)
@@ -324,25 +325,36 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
 def delta_s_oracle(synthetic, target: int) -> float:
     """True switcher-average effect, read off stored potential outcomes.
 
-    Evaluates, over the switcher set of the synthetic panel, the size-weighted
-    mean effect of moving the target treatment between its observed endpoint
-    values while holding the other treatments at their observed values; zero
-    when the set is empty.
+    Selects the switchers by the defining rule, with no code shared with the
+    estimator: over the consecutive pairs in (period, group) order, a cell is
+    a switcher when its target changes, no other treatment changes, and its
+    origin key (the period and the full treatment vector one period earlier)
+    is the key of some stayer, a cell whose treatments all stay put. Returns
+    the size-weighted mean over the switchers of the effect of moving the
+    target between its two observed values, holding the other treatments at
+    their observed values, per unit of the move; zero when there is no
+    switcher.
     """
     panel = synthetic.panel
-    switchers = find_switchers(panel, target)
-    if switchers.n_s == 0:
+    K, G, T = panel.d.shape
+    before = panel.d[:, :, :-1].transpose(0, 2, 1).reshape(K, -1)
+    after = panel.d[:, :, 1:].transpose(0, 2, 1).reshape(K, -1)
+    moved = after != before
+    period = np.arange(before.shape[1]) // G
+
+    def keys(cells):
+        return zip(period[cells].tolist(), *before[:, cells].tolist())
+    stayers = set(keys(np.flatnonzero(~moved.any(axis=0))))
+    candidates = np.flatnonzero(moved[target] & (moved.sum(axis=0) == 1))
+    cells = candidates[np.fromiter(map(stayers.__contains__, keys(candidates)), bool,
+                                   candidates.size)]
+    if not cells.size:
         return 0.0
-    total = 0.0
-    for cell in switchers.cells:
-        gi = panel.group_index(cell.group)
-        ti = panel.period_index(cell.period)
-        d_obs = panel.d[:, gi, ti].copy()
-        d_hi = d_obs.copy()
-        d_hi[target] = cell.target_to
-        d_lo = d_obs.copy()
-        d_lo[target] = cell.target_from
-        effect = synthetic.potential_outcome(gi, ti, d_hi) \
-            - synthetic.potential_outcome(gi, ti, d_lo)
-        total += cell.n * effect / (cell.target_to - cell.target_from)
-    return float(total / switchers.n_s)
+    g, t = cells % G, cells // G + 1
+    frm, to = before[target, cells], after[target, cells]
+    masks, bit = _mask_grid(panel.d)[g, t], 1 << target
+    po, n = synthetic._require_po(), panel.n[g, t]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
+        effect = (po[g, t, np.where(to > 0.5, masks | bit, masks & ~bit)]
+                  - po[g, t, np.where(frm > 0.5, masks | bit, masks & ~bit)])
+        return _running_sum(n * effect / (to - frm)) / _running_sum(n)

@@ -311,7 +311,10 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
     numeric order. Extra columns are ignored with a warning listing them.
 
-    The file's text is read once, a leading UTF-8 byte-order mark dropped. A
+    ``path`` is a file name, or a binary file object read from where it
+    stands. The file's bytes are read once and decoded, a leading UTF-8
+    byte-order mark dropped; a text that is not UTF-8 is decoded as a stream,
+    which names the byte as reading the file record by record names it. A
     text with no ``"`` has its body tokenized by numpy's C reader; quoted text,
     and any body numpy refuses or whose panel would be refused, goes through
     the ``csv`` module's records, which alone name defects. Both accept the
@@ -322,14 +325,24 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     parsed. A field longer than ``csv.field_size_limit()`` is refused with a
     ValueError naming its line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drop a BOM
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:  # read as a stream, header defects come first
-            fh.seek(0)
-            return _read_records(fh, treatment_cols, binary_required)
+    if hasattr(path, "read"):
+        data = path.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")  # -sig: drop a BOM
+    except UnicodeDecodeError:  # read as a stream, header defects come first
+        return _read_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                                              newline=""),
+                             treatment_cols, binary_required)
     return _read_records(io.StringIO(text, newline=""), treatment_cols,
                          binary_required, plain=_plain(text), ascii_text=text.isascii())
+
+
+def _repeated(names: Sequence[str]) -> str | None:
+    """The first name that occurs twice in ``names``, None if none does."""
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
 
 
 def _plain(text: str) -> bool:
@@ -376,7 +389,11 @@ def _read_records(lines, treatment_cols, binary_required: bool,
         for c in tcols:
             if c not in pos:
                 raise MissingColumn(f"treatment column {c!r} not found")
-    used = {"g", "t", "y", "n"} | set(tcols)
+    used = {"g", "t", "y", "n", *tcols}
+    if (twice := _repeated([name for name in lower if name in used])):
+        raise ValueError(f"column {twice!r} repeats in the header")
+    if (twice := _repeated(tcols)):
+        raise ValueError(f"treatment column {twice!r} is listed twice")
     extra = [header[i] for i, name in enumerate(lower) if name not in used]
     if extra:
         warnings.warn(f"ignoring extra column(s): {', '.join(extra)}", stacklevel=3)

@@ -118,6 +118,8 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
 
 
 def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
+    if first == second:
+        raise ValueError(f"the first and second treatments are both treatment {first}")
     panel.require_binary("staggered-design estimation")
     return adoption_dates(panel, first), adoption_dates(panel, second)
 

@@ -5,7 +5,9 @@ path disjoint from the library's: the regression coefficient comes from one
 dense weighted least-squares solve on the explicit dummy design, and the
 switcher and event-study estimates from literal transcriptions of their
 defining sums, the linear-trend fallback from one ``np.polyfit`` per group,
-and the staggered horizon range from a loop over cohorts.
+and the staggered horizon range from a loop over cohorts. The switcher-average
+truth is the library's former per-switcher loop over ``find_switchers``, kept
+as the reference that the array oracle must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from multidid.didm import find_switchers
 
 
 def dense_dummy_fit(panel, target):
@@ -236,3 +240,31 @@ def polyfit_linear_trends(panel, structure, ell):
     estimate = sum(w * v for _, v, w in contributions) / total
     return (float(estimate), tuple((g, v, w / total) for g, v, w in contributions),
             tuple(dropped))
+
+
+def delta_s_reference(synthetic, target):
+    """True switcher-average effect, one ``potential_outcome`` pair per switcher.
+
+    The switchers are ``find_switchers``' cells, in (period, group) order;
+    each adds n times its effect of moving the target between its observed
+    endpoint values, other treatments at their observed values, per unit of
+    the move, summed left to right from 0.0 and divided by n_s. Zero when the
+    set is empty.
+    """
+    panel = synthetic.panel
+    switchers = find_switchers(panel, target)
+    if switchers.n_s == 0:
+        return 0.0
+    total = 0.0
+    for cell in switchers.cells:
+        gi = panel.group_index(cell.group)
+        ti = panel.period_index(cell.period)
+        d_obs = panel.d[:, gi, ti].copy()
+        d_hi = d_obs.copy()
+        d_hi[target] = cell.target_to
+        d_lo = d_obs.copy()
+        d_lo[target] = cell.target_from
+        effect = synthetic.potential_outcome(gi, ti, d_hi) \
+            - synthetic.potential_outcome(gi, ti, d_lo)
+        total += cell.n * effect / (cell.target_to - cell.target_from)
+    return float(total / switchers.n_s)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -433,6 +434,51 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert m.__version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["didm", "--target", "d1", "--treatments", "d1,d1,d2"],
+     "didm: --treatments names the column 'd1' twice"),
+    (["decompose", "--target", "d1", "--treatments", "d1, D1"],
+     "decompose: --treatments names the column 'd1' twice"),
+    (["dynamic", "--first", "d1", "--second", "D1"],
+     "dynamic: --first 'd1' and --second 'D1' name the same treatment column"),
+    (["bootstrap", "--estimator", "did_ell", "--first", "d2"],
+     "bootstrap: --first 'd2' and --second (default 'd2') name the same treatment column"),
+    (["bootstrap", "--estimator", "did_ell", "--second", "d1"],
+     "bootstrap: --first (default 'd1') and --second 'd1' name the same treatment column"),
+])
+def test_one_column_named_twice_is_a_usage_error(capsys, staggered_csv, argv, message):
+    """Before, a repeated --treatments column made every switch of it drop
+    (didm: estimate 0, exit 0) and --first equal to --second was reported as a
+    design violation (exit 5)."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", staggered_csv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_other_estimators_ignore_first_and_second(capsys, four_group_csv):
+    code, out, err = _run(capsys, "bootstrap", "--input", four_group_csv, "--estimator",
+                          "twfe", "--target", "d1", "--first", "d2", "-B", "3")
+    assert code == 0
+
+
+def test_the_input_is_read_once(capsys, monkeypatch, four_group_csv):
+    """The report's digest is taken from the bytes the reader decodes."""
+    opened, real = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real(file, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, err = _run(capsys, "didm", "--input", four_group_csv, "--target", "d1")
+    assert code == 0 and opened.count(four_group_csv) == 1
+    with real(four_group_csv, "rb") as fh:
+        assert json.loads(out)["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_unreadable_input(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import numpy as np
@@ -139,6 +140,34 @@ def test_delta_s_homogeneous_effect():
     synthetic = m.generate(spec)
     assert m.find_switchers(synthetic.panel, 0).n_s > 0
     assert m.delta_s_oracle(synthetic, 0) == pytest.approx(3.25, abs=1e-12)
+
+
+def test_truth_oracles_call_no_estimator_kernel(monkeypatch):
+    """Every truth value is the same with the DID_M and event-study kernels
+    made to raise: no oracle takes its cells from the estimators."""
+    static = m.generate(m.DgpSpec(kind="random-binary", n_groups=30, n_periods=5,
+                                  n_treatments=3, seed=0, cell_sizes="random",
+                                  base_effects=(1.0, 2.0, -1.0), effect_group_sd=1.0,
+                                  effect_time_sd=0.5))
+    staggered = m.three_cohort_example(extra_never_treated=True)
+    structure = m.build_cohorts(staggered.panel, 0, 1)
+    decomp = m.decompose(static.panel, 0)
+
+    def truths():
+        return ([m.delta_s_oracle(static, k) for k in range(3)],
+                [m.delta_ell_oracle(staggered, structure, ell)
+                 for ell in range(structure.l_nt + 1)],
+                m.decomposition_rhs(static, decomp))
+    expected = truths()
+    assert all(expected[0])
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a truth oracle called an estimator kernel")
+    for name in ("_strata", "_reduce", "_pack", "find_switchers"):
+        monkeypatch.setattr(importlib.import_module("multidid.didm"), name, kernel)
+    for name in ("_contrasts", "_horizon"):
+        monkeypatch.setattr(m.staggered, name, kernel)
+    assert truths() == expected
 
 
 def test_binary_only_flag():

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -227,6 +228,44 @@ def test_csv_missing_column(tmp_path):
     path.write_text("g,t,y,d1\n1,1,0.0,0\n1,2,0.0,1\n2,1,0.0,0\n2,2,0.0,0\n")
     with pytest.raises(MissingColumn, match="d2"):
         m.read_panel_csv(path, treatment_cols=["d1", "d2"])
+
+
+@pytest.mark.parametrize("header, treatments, message", [
+    ("g,t,y,d1,d2", ["d1", " D1", "d2"], "treatment column 'd1' is listed twice"),
+    ("g,t,y,d1,D1", None, "column 'd1' repeats in the header"),
+    ("g,t,y,d1,d2,d2", ["d1", "d2"], "column 'd2' repeats in the header"),
+    ("g,t,y,n,d1, N ", None, "column 'n' repeats in the header"),
+])
+def test_csv_repeated_column_is_refused(tmp_path, header, treatments, message):
+    """A treatment read twice would be its own other treatment, so every
+    switch of it would move another; a name used twice is refused instead."""
+    width = header.count(",") - 2
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join([header] + [f"{g},{t},0.5" + ",1" * width
+                                          for g in (1, 2) for t in (1, 2)]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        m.read_panel_csv(path, treatment_cols=treatments)
+
+
+def test_csv_repeated_extra_column_is_ignored(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("g,t,y,d1,note,note\n1,1,0,0,a,b\n1,2,0,1,a,b\n"
+                    "2,1,0,0,a,b\n2,2,0,0,a,b\n")
+    with pytest.warns(UserWarning, match="note, note"):
+        assert m.read_panel_csv(path).n_treatments == 1
+
+
+@pytest.mark.parametrize("text", [b"g,t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n2,2,0,0\n",
+                                  b'"g",t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n2,2,0,0\n'])
+def test_csv_from_a_binary_file_object(tmp_path, text):
+    """A binary file object is read from where it stands, as its file would be."""
+    path = tmp_path / "panel.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text)
+    stream = io.BytesIO(b"skipped" + codecs.BOM_UTF8 + text)
+    stream.seek(len(b"skipped"))
+    got, want = m.read_panel_csv(stream), m.read_panel_csv(path)
+    assert (got.group_labels, got.period_labels) == (want.group_labels, want.period_labels)
+    assert got.d.tobytes() == want.d.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 def test_csv_no_n_column(tmp_path):

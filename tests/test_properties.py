@@ -22,12 +22,19 @@ from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
     InsufficientPrePeriods,
+    MissingPotentialOutcomes,
     MultiDidError,
     PathologicalDesign,
 )
 from multidid.staggered import adoption_dates
 
-from .oracles import brute_force_didm, cohort_reach, dense_dummy_fit, polyfit_linear_trends
+from .oracles import (
+    brute_force_didm,
+    cohort_reach,
+    delta_s_reference,
+    dense_dummy_fit,
+    polyfit_linear_trends,
+)
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
 SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
@@ -98,6 +105,71 @@ def test_switchers_partition_the_target_changes(case):
         moved = np.any(d[others, x.group, x.period] != d[others, x.group, x.period - 1])
         assert x.reason == ("other_treatment_changed" if moved else "no_matching_stayer")
     assert switchers.n_s == pytest.approx(sum(c.n for c in switchers.cells))
+
+
+@st.composite
+def static_truths(draw):
+    """Synthetic static panels with stored potential outcomes: random-binary
+    with K = 1..4 (treatment probability 0 gives no switcher) or
+    standard-did, under every cell-size rule."""
+    G, T = draw(st.integers(3, 9)), draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2 ** 40))
+    common = dict(n_groups=G, n_periods=T, seed=seed, effect_group_sd=1.0,
+                  effect_time_sd=0.5, noise_sd=draw(st.sampled_from((0.0, 0.7))),
+                  cell_sizes=draw(st.sampled_from(("unit", "random", "product"))))
+    if draw(st.booleans()):
+        K = draw(st.integers(1, 4))
+        spec = m.DgpSpec(kind="random-binary", n_treatments=K,
+                         treat_prob=draw(st.sampled_from((0.0, 0.2, 0.5, 0.8))),
+                         base_effects=tuple(1.0 - 0.5 * k for k in range(K)),
+                         interactions=((0, K - 1, 0.25),) if K > 1 else (), **common)
+    else:
+        g1, t1 = draw(st.integers(2, G - 1)), draw(st.integers(2, T - 1))
+        spec = m.DgpSpec(kind="standard-did", base_effects=(1.0, -2.0),
+                         thresholds=(g1, t1, draw(st.integers(g1 + 1, G)),
+                                     draw(st.integers(t1 + 1, T))), **common)
+    return m.generate(spec)
+
+
+def _truth(oracle, synthetic, target):
+    """The oracle's value, or the class of the library error it raises."""
+    try:
+        return oracle(synthetic, target)
+    except MultiDidError as exc:
+        return type(exc)
+
+
+def _same_truth(synthetic):
+    """``delta_s_oracle`` equals the per-switcher reference exactly for every
+    target, and so it does without stored outcomes: 0.0 when no cell switches,
+    else MissingPotentialOutcomes from both."""
+    bare = m.SyntheticPanel(synthetic.panel, synthetic.kind)
+    for target in range(synthetic.panel.n_treatments):
+        value = m.delta_s_oracle(synthetic, target)
+        assert type(value) is float and value == delta_s_reference(synthetic, target)
+        missing = _truth(m.delta_s_oracle, bare, target)
+        assert missing == _truth(delta_s_reference, bare, target)
+        assert missing is MissingPotentialOutcomes or missing == value == 0.0
+
+
+@settings(max_examples=200)
+@given(static_truths())
+@example(m.four_group_example())
+@example(m.generate(m.DgpSpec(kind="random-binary", n_groups=3, n_periods=2,
+                              n_treatments=1, seed=0, treat_prob=0.0)))
+def test_delta_s_oracle_is_the_reference_bit_for_bit(synthetic):
+    _same_truth(synthetic)
+
+
+@given(panels(), st.data())
+def test_delta_s_oracle_is_the_reference_on_ordered_values(case, data):
+    """The same on drawn ordered treatment values and outcome tables, where
+    both drop reasons are common and a value's bit is whether it exceeds 0.5."""
+    panel, _ = case
+    po = data.draw(arrays(float, (panel.n_groups, panel.n_periods, 1 << panel.n_treatments),
+                          elements=st.integers(-40, 40).map(lambda v: v / 4),
+                          fill=st.nothing()))
+    _same_truth(m.SyntheticPanel(panel, "random-binary", po=po))
 
 
 @given(treatments())
@@ -450,6 +522,9 @@ def csv_texts(draw):
     treatments = draw(st.one_of(st.none(), st.lists(
         st.sampled_from([f"D{k}" for k in range(1, K + 1)] + [" d1 "]),
         min_size=1, max_size=K)))
+    # a column listed twice is a defect, refused before either reader runs
+    if treatments is not None:
+        plain &= len({c.strip().lower() for c in treatments}) == len(treatments)
     return text, treatments, plain
 
 

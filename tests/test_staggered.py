@@ -40,6 +40,19 @@ def test_same_second_date_pathological():
             m.build_cohorts(m.generate(spec).panel, 0, 1)
 
 
+def test_first_and_second_must_differ(abc_staggered):
+    """One column as both treatments is refused as an argument error, not
+    reported as a design violation."""
+    panel = abc_staggered.panel
+    for call in (m.build_cohorts, m.second_treatment_effects, m.first_treatment_effects,
+                 m.combined_effects, m.split_by_order):
+        with pytest.raises(ValueError, match="^the first and second treatments are both "
+                                             "treatment 1$"):
+            call(panel, 1, 1)
+    with pytest.raises(ValueError, match="both treatment 0"):
+        m.bootstrap_se(panel, "did_ell", 4, 0, first=0, second=0)
+
+
 def test_second_before_first_wrong_order():
     d = np.zeros((2, 3, 4))
     d[0, 0, 2:] = 1.0
