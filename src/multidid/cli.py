@@ -32,27 +32,7 @@ from .decomposition import (
     summarize,
 )
 from .didm import didm
-from .errors import (
-    AllReplicationsDegenerate,
-    CollinearTreatments,
-    DegenerateDenominator,
-    DuplicateCell,
-    HorizonOutOfRange,
-    InsufficientPrePeriods,
-    InsufficientVariation,
-    InvalidSpec,
-    MissingColumn,
-    MultiDidError,
-    NoControls,
-    NonBinaryTreatment,
-    NonFiniteValue,
-    NonPositiveWeight,
-    NonSharpDesign,
-    NotStaggered,
-    PathologicalDesign,
-    UnbalancedPanel,
-    WrongOrder,
-)
+from .errors import InsufficientPrePeriods, MissingColumn, MultiDidError
 from .panel import _repeated, read_panel_csv, write_panel_csv
 from .simulate import DgpSpec, generate
 from .staggered import (
@@ -66,28 +46,7 @@ from .staggered import (
 
 PARALLELISM_ENV = "MULTIDID_PARALLELISM"
 
-# exit-code map; documented in --help and stable across releases
-EXIT_CODES = {
-    UnbalancedPanel: 3,
-    DuplicateCell: 3,
-    NonBinaryTreatment: 3,
-    NonFiniteValue: 3,
-    NonPositiveWeight: 3,
-    InsufficientVariation: 3,
-    NonSharpDesign: 3,
-    MissingColumn: 3,
-    InvalidSpec: 3,
-    CollinearTreatments: 4,
-    DegenerateDenominator: 4,
-    NotStaggered: 5,
-    WrongOrder: 5,
-    PathologicalDesign: 5,
-    NoControls: 6,
-    InsufficientPrePeriods: 6,
-    HorizonOutOfRange: 6,
-    AllReplicationsDegenerate: 7,
-}
-
+# lists the exit_code that each class in .errors carries
 _EXIT_DOC = """\
 exit codes:
   0  success
@@ -103,13 +62,6 @@ exit codes:
   7  all bootstrap replications degenerate
   1  unexpected error
 """
-
-
-def _exit_code(exc: MultiDidError) -> int:
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -160,9 +112,10 @@ class _UsageError(Exception):
     """A command line whose column names contradict each other (exit 2)."""
 
 
-def _load(args, binary_required: bool = False):
-    """The panel of ``--input``, whose bytes are read once: they are hashed
-    into ``args._input_sha256`` for the report and decoded for the reader."""
+def _load(args):
+    """The panel of ``--input`` and its treatment names; the bytes are read
+    once: they are hashed into ``args._input_sha256`` for the report and
+    decoded for the reader."""
     treatments = args.treatments.split(",") if args.treatments else None
     if treatments and (twice := _repeated([c.strip().lower() for c in treatments])):
         raise _UsageError(f"--treatments names the column {twice!r} twice")
@@ -171,13 +124,10 @@ def _load(args, binary_required: bool = False):
     args._input_sha256 = hashlib.sha256(data).hexdigest()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        panel = read_panel_csv(io.BytesIO(data), treatment_cols=treatments,
-                               binary_required=binary_required)
+        panel = read_panel_csv(io.BytesIO(data), treatment_cols=treatments)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    names = ([c.strip().lower() for c in treatments] if treatments
-             else [f"d{k + 1}" for k in range(panel.n_treatments)])
-    return panel, names
+    return panel, list(panel.treatment_names)
 
 
 def _column_index(names: list[str], name: str, what: str) -> int:
@@ -197,7 +147,7 @@ def _distinct(args, names: list[str], first: int, second: int) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    panel, names = _load(args, binary_required=True)
+    panel, names = _load(args)
     target = _column_index(names, args.target, "target treatment")
     decomp = decompose(panel, target)
     summary = summarize(decomp, panel)
@@ -298,6 +248,9 @@ def _cmd_bootstrap(args) -> int:
     first = _column_index(names, args.first, "first treatment") if args.first else 0
     second = _column_index(names, args.second, "second treatment") if args.second else 1
     if args.estimator == "did_ell":
+        if len(names) < 2:
+            raise MissingColumn(f"did_ell needs a second treatment column, the "
+                                f"treatments are {names}")
         _distinct(args, names, first, second)
     result = bootstrap_se(panel, args.estimator, args.replications, args.seed,
                           target=target, first=first, second=second, ell=args.ell,
@@ -345,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="long-format CSV panel")
         p.add_argument("--treatments", default=None,
                        help="comma-separated treatment column names "
-                            "(default: d1, d2, ...)")
+                            "(default: the dN columns, in numeric order)")
         if needs_target:
             p.add_argument("--target", required=True,
                            help="treatment column to analyze")
@@ -409,7 +362,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.subcommand}: {exc}")
     except MultiDidError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except (OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

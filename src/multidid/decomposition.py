@@ -288,7 +288,7 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
     of the target's effects (at the observed values of the other treatments)
     plus the contamination-weighted sum of the other treatments' effects.
     """
-    panel.require_binary("the weight decomposition")
+    panel.require_binary()
     stage = first_stage(panel, target)
     beta = twfe_coefficient(panel, target, stage)
     ne = panel.n * stage.residuals

@@ -76,12 +76,16 @@ class PanelDataset:
     Internally the panel is stored as dense arrays indexed by sorted group
     and period labels: ``y`` and ``n`` with shape (G, T) and ``d`` with shape
     (K, G, T). The arrays are write-protected; concurrent reads are safe.
+    ``treatment_names`` name the K treatments (default ``d1..dK``); the CSV
+    reader sets them to the columns it read, and the writer writes them.
     """
 
     __slots__ = ("group_labels", "period_labels", "y", "n", "d", "n_treatments",
-                 "binary_treatments", "total_n", "_group_index", "_period_index")
+                 "treatment_names", "binary_treatments", "total_n", "_group_index",
+                 "_period_index")
 
-    def __init__(self, group_labels, period_labels, y, n, d):
+    def __init__(self, group_labels, period_labels, y, n, d,
+                 treatment_names: Sequence[str] | None = None):
         self.group_labels = tuple(group_labels)
         self.period_labels = tuple(period_labels)
         self.y = np.asarray(y, dtype=float)
@@ -91,12 +95,17 @@ class PanelDataset:
         if self.n.shape != (g, t) or self.d.shape[1:] != (g, t):
             raise ValueError("inconsistent array shapes for panel construction")
         self.n_treatments = int(self.d.shape[0])
+        if treatment_names is None:
+            treatment_names = [f"d{k + 1}" for k in range(self.n_treatments)]
+        self.treatment_names = tuple(treatment_names)
+        if len(self.treatment_names) != self.n_treatments:
+            raise ValueError("one name per treatment required")
         if g < 2 or t < 2:
             raise InsufficientVariation(
                 f"panel needs at least 2 groups and 2 periods, got G={g}, T={t}"
             )
-        names = ("y", "n", *(f"d{k + 1}" for k in range(self.n_treatments)))
-        for name, values in zip(names, (self.y, self.n, *self.d)):
+        for name, values in zip(("y", "n", *self.treatment_names),
+                                (self.y, self.n, *self.d)):
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 raise NonFiniteValue(f"{name} is {float(values[tuple(bad[0])])!r} at "
@@ -141,9 +150,13 @@ class PanelDataset:
         """Total size of the cells where treatment ``k`` is on (binary k)."""
         return float(np.sum(self.n * self.d[k]))
 
-    def require_binary(self, context: str = "this operation") -> None:
+    def require_binary(self) -> None:
+        """Raise NonBinaryTreatment naming the first treatment value outside
+        {0, 1}, treatments outer, then groups, then periods."""
         if not self.binary_treatments:
-            raise NonBinaryTreatment(f"{context} requires binary treatment values")
+            k, gi, ti = np.argwhere(~np.isin(self.d, (0.0, 1.0)))[0]
+            raise NonBinaryTreatment(f"treatment {k + 1} is {float(self.d[k, gi, ti])!r} "
+                                     f"at {self._cell_name(gi, ti)}")
 
     # -- derived panels ----------------------------------------------------
 
@@ -151,14 +164,14 @@ class PanelDataset:
         """Sub-panel containing only the given group labels (order preserved)."""
         keep = [self._group_index[g] for g in groups]
         labels = [self.group_labels[i] for i in keep]
-        return PanelDataset(labels, self.period_labels,
-                            self.y[keep], self.n[keep], self.d[:, keep])
+        return PanelDataset(labels, self.period_labels, self.y[keep], self.n[keep],
+                            self.d[:, keep], self.treatment_names)
 
     def with_groups(self, indices: Sequence[int], labels: Sequence) -> "PanelDataset":
         """Panel built from rows of this one, allowing repeated groups (bootstrap)."""
         idx = list(indices)
-        return PanelDataset(labels, self.period_labels,
-                            self.y[idx], self.n[idx], self.d[:, idx])
+        return PanelDataset(labels, self.period_labels, self.y[idx], self.n[idx],
+                            self.d[:, idx], self.treatment_names)
 
 
 def _sorted_labels(column, what: str, parse, where) -> tuple[list, np.ndarray]:
@@ -184,8 +197,7 @@ def _sorted_labels(column, what: str, parse, where) -> tuple[list, np.ndarray]:
     return labels, np.fromiter(map(code.__getitem__, column), np.intp)
 
 
-def load_panel(rows: Sequence[Sequence], n_treatments: int,
-               binary_required: bool = False) -> PanelDataset:
+def load_panel(rows: Sequence[Sequence], n_treatments: int) -> PanelDataset:
     """Build a validated panel from long-format rows.
 
     Each row is ``(group, period, y, d_1, ..., d_K)`` or
@@ -205,7 +217,7 @@ def load_panel(rows: Sequence[Sequence], n_treatments: int,
         raise ValueError("rows have inconsistent lengths")
     fields = (0, 1, 2, 3 if width == 4 + k else None, *range(width - k, width))
     where = "rows[{}]".format
-    return _ingest(*_columns(rows, fields, where), where, lambda s: s, binary_required)
+    return _ingest(*_columns(rows, fields, where), where, lambda s: s)
 
 
 def _columns(records, fields, where) -> tuple[list, Iterable]:
@@ -225,11 +237,12 @@ def _floats(records, j: int, where) -> np.ndarray:
         raise ValueError(f"{where(i)}: cannot parse row: {exc}") from None
 
 
-def _ingest(labels, values, where, parse, binary_required: bool) -> PanelDataset:
+def _ingest(labels, values, where, parse, treatment_names=None) -> PanelDataset:
     """The one ingestion step of every reader: ``labels`` are the group and
     period columns, lists of spellings or int64 arrays; ``values`` yields the
     float columns of y, n (None: sizes of 1) and d_1..d_K, taken one by one
-    after the label and cell checks; ``where(i)`` names row i."""
+    after the label and cell checks; ``where(i)`` names row i, and
+    ``treatment_names`` the treatments (None: d1..dK)."""
     if len(labels[0]) == 0:
         raise InsufficientVariation("no rows supplied")
     (groups, gi), (periods, ti) = (_sorted_labels(column, what, parse, where)
@@ -252,12 +265,7 @@ def _ingest(labels, values, where, parse, binary_required: bool) -> PanelDataset
         if column is not None:
             cells[flat] = column
         grid.append(cells.reshape(G, T))
-    panel = PanelDataset(groups, periods, grid[0], grid[1], grid[2:])
-    if binary_required and not panel.binary_treatments:
-        k, gi, ti = np.argwhere(~np.isin(panel.d, (0.0, 1.0)))[0]
-        raise NonBinaryTreatment(f"treatment {k + 1} is {float(panel.d[k, gi, ti])!r} "
-                                 f"at {panel._cell_name(gi, ti)}")
-    return panel
+    return PanelDataset(groups, periods, grid[0], grid[1], grid[2:], treatment_names)
 
 
 def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
@@ -303,13 +311,14 @@ def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
 _TREATMENT_PATTERN = re.compile(r"^d(\d+)$")
 
 
-def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
-                   binary_required: bool = False) -> PanelDataset:
+def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDataset:
     """Read a long-format CSV panel: columns ``g,t,y[,n],d1,...,dK``.
 
     Column names are matched case-insensitively; ``n`` is optional. When
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
     numeric order. Extra columns are ignored with a warning listing them.
+    The panel's ``treatment_names`` are the treatment columns used, in that
+    order, trimmed and lower-cased.
 
     ``path`` is a file name, or a binary file object read from where it
     stands. The file's bytes are read once and decoded, a leading UTF-8
@@ -335,9 +344,9 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None,
     except UnicodeDecodeError:  # read as a stream, header defects come first
         return _read_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                               newline=""),
-                             treatment_cols, binary_required)
+                             treatment_cols)
     return _read_records(io.StringIO(text, newline=""), treatment_cols,
-                         binary_required, plain=_plain(text), ascii_text=text.isascii())
+                         plain=_plain(text), ascii_text=text.isascii())
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -364,8 +373,8 @@ def _csv_records(lines):
         raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_records(lines, treatment_cols, binary_required: bool,
-                  plain: bool = False, ascii_text: bool = False) -> PanelDataset:
+def _read_records(lines, treatment_cols, plain: bool = False,
+                  ascii_text: bool = False) -> PanelDataset:
     """The header, then the body: numpy's when ``plain`` (int64 labels tried
     first in an ``ascii_text``), else, or when numpy refuses it or its panel,
     the ``csv`` module's records of ``lines``."""
@@ -402,7 +411,7 @@ def _read_records(lines, treatment_cols, binary_required: bool,
     if plain:
         body = lines.tell()
         try:
-            return _read_plain(lines, fields, parse, binary_required, ascii_text)
+            return _read_plain(lines, fields, parse, ascii_text, tcols)
         except (ValueError, MultiDidError):  # the records name the defect
             lines.seek(body)
     last = max(j for j in fields if j is not None)
@@ -417,11 +426,10 @@ def _read_records(lines, treatment_cols, binary_required: bool,
 
     def where(i):
         return f"line {linenos[i]}"
-    return _ingest(*_columns(kept, fields, where), where, parse, binary_required)
+    return _ingest(*_columns(kept, fields, where), where, parse, tcols)
 
 
-def _read_plain(lines, fields, parse, binary_required: bool,
-                ascii_text: bool) -> PanelDataset:
+def _read_plain(lines, fields, parse, ascii_text: bool, tcols) -> PanelDataset:
     """The body in one pass of numpy's C tokenizer, y, n and d as floats. In
     an ASCII text the labels are asked for as int64, which numpy sorts and
     codes with no Python object per row; only there, as numpy's integer parser
@@ -451,7 +459,7 @@ def _read_plain(lines, fields, parse, binary_required: bool,
     else:  # int names a repeated cell's labels
         labels, parse = [rows[str(j)] for j in fields[:2]], int
     values = [None if j is None else np.asarray(rows[str(j)], float) for j in fields[2:]]
-    return _ingest(labels, values, str, parse, binary_required)
+    return _ingest(labels, values, str, parse, tcols)
 
 
 def _parse_label(text: str):
@@ -464,21 +472,16 @@ def _parse_label(text: str):
     return text
 
 
-def write_panel_csv(panel: PanelDataset, path,
-                    treatment_names: Sequence[str] | None = None) -> None:
-    """Write the panel in the long CSV format accepted by :func:`read_panel_csv`.
+def write_panel_csv(panel: PanelDataset, path) -> None:
+    """Write the panel in the long CSV format accepted by :func:`read_panel_csv`,
+    its treatment columns headed by ``panel.treatment_names``.
 
     Floats are written with shortest round-trip representation, so reading
     the file back reproduces every cell value exactly.
     """
-    names = list(treatment_names) if treatment_names is not None else [
-        f"d{k + 1}" for k in range(panel.n_treatments)
-    ]
-    if len(names) != panel.n_treatments:
-        raise ValueError("one name per treatment required")
     g, t = zip(*product(panel.group_labels, panel.period_labels))
     values = (map(repr, a.ravel().tolist()) for a in (panel.y, panel.n, *panel.d))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["g", "t", "y", "n", *names])
+        writer.writerow(["g", "t", "y", "n", *panel.treatment_names])
         writer.writerows(zip(g, t, *values))

@@ -104,8 +104,11 @@ class DynamicEffectResult:
 def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     """First 1-based period with treatment ``k`` on per group, T + 1 if never.
 
-    Raises NotStaggered if the treatment ever switches off.
+    Raises NotStaggered if the treatment ever switches off, and ValueError
+    if ``k`` is not a treatment index.
     """
+    if not 0 <= k < panel.n_treatments:
+        raise ValueError(f"treatment must be in 0..{panel.n_treatments - 1}, got {k}")
     d = panel.d[k]
     if np.any(d[:, 1:] < d[:, :-1]):
         gi, ti = np.argwhere(d[:, 1:] < d[:, :-1])[0]
@@ -120,7 +123,7 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
 def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
     if first == second:
         raise ValueError(f"the first and second treatments are both treatment {first}")
-    panel.require_binary("staggered-design estimation")
+    panel.require_binary()
     return adoption_dates(panel, first), adoption_dates(panel, second)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import multidid as m
-from multidid import cli
+from multidid import cli, errors
 from multidid.cli import main
 from multidid.decomposition import decomposition_report_json
 from multidid.errors import InsufficientPrePeriods, NonFiniteValue
@@ -581,3 +581,88 @@ def test_simulate_report(capsys, tmp_path):
     assert {k: v for k, v in report.items() if k not in ("tool", "config")} == {
         "written": str(csv_path), "kind": "consecutive-staggered", "n_groups": 5,
         "n_periods": 4, "n_treatments": 2, "seed": 9}
+
+
+@pytest.mark.parametrize("names, order", [
+    (("d2", "d3"), None), (("d3", "d2"), None), (("d1", "d3"), None),
+    (("d10", "d2"), None), (("d2", "d10"), (5, 0, 4, 1, 2, 3)),
+    (("d3", "d1"), (4, 2, 0, 5, 3, 1)),
+])
+@pytest.mark.parametrize("command", ["didm", "decompose"])
+def test_treatment_names_follow_the_header(capsys, tmp_path, names, order, command):
+    """``--target dN`` is the column headed dN, wherever it stands; before, the
+    command line named the treatments d1..dK by position, so on a d2,d3 file
+    --target d2 read column d3 and --target d3 was refused."""
+    spec = m.DgpSpec(kind="random-binary", n_groups=12, n_periods=5, n_treatments=2,
+                     seed=5, base_effects=(1.0, 5.0), effect_group_sd=1.0)
+    panel = m.generate(spec).panel
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(panel, path)
+    body = path.read_text().splitlines()[1:]
+    lines = [["g", "t", "y", "n", *names]] + [line.split(",") for line in body]
+    # columns g,t,y,n,names[0],names[1] in the order given
+    path.write_text("".join(",".join(map(line.__getitem__, order or range(6))) + "\n"
+                            for line in lines))
+    back = m.read_panel_csv(path)
+    numeric = sorted(names, key=lambda name: int(name[1:]))
+    for name in names:
+        code, out, err = _run(capsys, command, "--input", str(path), "--target", name)
+        assert code == 0
+        report = json.loads(out)
+        j, k = names.index(name), numeric.index(name)  # its index written and read
+        if command == "didm":
+            assert report["estimate"] == pytest.approx(m.didm(panel, j).estimate)
+            want = m.didm(back, k).to_dict()
+        else:
+            assert report["beta_fe"] == pytest.approx(m.decompose(panel, j).beta_fe)
+            want = m.decomposition_report(m.decompose(back, k),
+                                          m.summarize(m.decompose(back, k), back))
+        assert {key: report[key] for key in want} == json.loads(
+            json.dumps(want, default=str))
+    assert back.treatment_names == tuple(numeric)
+
+
+def test_did_ell_bootstrap_needs_a_second_treatment(capsys, tmp_path):
+    """On a one-treatment file the default --second names nothing: a typed
+    error, exit 3. Before, an IndexError traceback ended the run (exit 1)."""
+    path = tmp_path / "one.csv"
+    path.write_text("g,t,y,d1\n1,1,0,0\n1,2,1,1\n2,1,0,0\n2,2,0,0\n3,1,0,0\n3,2,2,1\n")
+    code, out, err = _run(capsys, "bootstrap", "--input", str(path), "--estimator",
+                          "did_ell", "-B", "3")
+    assert (code, out) == (3, "")
+    assert err == ("error: MissingColumn: did_ell needs a second treatment column, "
+                   "the treatments are ['d1']\n")
+    for estimator in ("twfe", "didm"):  # neither reads the second treatment
+        code, out, err = _run(capsys, "bootstrap", "--input", str(path), "--estimator",
+                              estimator, "-B", "3")
+        assert code == 0 and json.loads(out)["n_replications"] == 3
+
+
+# the exit codes the --help epilog lists, per class
+EXIT_CODES = {
+    "UnbalancedPanel": 3, "DuplicateCell": 3, "NonBinaryTreatment": 3,
+    "NonPositiveWeight": 3, "NonFiniteValue": 3, "InsufficientVariation": 3,
+    "NonSharpDesign": 3, "MissingColumn": 3, "InvalidSpec": 3,
+    "CollinearTreatments": 4, "DegenerateDenominator": 4,
+    "NotStaggered": 5, "WrongOrder": 5, "PathologicalDesign": 5,
+    "NoControls": 6, "InsufficientPrePeriods": 6, "HorizonOutOfRange": 6,
+    "AllReplicationsDegenerate": 7, "MissingPotentialOutcomes": 1,
+}
+
+
+def test_every_error_class_carries_its_exit_code(capsys, monkeypatch, four_group_csv):
+    """A class missing from the table fails here, whatever code it inherits."""
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.MultiDidError)
+               and cls is not errors.MultiDidError}
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+    epilog = cli.build_parser().epilog
+    listed = {int(line.split()[0]) for line in epilog.splitlines()
+              if line[:3].strip().isdigit()}
+    assert listed == {0, 2} | set(EXIT_CODES.values())
+    for name, cls in classes.items():
+        def raising(*args, **kwargs):
+            raise cls("reason")
+        monkeypatch.setattr(cli, "didm", raising)
+        code, out, err = _run(capsys, "didm", "--input", four_group_csv, "--target", "d1")
+        assert (code, out, err) == (EXIT_CODES[name], "", f"error: {name}: reason\n")

@@ -76,9 +76,27 @@ def test_load_panel_binary_required():
     rows = [(1, 1, 0.0, 0.0), (1, 2, 0.0, 0.3),
             (2, 1, 0.0, 0.0), (2, 2, 0.0, 1.0)]
     with pytest.raises(NonBinaryTreatment):
-        m.load_panel(rows, n_treatments=1, binary_required=True)
+        m.load_panel(rows, n_treatments=1).require_binary()
     panel = m.load_panel(rows, n_treatments=1)
     assert not panel.binary_treatments
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda p: m.decompose(p, 0),
+    lambda p: m.second_treatment_effects(p, 0, 1),
+    lambda p: m.split_by_order(p, 0, 1),
+], ids=["decompose", "second_treatment_effects", "split_by_order"])
+def test_non_binary_errors_name_the_cell(estimator):
+    """Every binary-only estimator names the first non-binary value, treatments
+    outer; before, each named only itself ("the weight decomposition requires
+    binary treatment values")."""
+    d = np.zeros((2, 3, 3))
+    d[:, :, 2] = 1.0
+    d[1, 2, 1], d[1, 1, 2] = 0.5, 2.0
+    panel = m.PanelDataset("abc", (1, 2, 3), np.zeros((3, 3)), np.ones((3, 3)), d)
+    with pytest.raises(NonBinaryTreatment,
+                       match=re.escape("treatment 2 is 2.0 at group='b', period=3")):
+        estimator(panel)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -98,7 +116,7 @@ def test_non_finite_values_rejected(column, pos, bad):
         rows[3][pos] = bad
         match = f"{column} is {bad!r} at group=2, period=2"
     with pytest.raises(NonFiniteValue, match=re.escape(match)):
-        m.load_panel(rows, n_treatments=1, binary_required=True)
+        m.load_panel(rows, n_treatments=1).require_binary()
     if pos >= 2:
         y, n, d = np.zeros((2, 2)), np.ones((2, 2)), np.zeros((1, 2, 2))
         (y, n, d[0])[pos - 2][1, 1] = bad
@@ -124,7 +142,9 @@ def test_canonical_treatment_values():
     assert panel.d.tolist() == [[[0.0, 0.0, 0.0], [1.0, 1.0, 2.0], [0.3, 0.3, 0.3]]]
     assert not np.signbit(panel.d).any()
     rows = [(g, t, 0.0, 1.0 - 5e-13 if g == t else 0.0) for g in (1, 2) for t in (1, 2)]
-    assert m.load_panel(rows, n_treatments=1, binary_required=True).binary_treatments
+    panel = m.load_panel(rows, n_treatments=1)
+    panel.require_binary()
+    assert panel.binary_treatments
 
 
 def test_missing_n_defaults_to_one():

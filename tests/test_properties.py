@@ -320,12 +320,16 @@ LABEL_KINDS = [
 SPECIAL = (0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, -1.75)
 CSV_VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e6, 1e6, allow_nan=False))
 CSV_SIZES = st.one_of(st.sampled_from((5e-324, 1e300, 0.5, 2.75)), st.floats(1e-3, 1e3))
+TREATMENT_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda name: name not in ("g", "t", "y", "n"))
 
 
 @st.composite
 def labelled_panels(draw):
     """A panel with int, year, float or str labels and values that include
-    -0.0, subnormals and +-1e300; sizes are all 1 when the file has no n."""
+    -0.0, subnormals and +-1e300; sizes are all 1 when the file has no n. Its
+    treatments are d1..dK or other lower-case names, read back through
+    ``treatment_cols``."""
     G, T, K = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
     groups, periods = (sorted(draw(st.lists(draw(st.sampled_from(LABEL_KINDS)),
                                             min_size=size, max_size=size, unique=True)))
@@ -336,9 +340,10 @@ def labelled_panels(draw):
         return draw(arrays(float, shape, elements=elements, fill=st.nothing()))
 
     n = grid((G, T), CSV_SIZES) if with_n else np.ones((G, T))
+    names = draw(st.none() | st.lists(TREATMENT_NAMES, min_size=K, max_size=K, unique=True))
     panel = m.PanelDataset(groups, periods, grid((G, T), CSV_VALUES), n,
-                           grid((K, G, T), CSV_VALUES))
-    return panel, with_n
+                           grid((K, G, T), CSV_VALUES), names)
+    return panel, with_n, names
 
 
 def _assert_same_panel(got, want):
@@ -351,7 +356,7 @@ def _assert_same_panel(got, want):
 
 @given(labelled_panels(), st.data())
 def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
-    panel, with_n = case
+    panel, with_n, names = case
     path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
     m.write_panel_csv(panel, path)
     header, *body = path.read_text().splitlines()
@@ -359,15 +364,16 @@ def test_csv_round_trip_is_exact(tmp_path_factory, case, data):
         header, *body = (",".join(line.split(",")[:3] + line.split(",")[4:])
                          for line in [header, *body])
         path.write_text("\n".join([header, *body]) + "\n")
-    back = m.read_panel_csv(path)
+    back = m.read_panel_csv(path, names)
     _assert_same_panel(back, panel)
+    assert back.treatment_names == panel.treatment_names
 
     shuffled = data.draw(st.permutations(body))
     for _ in range(data.draw(st.integers(0, 3))):
         shuffled.insert(data.draw(st.integers(0, len(shuffled))),
                         data.draw(st.sampled_from(("", "   ", ",,", " , "))))
     path.write_text("\n".join([header, *shuffled]) + "\n")
-    _assert_same_panel(m.read_panel_csv(path), panel)
+    _assert_same_panel(m.read_panel_csv(path, names), panel)
 
     rows = [(g, t, float(panel.y[gi, ti]), *([float(panel.n[gi, ti])] if with_n else []),
              *map(float, panel.d[:, gi, ti]))
@@ -407,7 +413,8 @@ def test_decompose_report_is_json_dumps_of_the_report_dict(tmp_path_factory, cas
     panel, target = case
     path = tmp_path_factory.mktemp("report") / "panel.csv"
     m.write_panel_csv(panel, path)
-    back = m.read_panel_csv(path, binary_required=True)
+    back = m.read_panel_csv(path)
+    back.require_binary()
     decomp = _decompose(back, target)
     argv = ["decompose", "--input", str(path), "--target", f"d{target + 1}"]
     out = io.StringIO()

@@ -11,6 +11,7 @@ from multidid.errors import (
     PathologicalDesign,
     WrongOrder,
 )
+from multidid.staggered import adoption_dates
 
 from .conftest import overflowing_staggered_panel, random_staggered_spec
 from .oracles import brute_force_event_study
@@ -51,6 +52,23 @@ def test_first_and_second_must_differ(abc_staggered):
             call(panel, 1, 1)
     with pytest.raises(ValueError, match="both treatment 0"):
         m.bootstrap_se(panel, "did_ell", 4, 0, first=0, second=0)
+
+
+def test_treatment_index_must_exist(abc_staggered):
+    """An index past the treatments (or negative) is refused, as first_stage
+    refuses one; before, a one-treatment panel ended in an IndexError and -1
+    silently read the last treatment."""
+    panel = abc_staggered.panel
+    one = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y, panel.n,
+                         panel.d[:1])
+    for k in (2, -1):
+        with pytest.raises(ValueError, match=f"^treatment must be in 0..1, got {k}$"):
+            adoption_dates(panel, k)
+    for call in (lambda: m.build_cohorts(panel, 0, 2), lambda: m.build_cohorts(panel, -1, 0),
+                 lambda: m.build_cohorts(one, 0, 1),
+                 lambda: m.bootstrap_se(one, "did_ell", 4, 0)):
+        with pytest.raises(ValueError, match="^treatment must be in 0"):
+            call()
 
 
 def test_second_before_first_wrong_order():
