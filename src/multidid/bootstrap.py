@@ -13,8 +13,8 @@ collinear treatments, the drawn groups hold no contrast at the horizon, the
 resampled sizes or sums pass the float range) are excluded from the
 standard error and counted; on the original panel the same errors
 propagate, so a flawed design reports its own error class and exit code.
-Replication r draws from a Philox stream keyed by (seed, r), so the result
-is bit-identical whatever the parallelism degree or execution order.
+Replications run in order on the calling thread, whatever ``parallelism``
+says; replication r draws from a Philox stream keyed by (seed, r).
 
 No asymptotic theory backs these standard errors for the switcher and
 cohort estimators; they are a pragmatic stand-in and reports label them as
@@ -23,7 +23,6 @@ such.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +82,9 @@ def _evaluate(panel: PanelDataset, estimator: str, target: int,
         if result.n_s == 0:
             return None
         return result.estimate
-    if estimator == "did_ell":
-        structure = build_cohorts(panel, first, second)
-        est, _ = did_ell(panel, structure, ell)
-        return est
-    raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
+    structure = build_cohorts(panel, first, second)
+    est, _ = did_ell(panel, structure, ell)
+    return est
 
 
 def _reducer(panel: PanelDataset, estimator: str, target: int, first: int,
@@ -134,13 +131,7 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
         except _DEGENERATE:
             return None
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            values = list(pool.map(one, range(b)))
-    else:
-        values = [one(rep) for rep in range(b)]
-
-    retained = [v for v in values if v is not None]
+    retained = [v for v in map(one, range(b)) if v is not None]
     if not retained:
         raise AllReplicationsDegenerate(
             f"all {b} replications produced an undefined estimate"

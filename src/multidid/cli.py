@@ -254,7 +254,6 @@ def _cmd_bootstrap(args) -> int:
         _distinct(args, names, first, second)
     result = bootstrap_se(panel, args.estimator, args.replications, args.seed,
                           target=target, first=first, second=second, ell=args.ell,
-                          parallelism=args.parallelism,
                           keep_replicates=args.dump_replicates)
     if result.degenerate_inference:
         print("warning: fewer than two usable replications, standard error is 0 "
@@ -347,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through _positive_int like a command-line value
     p.add_argument("--parallelism", type=_positive_int,
                    default=os.environ.get(PARALLELISM_ENV, "1"),
-                   help=f"worker count (default: ${PARALLELISM_ENV} or 1)")
+                   help=f"accepted and ignored: replications run in order on one "
+                        f"thread (default: ${PARALLELISM_ENV} or 1)")
     p.add_argument("--dump-replicates", action="store_true")
     p.set_defaults(func=_cmd_bootstrap)
     return parser

@@ -181,10 +181,10 @@ def _two_way_residualize(n: np.ndarray, grids: list[np.ndarray]) -> list[np.ndar
     return out
 
 
-def _partial(n: np.ndarray, d: np.ndarray, total_n: float,
-             target: int) -> tuple[np.ndarray, dict[int, float]]:
-    """:func:`first_stage` on the arrays of a panel: residuals of ``d[target]``
-    and the coefficients on the other treatments."""
+def _partial(n: np.ndarray, d: np.ndarray, total_n: float, target: int,
+             names: tuple) -> tuple[np.ndarray, dict[int, float]]:
+    """:func:`first_stage` on the arrays of a panel whose treatments are
+    ``names``: residuals of ``d[target]`` and the coefficients on the others."""
     K = d.shape[0]
     others = [j for j in range(K) if j != target]
     resid = _two_way_residualize(n, [d[target]] + [d[j] for j in others])
@@ -217,7 +217,7 @@ def _partial(n: np.ndarray, d: np.ndarray, total_n: float,
 
     if float(np.linalg.norm(sqrtn * eps.ravel())) <= tol:
         raise CollinearTreatments(
-            f"treatment {target} is collinear with the other regressors"
+            f"treatment {names[target]} is collinear with the other regressors"
         )
     return eps, coef_other
 
@@ -246,10 +246,8 @@ def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
     sums vanish within every group, within every period, and against every
     other treatment included in the regression.
     """
-    K = panel.n_treatments
-    if not 0 <= target < K:
-        raise ValueError(f"target must be in 0..{K - 1}, got {target}")
-    eps, coef_other = _partial(panel.n, panel.d, panel.total_n, target)
+    panel.check_treatment(target)
+    eps, coef_other = _partial(panel.n, panel.d, panel.total_n, target, panel.treatment_names)
     return FirstStageResult(target=target, residuals=eps, coef_other=coef_other)
 
 
@@ -276,7 +274,7 @@ def _twfe_reducer(panel: PanelDataset, target: int):
         drawn = np.flatnonzero(counts)
         n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
         total_n = float(np.cumsum(n.ravel())[-1])  # PanelDataset's order
-        eps, _ = _partial(n, d, total_n, target)
+        eps, _ = _partial(n, d, total_n, target, panel.treatment_names)
         return _coefficient(n, panel.y[drawn], d[target], eps, total_n)
     return estimate
 

@@ -26,7 +26,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import NonBinaryTreatment, NonFiniteValue
+from .errors import NonFiniteValue
 from .panel import PanelDataset
 from .simulate import _mask_grid
 
@@ -199,6 +199,7 @@ def _pack(key: np.ndarray, radix: int, columns) -> np.ndarray:
 
 
 def _strata(panel: PanelDataset, target: int) -> _Strata:
+    panel.check_treatment(target)
     K, G, T = panel.d.shape
     others = [j for j in range(K) if j != target]
     before = panel.d[:, :, :-1].transpose(0, 2, 1).reshape(K, -1)
@@ -306,9 +307,8 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
     Strata are aggregated in a fixed order (ascending period, then baseline,
     then the target transition) so the reduction is bit-reproducible.
     """
-    if binary_only and not np.isin(panel.d[target], (0.0, 1.0)).all():
-        raise NonBinaryTreatment("target treatment is not binary and binary_only "
-                                 "was requested")
+    if binary_only:
+        panel.require_binary((target,))
     strata = _strata(panel, target)
     estimate, n_s, weight, sw_n, st_n, value = _reduce(strata)
     components = tuple(
@@ -336,6 +336,7 @@ def delta_s_oracle(synthetic, target: int) -> float:
     switcher.
     """
     panel = synthetic.panel
+    panel.check_treatment(target)
     K, G, T = panel.d.shape
     before = panel.d[:, :, :-1].transpose(0, 2, 1).reshape(K, -1)
     after = panel.d[:, :, 1:].transpose(0, 2, 1).reshape(K, -1)

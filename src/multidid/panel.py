@@ -150,13 +150,21 @@ class PanelDataset:
         """Total size of the cells where treatment ``k`` is on (binary k)."""
         return float(np.sum(self.n * self.d[k]))
 
-    def require_binary(self) -> None:
-        """Raise NonBinaryTreatment naming the first treatment value outside
-        {0, 1}, treatments outer, then groups, then periods."""
-        if not self.binary_treatments:
-            k, gi, ti = np.argwhere(~np.isin(self.d, (0.0, 1.0)))[0]
-            raise NonBinaryTreatment(f"treatment {k + 1} is {float(self.d[k, gi, ti])!r} "
-                                     f"at {self._cell_name(gi, ti)}")
+    def check_treatment(self, k: int) -> None:
+        """Raise ValueError unless ``k`` is a treatment index, 0..K-1."""
+        if not 0 <= k < self.n_treatments:
+            raise ValueError(f"treatment must be in 0..{self.n_treatments - 1}, got {k}")
+
+    def require_binary(self, treatments: Iterable[int] | None = None) -> None:
+        """Raise NonBinaryTreatment naming the first value outside {0, 1} of the
+        ``treatments`` (default: all), in their order, then groups, then periods."""
+        for k in range(self.n_treatments) if treatments is None else treatments:
+            self.check_treatment(k)
+            bad = () if self.binary_treatments else np.argwhere(~np.isin(self.d[k], (0, 1)))
+            if len(bad):
+                (gi, ti), name = bad[0], self.treatment_names[k]
+                raise NonBinaryTreatment(f"treatment {name} is {float(self.d[k, gi, ti])!r} "
+                                         f"at {self._cell_name(gi, ti)}")
 
     # -- derived panels ----------------------------------------------------
 

@@ -107,13 +107,12 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     Raises NotStaggered if the treatment ever switches off, and ValueError
     if ``k`` is not a treatment index.
     """
-    if not 0 <= k < panel.n_treatments:
-        raise ValueError(f"treatment must be in 0..{panel.n_treatments - 1}, got {k}")
+    panel.check_treatment(k)
     d = panel.d[k]
     if np.any(d[:, 1:] < d[:, :-1]):
         gi, ti = np.argwhere(d[:, 1:] < d[:, :-1])[0]
         raise NotStaggered(
-            f"treatment {k} switches off for group "
+            f"treatment {panel.treatment_names[k]} switches off for group "
             f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}"
         )
     on = d > 0.5
@@ -122,7 +121,9 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
 
 def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
     if first == second:
-        raise ValueError(f"the first and second treatments are both treatment {first}")
+        panel.check_treatment(first)
+        raise ValueError(f"the first and second treatments are both "
+                         f"{panel.treatment_names[first]}")
     panel.require_binary()
     return adoption_dates(panel, first), adoption_dates(panel, second)
 

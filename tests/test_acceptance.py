@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to get one printed
 pass/fail line per criterion in addition to the pytest verdicts.
 """
 
+import importlib.util
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -17,6 +20,8 @@ from multidid.errors import CollinearTreatments
 
 from .conftest import make_random_panel, random_staggered_spec
 from .oracles import brute_force_didm
+
+DAYCARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "daycare_replication.py"
 
 
 @contextmanager
@@ -283,8 +288,7 @@ def test_criterion_10_performance():
 
 
 def test_criterion_11_external_replication_panel():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "daycare_replication.py"
-    assert script.exists()
+    assert DAYCARE_SCRIPT.exists()
     if not os.environ.get("MULTIDID_REPLICATION_PANEL"):
         print("criterion 11 [external replication]: SKIP (panel not supplied)")
         pytest.skip(
@@ -292,10 +296,29 @@ def test_criterion_11_external_replication_panel():
             "set MULTIDID_REPLICATION_PANEL to its CSV path and run "
             "scripts/daycare_replication.py"
         )
-    import subprocess
-    import sys
     with criterion(11, "external replication"):
         proc = subprocess.run(
-            [sys.executable, str(script), os.environ["MULTIDID_REPLICATION_PANEL"]],
+            [sys.executable, str(DAYCARE_SCRIPT), os.environ["MULTIDID_REPLICATION_PANEL"]],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_daycare_script_runs_on_a_generated_panel(tmp_path):
+    """The replication script's library calls run on a binary K=4 panel, so API
+    drift fails here without the external panel: a generated panel matches
+    none of the published figures, so the script prints one line per
+    reference figure and exits 1."""
+    spec = m.DgpSpec(kind="random-binary", n_groups=30, n_periods=3, n_treatments=4,
+                     seed=11, noise_sd=1.0)
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    found = importlib.util.spec_from_file_location("daycare_replication", DAYCARE_SCRIPT)
+    script = importlib.util.module_from_spec(found)
+    found.loader.exec_module(script)
+    src = str(Path(m.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(DAYCARE_SCRIPT), str(path)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == list(script.REFERENCE)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ def test_bit_identical_across_parallelism():
                                   parallelism=8, keep_replicates=True)
         assert serial == threaded
         assert serial.replicates == threaded.replicates
+
+
+def test_replications_start_no_thread(monkeypatch, abc_staggered):
+    """Replications run on the calling thread whatever ``parallelism`` says."""
+    def refuse(self):
+        raise AssertionError("bootstrap_se started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for estimator in ("twfe", "didm"):
+        m.bootstrap_se(_noisy_panel(), estimator, 6, 1, parallelism=4)
+    m.bootstrap_se(abc_staggered.panel, "did_ell", 6, 1, parallelism=4)
 
 
 def test_single_replication_zero_se():

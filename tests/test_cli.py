@@ -111,6 +111,20 @@ def test_missing_treatment_column_exit_code(capsys, tmp_path):
     assert "d2" in err
 
 
+def test_binary_only_names_the_non_binary_cell(capsys, tmp_path):
+    """--binary-only checks the target alone, and the error names its column
+    and the cell, exit 3. Before, it named no cell."""
+    path = tmp_path / "half.csv"
+    path.write_text("g,t,y,d1,d2\n1,1,0,0,0\n1,2,1,1,0.5\n2,1,0,0,0\n2,2,0,0,0\n")
+    code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d2",
+                          "--binary-only")
+    assert (code, out) == (3, "")
+    assert err == "error: NonBinaryTreatment: treatment d2 is 0.5 at group=1, period=2\n"
+    code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d1",
+                          "--binary-only")
+    assert code == 0
+
+
 def test_simulate_then_decompose_matches_in_process(capsys, tmp_path):
     spec = m.DgpSpec(kind="random-binary", n_groups=9, n_periods=5,
                      n_treatments=2, seed=17, noise_sd=0.4,

@@ -85,8 +85,10 @@ def test_zero_outcome_zero_coefficient(four_group):
 def test_constant_treatment_collinear():
     d = np.zeros((1, 3, 3))
     d[0] = 1.0
-    panel = m.PanelDataset(range(3), range(3), np.zeros((3, 3)), np.ones((3, 3)), d)
-    with pytest.raises(CollinearTreatments):
+    panel = m.PanelDataset(range(3), range(3), np.zeros((3, 3)), np.ones((3, 3)), d,
+                           treatment_names=("law",))
+    with pytest.raises(CollinearTreatments,
+                       match="^treatment law is collinear with the other regressors$"):
         m.first_stage(panel, 0)
 
 

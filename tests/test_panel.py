@@ -95,8 +95,30 @@ def test_non_binary_errors_name_the_cell(estimator):
     d[1, 2, 1], d[1, 1, 2] = 0.5, 2.0
     panel = m.PanelDataset("abc", (1, 2, 3), np.zeros((3, 3)), np.ones((3, 3)), d)
     with pytest.raises(NonBinaryTreatment,
-                       match=re.escape("treatment 2 is 2.0 at group='b', period=3")):
+                       match=re.escape("treatment d2 is 2.0 at group='b', period=3")):
         estimator(panel)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+@pytest.mark.parametrize("call", [
+    lambda syn, k: m.first_stage(syn.panel, k),
+    lambda syn, k: m.didm(syn.panel, k),
+    lambda syn, k: m.didm(syn.panel, k, binary_only=True),
+    lambda syn, k: m.find_switchers(syn.panel, k),
+    lambda syn, k: m.delta_s_oracle(syn, k),
+    lambda syn, k: m.bootstrap_se(syn.panel, "twfe", 5, 0, target=k),
+    lambda syn, k: m.bootstrap_se(syn.panel, "didm", 5, 0, target=k),
+    lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, first=k),
+    lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, second=k),
+], ids=["first_stage", "didm", "didm_binary_only", "find_switchers", "delta_s_oracle",
+        "bootstrap_twfe", "bootstrap_didm", "bootstrap_first", "bootstrap_second"])
+def test_treatment_index_out_of_range(abc_staggered, call, k):
+    """These functions refuse -1 and K alike, as adoption_dates does. Before,
+    didm read -1 as the last treatment, K was an IndexError, delta_s_oracle
+    failed on a negative shift and the didm bootstrap called every replicate
+    degenerate."""
+    with pytest.raises(ValueError, match=f"^treatment must be in 0..1, got {k}$"):
+        call(abc_staggered, k)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -47,10 +47,9 @@ def test_first_and_second_must_differ(abc_staggered):
     panel = abc_staggered.panel
     for call in (m.build_cohorts, m.second_treatment_effects, m.first_treatment_effects,
                  m.combined_effects, m.split_by_order):
-        with pytest.raises(ValueError, match="^the first and second treatments are both "
-                                             "treatment 1$"):
+        with pytest.raises(ValueError, match="^the first and second treatments are both d2$"):
             call(panel, 1, 1)
-    with pytest.raises(ValueError, match="both treatment 0"):
+    with pytest.raises(ValueError, match="both d1$"):
         m.bootstrap_se(panel, "did_ell", 4, 0, first=0, second=0)
 
 
@@ -86,8 +85,9 @@ def test_switching_off_not_staggered():
     d = np.zeros((2, 3, 4))
     d[0, 0, 1] = 1.0  # on then off
     panel = m.PanelDataset(range(3), range(4), np.zeros((3, 4)),
-                           np.ones((3, 4)), d)
-    with pytest.raises(NotStaggered):
+                           np.ones((3, 4)), d, treatment_names=("law", "tax"))
+    with pytest.raises(NotStaggered, match="^treatment law switches off for group 0 "
+                                           "at period 2$"):
         m.build_cohorts(panel, 0, 1)
 
 
