@@ -251,17 +251,14 @@ def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
     return FirstStageResult(target=target, residuals=eps, coef_other=coef_other)
 
 
-def twfe_coefficient(panel: PanelDataset, target: int,
-                     stage: FirstStageResult | None = None) -> float:
+def twfe_coefficient(panel: PanelDataset, target: int) -> float:
     """Coefficient on ``target`` in the weighted two-way fixed-effects regression.
 
     Computed as ``sum(n * eps * y) / sum(n * eps * d_target)``, identical to
     the coefficient from the full dummy-variable regression.
     """
-    if stage is None:
-        stage = first_stage(panel, target)
-    return _coefficient(panel.n, panel.y, panel.d[target], stage.residuals,
-                        panel.total_n)
+    eps = first_stage(panel, target).residuals
+    return _coefficient(panel.n, panel.y, panel.d[target], eps, panel.total_n)
 
 
 def _twfe_reducer(panel: PanelDataset, target: int):
@@ -288,7 +285,7 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
     """
     panel.require_binary()
     stage = first_stage(panel, target)
-    beta = twfe_coefficient(panel, target, stage)
+    beta = _coefficient(panel.n, panel.y, panel.d[target], stage.residuals, panel.total_n)
     ne = panel.n * stage.residuals
     W = ne / float(np.sum(ne * panel.d[target]))
     others = [j for j in range(panel.n_treatments) if j != target]

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import NonFiniteValue
 from .panel import PanelDataset
-from .simulate import _mask_grid
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def delta_s_oracle(synthetic, target: int) -> float:
         return 0.0
     g, t = cells % G, cells // G + 1
     frm, to = before[target, cells], after[target, cells]
-    masks, bit = _mask_grid(panel.d)[g, t], 1 << target
+    masks, bit = synthetic.masks[g, t], 1 << target
     po, n = synthetic._require_po(), panel.n[g, t]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
         effect = (po[g, t, np.where(to > 0.5, masks | bit, masks & ~bit)]

@@ -148,6 +148,7 @@ class PanelDataset:
 
     def treated_count(self, k: int) -> float:
         """Total size of the cells where treatment ``k`` is on (binary k)."""
+        self.check_treatment(k)
         return float(np.sum(self.n * self.d[k]))
 
     def check_treatment(self, k: int) -> None:

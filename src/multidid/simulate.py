@@ -11,10 +11,14 @@ Randomness uses counter-based Philox streams keyed by (seed, stream id,
 coordinates), so generation is order independent and reproducible bit for
 bit; the stream ids are the ``STREAM_*`` constants below. The stream
 (seed, stream, *c) is ``Generator(Philox(SeedSequence((seed, stream, *c))))``
-from numpy. Its uniform and bounded-integer draws are computed for all keys
-at once, in uint64 array arithmetic that repeats numpy's SeedSequence
-hashing, Philox4x64-10 and the derivations of ``random`` and ``integers``;
-normal draws run numpy's own ziggurat on a rekeyed bit generator. Noise, when
+from numpy. A panel's keys are hashed in one pass of uint64 array arithmetic
+that repeats numpy's SeedSequence hashing (all but the first-effect path's,
+keyed by drawn adoption dates), and its uniform and bounded-integer draws
+come from one Philox4x64-10 pass, split by stream. Keys of up to 4 entropy
+words share a pass, as SeedSequence pads its 4-word pool with zeros; a wider
+key (a seed or stream id of 2**32 or more) shares only with its own width,
+where a zero word would change the state. Normal draws run numpy's own
+ziggurat on a rekeyed bit generator. Noise, when
 requested, enters only the never-treated baseline and is therefore shared by
 all potential outcomes of a cell: parallel-trends conditions keep holding
 exactly, which makes Monte-Carlo averages of the estimators clean tests of
@@ -68,14 +72,11 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _keys(seed: int, stream: int, *coords) -> np.ndarray:
-    """Philox keys, shape (2, *S), of ``SeedSequence((seed, stream, *c))`` for
-    every c of the coordinate arrays broadcast to shape S, with entries in
-    [0, 2**32): SeedSequence's entropy mixing over its 4-word pool, then
-    ``generate_state(2, uint64)``, on uint32 arrays."""
-    cols = np.broadcast_arrays(*coords)
-    entropy = [np.full(cols[0].shape, w, np.uint32) for w in _words(seed) + _words(stream)]
-    entropy += [c.astype(np.uint32) for c in cols]
+def _keys(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys, shape (2, N), with entries in [0, 2**32), of the
+    SeedSequence over each column of the (W, N) uint32 entropy words, W >= 4:
+    SeedSequence's entropy mixing over its 4-word pool, then
+    ``generate_state(2, uint64)``."""
     const = _INIT_A
 
     def hashmix(value, mult=_MULT_A):
@@ -89,8 +90,7 @@ def _keys(seed: int, stream: int, *coords) -> np.ndarray:
         value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
         return value ^ value >> np.uint32(16)
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
-            for i in range(4)]
+    pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -107,15 +107,18 @@ def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products a·b, from 32-bit halves."""
     a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
     b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
-    mid = (b_lo * a_lo >> np.uint64(32)) + (b_hi * a_lo & np.uint64(_MASK32)) \
-        + (b_lo * a_hi & np.uint64(_MASK32))
-    return (b_hi * a_hi + (b_hi * a_lo >> np.uint64(32)) + (b_lo * a_hi >> np.uint64(32))
-            + (mid >> np.uint64(32)))
+    x, y = b_hi * a_lo, b_lo * a_hi
+    mid = (b_lo * a_lo >> np.uint64(32)) + (x & np.uint64(_MASK32)) + (y & np.uint64(_MASK32))
+    return b_hi * a_hi + (x >> np.uint64(32)) + (y >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
 def _philox(keys: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` 64-bit outputs, shape (*S, n), of a fresh numpy Philox
-    under each key: Philox4x64-10 blocks at counters 1, 2, ..."""
+    """The first ``n`` 64-bit outputs, shape (n, N), of a fresh numpy Philox
+    under each of the (2, N) keys: Philox4x64-10 blocks at counters 1, 2, ...
+    Keys go in slices of 2**14, whose round temporaries stay in cache."""
+    if keys.shape[1] > 2 ** 14:
+        return np.concatenate([_philox(keys[:, i:i + 2 ** 14], n)
+                               for i in range(0, keys.shape[1], 2 ** 14)], axis=1)
     zero = np.zeros(keys.shape[1:], np.uint64)
     outputs = []
     for counter in range(1, -(-n // 4) + 1):
@@ -128,7 +131,35 @@ def _philox(keys: np.ndarray, n: int) -> np.ndarray:
             c = [_mulhi(_PHILOX_M[1], c[2]) ^ c[1] ^ k0, lo1,
                  _mulhi(_PHILOX_M[0], c[0]) ^ c[3] ^ k1, lo0]
         outputs += c
-    return np.stack(outputs[:n], axis=-1)
+    return np.stack(outputs[:n])
+
+
+def _batch(requests: dict) -> tuple[dict, dict]:
+    """Keys, shape (2, *S), and first ``outputs`` raw outputs, shape
+    (outputs, *S), by name, of the streams (seed, stream, *c) of each request
+    ``name: (outputs, seed, stream, *coords)``, c ranging over the coordinates
+    broadcast to shape S: one hash per entropy width (at least 4, zero-padded),
+    then one Philox pass for every request with outputs."""
+    words, shapes = {}, {}
+    for name, (_, seed, stream, *coords) in requests.items():
+        cols = np.broadcast_arrays(*coords)
+        shapes[name] = cols[0].shape
+        words[name] = [np.full(cols[0].size, w, np.uint32) for w in _words(seed) + _words(stream)]
+        words[name] += [c.astype(np.uint32).ravel() for c in cols]
+        words[name] += [np.zeros(cols[0].size, np.uint32)] * (4 - len(words[name]))
+
+    def cut(flat, names):
+        ends = np.cumsum([words[name][0].size for name in names])[:-1]
+        return zip(names, np.split(flat, ends, axis=-1))
+    keys, raw = {}, {}
+    for width in {len(w) for w in words.values()}:
+        names = [name for name, w in words.items() if len(w) == width]
+        keys.update(cut(_keys(np.concatenate([words[name] for name in names], axis=1)), names))
+    if drawn := [name for name in requests if requests[name][0]]:
+        flat = np.concatenate([keys[name] for name in drawn], axis=1)
+        raw.update(cut(_philox(flat, max(requests[name][0] for name in drawn)), drawn))
+    return ({name: k.reshape(2, *shapes[name]) for name, k in keys.items()},
+            {name: r[:requests[name][0]].reshape(-1, *shapes[name]) for name, r in raw.items()})
 
 
 def _replay(keys: np.ndarray):
@@ -144,21 +175,18 @@ def _replay(keys: np.ndarray):
         yield gen
 
 
-def _uniforms(seed: int, stream: int, size: int, *coords) -> np.ndarray:
-    """``.random(size)`` of the stream (seed, stream, *c) for every coordinate
-    c, shape (*S, size): the top 53 bits of each output, scaled by 2**-53."""
-    return (_philox(_keys(seed, stream, *coords), size) >> np.uint64(11)) * 2.0 ** -53
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """``.random()`` of each raw output: its top 53 bits, scaled by 2**-53."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
-def _integers(seed: int, stream: int, low, high, *coords) -> np.ndarray:
-    """``.integers(low, high)`` of the stream (seed, stream, *c) for every
-    coordinate c, with 1 <= high - low < 2**32: numpy's Lemire method on the
-    low 32 bits of the first output. A draw it would reject is replayed by
-    numpy itself."""
-    keys = _keys(seed, stream, *coords)
+def _bounded(keys: np.ndarray, raw: np.ndarray, low, high) -> np.ndarray:
+    """``.integers(low, high)`` from the keys and raw outputs of its streams,
+    with 1 <= high - low < 2**32: numpy's Lemire method on the low 32 bits of
+    the first output. A draw it would reject is replayed by numpy itself."""
     low, high = (np.broadcast_to(a, keys.shape[1:]).astype(np.int64) for a in (low, high))
     span = (high - low).astype(np.uint64)
-    m = (_philox(keys, 1)[..., 0] & np.uint64(_MASK32)) * span
+    m = (raw[0] & np.uint64(_MASK32)) * span
     out = low + (m >> np.uint64(32)).astype(np.int64)
     rejected = np.flatnonzero(m & np.uint64(_MASK32) < (np.uint64(2 ** 32) - span) % span)
     for i, gen in zip(rejected, _replay(keys.reshape(2, -1)[:, rejected])):
@@ -166,12 +194,27 @@ def _integers(seed: int, stream: int, low, high, *coords) -> np.ndarray:
     return out
 
 
-def _normals(seed: int, stream: int, *coords, size: int | None = None) -> np.ndarray:
-    """``.standard_normal(size)`` of the stream (seed, stream, *c) for every
-    coordinate c, shape S or (*S, size), from numpy's own ziggurat."""
-    keys = _keys(seed, stream, *coords)
+def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
+    """``.standard_normal(size)`` of each key's stream, shape S or (*S, size),
+    from numpy's own ziggurat."""
     draws = [gen.standard_normal(size) for gen in _replay(keys)]
     return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
+
+
+def _uniforms(seed: int, stream: int, size: int, *coords) -> np.ndarray:
+    """``.random(size)`` of each stream (seed, stream, *c), shape (*S, size)."""
+    return np.moveaxis(_unit(_batch({0: (size, seed, stream, *coords)})[1][0]), 0, -1)
+
+
+def _integers(seed: int, stream: int, low, high, *coords) -> np.ndarray:
+    """``.integers(low, high)`` of each stream (seed, stream, *c)."""
+    keys, raw = _batch({0: (1, seed, stream, *coords)})
+    return _bounded(keys[0], raw[0], low, high)
+
+
+def _normals(seed: int, stream: int, *coords, size: int | None = None) -> np.ndarray:
+    """``.standard_normal(size)`` of each stream (seed, stream, *c)."""
+    return _gauss(_batch({0: (0, seed, stream, *coords)})[0][0], size)
 
 
 @dataclass(frozen=True)
@@ -241,7 +284,7 @@ class SyntheticPanel:
     Static designs expose ``potential_outcome`` for every treatment vector;
     staggered designs expose the per-horizon second-treatment effects. The
     observed outcome always equals the potential outcome at the realized
-    treatments.
+    treatments, whose combination per cell ``masks`` holds as a bit mask.
     """
 
     def __init__(self, panel: PanelDataset, kind: str,
@@ -258,6 +301,8 @@ class SyntheticPanel:
         self.baseline = baseline
         self.first_effect = first_effect
         self.second_effect = second_effect
+        self.masks = _mask_grid(panel.d)
+        self.masks.setflags(write=False)
 
     # -- static designs ----------------------------------------------------
 
@@ -279,15 +324,16 @@ class SyntheticPanel:
     def target_effect_grid(self, target: int) -> np.ndarray:
         """Effect of switching ``target`` on, holding the other treatments at
         their observed values, for every cell."""
-        po, masks = self._require_po(), _mask_grid(self.panel.d)
-        bit = 1 << target
-        return _at(po, masks | bit) - _at(po, masks & ~bit)
+        self.panel.check_treatment(target)
+        po, bit = self._require_po(), 1 << target
+        return _at(po, self.masks | bit) - _at(po, self.masks & ~bit)
 
     def others_effect_grid(self, target: int) -> np.ndarray:
         """Effect of the observed other treatments versus none, with the
         target held off, for every cell."""
-        po, masks = self._require_po(), _mask_grid(self.panel.d)
-        return _at(po, masks & ~(1 << target)) - po[:, :, 0]
+        self.panel.check_treatment(target)
+        po = self._require_po()
+        return _at(po, self.masks & ~(1 << target)) - po[:, :, 0]
 
     # -- staggered designs ---------------------------------------------------
 
@@ -320,31 +366,42 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
     return _generate_static(spec)
 
 
-def _cell_sizes(spec: DgpSpec) -> np.ndarray:
+def _requests(spec: DgpSpec) -> dict:
+    """The ``_batch`` requests of the baseline and cell sizes of both kinds."""
     G, T = spec.n_groups, spec.n_periods
     g, t = np.arange(G), np.arange(T)
+    want = {"theta": (0, spec.seed, STREAM_GROUP_FE, g), "eta": (0, spec.seed, STREAM_TIME_FE, t)}
+    if spec.noise_sd > 0:
+        nseed = spec.seed if spec.noise_seed is None else spec.noise_seed
+        want["noise"] = (0, nseed, STREAM_NOISE, g[:, None], t)
+    if spec.cell_sizes == "random":
+        want["n"] = (1, spec.seed, STREAM_CELL_SIZE, g[:, None], t)
+    elif spec.cell_sizes == "product":
+        want["n"] = (1, spec.seed, STREAM_CELL_SIZE, np.concatenate([g, G + t]))
+    return want
+
+
+def _cell_sizes(spec: DgpSpec, keys: dict, raw: dict) -> np.ndarray:
+    G, T = spec.n_groups, spec.n_periods
     if spec.cell_sizes == "unit":
         return np.ones((G, T))
     if spec.cell_sizes == "random":
-        return _integers(spec.seed, STREAM_CELL_SIZE, 1, 5, g[:, None], t) * 1.0
+        return _bounded(keys["n"], raw["n"], 1, 5) * 1.0
     if spec.cell_sizes == "product":
-        return np.outer(_integers(spec.seed, STREAM_CELL_SIZE, 1, 5, g) * 1.0,
-                        _integers(spec.seed, STREAM_CELL_SIZE, 1, 5, G + t) * 1.0)
+        sizes = _bounded(keys["n"], raw["n"], 1, 5) * 1.0
+        return np.outer(sizes[:G], sizes[G:])
     raise InvalidSpec(f"unknown cell_sizes rule {spec.cell_sizes!r}")
 
 
-def _baseline(spec: DgpSpec) -> np.ndarray:
-    G, T = spec.n_groups, spec.n_periods
-    g, t = np.arange(G), np.arange(T)
-    theta = spec.group_sd * _normals(spec.seed, STREAM_GROUP_FE, g)
-    periods = np.arange(1, T + 1, dtype=float)
+def _baseline(spec: DgpSpec, keys: dict) -> np.ndarray:
+    theta = spec.group_sd * _gauss(keys["theta"])
+    periods = np.arange(1, spec.n_periods + 1, dtype=float)
     eta = spec.time_slope * periods + spec.time_curvature * periods ** 2
     if spec.time_sd:
-        eta = eta + spec.time_sd * _normals(spec.seed, STREAM_TIME_FE, t)
+        eta = eta + spec.time_sd * _gauss(keys["eta"])
     base = theta[:, None] + eta[None, :]
     if spec.noise_sd > 0:
-        nseed = spec.seed if spec.noise_seed is None else spec.noise_seed
-        base = base + spec.noise_sd * _normals(nseed, STREAM_NOISE, g[:, None], t)
+        base = base + spec.noise_sd * _gauss(keys["noise"])
     return base
 
 
@@ -369,7 +426,9 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
         if not (0 <= k < K and 0 <= j < K and k != j):
             raise InvalidSpec(f"bad interaction pair ({k}, {j})")
 
-    g, t = np.arange(G), np.arange(T)
+    g, t, k = np.arange(G), np.arange(T), np.arange(K)[:, None]
+    want = {"effect_group": (0, spec.seed, STREAM_EFFECT_GROUP, k, g),
+            "effect_time": (0, spec.seed, STREAM_EFFECT_TIME, k, t), **_requests(spec)}
     if spec.kind == "standard-did":
         if K != 2:
             raise InvalidSpec("the standard design uses exactly 2 treatments")
@@ -382,21 +441,21 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
             )
         d = np.stack([np.outer(g + 1 >= g1, t + 1 >= t1),
                       np.outer(g + 1 >= g2, t + 1 >= t2)]) * 1.0
+        keys, raw = _batch(want)
     else:
         if not 0.0 <= spec.treat_prob <= 1.0:
             raise InvalidSpec("treat_prob must lie in [0, 1]")
-        u = _uniforms(spec.seed, STREAM_TREATMENT, K, g[:, None], t)
-        d = np.moveaxis(u < spec.treat_prob, 2, 0) * 1.0
+        keys, raw = _batch({"d": (K, spec.seed, STREAM_TREATMENT, g[:, None], t), **want})
+        d = (_unit(raw["d"]) < spec.treat_prob) * 1.0
 
     # per-treatment effect surface split into group and period parts, so all
     # potential outcomes share common trends
-    k = np.arange(K)[:, None]
-    gpart = spec.effect_group_sd * _normals(spec.seed, STREAM_EFFECT_GROUP, k, g)
-    tpart = spec.effect_time_sd * _normals(spec.seed, STREAM_EFFECT_TIME, k, t)
+    gpart = spec.effect_group_sd * _gauss(keys["effect_group"])
+    tpart = spec.effect_time_sd * _gauss(keys["effect_time"])
     tau = np.array(base_eff, dtype=float)[:, None, None] + gpart[:, :, None] \
         + tpart[:, None, :]
 
-    base = _baseline(spec)
+    base = _baseline(spec, keys)
     po = np.empty((G, T, 1 << K))
     for mask in range(1 << K):
         surf = base.copy()
@@ -408,7 +467,7 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
                 surf += coef
         po[:, :, mask] = surf
 
-    n = _cell_sizes(spec)
+    n = _cell_sizes(spec, keys, raw)
     panel = PanelDataset(range(1, G + 1), range(1, T + 1), _at(po, _mask_grid(d)), n, d)
     return SyntheticPanel(panel, spec.kind, po=po)
 
@@ -416,12 +475,17 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
 def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     G, T = spec.n_groups, spec.n_periods
     g = np.arange(G)
+    seed = spec.seed
+    keys, raw = _batch({
+        "f1": (1, seed, STREAM_ADOPTION, g), "f2": (1, seed, STREAM_ADOPTION, G + g),
+        "level": (0, seed, STREAM_FIRST_LEVEL, g), "violation": (0, seed, STREAM_VIOLATION, g),
+        "second": (0, seed, STREAM_SECOND, g), **_requests(spec)})
     if spec.f1 is not None:
         if len(spec.f1) != G:
             raise InvalidSpec("f1 must have one date per group")
         f1 = np.asarray(spec.f1, dtype=int)
     else:
-        f1 = _integers(spec.seed, STREAM_ADOPTION, 2, T + 1, g)
+        f1 = _bounded(keys["f1"], raw["f1"], 2, T + 1)
     if spec.f2 is not None:
         if len(spec.f2) != G:
             raise InvalidSpec("f2 must have one date per group")
@@ -431,7 +495,7 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
         # a date outside 1..T+1 is refused below, whatever is drawn here
         f2 = np.full(G, T + 1)
         drawn = np.flatnonzero((f1 >= 1) & (f1 <= T))
-        f2[drawn] = _integers(spec.seed, STREAM_ADOPTION, f1[drawn] + 1, T + 2, G + drawn)
+        f2[drawn] = _bounded(keys["f2"][:, drawn], raw["f2"][:, drawn], f1[drawn] + 1, T + 2)
     if np.any(f1 < 1) or np.any(f1 > T + 1) or np.any(f2 < 1) or np.any(f2 > T + 1):
         raise InvalidSpec("adoption dates must lie in 1..T+1")
     if np.any(f2 < f1):
@@ -442,7 +506,7 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec("first_level must have one entry per group")
         lam = np.asarray(spec.first_level, dtype=float)
     else:
-        lam = spec.first_level_sd * _normals(spec.seed, STREAM_FIRST_LEVEL, g)
+        lam = spec.first_level_sd * _gauss(keys["level"])
 
     # event time t - F1 of every treated cell; the first-effect path is keyed
     # by (F1, t), so groups adopting together share it
@@ -457,7 +521,7 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
                                              dates[:, 0], dates[:, 1])[cell.ravel()]
     viol = 0.0
     if spec.break_common_evolution:
-        viol = spec.break_common_evolution * _normals(spec.seed, STREAM_VIOLATION, g)[gi]
+        viol = spec.break_common_evolution * _gauss(keys["violation"])[gi]
     first_effect = np.zeros((G, T))
     first_effect[gi, ti] = lam[gi] + spec.first_growth * (t - f) + path + viol * (t - f)
 
@@ -469,18 +533,17 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
             for ell, v in enumerate(row[:T]):
                 second_effect[i, ell] = float(v)
     else:
-        draws = _normals(spec.seed, STREAM_SECOND, g, size=T)
         second_effect[:] = spec.second_base + spec.second_growth * np.arange(T) \
-            + spec.second_sd * draws
+            + spec.second_sd * _gauss(keys["second"], T)
 
-    base = _baseline(spec)
+    base = _baseline(spec, keys)
     y = base.copy()
     y[on1] += first_effect[on1]
     on2 = periods >= f2[:, None]
     y[on2] += second_effect[np.nonzero(on2)[0], (periods - f2[:, None])[on2]]
     d = np.stack([on1, on2]) * 1.0
 
-    n = _cell_sizes(spec)
+    n = _cell_sizes(spec, keys, raw)
     panel = PanelDataset(range(1, G + 1), range(1, T + 1), y, n, d)
     return SyntheticPanel(panel, spec.kind, f1=f1, f2=f2, baseline=base,
                           first_effect=first_effect, second_effect=second_effect)

@@ -652,6 +652,22 @@ def test_did_ell_bootstrap_needs_a_second_treatment(capsys, tmp_path):
         assert code == 0 and json.loads(out)["n_replications"] == 3
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("decompose", "--target", "d9"), "target treatment 'd9'"),
+    (("didm", "--target", "D9"), "target treatment 'D9'"),
+    (("dynamic", "--first", "d1", "--second", "d9"), "second treatment 'd9'"),
+    (("dynamic", "--first", "d9", "--second", "d2"), "first treatment 'd9'"),
+    (("bootstrap", "--estimator", "did_ell", "--second", "d9", "-B", "3"),
+     "second treatment 'd9'"),
+])
+def test_unknown_treatment_name_is_refused(capsys, staggered_csv, argv, what):
+    """A treatment option naming no column is a MissingColumn error, exit 3,
+    that lists the file's treatments."""
+    code, out, err = _run(capsys, argv[0], "--input", staggered_csv, *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == f"error: MissingColumn: {what} is not among the treatments ['d1', 'd2']\n"
+
+
 # the exit codes the --help epilog lists, per class
 EXIT_CODES = {
     "UnbalancedPanel": 3, "DuplicateCell": 3, "NonBinaryTreatment": 3,

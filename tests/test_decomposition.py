@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ def test_constant_effects_recovered_exactly():
     synthetic = m.generate(spec)
     assert m.twfe_coefficient(synthetic.panel, 0) == pytest.approx(2.0, abs=1e-10)
     assert m.twfe_coefficient(synthetic.panel, 1) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_twfe_coefficient_takes_no_stage():
+    """The coefficient always residualizes its own target. Before, a
+    ``first_stage`` of another treatment could be passed in, and on this panel
+    ``twfe_coefficient(panel, 1, first_stage(panel, 0))`` raised
+    DegenerateDenominator; decompose's coefficient is the same number."""
+    panel = m.generate(m.DgpSpec(kind="random-binary", n_groups=30, n_periods=6,
+                                 n_treatments=2, seed=3)).panel
+    assert list(inspect.signature(m.twfe_coefficient).parameters) == ["panel", "target"]
+    for k in range(2):
+        assert m.decompose(panel, k).beta_fe == m.twfe_coefficient(panel, k)
 
 
 def test_zero_outcome_zero_coefficient(four_group):

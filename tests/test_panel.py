@@ -110,13 +110,18 @@ def test_non_binary_errors_name_the_cell(estimator):
     lambda syn, k: m.bootstrap_se(syn.panel, "didm", 5, 0, target=k),
     lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, first=k),
     lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, second=k),
+    lambda syn, k: syn.panel.treated_count(k),
+    lambda syn, k: syn.target_effect_grid(k),
+    lambda syn, k: syn.others_effect_grid(k),
 ], ids=["first_stage", "didm", "didm_binary_only", "find_switchers", "delta_s_oracle",
-        "bootstrap_twfe", "bootstrap_didm", "bootstrap_first", "bootstrap_second"])
+        "bootstrap_twfe", "bootstrap_didm", "bootstrap_first", "bootstrap_second",
+        "treated_count", "target_effect_grid", "others_effect_grid"])
 def test_treatment_index_out_of_range(abc_staggered, call, k):
     """These functions refuse -1 and K alike, as adoption_dates does. Before,
     didm read -1 as the last treatment, K was an IndexError, delta_s_oracle
     failed on a negative shift and the didm bootstrap called every replicate
-    degenerate."""
+    degenerate. treated_count read -1 as the last treatment too, and the
+    effect grids failed on a negative shift or an IndexError."""
     with pytest.raises(ValueError, match=f"^treatment must be in 0..1, got {k}$"):
         call(abc_staggered, k)
 

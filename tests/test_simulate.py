@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import multidid as m
 from multidid.errors import InvalidSpec, MissingPotentialOutcomes
-from multidid.simulate import _integers, _normals, _uniforms
+from multidid.simulate import _batch, _bounded, _gauss, _integers, _normals, _uniforms, _unit
 
 
 def _numpy_stream(seed, stream, *coords):
@@ -80,23 +80,53 @@ def test_standard_did_matches_threshold_pattern():
             assert d[1, g, t] == float(g + 1 >= 4 and t + 1 >= 3)
 
 
-def test_invalid_specs():
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="nonsense", n_groups=4, n_periods=4))
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="standard-did", n_groups=4, n_periods=4,
-                             thresholds=(1, 2, 3, 3)))
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="standard-did", n_groups=4, n_periods=4,
-                             thresholds=(2, 2, 5, 3)))
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="consecutive-staggered", n_groups=3,
-                             n_periods=4, f1=(2, 2, 2), f2=(1, 3, 4)))
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="consecutive-staggered", n_groups=3,
-                             n_periods=4, n_treatments=3))
-    with pytest.raises(InvalidSpec):
-        m.generate(m.DgpSpec(kind="random-binary", n_groups=1, n_periods=4))
+STAGGERED = dict(kind="consecutive-staggered", n_groups=4, n_periods=4)
+STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(STATIC, kind="nonsense"), r"unknown kind 'nonsense', expected one of"),
+    (dict(STATIC, n_groups=1), r"need at least 2 groups and 2 periods$"),
+    (dict(STATIC, n_periods=1), r"need at least 2 groups and 2 periods$"),
+    (dict(STATIC, noise_sd=-1.0), r"noise_sd must be nonnegative$"),
+    (dict(STAGGERED, n_treatments=3), r"the staggered design uses exactly 2 treatments$"),
+    (dict(STATIC, n_treatments=0), r"need at least one treatment$"),
+    (dict(STATIC, base_effects=(1.0,)), r"base_effects must have one entry per treatment$"),
+    (dict(STATIC, interactions=((0, 0, 1.0),)), r"bad interaction pair \(0, 0\)$"),
+    (dict(STATIC, interactions=((0, 2, 1.0),)), r"bad interaction pair \(0, 2\)$"),
+    (dict(STATIC, kind="standard-did", n_treatments=3, thresholds=(2, 2, 3, 3)),
+     r"the standard design uses exactly 2 treatments$"),
+    (dict(STATIC, kind="standard-did"), r"standard-did needs thresholds \(G1, T1, G2, T2\)$"),
+    (dict(STATIC, kind="standard-did", thresholds=(1, 2, 3, 3)), r"thresholds must satisfy"),
+    (dict(STATIC, kind="standard-did", thresholds=(2, 2, 5, 3)), r"thresholds must satisfy"),
+    (dict(STATIC, treat_prob=1.5), r"treat_prob must lie in \[0, 1\]$"),
+    (dict(STATIC, cell_sizes="huge"), r"unknown cell_sizes rule 'huge'$"),
+    (dict(STAGGERED, cell_sizes="huge"), r"unknown cell_sizes rule 'huge'$"),
+    (dict(STAGGERED, f1=(2, 2)), r"f1 must have one date per group$"),
+    (dict(STAGGERED, f2=(3,)), r"f2 must have one date per group$"),
+    (dict(STAGGERED, f1=(0, 2, 2, 2)), r"adoption dates must lie in 1\.\.T\+1$"),
+    (dict(STAGGERED, f1=(2, 2, 2, 2), f2=(2, 3, 4, 6)), r"adoption dates must lie in"),
+    (dict(STAGGERED, f1=(2, 2, 2, 2), f2=(1, 3, 4, 5)),
+     r"every group must adopt the second treatment after the first$"),
+    (dict(STAGGERED, first_level=(1.0,)), r"first_level must have one entry per group$"),
+    (dict(STAGGERED, second_effects=((1.0,),)), r"second_effects must have one row per group$"),
+    # two faults: the guard listed first in generation order refuses
+    (dict(STAGGERED, noise_sd=-1.0, n_treatments=3), r"noise_sd must be nonnegative$"),
+    (dict(STATIC, n_treatments=0, kind="standard-did"), r"need at least one treatment$"),
+    (dict(STATIC, treat_prob=1.5, cell_sizes="huge"), r"treat_prob must lie in"),
+    (dict(STAGGERED, f1=(2, 2), first_level=(1.0,)), r"f1 must have one date per group$"),
+    (dict(STAGGERED, f1=(0, 2, 2, 2), second_effects=((1.0,),)),
+     r"adoption dates must lie in"),
+    (dict(STAGGERED, first_level=(1.0,), second_effects=((1.0,),)),
+     r"first_level must have one entry per group$"),
+    (dict(STAGGERED, second_effects=((1.0,),), cell_sizes="huge"),
+     r"second_effects must have one row per group$"),
+])
+def test_invalid_specs(fields, message):
+    """Every InvalidSpec guard of ``generate``, each with its own message; a
+    spec with two faults is refused by the one that generation meets first."""
+    with pytest.raises(InvalidSpec, match=f"^{message}"):
+        m.generate(m.DgpSpec(**fields))
 
 
 def test_spec_json_round_trip():
@@ -108,7 +138,7 @@ def test_spec_json_round_trip():
 
 
 def test_unknown_json_field_rejected():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=r"^unknown spec field\(s\): \['bogus'\]$"):
         m.DgpSpec.from_json('{"kind": "random-binary", "n_groups": 4, '
                             '"n_periods": 3, "bogus": 1}')
 
@@ -218,6 +248,47 @@ def test_rejected_bounded_draws_are_replayed():
                       for i in g.tolist()])
     assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 50
     assert got.tolist() == [_numpy_stream(11, 7, i).integers(0, span) for i in g.tolist()]
+
+
+@given(seed=WORD, wide_seed=st.integers(2 ** 32, 2 ** 64 - 1),
+       stream=st.integers(2 ** 32, 2 ** 40), data=st.data())
+@example(seed=0, wide_seed=2 ** 32, stream=2 ** 32, data=None)
+@example(seed=2 ** 32 - 1, wide_seed=2 ** 64 - 1, stream=2 ** 40, data=None)
+def test_one_batch_matches_numpy(seed, wide_seed, stream, data):
+    """One batch mixes requests of 3, 4 and 5 entropy words: one and two
+    coordinates, a stream id of two words and a seed of two words. The narrow
+    ones share a zero-padded hash, the 5-word ones one of their own; every
+    key's uniform, bounded-integer and normal draws equal numpy's, including
+    draws that Lemire's method rejects and numpy replays."""
+    pairs = [(0, 0), (1, 2 ** 32 - 1)]
+    if data is not None:
+        pairs += data.draw(st.lists(st.tuples(WORD, WORD), max_size=6))
+    a, b = (np.array(c) for c in zip(*pairs))
+    g = np.arange(64)
+    requests = {"one": (3, seed, 7, a), "two": (3, seed, 7, a, b), "stream": (3, seed, stream, a),
+                "wide_seed": (3, wide_seed, 7, a, b), "wide_stream": (3, seed, stream, a, b),
+                # staggered-style adoption dates: bounds that differ by key,
+                # spans just above 2**31 so that about half the draws reject
+                "dates": (1, seed, 7, g)}
+    keys, raw = _batch(requests)
+    for name, (outputs, s, k, *coords) in requests.items():
+        streams = [(s, k, *c) for c in zip(*(c.tolist() for c in coords))]
+        low = np.arange(len(streams)) % 5 + 1
+        high = low + 2 ** 31 + 1 + np.arange(len(streams)) % 3
+        assert np.array_equal(_bounded(keys[name], raw[name], low, high),
+                              [_numpy_stream(*e).integers(lo, hi) for e, lo, hi in
+                               zip(streams, low.tolist(), high.tolist())])
+        assert np.array_equal(_gauss(keys[name]),
+                              [_numpy_stream(*e).standard_normal() for e in streams])
+        assert np.array_equal(np.moveaxis(_unit(raw[name]), 0, -1),
+                              [_numpy_stream(*e).random(outputs) for e in streams])
+    first = raw["dates"][0] & 0xFFFFFFFF
+    span = (2 ** 31 + 1 + g % 3).astype(np.uint64)
+    assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 10
+    drawn = g[g % 3 > 0]  # a selection of keys, as the second adoption date draws
+    high = 2 ** 31 + 3
+    assert np.array_equal(_bounded(keys["dates"][:, drawn], raw["dates"][:, drawn], 2, high),
+                          [_numpy_stream(seed, 7, i).integers(2, high) for i in drawn.tolist()])
 
 
 @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", "7"),
