@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import hashlib
 import io
-import os
 import sys
 import warnings
 
@@ -43,8 +42,6 @@ from .staggered import (
     second_treatment_effects,
     split_by_order,
 )
-
-PARALLELISM_ENV = "MULTIDID_PARALLELISM"
 
 # lists the exit_code that each class in .errors carries
 _EXIT_DOC = """\
@@ -343,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=0, help="horizon (did_ell)")
     p.add_argument("-B", "--replications", type=_positive_int, default=200)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    # a string default goes through _positive_int like a command-line value
-    p.add_argument("--parallelism", type=_positive_int,
-                   default=os.environ.get(PARALLELISM_ENV, "1"),
-                   help=f"accepted and ignored: replications run in order on one "
-                        f"thread (default: ${PARALLELISM_ENV} or 1)")
+    p.add_argument("--parallelism", type=_positive_int, default=1,
+                   help="accepted and ignored: replications run in order on one "
+                        "thread (default: 1)")
     p.add_argument("--dump-replicates", action="store_true")
     p.set_defaults(func=_cmd_bootstrap)
     return parser

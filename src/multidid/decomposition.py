@@ -264,10 +264,10 @@ def twfe_coefficient(panel: PanelDataset, target: int) -> float:
 def _twfe_reducer(panel: PanelDataset, target: int):
     """The TWFE coefficient as a function of per-group draw counts: copies of
     a group get identical fixed effects, so a bootstrap draw is the drawn
-    groups with cell sizes ``counts[g] * n`` (None: the panel itself)."""
-    def estimate(counts: np.ndarray | None) -> float:
-        if counts is None:
-            return twfe_coefficient(panel, target)
+    groups with cell sizes ``counts[g] * n``."""
+    panel.check_treatment(target)
+
+    def estimate(counts: np.ndarray) -> float:
         drawn = np.flatnonzero(counts)
         n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
         total_n = float(np.cumsum(n.ravel())[-1])  # PanelDataset's order

@@ -277,7 +277,7 @@ def _didm_reducer(panel: PanelDataset, target: int):
     :func:`_reduce`); None when no switcher is left."""
     strata = _strata(panel, target)
 
-    def estimate(counts: np.ndarray | None) -> float | None:
+    def estimate(counts: np.ndarray) -> float | None:
         value, n_s = _reduce(strata, counts)[:2]
         return value if n_s else None
     return estimate

@@ -28,7 +28,7 @@ the estimators themselves. Noise draws are independent across groups.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -201,20 +201,10 @@ def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
     return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
 
 
-def _uniforms(seed: int, stream: int, size: int, *coords) -> np.ndarray:
-    """``.random(size)`` of each stream (seed, stream, *c), shape (*S, size)."""
-    return np.moveaxis(_unit(_batch({0: (size, seed, stream, *coords)})[1][0]), 0, -1)
-
-
-def _integers(seed: int, stream: int, low, high, *coords) -> np.ndarray:
-    """``.integers(low, high)`` of each stream (seed, stream, *c)."""
-    keys, raw = _batch({0: (1, seed, stream, *coords)})
-    return _bounded(keys[0], raw[0], low, high)
-
-
-def _normals(seed: int, stream: int, *coords, size: int | None = None) -> np.ndarray:
-    """``.standard_normal(size)`` of each stream (seed, stream, *c)."""
-    return _gauss(_batch({0: (0, seed, stream, *coords)})[0][0], size)
+# the JSON values that a field of each declared type takes (true and false are
+# not numbers), and their name in messages
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "tuple": (list, "an array")}
 
 
 @dataclass(frozen=True)
@@ -264,10 +254,26 @@ class DgpSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DgpSpec":
-        data = json.loads(text)
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"the spec is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidSpec("the spec is not a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise InvalidSpec(f"unknown spec field(s): {sorted(unknown)}")
+        missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
+        if missing:
+            raise InvalidSpec(f"missing spec field(s): {missing}")
+        for name, value in data.items():
+            declared, _, optional = fields[name].type.partition(" | ")
+            accepted, what = _JSON_TYPES[declared.split("[")[0]]
+            if not (value is None and optional
+                    or isinstance(value, accepted) and not isinstance(value, bool)):
+                raise InvalidSpec(f"{name} must be {what}{' or null' if optional else ''}, "
+                                  f"got {json.dumps(value)}")
         for key in ("thresholds", "base_effects", "f1", "f2", "first_level"):
             if data.get(key) is not None:
                 data[key] = tuple(data[key])
@@ -517,8 +523,8 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     path = 0.0
     if spec.first_path_sd:
         dates, cell = np.unique(np.column_stack([f, t]), axis=0, return_inverse=True)
-        path = spec.first_path_sd * _normals(spec.seed, STREAM_FIRST_PATH,
-                                             dates[:, 0], dates[:, 1])[cell.ravel()]
+        request = {"path": (0, spec.seed, STREAM_FIRST_PATH, dates[:, 0], dates[:, 1])}
+        path = spec.first_path_sd * _gauss(_batch(request)[0]["path"])[cell.ravel()]
     viol = 0.0
     if spec.break_common_evolution:
         viol = spec.break_common_evolution * _gauss(keys["violation"])[gi]

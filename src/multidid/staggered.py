@@ -245,16 +245,15 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
 
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
     """:func:`did_ell` as a function of per-group draw counts: a bootstrap
-    draw is the panel with cell sizes ``counts[g] * n`` (None: one copy of
-    each group). A draw has a contrast at ``ell`` exactly when ``ell`` is at
-    most its drawn groups' ``l_nt``; the estimate is None where it has none."""
+    draw is the panel with cell sizes ``counts[g] * n``. A draw has a
+    contrast at ``ell`` exactly when ``ell`` is at most its drawn groups'
+    ``l_nt``; the estimate is None where it has none."""
     structure = build_cohorts(panel, first, second)
     _check_horizon(structure.l_nt, ell)
 
-    def estimate(counts: np.ndarray | None) -> float | None:
-        n = None if counts is None else counts[:, None] * panel.n
+    def estimate(counts: np.ndarray) -> float | None:
         effect = _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
-                          placebo=False, n=n)
+                          placebo=False, n=counts[:, None] * panel.n)
         return None if effect is None else effect[0]
     return estimate
 

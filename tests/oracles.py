@@ -7,7 +7,9 @@ switcher and event-study estimates from literal transcriptions of their
 defining sums, the linear-trend fallback from one ``np.polyfit`` per group,
 and the staggered horizon range from a loop over cohorts. The switcher-average
 truth is the library's former per-switcher loop over ``find_switchers``, kept
-as the reference that the array oracle must equal bit for bit.
+as the reference that the array oracle must equal bit for bit. The bootstrap's
+copy path runs the library's public estimators on a panel that holds each
+drawn group's copies as groups of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from itertools import product
 
 import numpy as np
 
-from multidid.didm import find_switchers
+from multidid.decomposition import twfe_coefficient
+from multidid.didm import didm, find_switchers
+from multidid.staggered import build_cohorts, did_ell
 
 
 def dense_dummy_fit(panel, target):
@@ -268,3 +272,16 @@ def delta_s_reference(synthetic, target):
             - synthetic.potential_outcome(gi, ti, d_lo)
         total += cell.n * effect / (cell.target_to - cell.target_from)
     return float(total / switchers.n_s)
+
+
+def copy_path_estimate(panel, estimator, target, first, second, ell):
+    """The bootstrap estimator through its public function, None where it is
+    undefined: on ``panel.with_groups(draw, labels)`` it gives what the
+    count-weighted replication of ``draw`` gives, up to summation order."""
+    if estimator == "twfe":
+        return twfe_coefficient(panel, target)
+    if estimator == "didm":
+        result = didm(panel, target)
+        return result.estimate if result.n_s else None
+    estimate, _ = did_ell(panel, build_cohorts(panel, first, second), ell)
+    return estimate

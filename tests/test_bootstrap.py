@@ -1,10 +1,11 @@
+import re
 import threading
 
 import numpy as np
 import pytest
 
 import multidid as m
-from multidid.bootstrap import _DEGENERATE, _evaluate, _reducer
+from multidid.bootstrap import _DEGENERATE, _reducer
 from multidid.errors import (
     AllReplicationsDegenerate,
     HorizonOutOfRange,
@@ -13,6 +14,7 @@ from multidid.errors import (
 )
 
 from .conftest import make_random_panel, overflowing_replicates_panel, random_staggered_spec
+from .oracles import copy_path_estimate
 
 
 def _noisy_panel(seed=50):
@@ -22,25 +24,23 @@ def _noisy_panel(seed=50):
     return m.generate(spec).panel
 
 
-def test_bit_identical_across_parallelism():
-    panel = _noisy_panel()
-    for estimator in ("didm", "twfe"):
-        serial = m.bootstrap_se(panel, estimator, 60, 123, target=0,
-                                parallelism=1, keep_replicates=True)
-        threaded = m.bootstrap_se(panel, estimator, 60, 123, target=0,
-                                  parallelism=8, keep_replicates=True)
-        assert serial == threaded
-        assert serial.replicates == threaded.replicates
-
-
 def test_replications_start_no_thread(monkeypatch, abc_staggered):
-    """Replications run on the calling thread whatever ``parallelism`` says."""
+    """Replications run in order on the calling thread."""
     def refuse(self):
         raise AssertionError("bootstrap_se started a thread")
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for estimator in ("twfe", "didm"):
-        m.bootstrap_se(_noisy_panel(), estimator, 6, 1, parallelism=4)
-    m.bootstrap_se(abc_staggered.panel, "did_ell", 6, 1, parallelism=4)
+        m.bootstrap_se(_noisy_panel(), estimator, 6, 1)
+    m.bootstrap_se(abc_staggered.panel, "did_ell", 6, 1)
+
+
+@pytest.mark.parametrize("estimator, b, message", [
+    ("ols", 5, "unknown estimator 'ols', expected one of ('twfe', 'didm', 'did_ell')"),
+    ("twfe", 0, "b must be >= 1"),
+])
+def test_bad_arguments_are_refused(estimator, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        m.bootstrap_se(_noisy_panel(), estimator, b, 0)
 
 
 def test_single_replication_zero_se():
@@ -125,13 +125,13 @@ def _replicates_match_the_copy_path(panel, estimator, rng, **kwargs):
             kwargs.get("ell", 0))
     G = panel.n_groups
     estimate = _reducer(panel, estimator, *args)
-    point = _defined(estimate, None)
-    assert point == _defined(_evaluate, panel, estimator, *args)  # bit for bit
+    point = _defined(estimate, np.ones(G))
+    assert point == _defined(copy_path_estimate, panel, estimator, *args)  # bit for bit
     draws = [rng.integers(0, G, size=G) for _ in range(12)]
     draws += [np.zeros(G, int), np.full(G, G - 1), np.arange(G) % 2]
     worst, degenerate = 0.0, 0
     for draw in draws:
-        copied = _defined(_evaluate, panel.with_groups(draw.tolist(), range(G)),
+        copied = _defined(copy_path_estimate, panel.with_groups(draw.tolist(), range(G)),
                           estimator, *args)
         counted = _defined(estimate, np.bincount(draw, minlength=G).astype(float))
         assert (copied is None) == (counted is None)

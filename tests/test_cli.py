@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -375,31 +376,20 @@ def test_bootstrap_seed_must_be_non_negative(capsys, monkeypatch, four_group_csv
             m.bootstrap_se(panel, "twfe", 4, seed)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_bad_parallelism_environment_is_a_usage_error(capsys, monkeypatch, four_group_csv,
-                                                      value):
-    monkeypatch.setenv(cli.PARALLELISM_ENV, value)
-    argv = ["bootstrap", "--input", four_group_csv, "--estimator", "twfe",
-            "--target", "d1", "-B", "4"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage:" in captured.err
-    assert f"expected a positive integer, got '{value}'" in captured.err
-    # an explicit flag overrides the variable
-    code, out, err = _run(capsys, *argv, "--parallelism", "2")
-    assert code == 0
-    assert json.loads(out)["config"]["parallelism"] == 2
-
-
-def test_parallelism_environment_sets_the_default(capsys, monkeypatch, four_group_csv):
-    monkeypatch.setenv(cli.PARALLELISM_ENV, "3")
-    code, out, err = _run(capsys, "bootstrap", "--input", four_group_csv, "--estimator",
-                          "twfe", "--target", "d1", "-B", "4")
-    assert code == 0
-    assert json.loads(out)["config"]["parallelism"] == 3
+def test_linear_trends_with_no_estimable_horizon_fail(capsys, tmp_path):
+    """Each adopter takes the second treatment one period after the first or
+    never, so no horizon has a two-point pre-adoption window."""
+    spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3, n_periods=4,
+                     f1=(2, 2, 2), f2=(3, 5, 3))
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    code, out, err = _run(capsys, "dynamic", "--input", str(path), "--first", "d1",
+                          "--second", "d2", "--strategy", "linear")
+    assert code == 6
+    assert out == ""
+    *warned, error = err.splitlines()
+    assert [w.split(":")[1] for w in warned] == [" horizon 0", " horizon 1"]
+    assert error == "error: InsufficientPrePeriods: no horizon is estimable with linear trends"
 
 
 def test_dynamic_resolves_event_studies_at_call_time(capsys, monkeypatch, staggered_csv):
@@ -539,8 +529,7 @@ REPORTS = {
     "didm": (["didm", "--target", "d1"], "static", lambda p: m.didm(p, 0).to_dict()),
     "bootstrap-twfe": (["bootstrap", "--estimator", "twfe", "--target", "d1", "-B", "6",
                         "--seed", "3", "--parallelism", "2"], "static",
-                       lambda p: m.bootstrap_se(p, "twfe", 6, 3, target=0,
-                                                parallelism=2).to_dict()),
+                       lambda p: m.bootstrap_se(p, "twfe", 6, 3, target=0).to_dict()),
     "bootstrap-didm": (["bootstrap", "--estimator", "didm", "--target", "d2", "-B", "6",
                         "--parallelism", "1"], "static",
                        lambda p: m.bootstrap_se(p, "didm", 6, 0, target=1).to_dict()),
@@ -560,18 +549,23 @@ REPORTS = {
 }
 
 
+def _report_panel(tmp_path, kind):
+    """The CSV path of a generated panel of ``kind``, "static" or "staggered"."""
+    spec = (random_staggered_spec(np.random.default_rng(0)) if kind == "staggered" else
+            m.DgpSpec(kind="random-binary", n_groups=12, n_periods=5, n_treatments=2,
+                      seed=5, cell_sizes="random", base_effects=(1.0, -0.5),
+                      effect_group_sd=1.0))
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_every_report_parses_to_the_library_result(capsys, tmp_path, name):
     """Each subcommand writes its report as one JSON line: the header plus the
     library's own result, equal after parsing."""
     argv, kind, payload = REPORTS[name]
-    spec = (random_staggered_spec(np.random.default_rng(0)) if kind == "staggered" else
-            m.DgpSpec(kind="random-binary", n_groups=12, n_periods=5, n_treatments=2,
-                      seed=5, cell_sizes="random", base_effects=(1.0, -0.5),
-                      effect_group_sd=1.0))
-    panel = m.generate(spec).panel
-    path = tmp_path / "panel.csv"
-    m.write_panel_csv(panel, path)
+    path = _report_panel(tmp_path, kind)
     code, out, err = _run(capsys, *argv, "--input", str(path))
     assert code == 0
     assert out.endswith("}\n") and out.count("\n") == 1
@@ -580,6 +574,47 @@ def test_every_report_parses_to_the_library_result(capsys, tmp_path, name):
     assert header["tool"] == {"name": "multidid", "version": m.__version__}
     assert header["config"]["input"] == str(path) and header["config"]["subcommand"] == argv[0]
     assert report == json.loads(json.dumps(payload(m.read_panel_csv(path)), default=str))
+
+
+@pytest.mark.parametrize("name", ["bootstrap-twfe", "bootstrap-didm", "bootstrap-did_ell"])
+def test_parallelism_changes_only_its_echo(capsys, tmp_path, name):
+    """``--parallelism`` is accepted and ignored: the reports at 1 and at 4
+    differ in ``config.parallelism`` alone."""
+    argv, kind, _ = REPORTS[name]
+    path = _report_panel(tmp_path, kind)
+    reports = []
+    for value in (1, 4):  # the last --parallelism on the line is the one used
+        code, out, err = _run(capsys, *argv, "--input", str(path), "--parallelism", str(value))
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"].pop("parallelism") == value
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[5, 4]", "the spec is not a JSON object$"),
+    ('{"kind": "random-binary", "n_groups": 5', "the spec is not valid JSON: Expecting"),
+    ('{"n_groups": 5, "n_periods": 4}', r"missing spec field\(s\): \['kind'\]$"),
+    ('{"kind": "random-binary", "n_groups": "5", "n_periods": 4}',
+     'n_groups must be an integer, got "5"$'),
+    ('{"kind": 2, "n_groups": 5, "n_periods": 4}', "kind must be a string, got 2$"),
+    ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "noise_sd": true}',
+     "noise_sd must be a number, got true$"),
+    ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "f1": 3}',
+     "f1 must be an array or null, got 3$"),
+])
+def test_malformed_spec_is_invalid(capsys, tmp_path, text, message):
+    """A spec that is not a JSON object, lacks a required field or gives a
+    field a value of the wrong JSON type exits 3 with a one-line error."""
+    spec_path, csv_path = tmp_path / "spec.json", tmp_path / "sim.csv"
+    spec_path.write_text(text)
+    code, out, err = _run(capsys, "simulate", "--spec", str(spec_path), "--out", str(csv_path))
+    assert code == 3
+    assert out == ""
+    assert re.match(f"error: InvalidSpec: {message}", err.rstrip("\n"))
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not csv_path.exists()
 
 
 def test_simulate_report(capsys, tmp_path):

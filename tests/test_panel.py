@@ -242,6 +242,40 @@ def test_aggregate_micro_feeds_load_panel():
     assert panel.n_groups == 3 and panel.n_periods == 3
 
 
+def _panel_with(**changes):
+    """A 2x2 one-treatment panel, with ``changes`` to its constructor's arguments."""
+    args = dict(group_labels=(1, 2), period_labels=(1, 2), y=np.zeros((2, 2)),
+                n=np.ones((2, 2)), d=np.zeros((1, 2, 2)))
+    return m.PanelDataset(**(args | changes))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: _panel_with(n=np.ones((2, 3))), ValueError,
+     "inconsistent array shapes for panel construction"),
+    (lambda: _panel_with(treatment_names=("d1", "d2")), ValueError,
+     "one name per treatment required"),
+    (lambda: m.load_panel([(1, 1, 0.0, 0.0)], n_treatments=0), ValueError,
+     "n_treatments must be >= 1"),
+    (lambda: m.load_panel([(1, 1, 0.0, 1.0, 0.0, 0.0)], n_treatments=1), ValueError,
+     "rows must have 4 or 5 fields for K=1, got 6"),
+    (lambda: m.load_panel([(1, 1, 0.0, 0.0), (1, 2, 0.0, 1.0, 0.0)], n_treatments=1),
+     ValueError, "rows have inconsistent lengths"),
+    (lambda: m.aggregate_micro([(1, 1, 0.0, 1.0), (1, 2, 0.0, 1.0, 0.0)]), ValueError,
+     "rows have inconsistent treatment counts"),
+    (lambda: m.aggregate_micro([]), InsufficientVariation, "no rows supplied"),
+])
+def test_construction_guards_name_the_defect(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_empty_csv_is_refused(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"")
+    with pytest.raises(MissingColumn, match="^empty file, header row required$"):
+        m.read_panel_csv(path)
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(11)
     G, T, K = 5, 3, 2
@@ -358,6 +392,8 @@ def _csv(tmp_path, lines):
     (CSV_BASE[:1] + ["", " , "] + CSV_BASE[1:4] + ["2,2,0.5,1,x"], ValueError,
      "line 7: cannot parse row: could not convert string to float: 'x'"),
     (CSV_BASE[:1], InsufficientVariation, "no rows supplied"),
+    (["g,t,y,n,treated"] + CSV_BASE[1:], MissingColumn,
+     "no treatment columns (d1, d2, ...) found"),
 ])
 def test_malformed_csv_names_the_defect(tmp_path, lines, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

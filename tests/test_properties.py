@@ -1,6 +1,6 @@
 """Property-based invariants of the weight decomposition, of the switcher
 estimator, of canonical values, of CSV round trips and the two CSV readers,
-of the staggered horizon path and of the bootstrap's parallelism."""
+and of the staggered horizon path."""
 
 import contextlib
 import csv
@@ -717,28 +717,3 @@ def test_linear_trends_match_the_polyfit_oracle(panel):
         for (_, value, weight), (_, want_value, want_weight) in zip(
                 result.contributions, contributions):
             assert _same(value, want_value) and _same(weight, want_weight)
-
-
-# -- the bootstrap ------------------------------------------------------------
-
-def _bootstrap_at(parallelism, panel, estimator, seed, **kwargs):
-    try:
-        return m.bootstrap_se(panel, estimator, 12, seed, parallelism=parallelism,
-                              keep_replicates=True, **kwargs)
-    except m.MultiDidError as exc:
-        return type(exc), str(exc)
-
-
-@given(panels(), st.sampled_from(("didm", "twfe")), st.integers(0, 2 ** 32))
-def test_bootstrap_is_the_same_at_any_parallelism(case, estimator, seed):
-    panel, target = case
-    serial = _bootstrap_at(1, panel, estimator, seed, target=target)
-    assert _bootstrap_at(2, panel, estimator, seed, target=target) == serial
-    assert _bootstrap_at(8, panel, estimator, seed, target=target) == serial
-
-
-@given(staggered_panels(), st.integers(0, 2), st.integers(0, 2 ** 32))
-def test_did_ell_bootstrap_is_the_same_at_any_parallelism(panel, ell, seed):
-    serial = _bootstrap_at(1, panel, "did_ell", seed, ell=ell)
-    assert _bootstrap_at(2, panel, "did_ell", seed, ell=ell) == serial
-    assert _bootstrap_at(8, panel, "did_ell", seed, ell=ell) == serial

@@ -4,8 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import multidid as m
-from multidid.errors import InvalidSpec, MissingPotentialOutcomes
-from multidid.simulate import _batch, _bounded, _gauss, _integers, _normals, _uniforms, _unit
+from multidid.errors import HorizonOutOfRange, InvalidSpec, MissingPotentialOutcomes
+from multidid.simulate import _batch, _bounded, _gauss, _unit
 
 
 def _numpy_stream(seed, stream, *coords):
@@ -129,6 +129,19 @@ def test_invalid_specs(fields, message):
         m.generate(m.DgpSpec(**fields))
 
 
+def test_staggered_truths_refuse_a_static_panel_and_a_far_horizon(abc_staggered):
+    static = m.generate(m.DgpSpec(kind="random-binary", n_groups=4, n_periods=3))
+    message = "^staggered potential outcomes are not stored for this panel$"
+    with pytest.raises(MissingPotentialOutcomes, match=message):
+        static.second_effect_at(0, 0)
+    structure = m.build_cohorts(abc_staggered.panel, 0, 1)
+    with pytest.raises(MissingPotentialOutcomes, match=message):
+        m.delta_ell_oracle(static, structure, 0)
+    with pytest.raises(HorizonOutOfRange, match=r"^horizon 2 outside the estimable "
+                                                r"range 0\.\.1$"):
+        m.delta_ell_oracle(abc_staggered, structure, 2)
+
+
 def test_spec_json_round_trip():
     spec = m.DgpSpec(kind="consecutive-staggered", n_groups=3, n_periods=4,
                      seed=8, f1=(2, 2, 2), f2=(3, 5, 4),
@@ -223,18 +236,19 @@ def test_keyed_streams_match_numpy(seed, stream, width, size, data):
     lows = np.arange(len(keys)) - 3
     spans = np.array([1, 4, 3, 2 ** 31 + 1, 2 ** 32 - 1, 7, 5, 2 ** 30 * 3 + 1][:len(keys)])
     coords = [np.array(c) for c in zip(*keys)]
+    got_keys, raw = (out[0] for out in _batch({0: (size, seed, stream, *coords)}))
     streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_uniforms(seed, stream, size, *coords),
+    assert np.array_equal(np.moveaxis(_unit(raw), 0, -1),
                           [gen.random(size) for gen in streams])
     streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_integers(seed, stream, lows, lows + spans, *coords),
+    assert np.array_equal(_bounded(got_keys, raw, lows, lows + spans),
                           [gen.integers(lo, lo + n) for gen, lo, n in
                            zip(streams, lows.tolist(), spans.tolist())])
     streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_normals(seed, stream, *coords, size=size),
+    assert np.array_equal(_gauss(got_keys, size),
                           [gen.standard_normal(size) for gen in streams])
     streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_normals(seed, stream, *coords),
+    assert np.array_equal(_gauss(got_keys),
                           [gen.standard_normal() for gen in streams])
 
 
@@ -243,7 +257,8 @@ def test_rejected_bounded_draws_are_replayed():
     the first draws; those keys go back to numpy, the rest stay vectorized."""
     g = np.arange(200)
     span = 2 ** 31 + 1
-    got = _integers(11, 7, 0, span, g)
+    keys, raw = _batch({0: (1, 11, 7, g)})
+    got = _bounded(keys[0], raw[0], 0, span)
     first = np.array([_numpy_stream(11, 7, i).bit_generator.random_raw() & 0xFFFFFFFF
                       for i in g.tolist()])
     assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 50
