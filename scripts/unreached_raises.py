@@ -1,12 +1,15 @@
-"""List the ``raise`` statements of ``src/multidid`` that no tier-1 test executes.
+"""List the ``raise`` and warning statements of ``src/multidid`` that no tier-1
+test executes.
 
 Runs the tier-1 suite in this process under ``sys.settrace`` and prints
-``file:line`` for each ``raise`` statement of the package that never ran. It
-exits 1 if any is left or a test fails, else 0.
+``file:line`` for each statement of the package that never ran among its
+``raise`` statements and its warnings: ``warnings.warn(...)`` calls and
+writes to ``sys.stderr`` (``print(..., file=sys.stderr)`` and
+``sys.stderr.write(...)``). It exits 1 if any is left or a test fails, else 0.
 
 The trace sees this process only. Code that a test reaches by starting a
 subprocess (the command line run with ``subprocess``) is invisible to it, so
-a ``raise`` reached only that way is listed as unreached.
+a statement reached only that way is listed as unreached.
 
 Usage, from anywhere:
 
@@ -30,10 +33,22 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "multidid"
 
 
+def _warns(node: ast.AST) -> bool:
+    """Whether ``node`` is a call that warns: ``warnings.warn``,
+    ``sys.stderr.write`` or a ``print`` to ``sys.stderr``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    return func in ("warnings.warn", "sys.stderr.write") or func == "print" and any(
+        k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+
+
 def raise_lines(path: Path) -> set[int]:
-    """The first line of each ``raise`` statement in ``path``."""
+    """The first line of each ``raise`` statement and each warning call in
+    ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) or _warns(node)}
 
 
 def run_traced(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
@@ -70,7 +85,7 @@ def main(argv: list[str]) -> int:
                  for path in sorted(ran) for lineno in sorted(raise_lines(path) - ran[path])]
     for where in unreached:
         print(where)
-    print(f"{len(unreached)} raise statement(s) never executed", file=sys.stderr)
+    print(f"{len(unreached)} raise or warning statement(s) never executed", file=sys.stderr)
     return 1 if unreached or code else 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
-from .panel import PanelDataset
+from .panel import PanelDataset, _running_sum
 from .tolerances import DENOM_RTOL, RANK_RTOL
 
 # no indent keeps json on its C encoder; the separators are json.dumps' own
@@ -255,10 +255,10 @@ def twfe_coefficient(panel: PanelDataset, target: int) -> float:
     """Coefficient on ``target`` in the weighted two-way fixed-effects regression.
 
     Computed as ``sum(n * eps * y) / sum(n * eps * d_target)``, identical to
-    the coefficient from the full dummy-variable regression.
+    the coefficient from the full dummy-variable regression: the bootstrap's
+    reducer at one copy of each group, as its replicates are.
     """
-    eps = first_stage(panel, target).residuals
-    return _coefficient(panel.n, panel.y, panel.d[target], eps, panel.total_n)
+    return _twfe_reducer(panel, target)(np.ones(panel.n_groups))
 
 
 def _twfe_reducer(panel: PanelDataset, target: int):
@@ -270,7 +270,7 @@ def _twfe_reducer(panel: PanelDataset, target: int):
     def estimate(counts: np.ndarray) -> float:
         drawn = np.flatnonzero(counts)
         n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
-        total_n = float(np.cumsum(n.ravel())[-1])  # PanelDataset's order
+        total_n = _running_sum(n.ravel())
         eps, _ = _partial(n, d, total_n, target, panel.treatment_names)
         return _coefficient(n, panel.y[drawn], d[target], eps, total_n)
     return estimate

@@ -27,7 +27,7 @@ from itertools import starmap
 import numpy as np
 
 from .errors import NonFiniteValue
-from .panel import PanelDataset
+from .panel import PanelDataset, _running_sum
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,6 @@ class _Strata:
     lost: LostCells
 
 
-def _running_sum(values: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, the fixed order results are reproducible in."""
-    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
-
-
 def _cell(panel: PanelDataset, i: int) -> str:
     """Name of the cell at index ``i = (t - 1) * G + g`` of the consecutive pairs."""
     G = panel.n_groups
@@ -241,20 +236,19 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
                                   panel.period_labels))
 
 
-def _reduce(strata: _Strata, counts: np.ndarray | None = None):
+def _reduce(strata: _Strata, counts: np.ndarray):
     """DID_M over the strata with cell sizes ``counts[g] * n``, ``counts``
-    the copies of each group in a bootstrap draw (None: one of each).
+    the copies of each group in a bootstrap draw; the estimate itself is the
+    draw of one copy of each group, ``np.ones(G)``.
 
     A stratum counts while its switchers and its origin's stayers both have
     positive size, which at one copy of each group every stratum has.
     Returns the estimate and n_s, then, per counted stratum, its weight,
     switcher size, stayer size and value.
     """
-    n, ndy, S = strata.n, strata.ndy, len(strata.key)
-    if counts is not None:
-        copies = counts[strata.cells % strata.panel.n_groups]
-        with np.errstate(over="ignore", invalid="ignore"):
-            n, ndy = n * copies, ndy * copies
+    S, copies = len(strata.key), counts[strata.cells % strata.panel.n_groups]
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, ndy = strata.n * copies, strata.ndy * copies
     size = np.bincount(strata.bins, n, strata.n_bins)
     total = np.bincount(strata.bins, ndy, strata.n_bins)
     sw_n, st_n = size[:S], size[S:][strata.home]
@@ -287,7 +281,7 @@ def find_switchers(panel: PanelDataset, target: int) -> SwitcherSet:
     """Cells whose target treatment changes between consecutive periods and
     that have a matching stayer; unusable switching cells are reported."""
     strata = _strata(panel, target)
-    n_s = _reduce(strata)[1]
+    n_s = _reduce(strata, np.ones(panel.n_groups))[1]
     G = panel.n_groups
     kept = strata.cells[:strata.n_kept]
     cells = tuple(
@@ -309,7 +303,7 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
     if binary_only:
         panel.require_binary((target,))
     strata = _strata(panel, target)
-    estimate, n_s, weight, sw_n, st_n, value = _reduce(strata)
+    estimate, n_s, weight, sw_n, st_n, value = _reduce(strata, np.ones(panel.n_groups))
     components = tuple(
         DidmComponent(period=panel.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
                       direction="up" if k[-1] > k[-2] else "down",

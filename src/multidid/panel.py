@@ -53,6 +53,12 @@ from .errors import (
 from .tolerances import VALUE_TOL
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, the one order every reproducible total is
+    summed in, on every Python version."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 def _canonical(values: np.ndarray) -> np.ndarray:
     """Canonical treatment values (rule in the module docstring); ``values``
     itself when nothing moves."""
@@ -116,10 +122,8 @@ class PanelDataset:
                                     f"{float(self.n[gi, ti])} at {self._cell_name(gi, ti)}")
         self.d = _canonical(self.d)
         self.binary_treatments = bool(np.isin(self.d, (0.0, 1.0)).all())
-        # fixed left-to-right order (groups outer, periods inner) so the
-        # reported total is reproducible bit for bit
-        with np.errstate(over="ignore"):
-            self.total_n = float(np.cumsum(self.n.ravel())[-1])
+        with np.errstate(over="ignore"):  # groups outer, periods inner
+            self.total_n = _running_sum(self.n.ravel())
         if self.total_n == np.inf:
             raise NonFiniteValue("cell sizes n sum past the float range")
         self._group_index = {lab: i for i, lab in enumerate(self.group_labels)}
@@ -172,9 +176,7 @@ class PanelDataset:
     def restrict_groups(self, groups: Iterable) -> "PanelDataset":
         """Sub-panel containing only the given group labels (order preserved)."""
         keep = [self._group_index[g] for g in groups]
-        labels = [self.group_labels[i] for i in keep]
-        return PanelDataset(labels, self.period_labels, self.y[keep], self.n[keep],
-                            self.d[:, keep], self.treatment_names)
+        return self.with_groups(keep, [self.group_labels[i] for i in keep])
 
     def with_groups(self, indices: Sequence[int], labels: Sequence) -> "PanelDataset":
         """Panel built from rows of this one, allowing repeated groups (bootstrap)."""
@@ -284,8 +286,8 @@ def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
     design is sharp); the emitted rows carry the outcome mean and the
     observation count as the cell size.
     """
-    acc: dict[tuple, list] = {}
-    order: list[tuple] = []
+    first: dict[tuple, tuple] = {}  # cell -> its code and its first row's treatments
+    codes, y = [], []
     k = None
     for row in micro_rows:
         g, t, yv = row[0], row[1], float(row[2])
@@ -294,25 +296,19 @@ def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
             k = len(dv)
         elif len(dv) != k:
             raise ValueError("rows have inconsistent treatment counts")
-        key = (g, t)
-        if key not in acc:
-            acc[key] = [0.0, 0, dv]
-            order.append(key)
-        else:
-            ref = acc[key][2]
-            if any(abs(a - b) > VALUE_TOL for a, b in zip(dv, ref)):
-                raise NonSharpDesign(
-                    f"observations disagree on treatments at group={g!r}, period={t!r}"
-                )
-        acc[key][0] += yv
-        acc[key][1] += 1
+        code, ref = first.setdefault((g, t), (len(first), dv))
+        if any(abs(a - b) > VALUE_TOL for a, b in zip(dv, ref)):
+            raise NonSharpDesign(
+                f"observations disagree on treatments at group={g!r}, period={t!r}"
+            )
+        codes.append(code)
+        y.append(yv)
     if k is None:
         raise InsufficientVariation("no rows supplied")
-    out = []
-    for key in order:
-        total, count, dv = acc[key]
-        out.append((key[0], key[1], total / count, float(count)) + dv)
-    return out
+    # bincount adds each cell's outcomes left to right from 0.0
+    totals, counts = np.bincount(codes, y).tolist(), np.bincount(codes).tolist()
+    return [(g, t, total / count, float(count)) + dv
+            for ((g, t), (_, dv)), total, count in zip(first.items(), totals, counts)]
 
 
 # -- CSV long format -------------------------------------------------------

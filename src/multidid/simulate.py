@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -201,10 +201,10 @@ def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
     return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
 
 
-# the JSON values that a field of each declared type takes (true and false are
-# not numbers), and their name in messages
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a number"), "tuple": (list, "an array")}
+# the JSON values that a field or element of each declared type takes (true
+# and false are not numbers), and their name in messages
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"),
+               float: ((int, float), "a number"), tuple: (list, "an array")}
 
 
 @dataclass(frozen=True)
@@ -267,21 +267,30 @@ class DgpSpec:
         missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
         if missing:
             raise InvalidSpec(f"missing spec field(s): {missing}")
-        for name, value in data.items():
-            declared, _, optional = fields[name].type.partition(" | ")
-            accepted, what = _JSON_TYPES[declared.split("[")[0]]
-            if not (value is None and optional
-                    or isinstance(value, accepted) and not isinstance(value, bool)):
-                raise InvalidSpec(f"{name} must be {what}{' or null' if optional else ''}, "
-                                  f"got {json.dumps(value)}")
-        for key in ("thresholds", "base_effects", "f1", "f2", "first_level"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        if data.get("interactions") is not None:
-            data["interactions"] = tuple(tuple(i) for i in data["interactions"])
-        if data.get("second_effects") is not None:
-            data["second_effects"] = tuple(tuple(r) for r in data["second_effects"])
-        return cls(**data)
+        hints = get_type_hints(cls)
+        return cls(**{name: _from_json_value(name, value, hints[name])
+                      for name, value in data.items()})
+
+
+def _from_json_value(name: str, value, hint, null: str = ""):
+    """``value`` checked against the declared type ``hint``, element by
+    element, its arrays made tuples; InvalidSpec names the first misfit."""
+    if type(None) in get_args(hint):  # an optional field
+        return value if value is None else _from_json_value(
+            name, value, get_args(hint)[0], " or null")
+    kind = get_origin(hint) or hint
+    accepted, what = _JSON_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise InvalidSpec(f"{name} must be {what}{null}, got {json.dumps(value)}")
+    if kind is not tuple:
+        return value
+    items = get_args(hint)
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    elif len(items) != len(value):
+        raise InvalidSpec(f"{name} must have {len(items)} entries, got {len(value)}")
+    return tuple(_from_json_value(f"{name}[{i}]", v, h)
+                 for i, (v, h) in enumerate(zip(value, items)))
 
 
 class SyntheticPanel:
@@ -478,6 +487,16 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
     return SyntheticPanel(panel, spec.kind, po=po)
 
 
+def _given_dates(name: str, dates, G: int) -> np.ndarray:
+    """The adoption dates a spec gives, one whole number per group."""
+    if len(dates) != G:
+        raise InvalidSpec(f"{name} must have one date per group")
+    for v in dates:
+        if not (isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()):
+            raise InvalidSpec(f"{name} must hold whole-number dates, got {v!r}")
+    return np.asarray(dates, dtype=int)
+
+
 def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     G, T = spec.n_groups, spec.n_periods
     g = np.arange(G)
@@ -487,15 +506,11 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
         "level": (0, seed, STREAM_FIRST_LEVEL, g), "violation": (0, seed, STREAM_VIOLATION, g),
         "second": (0, seed, STREAM_SECOND, g), **_requests(spec)})
     if spec.f1 is not None:
-        if len(spec.f1) != G:
-            raise InvalidSpec("f1 must have one date per group")
-        f1 = np.asarray(spec.f1, dtype=int)
+        f1 = _given_dates("f1", spec.f1, G)
     else:
         f1 = _bounded(keys["f1"], raw["f1"], 2, T + 1)
     if spec.f2 is not None:
-        if len(spec.f2) != G:
-            raise InvalidSpec("f2 must have one date per group")
-        f2 = np.asarray(spec.f2, dtype=int)
+        f2 = _given_dates("f2", spec.f2, G)
     else:
         # groups adopting the first treatment by T draw the second after it;
         # a date outside 1..T+1 is refused below, whatever is drawn here

@@ -46,7 +46,7 @@ from .errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from .panel import PanelDataset
+from .panel import PanelDataset, _running_sum
 
 
 @dataclass(frozen=True)
@@ -140,19 +140,18 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
 
 
 def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
-               cap: np.ndarray | int, ell: int, placebo: bool,
-               n: np.ndarray | None = None) -> list[tuple]:
+               cap: np.ndarray | int, ell: int, placebo: bool, n: np.ndarray):
     """Adopter-versus-not-yet contrasts at horizon ``ell``, as the module defines.
 
     Each arm is summed per (cohort, date) with ``np.bincount`` over groups in
-    index order, with cell sizes ``n`` (default: the panel's). Returns
-    ``(cohort, date, value, n_treated, n_control)`` for the pairs where both
-    arms have positive size, in (cohort, date) order.
+    index order, with cell sizes ``n``. Returns the arrays ``cohort, date,
+    value, n_treated, n_control`` over the pairs where both arms have positive
+    size, in (cohort, date) order.
     """
     T = panel.n_periods
     t = np.arange(ell + 2 + placebo, T + 1)
     hi, lo = (t - ell - 2, t - ell - 3) if placebo else (t - 1, t - ell - 2)
-    n_t = (panel.n if n is None else n)[:, t - 1]
+    n_t = n[:, t - 1]
     with np.errstate(over="ignore", invalid="ignore"):
         dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
     adopter = (adopt > cohort + placebo) & (adopt + ell <= cap)
@@ -169,9 +168,7 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     hit = np.flatnonzero((n_tr > 0) & (n_co > 0))
     with np.errstate(over="ignore", invalid="ignore"):  # _horizon refuses the result
         value = s_tr[hit] / n_tr[hit] - s_co[hit] / n_co[hit]
-    f, date = np.divmod(hit, T + 1)
-    return list(zip(f.tolist(), date.tolist(), value.tolist(),
-                    n_tr[hit].tolist(), n_co[hit].tolist()))
+    return (*np.divmod(hit, T + 1), value, n_tr[hit], n_co[hit])
 
 
 def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
@@ -199,39 +196,34 @@ def _check_horizon(l_nt: int, ell: int) -> None:
 
 
 def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-             cap: np.ndarray | int, ell: int, placebo: bool,
-             n: np.ndarray | None = None):
+             cap: np.ndarray | int, ell: int, placebo: bool, n: np.ndarray):
     """Horizon ``ell`` of a cohort event study, None where no contrast exists.
 
-    Calls :func:`_contrasts` once, with cell sizes ``n`` (default: the
-    panel's); returns the placebo mean if ``placebo``, else the estimate and
-    its components, weighted by adopter size.
+    Calls :func:`_contrasts` once, with cell sizes ``n``; returns the placebo
+    mean if ``placebo``, else the estimate and its components, weighted by
+    adopter size. Totals run left to right in (cohort, date) order.
     ``cohort=None`` puts all groups in one cohort dated period 1, so any
     group adopting from period 2 on is an adopter; components are then
     labelled by adoption date instead of cohort date.
     """
     one_cohort = cohort is None
-    raw = _contrasts(panel, adopt, np.ones_like(adopt) if one_cohort else cohort,
-                     cap, ell, placebo, n)
-    if not raw:
+    f, t, value, n_tr, n_co = _contrasts(
+        panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, ell, placebo, n)
+    if not t.size:
         return None
-    n_ell = sum(n_tr for _, _, _, n_tr, _ in raw)
-    if placebo:
-        estimate = float(sum(n_tr * value for _, _, value, n_tr, _ in raw) / n_ell)
-    else:
-        labels = panel.period_labels
-        components = tuple(
-            HorizonComponent(cohort=labels[(t - ell if one_cohort else f) - 1],
-                             period=labels[t - 1], value=value, n_treated=n_tr,
-                             n_control=n_co, weight=n_tr / n_ell)
-            for f, t, value, n_tr, n_co in raw)
-        estimate = 0.0
-        for c in components:
-            estimate += c.weight * c.value
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        n_ell = _running_sum(n_tr)
+        weight = n_tr / n_ell
+        estimate = _running_sum(n_tr * value) / n_ell if placebo else _running_sum(weight * value)
     if not math.isfinite(estimate):
         raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
                              f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
-    return estimate if placebo else (float(estimate), components)
+    if placebo:
+        return estimate
+    label = panel.period_labels.__getitem__
+    cohorts = ((t - ell if one_cohort else f) - 1).tolist()
+    return estimate, tuple(map(HorizonComponent, map(label, cohorts), map(label, (t - 1).tolist()),
+                               value.tolist(), n_tr.tolist(), n_co.tolist(), weight.tolist()))
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
@@ -240,7 +232,7 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
     _check_horizon(structure.l_nt, ell)
     # every horizon in 0..l_nt has a contrast, so this is never None
     return _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
-                    placebo=False)
+                    placebo=False, n=panel.n)
 
 
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
@@ -265,7 +257,7 @@ def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> fl
 
     def pre(l):
         return _horizon(panel, structure.f2, structure.f1, panel.n_periods, l,
-                        placebo=True)
+                        placebo=True, n=panel.n)
 
     if (value := pre(ell)) is None:
         raise InsufficientPrePeriods(
@@ -282,11 +274,12 @@ def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | No
     components: dict[int, tuple[HorizonComponent, ...]] = {}
     placebo_map: dict[int, float] = {}
     for ell in range(panel.n_periods - 1):
-        effect = _horizon(panel, adopt, cohort, cap, ell, placebo=False)
+        effect = _horizon(panel, adopt, cohort, cap, ell, placebo=False, n=panel.n)
         if effect is None:
             continue
         estimates[ell], components[ell] = effect
-        pre = _horizon(panel, adopt, cohort, cap, ell, placebo=True) if placebos else None
+        pre = (_horizon(panel, adopt, cohort, cap, ell, placebo=True, n=panel.n)
+               if placebos else None)
         if pre is not None:
             placebo_map[ell] = pre
     if not estimates:

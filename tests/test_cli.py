@@ -343,6 +343,20 @@ def test_bootstrap_subcommand(capsys, four_group_csv):
     assert report["inference_note"].startswith("group block bootstrap")
 
 
+def test_bootstrap_with_one_replication_warns(capsys, four_group_csv):
+    """One usable replication gives no spread: the report says so, the
+    standard error is 0 by convention, and the run still succeeds."""
+    code, out, err = _run(capsys, "bootstrap", "--input", four_group_csv,
+                          "--estimator", "twfe", "--target", "d1", "-B", "1", "--seed", "4")
+    assert code == 0
+    assert err == ("warning: fewer than two usable replications, standard error is 0 "
+                   "by convention\n")
+    report = json.loads(out)
+    assert report["degenerate_inference"] is True
+    assert report["standard_error"] == 0.0
+    assert (report["n_retained"], report["n_degenerate"]) == (1, 0)
+
+
 @pytest.mark.parametrize("option, value", [("-B", "0"), ("-B", "-3"), ("-B", "two"),
                                            ("--parallelism", "0"),
                                            ("--parallelism", "-2")])
@@ -603,6 +617,21 @@ def test_parallelism_changes_only_its_echo(capsys, tmp_path, name):
      "noise_sd must be a number, got true$"),
     ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "f1": 3}',
      "f1 must be an array or null, got 3$"),
+    # elements of array fields: each is checked against its declared type
+    ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "interactions": [1]}',
+     r"interactions\[0\] must be an array, got 1$"),
+    ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "interactions": [[0, 1.5, 2]]}',
+     r"interactions\[0\]\[1\] must be an integer, got 1\.5$"),
+    ('{"kind": "consecutive-staggered", "n_groups": 3, "n_periods": 4, "f1": ["a", 2, 2]}',
+     r'f1\[0\] must be an integer, got "a"$'),
+    ('{"kind": "consecutive-staggered", "n_groups": 3, "n_periods": 4, "f1": [2.5, 2, 2]}',
+     r"f1\[0\] must be an integer, got 2\.5$"),
+    ('{"kind": "random-binary", "n_groups": 5, "n_periods": 4, "base_effects": ["x", 1]}',
+     r'base_effects\[0\] must be a number, got "x"$'),
+    ('{"kind": "standard-did", "n_groups": 5, "n_periods": 4, "thresholds": [2, 2, 3]}',
+     "thresholds must have 4 entries, got 3$"),
+    ('{"kind": "consecutive-staggered", "n_groups": 2, "n_periods": 4, '
+     '"second_effects": [1, 2]}', r"second_effects\[0\] must be an array, got 1$"),
 ])
 def test_malformed_spec_is_invalid(capsys, tmp_path, text, message):
     """A spec that is not a JSON object, lacks a required field or gives a

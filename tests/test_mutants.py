@@ -1,0 +1,73 @@
+"""Mutation checks of the estimator kernels.
+
+Each mutant rewrites one private function of ``multidid`` by one edit of its
+source and puts it, for the test's duration, wherever the package binds that
+function. The named fast tests then run in this process, and at least one of
+them must fail: a mutant they all survive marks a kernel whose behaviour no
+fast test pins. Each edit must match its function's source exactly once, so
+a kernel that is rewritten fails here until its mutant is rewritten too.
+"""
+
+import __future__
+import importlib
+import inspect
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+# by import path: the package's name ``didm`` is the estimator function
+decomposition, didm, panel, staggered = (
+    importlib.import_module(f"multidid.{name}")
+    for name in ("decomposition", "didm", "panel", "staggered"))
+
+HERE = Path(__file__).resolve().parent
+
+# name: (module, function, source text, its mutation, tests that must catch it)
+MUTANTS = {
+    "running sum adds right to left": (
+        panel, "_running_sum", "values)))", "values[::-1])))",
+        ["test_staggered.py::test_horizon_totals_run_left_to_right",
+         "test_panel.py::test_total_n_matches_fixed_order_sum"]),
+    "didm ignores the draw counts": (
+        didm, "_reduce", "counts[strata.cells % strata.panel.n_groups]",
+        "np.ones(strata.cells.size)",
+        ["test_bootstrap.py::test_didm_empty_switchers_excluded",
+         "test_bootstrap.py::test_count_weighted_replicates_match_the_copy_path"]),
+    "an adopter on its adoption date is a control": (
+        staggered, "_contrasts", "arm(adopt[:, None] > t)", "arm(adopt[:, None] >= t)",
+        ["test_staggered.py::test_did_ell_fixture_values",
+         "test_staggered.py::test_event_studies_match_brute_force_oracle"]),
+    "fixed effects without the refinement pass": (
+        decomposition, "_two_way_residualize", "r -= fit(r)", "pass",
+        ["test_decomposition.py::test_orthogonality_invariants_random_panels",
+         "test_decomposition.py::test_orthogonality_with_cell_sizes_over_twelve_decades"]),
+    "stayers matched on the target's previous value alone": (
+        didm, "_strata", "columns = [*before[others][:, still], before[target, still]]",
+        "columns = [before[target, still]]",
+        ["test_didm.py::test_didm_hand_value",
+         "test_didm.py::test_brute_force_equivalence_random_panels"]),
+}
+
+
+def _mutate(monkeypatch, module, name: str, old: str, new: str) -> None:
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, f"{module.__name__}.{name} no longer holds {old!r}"
+    namespace = dict(vars(module))
+    # a file name of its own keeps a line trace of the package off the mutant
+    exec(compile(source.replace(old, new), f"<mutant of {module.__name__}.{name}>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    for bound in list(sys.modules.values()):
+        if (getattr(bound, "__name__", "").startswith("multidid")
+                and getattr(bound, name, None) is original):
+            monkeypatch.setattr(bound, name, namespace[name])
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_is_caught(monkeypatch, mutant):
+    module, name, old, new, tests = MUTANTS[mutant]
+    _mutate(monkeypatch, module, name, old, new)
+    code = pytest.main([*(str(HERE / t) for t in tests), "-q", "-x", "-p", "no:cacheprovider"])
+    assert code == pytest.ExitCode.TESTS_FAILED, f"no named test caught: {mutant}"

@@ -104,6 +104,7 @@ STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
     (dict(STAGGERED, cell_sizes="huge"), r"unknown cell_sizes rule 'huge'$"),
     (dict(STAGGERED, f1=(2, 2)), r"f1 must have one date per group$"),
     (dict(STAGGERED, f2=(3,)), r"f2 must have one date per group$"),
+    (dict(STAGGERED, f1=(2.5, 2, 2, 2)), r"f1 must hold whole-number dates, got 2\.5$"),
     (dict(STAGGERED, f1=(0, 2, 2, 2)), r"adoption dates must lie in 1\.\.T\+1$"),
     (dict(STAGGERED, f1=(2, 2, 2, 2), f2=(2, 3, 4, 6)), r"adoption dates must lie in"),
     (dict(STAGGERED, f1=(2, 2, 2, 2), f2=(1, 3, 4, 5)),

@@ -372,6 +372,40 @@ def test_structural_control_validity():
                 assert c.n_control == sum(panel.n[g, t - 1] for g in controls)
 
 
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_horizon_totals_run_left_to_right():
+    """Adopter sizes 1e16, 1, 1 total 1e16 left to right, but 1e16 + 2 right
+    to left or compensated, as the built-in ``sum`` of floats is from Python
+    3.12 on. Weights, estimate and placebo follow the left-to-right total on
+    every Python version."""
+    G, T = 4, 5
+    periods = np.arange(1, T + 1)
+    f2 = np.array([3, 4, 5, T + 1])  # the first treatment is on throughout
+    d = np.stack([np.ones((G, T)), periods >= f2[:, None]]).astype(float)
+    n = np.ones((G, T))
+    n[0, 2] = 1e16  # the first adopter's size at its adoption date
+    y = np.array([[0.0, 0.25, 3.0, 4.0, 6.0], [0.5, 0.0, 1.0, 5.0, 2.0],
+                  [1.0, 2.0, 2.5, 2.0, 7.0], [0.0, 0.5, 1.0, 1.5, 2.25]])
+    panel = m.PanelDataset(range(G), periods, y, n, d)
+    structure = m.build_cohorts(panel, 0, 1)
+    estimate, components = m.did_ell(panel, structure, 0)
+    sizes = [c.n_treated for c in components]
+    assert sizes == [1e16, 1.0, 1.0]
+    total = _left_to_right(sizes)
+    assert total == 1e16 != _left_to_right(sizes[::-1])
+    assert [c.weight for c in components] == [s / total for s in sizes]
+    assert estimate == _left_to_right(c.weight * c.value for c in components)
+    # the placebo's adopters are the same cells, with the oracle's values
+    placebos = brute_force_event_study(panel, f2, np.ones(G, int), np.full(G, T))[2]
+    assert m.placebo_ell(panel, structure, 0) == placebos[0]
+
+
 def test_overflowing_contrasts_are_refused():
     panel = overflowing_staggered_panel()
     structure = m.build_cohorts(panel, 0, 1)  # dates alone: nothing overflows
