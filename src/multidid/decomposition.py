@@ -28,6 +28,7 @@ from itertools import compress, repeat
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
 from .panel import PanelDataset, _running_sum
@@ -150,8 +151,19 @@ class DecompositionSummary:
         }
 
 
-def _two_way_residualize(n: np.ndarray, grids: list[np.ndarray]) -> list[np.ndarray]:
-    """Residuals of each grid on the weighted two-way fixed-effect space.
+def _lapack(routine, *args, **kwargs) -> np.ndarray:
+    """A ``scipy.linalg.lapack`` routine's result; its failure raises LinAlgError."""
+    out, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK reported failure {info}")
+    return out
+
+
+def _two_way_residualize(n: np.ndarray, d: np.ndarray, total_n: float,
+                         names: tuple) -> tuple[list[np.ndarray], float]:
+    """The first stage's part that no target changes: each treatment grid's
+    read-only residuals on the weighted two-way fixed-effect space, and the
+    rank threshold.
 
     With the first period's effect fixed at zero, the group block of the
     normal equations is the diagonal of group sizes, so eliminating it leaves
@@ -160,47 +172,47 @@ def _two_way_residualize(n: np.ndarray, grids: list[np.ndarray]) -> list[np.ndar
     sizes over their group's size. It is factored once (Cholesky); the group
     effects are the group means of ``z`` minus ``H`` times the period effects.
     One refinement pass pushes the weighted orthogonality of the residuals to
-    machine precision.
+    machine precision. The threshold scales the largest weighted column norm
+    of the design (the intercept's, for binary data). A grid or norm past the
+    float range raises NonFiniteValue naming its treatment in ``names``.
     """
     m = n[:, 1:]
     rows = n.sum(axis=1)
     h = m / rows[:, None]
-    cho = scipy.linalg.cho_factor(np.diag(n.sum(axis=0)[1:]) - m.T @ h)
+    # the arguments that scipy's cho_factor and cho_solve pass
+    cho = _lapack(dpotrf, np.diag(n.sum(axis=0)[1:]) - m.T @ h, clean=0)
 
     def fit(z):
         nz = n * z
         a = nz.sum(axis=1) / rows
-        b = scipy.linalg.cho_solve(cho, nz.sum(axis=0)[1:] - m.T @ a)
+        b = _lapack(dpotrs, cho, nz.sum(axis=0)[1:] - m.T @ a)
         return (a - h @ b)[:, None] + np.concatenate([[0.0], b])
 
-    out = []
-    for z in grids:
-        r = z - fit(z)
-        r -= fit(r)
-        out.append(r)
-    return out
+    sqrtn, out, norms = np.sqrt(n).ravel(), [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, z in zip(names, d):
+            r = z - fit(z)
+            r -= fit(r)
+            norms.append(float(np.linalg.norm(sqrtn * z.ravel())))
+            if not (np.isfinite(norms[-1]) and np.isfinite(r).all()):
+                raise NonFiniteValue(f"the fixed-effect fit of treatment {name} overflows")
+            r.setflags(write=False)
+            out.append(r)
+    return out, RANK_RTOL * max(np.sqrt(total_n), *norms)
 
 
-def _partial(n: np.ndarray, d: np.ndarray, total_n: float, target: int,
+def _partial(n: np.ndarray, resid: list[np.ndarray], tol: float, target: int,
              names: tuple) -> tuple[np.ndarray, dict[int, float]]:
-    """:func:`first_stage` on the arrays of a panel whose treatments are
-    ``names``: residuals of ``d[target]`` and the coefficients on the others."""
-    K = d.shape[0]
-    others = [j for j in range(K) if j != target]
-    resid = _two_way_residualize(n, [d[target]] + [d[j] for j in others])
-    rt, ro = resid[0], resid[1:]
-
+    """Residuals of treatment ``target`` on the two-way fixed effects and the
+    other treatments, and the coefficients on those, from ``resid, tol`` of
+    :func:`_two_way_residualize`."""
+    others = [j for j in range(len(resid)) if j != target]
+    rt = resid[target]
     sqrtn = np.sqrt(n).ravel()
-    # rank threshold is relative to the largest weighted column norm of the
-    # full design (the intercept column always attains it for binary data)
-    col_norms = [np.sqrt(total_n)]
-    col_norms += [float(np.linalg.norm(sqrtn * d[j].ravel())) for j in range(K)]
-    tol = RANK_RTOL * max(col_norms)
-
     coef_other: dict[int, float] = {}
     eps = rt
     if others:
-        A = np.column_stack([sqrtn * r.ravel() for r in ro])
+        A = np.column_stack([sqrtn * resid[j].ravel() for j in others])
         b = sqrtn * rt.ravel()
         q, r_mat, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r_mat))
@@ -209,11 +221,12 @@ def _partial(n: np.ndarray, d: np.ndarray, total_n: float, target: int,
             raise CollinearTreatments(
                 "other treatments are collinear with the fixed effects or each other"
             )
-        zeta_p = scipy.linalg.solve_triangular(r_mat, q.T @ b)
+        # as solve_triangular passes the C-ordered R that qr returns
+        zeta_p = _lapack(dtrtrs, r_mat.T, q.T @ b, lower=1, trans=1)
         zeta = np.empty(len(others))
         zeta[piv] = zeta_p
         coef_other = {j: float(z) for j, z in zip(others, zeta)}
-        eps = rt - sum(z * r for z, r in zip(zeta, ro))
+        eps = rt - sum(z * resid[j] for z, j in zip(zeta, others))
 
     if float(np.linalg.norm(sqrtn * eps.ravel())) <= tol:
         raise CollinearTreatments(
@@ -247,7 +260,10 @@ def first_stage(panel: PanelDataset, target: int) -> FirstStageResult:
     other treatment included in the regression.
     """
     panel.check_treatment(target)
-    eps, coef_other = _partial(panel.n, panel.d, panel.total_n, target, panel.treatment_names)
+    if panel._first_stage is None:  # no target changes it; see PanelDataset
+        panel._first_stage = _two_way_residualize(panel.n, panel.d, panel.total_n,
+                                                  panel.treatment_names)
+    eps, coef_other = _partial(panel.n, *panel._first_stage, target, panel.treatment_names)
     return FirstStageResult(target=target, residuals=eps, coef_other=coef_other)
 
 
@@ -271,7 +287,8 @@ def _twfe_reducer(panel: PanelDataset, target: int):
         drawn = np.flatnonzero(counts)
         n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
         total_n = _running_sum(n.ravel())
-        eps, _ = _partial(n, d, total_n, target, panel.treatment_names)
+        shared = _two_way_residualize(n, d, total_n, panel.treatment_names)
+        eps, _ = _partial(n, *shared, target, panel.treatment_names)
         return _coefficient(n, panel.y[drawn], d[target], eps, total_n)
     return estimate
 

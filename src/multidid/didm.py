@@ -214,7 +214,8 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     stayer = ~switching[still]
     matched = ~stayer & (np.bincount(origin[stayer], minlength=first.size) > 0)[origin]
     kept = still[matched]
-    lost = np.setdiff1d(np.flatnonzero(switching), kept)
+    switching[kept] = False  # leaves the switchers no stayer matches
+    lost = np.flatnonzero(switching)
 
     to = after[target, kept]
     _, head, stratum = np.unique(_pack(origin[matched], first.size, [to]),

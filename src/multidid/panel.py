@@ -84,11 +84,13 @@ class PanelDataset:
     (K, G, T). The arrays are write-protected; concurrent reads are safe.
     ``treatment_names`` name the K treatments (default ``d1..dK``); the CSV
     reader sets them to the columns it read, and the writer writes them.
+    A private slot, empty in a derived panel, keeps the decomposition's first
+    stage once computed; concurrent first uses fill it alike, so reads stay safe.
     """
 
     __slots__ = ("group_labels", "period_labels", "y", "n", "d", "n_treatments",
                  "treatment_names", "binary_treatments", "total_n", "_group_index",
-                 "_period_index")
+                 "_period_index", "_first_stage")
 
     def __init__(self, group_labels, period_labels, y, n, d,
                  treatment_names: Sequence[str] | None = None):
@@ -130,6 +132,7 @@ class PanelDataset:
         self._period_index = {lab: i for i, lab in enumerate(self.period_labels)}
         for a in (self.y, self.n, self.d):
             a.setflags(write=False)
+        self._first_stage = None
 
     def _cell_name(self, gi: int, ti: int) -> str:
         return f"group={self.group_labels[gi]!r}, period={self.period_labels[ti]!r}"

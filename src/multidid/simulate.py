@@ -201,10 +201,13 @@ def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
     return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
 
 
-# the JSON values that a field or element of each declared type takes (true
-# and false are not numbers), and their name in messages
-_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"),
-               float: ((int, float), "a number"), tuple: (list, "an array")}
+# the values a field or element of each declared type takes, read from JSON or
+# built in Python (true and false are not numbers), and their name in messages;
+# in Python an integer may be a float, as generate refuses a date not whole
+_TYPES = {str: (str, "a string"), int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer), "a number"),
+          tuple: ((list, tuple, np.ndarray), "an array")}
+_PYTHON_TYPES = {**_TYPES, int: _TYPES[float]}
 
 
 @dataclass(frozen=True)
@@ -267,21 +270,23 @@ class DgpSpec:
         missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
         if missing:
             raise InvalidSpec(f"missing spec field(s): {missing}")
-        hints = get_type_hints(cls)
-        return cls(**{name: _from_json_value(name, value, hints[name])
+        return cls(**{name: _checked(name, value, _HINTS[name], _TYPES)
                       for name, value in data.items()})
 
 
-def _from_json_value(name: str, value, hint, null: str = ""):
-    """``value`` checked against the declared type ``hint``, element by
-    element, its arrays made tuples; InvalidSpec names the first misfit."""
+_HINTS = get_type_hints(DgpSpec)
+
+
+def _checked(name: str, value, hint, types: dict, null: str = ""):
+    """``value`` checked against the declared type ``hint`` by ``types``, element
+    by element, its arrays made tuples; InvalidSpec names the first misfit."""
     if type(None) in get_args(hint):  # an optional field
-        return value if value is None else _from_json_value(
-            name, value, get_args(hint)[0], " or null")
+        return value if value is None else _checked(
+            name, value, get_args(hint)[0], types, " or null")
     kind = get_origin(hint) or hint
-    accepted, what = _JSON_TYPES[kind]
+    accepted, what = types[kind]
     if not isinstance(value, accepted) or isinstance(value, bool):
-        raise InvalidSpec(f"{name} must be {what}{null}, got {json.dumps(value)}")
+        raise InvalidSpec(f"{name} must be {what}{null}, got {json.dumps(value, default=repr)}")
     if kind is not tuple:
         return value
     items = get_args(hint)
@@ -289,7 +294,7 @@ def _from_json_value(name: str, value, hint, null: str = ""):
         items = items[:1] * len(value)
     elif len(items) != len(value):
         raise InvalidSpec(f"{name} must have {len(items)} entries, got {len(value)}")
-    return tuple(_from_json_value(f"{name}[{i}]", v, h)
+    return tuple(_checked(f"{name}[{i}]", v, h, types)
                  for i, (v, h) in enumerate(zip(value, items)))
 
 
@@ -374,6 +379,9 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
         value = getattr(spec, name)
         if value is not None and not (isinstance(value, (int, np.integer)) and value >= 0):
             raise InvalidSpec(f"{name} must be a nonnegative integer, got {value!r}")
+    for name, field in DgpSpec.__dataclass_fields__.items():  # defaults are valid
+        if (value := getattr(spec, name)) is not field.default:
+            _checked(name, value, _HINTS[name], _PYTHON_TYPES)
     if spec.kind == "consecutive-staggered":
         if spec.n_treatments != 2:
             raise InvalidSpec("the staggered design uses exactly 2 treatments")

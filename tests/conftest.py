@@ -45,6 +45,17 @@ def overflowing_twfe_panel():
                          (3, 1, 0.0, 1e10, 0.0), (3, 2, 0.0, 1e10, 1.0)], 1)
 
 
+def overflowing_first_stage_panel(n=1e10):
+    """Finite input whose first stage passes the float range: d1 is 1e300 on
+    groups 3-4, periods 2-3. At cell size 1e10 its n-weighted grid overflows
+    in the fixed-effect fit; at size 10 its weighted column norm does."""
+    d1 = np.zeros((4, 3))
+    d1[2:, 1:] = 1e300
+    d2 = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
+    y = np.array([[0, 1, 2], [0, 0.5, 0.2], [1, 0, 2], [0, 1, 1]])
+    return m.PanelDataset(range(1, 5), range(1, 4), y, np.full((4, 3), n), [d1, d2])
+
+
 def overflowing_staggered_panel(extra_never_treated=False):
     """The three-cohort example with outcomes times 1e299 and sizes times 1e10:
     every adopter-versus-not-yet contrast overflows. The never-treated fourth

@@ -9,7 +9,10 @@ and the staggered horizon range from a loop over cohorts. The switcher-average
 truth is the library's former per-switcher loop over ``find_switchers``, kept
 as the reference that the array oracle must equal bit for bit. The bootstrap's
 copy path runs the library's public estimators on a panel that holds each
-drawn group's copies as groups of their own.
+drawn group's copies as groups of their own. The scipy first stage is the
+library's former first stage, which called scipy's checked wrappers for one
+target at a time, kept as the reference that the direct LAPACK calls must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from multidid.decomposition import twfe_coefficient
 from multidid.didm import didm, find_switchers
+from multidid.errors import CollinearTreatments
 from multidid.staggered import build_cohorts, did_ell
+from multidid.tolerances import RANK_RTOL
 
 
 def dense_dummy_fit(panel, target):
@@ -285,3 +291,42 @@ def copy_path_estimate(panel, estimator, target, first, second, ell):
         return result.estimate if result.n_s else None
     estimate, _ = did_ell(panel, build_cohorts(panel, first, second), ell)
     return estimate
+
+
+def scipy_first_stage(panel, target):
+    """``(eps, coef_other)`` of ``first_stage(panel, target)`` through
+    ``scipy.linalg``'s cho_factor, cho_solve and solve_triangular, each
+    target residualizing every treatment anew."""
+    n, d = panel.n, panel.d
+    m, rows = n[:, 1:], n.sum(axis=1)
+    h = m / rows[:, None]
+    cho = scipy.linalg.cho_factor(np.diag(n.sum(axis=0)[1:]) - m.T @ h)
+
+    def fit(z):
+        nz = n * z
+        a = nz.sum(axis=1) / rows
+        b = scipy.linalg.cho_solve(cho, nz.sum(axis=0)[1:] - m.T @ a)
+        return (a - h @ b)[:, None] + np.concatenate([[0.0], b])
+
+    def residualize(z):
+        r = z - fit(z)
+        return r - fit(r)
+
+    others = [j for j in range(panel.n_treatments) if j != target]
+    rt, ro = residualize(d[target]), [residualize(d[j]) for j in others]
+    sqrtn = np.sqrt(n).ravel()
+    tol = RANK_RTOL * max([np.sqrt(panel.total_n)]
+                          + [float(np.linalg.norm(sqrtn * dj.ravel())) for dj in d])
+    coef_other, eps = {}, rt
+    if others:
+        A = np.column_stack([sqrtn * r.ravel() for r in ro])
+        q, r_mat, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        if int(np.sum(np.abs(np.diag(r_mat)) > tol)) < len(others):
+            raise CollinearTreatments("other treatments are collinear")
+        zeta = np.empty(len(others))
+        zeta[piv] = scipy.linalg.solve_triangular(r_mat, q.T @ (sqrtn * rt.ravel()))
+        coef_other = {j: float(z) for j, z in zip(others, zeta)}
+        eps = rt - sum(z * r for z, r in zip(zeta, ro))
+    if float(np.linalg.norm(sqrtn * eps.ravel())) <= tol:
+        raise CollinearTreatments("target is collinear")
+    return eps, coef_other

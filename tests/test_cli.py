@@ -16,6 +16,7 @@ from multidid.errors import InsufficientPrePeriods, NonFiniteValue
 
 from .conftest import (
     degenerate_denominator_panel,
+    overflowing_first_stage_panel,
     overflowing_replicates_panel,
     overflowing_staggered_panel,
     overflowing_twfe_panel,
@@ -245,8 +246,14 @@ def test_degenerate_denominator_exit_code(capsys, tmp_path):
     (overflowing_replicates_panel, ["bootstrap", "--estimator", "twfe", "--target", "d1",
                                     "-B", "20"],
      "the squared deviations of the bootstrap replicates pass the float range"),
+    (overflowing_first_stage_panel, ["bootstrap", "--estimator", "twfe", "--target", "d2",
+                                     "-B", "5"],
+     "the fixed-effect fit of treatment d1 overflows"),
+    (lambda: overflowing_first_stage_panel(10.0),
+     ["bootstrap", "--estimator", "twfe", "--target", "d2", "-B", "5"],
+     "the fixed-effect fit of treatment d1 overflows"),
 ], ids=["decompose", "bootstrap-twfe", "dynamic", "bootstrap-did_ell", "dynamic-linear",
-        "bootstrap-se"])
+        "bootstrap-se", "first-stage-fit", "first-stage-norm"])
 def test_overflowing_products_exit_code(capsys, tmp_path, panel, argv, message):
     path = tmp_path / "overflow.csv"
     m.write_panel_csv(panel(), path)

@@ -2,8 +2,10 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import multidid as m
+from multidid import decomposition
 from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
@@ -330,3 +332,37 @@ def test_report_shapes(four_group):
     assert report["beta_fe"] == pytest.approx(1.5)
     assert {e["g"] for e in report["own"]} == {2, 4}
     assert report["summary"]["own"]["positive_count"] == 2
+
+
+def test_fixed_effects_are_fit_once_per_panel(monkeypatch):
+    """Every target's first stage on one panel takes the K residual grids
+    that the first call left on it; a derived panel starts without them."""
+    calls = []
+    fit = decomposition._two_way_residualize
+    monkeypatch.setattr(decomposition, "_two_way_residualize",
+                        lambda n, d, *rest: calls.append(len(d)) or fit(n, d, *rest))
+    rng = np.random.default_rng(49)
+    d = (rng.random((3, 8, 5)) < 0.5).astype(float)
+    panel = m.PanelDataset(range(8), range(5), rng.standard_normal((8, 5)),
+                           rng.integers(1, 6, size=(8, 5)).astype(float), d)
+    for k in (1, 0, 2):
+        m.decompose(panel, k)
+        m.first_stage(panel, k)
+    assert calls == [3]
+    grids, _ = panel._first_stage
+    assert not any(r.flags.writeable for r in grids)
+    for derived in (panel.with_groups(range(8), range(8)), panel.restrict_groups(range(8))):
+        assert derived._first_stage is None
+        m.decompose(derived, 0)
+    assert calls == [3, 3, 3]
+
+
+@pytest.mark.parametrize("routine, args", [
+    (lapack.dpotrf, (-np.eye(2),)),
+    (lapack.dtrtrs, (np.zeros((2, 2)), np.ones(2))),
+])
+def test_lapack_failure_raises_linalgerror(routine, args):
+    """A failed factorization or triangular solve raises as scipy's wrappers
+    do, though the first stage calls LAPACK directly."""
+    with pytest.raises(np.linalg.LinAlgError):
+        decomposition._lapack(routine, *args)

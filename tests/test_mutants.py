@@ -1,6 +1,6 @@
 """Mutation checks of the estimator kernels.
 
-Each mutant rewrites one private function of ``multidid`` by one edit of its
+Each mutant rewrites one function of ``multidid`` by one edit of its
 source and puts it, for the test's duration, wherever the package binds that
 function. The named fast tests then run in this process, and at least one of
 them must fail: a mutant they all survive marks a kernel whose behaviour no
@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 # by import path: the package's name ``didm`` is the estimator function
-decomposition, didm, panel, staggered = (
+bootstrap, decomposition, didm, panel, staggered = (
     importlib.import_module(f"multidid.{name}")
-    for name in ("decomposition", "didm", "panel", "staggered"))
+    for name in ("bootstrap", "decomposition", "didm", "panel", "staggered"))
 
 HERE = Path(__file__).resolve().parent
 
@@ -48,6 +48,28 @@ MUTANTS = {
         "columns = [before[target, still]]",
         ["test_didm.py::test_didm_hand_value",
          "test_didm.py::test_brute_force_equivalence_random_panels"]),
+    "the coefficient ignores the cell sizes": (
+        decomposition, "_coefficient", "ne = n * eps", "ne = eps",
+        ["test_decomposition.py::test_frisch_waugh_equivalence_random_panels",
+         "test_decomposition.py::test_decomposition_identity_noiseless"]),
+    "the first stage takes another target's residuals": (
+        decomposition, "_partial", "rt = resid[target]", "rt = resid[target - 1]",
+        ["test_decomposition.py::test_first_stage_residuals_four_group",
+         "test_decomposition.py::test_fixed_effects_are_fit_once_per_panel"]),
+    "the horizon range one past its last cohort contrast": (
+        staggered, "build_cohorts", ".max()) - 1", ".max())",
+        ["test_staggered.py::test_cohort_structure_fixture",
+         "test_staggered.py::test_oracle_identity_random_noiseless"]),
+    "numpy's labels parsed as floats and truncated to int64": (
+        panel, "_read_plain", "rows = table(np.int64)",
+        "rows = table(float).astype([(str(j), np.int64 if j in fields[:2] else float)"
+        " for j in used])",
+        ["test_panel.py::test_equal_labels_keep_the_first_spelling",
+         "test_panel.py::test_csv_round_trip_exact"]),
+    "every replication draws replication 0's stream": (
+        bootstrap, "bootstrap_se", "SeedSequence((seed, rep))", "SeedSequence((seed, 0))",
+        ["test_bootstrap.py::test_didm_empty_switchers_excluded",
+         "test_report_digests.py"]),
 }
 
 

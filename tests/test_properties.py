@@ -34,6 +34,7 @@ from .oracles import (
     delta_s_reference,
     dense_dummy_fit,
     polyfit_linear_trends,
+    scipy_first_stage,
 )
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
@@ -266,6 +267,62 @@ def test_coefficient_matches_dense_dummy_regression(case):
     decomp = _decompose(panel, target)
     beta, _, _ = dense_dummy_fit(panel, target)
     assert decomp.beta_fe == pytest.approx(beta, rel=1e-9, abs=1e-10)
+
+
+@st.composite
+def near_collinear_panels(draw):
+    """Random binary panel with K = 1..4 treatments. The last one may be
+    another with one cell flipped, at a size down to 1e-20: their difference
+    then has a weighted norm near the rank threshold."""
+    K, G, T = draw(st.integers(1, 4)), draw(st.integers(3, 7)), draw(st.integers(2, 5))
+    d = draw(arrays(float, (K, G, T), elements=st.sampled_from((0.0, 1.0)),
+                    fill=st.nothing()))
+    n = draw(arrays(float, (G, T), elements=st.sampled_from(SIZES), fill=st.nothing()))
+    if K > 1 and draw(st.booleans()):
+        g, t = draw(st.integers(0, G - 1)), draw(st.integers(0, T - 1))
+        d[-1] = d[draw(st.integers(0, K - 2))]
+        d[-1, g, t] = 1.0 - d[-1, g, t]
+        n[g, t] = draw(st.sampled_from((n[g, t], 1e-9, 1e-16, 1e-18, 1e-20)))
+    y = draw(arrays(float, (G, T), elements=st.integers(-40, 40).map(lambda v: v / 4),
+                    fill=st.nothing()))
+    return m.PanelDataset(range(G), range(T), y, n, d)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (CollinearTreatments, DegenerateDenominator) as exc:
+        return type(exc)
+
+
+@given(near_collinear_panels(), st.randoms(use_true_random=False))
+def test_targets_after_the_first_reuse_its_residuals_bit_for_bit(panel, rnd):
+    """Each target's weights and ``beta_fe``, taken with the residuals that an
+    earlier target left on the panel, are ``==`` to a fresh panel's."""
+    for target in rnd.sample(range(panel.n_treatments), panel.n_treatments):
+        fresh = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y, panel.n,
+                               panel.d)
+        got, want = (_outcome(m.decompose, p, target) for p in (panel, fresh))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.beta_fe == want.beta_fe
+            assert np.array_equal(got.weights, want.weights)
+
+
+@given(near_collinear_panels(), st.data())
+def test_direct_lapack_calls_equal_scipy_wrappers(panel, data):
+    """The first stage's residuals and coefficients, with its direct LAPACK
+    calls, are ``==`` to those through scipy's checked wrappers, and it refuses
+    the same panels."""
+    target = data.draw(st.integers(0, panel.n_treatments - 1))
+    got = _outcome(lambda: m.first_stage(panel, target))
+    want = _outcome(scipy_first_stage, panel, target)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got.residuals, want[0])
+        assert got.coef_other == want[1]
 
 
 @given(st.integers(4, 10), st.integers(3, 6), st.integers(2, 3),

@@ -99,6 +99,9 @@ STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
     (dict(STATIC, kind="standard-did"), r"standard-did needs thresholds \(G1, T1, G2, T2\)$"),
     (dict(STATIC, kind="standard-did", thresholds=(1, 2, 3, 3)), r"thresholds must satisfy"),
     (dict(STATIC, kind="standard-did", thresholds=(2, 2, 5, 3)), r"thresholds must satisfy"),
+    (dict(STATIC, kind="standard-did", thresholds=(2, 2, 3)),
+     r"thresholds must have 4 entries, got 3$"),
+    (dict(STATIC, interactions=[1]), r"interactions\[0\] must be an array, got 1$"),
     (dict(STATIC, treat_prob=1.5), r"treat_prob must lie in \[0, 1\]$"),
     (dict(STATIC, cell_sizes="huge"), r"unknown cell_sizes rule 'huge'$"),
     (dict(STAGGERED, cell_sizes="huge"), r"unknown cell_sizes rule 'huge'$"),
