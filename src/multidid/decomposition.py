@@ -17,7 +17,9 @@ the group block of the normal equations is diagonal, so only a (T - 1) x
 (T - 1) system is factored, the group effects follow in closed form, and one
 iterative-refinement pass follows; the cost is O(G T^2 + T^3). The remaining
 treatment block goes through a column-pivoted QR with rank threshold
-``RANK_RTOL`` times the largest weighted column norm of the design.
+``RANK_RTOL`` times the largest weighted column norm of the design. The two
+steps import their LAPACK routines from ``scipy.linalg`` at the first fit, so
+a process that never fits fixed effects never loads scipy.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
 from .panel import PanelDataset, _running_sum
@@ -176,6 +176,7 @@ def _two_way_residualize(n: np.ndarray, d: np.ndarray, total_n: float,
     of the design (the intercept's, for binary data). A grid or norm past the
     float range raises NonFiniteValue naming its treatment in ``names``.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
     m = n[:, 1:]
     rows = n.sum(axis=1)
     h = m / rows[:, None]
@@ -212,9 +213,11 @@ def _partial(n: np.ndarray, resid: list[np.ndarray], tol: float, target: int,
     coef_other: dict[int, float] = {}
     eps = rt
     if others:
+        from scipy.linalg import qr
+        from scipy.linalg.lapack import dtrtrs
         A = np.column_stack([sqrtn * resid[j].ravel() for j in others])
         b = sqrtn * rt.ravel()
-        q, r_mat, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        q, r_mat, piv = qr(A, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r_mat))
         rank = int(np.sum(diag > tol))
         if rank < len(others):

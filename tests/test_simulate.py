@@ -88,6 +88,14 @@ STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
     (dict(STATIC, kind="nonsense"), r"unknown kind 'nonsense', expected one of"),
     (dict(STATIC, n_groups=1), r"need at least 2 groups and 2 periods$"),
     (dict(STATIC, n_periods=1), r"need at least 2 groups and 2 periods$"),
+    # sizes are integers in Python too, where a date may be a whole float
+    (dict(STATIC, n_groups=4.0), r"n_groups must be an integer, got 4\.0$"),
+    (dict(STATIC, n_periods=4.0), r"n_periods must be an integer, got 4\.0$"),
+    (dict(STATIC, n_treatments=2.0), r"n_treatments must be an integer, got 2\.0$"),
+    (dict(STAGGERED, n_treatments=2.0), r"n_treatments must be an integer, got 2\.0$"),
+    (dict(STATIC, n_groups="4"), r"n_groups must be an integer, got '4'$"),
+    (dict(STATIC, n_groups=True), r"n_groups must be an integer, got True$"),
+    (dict(STATIC, noise_sd="x"), r'noise_sd must be a number, got "x"$'),
     (dict(STATIC, noise_sd=-1.0), r"noise_sd must be nonnegative$"),
     (dict(STAGGERED, n_treatments=3), r"the staggered design uses exactly 2 treatments$"),
     (dict(STATIC, n_treatments=0), r"need at least one treatment$"),
@@ -131,6 +139,15 @@ def test_invalid_specs(fields, message):
     spec with two faults is refused by the one that generation meets first."""
     with pytest.raises(InvalidSpec, match=f"^{message}"):
         m.generate(m.DgpSpec(**fields))
+
+
+def test_whole_float_dates_are_accepted():
+    """Adoption dates built in Python may be whole floats, unlike sizes."""
+    dates = dict(f1=(2, 2, 3, 3), f2=(3, 4, 4, 5))
+    want = m.generate(m.DgpSpec(**STAGGERED, **dates)).panel
+    got = m.generate(m.DgpSpec(**STAGGERED, **{k: tuple(map(float, v))
+                                               for k, v in dates.items()})).panel
+    assert np.array_equal(got.d, want.d) and np.array_equal(got.y, want.y)
 
 
 def test_staggered_truths_refuse_a_static_panel_and_a_far_horizon(abc_staggered):
