@@ -37,10 +37,7 @@ from .simulate import (
     SyntheticPanel,
     decomposition_rhs,
     delta_ell_oracle,
-    four_group_example,
     generate,
-    standard_did_residual_closed_form,
-    three_cohort_example,
 )
 from .staggered import (
     CohortStructure,
@@ -87,16 +84,13 @@ __all__ = [
     "find_switchers",
     "first_stage",
     "first_treatment_effects",
-    "four_group_example",
     "generate",
     "load_panel",
     "placebo_ell",
     "read_panel_csv",
     "second_treatment_effects",
     "split_by_order",
-    "standard_did_residual_closed_form",
     "summarize",
-    "three_cohort_example",
     "twfe_coefficient",
     "write_panel_csv",
 ]

@@ -9,12 +9,12 @@ the per-group counts alone: the point estimate is its value at one copy of
 each group, a replication its value at the draw's counts.
 
 Replications where the estimator is undefined (no switcher survives,
-collinear treatments, the drawn groups hold no contrast at the horizon, the
-resampled sizes or sums pass the float range) are excluded from the
-standard error and counted; on the original panel the same errors
-propagate, so a flawed design reports its own error class and exit code.
-Replications run in order on the calling thread; replication r draws from a
-Philox stream keyed by (seed, r).
+collinear treatments, singular fixed effects, no contrast at the horizon
+among the drawn groups, resampled sizes or sums past the float range) are
+excluded from the standard error and counted; on the original panel the same
+errors propagate, so a flawed design reports its own error class and exit
+code. Replications run in order on the calling thread; replication r draws
+from a Philox stream keyed by (seed, r).
 
 No asymptotic theory backs these standard errors for the switcher and
 cohort estimators; they are a pragmatic stand-in and reports label them as
@@ -36,6 +36,7 @@ from .errors import (
     CollinearTreatments,
     DegenerateDenominator,
     NonFiniteValue,
+    NumericallySingular,
 )
 from .panel import PanelDataset
 from .staggered import _did_ell_reducer, build_cohorts, did_ell  # noqa: F401
@@ -43,7 +44,8 @@ from .staggered import _did_ell_reducer, build_cohorts, did_ell  # noqa: F401
 ESTIMATORS = ("twfe", "didm", "did_ell")
 
 # the errors that make a replication degenerate
-_DEGENERATE = (CollinearTreatments, DegenerateDenominator, NonFiniteValue)
+_DEGENERATE = (CollinearTreatments, DegenerateDenominator, NonFiniteValue,
+               NumericallySingular)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ exit codes:
   3  input validation failed (unbalanced/duplicate cells, non-binary,
      non-positive or non-finite values or labels, missing columns,
      bad simulation spec)
-  4  coefficient undefined (collinear treatments, degenerate denominator)
+  4  coefficient undefined (collinear treatments, degenerate denominator,
+     numerically singular fixed effects)
   5  design violated (treatment switches off, wrong adoption order,
      no usable cohort)
   6  nothing estimable at the requested horizon (no controls, not enough

@@ -30,7 +30,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue
+from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue, NumericallySingular
 from .panel import PanelDataset, _running_sum
 from .tolerances import DENOM_RTOL, RANK_RTOL
 
@@ -79,7 +79,6 @@ class WeightDecomposition:
     weights: np.ndarray
     own_support: np.ndarray
     contamination_support: np.ndarray
-    per_other_treatment_sums: dict[int, float]
     group_labels: tuple
     period_labels: tuple
 
@@ -152,10 +151,12 @@ class DecompositionSummary:
 
 
 def _lapack(routine, *args, **kwargs) -> np.ndarray:
-    """A ``scipy.linalg.lapack`` routine's result; its failure raises LinAlgError."""
+    """A ``scipy.linalg.lapack`` routine's result; its failure raises
+    NumericallySingular."""
     out, info = routine(*args, **kwargs)
     if info:
-        raise np.linalg.LinAlgError(f"LAPACK reported failure {info}")
+        raise NumericallySingular(f"LAPACK reported failure {info}: the weighted "
+                                  "design is numerically singular")
     return out
 
 
@@ -313,8 +314,7 @@ def decompose(panel: PanelDataset, target: int) -> WeightDecomposition:
     contamination = (panel.d[others] != 0).any(axis=0)
     for a in (W, own, contamination):
         a.setflags(write=False)
-    sums = {j: float(np.sum(W * (panel.d[j] > 0.5))) for j in others}
-    return WeightDecomposition(target, beta, W, own, contamination, sums,
+    return WeightDecomposition(target, beta, W, own, contamination,
                                panel.group_labels, panel.period_labels)
 
 

@@ -119,10 +119,6 @@ class DidmResult:
     def dropped(self) -> tuple[DroppedSwitcher, ...]:
         return self.lost.records
 
-    @property
-    def n_dropped(self) -> int:
-        return len(self.lost)
-
     def to_dict(self) -> dict:
         return {
             "estimate": self.estimate,

@@ -69,6 +69,12 @@ class DegenerateDenominator(MultiDidError):
     exit_code = 4
 
 
+class NumericallySingular(MultiDidError):
+    """LAPACK refused to factor or solve the regression's normal equations, as
+    when one period holds almost none of the weight."""
+    exit_code = 4
+
+
 # staggered-design estimators
 
 class NotStaggered(MultiDidError):

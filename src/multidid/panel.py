@@ -153,11 +153,6 @@ class PanelDataset:
     def period_index(self, label) -> int:
         return self._period_index[label]
 
-    def treated_count(self, k: int) -> float:
-        """Total size of the cells where treatment ``k`` is on (binary k)."""
-        self.check_treatment(k)
-        return float(np.sum(self.n * self.d[k]))
-
     def check_treatment(self, k: int) -> None:
         """Raise ValueError unless ``k`` is a treatment index, 0..K-1."""
         if not 0 <= k < self.n_treatments:
@@ -175,11 +170,6 @@ class PanelDataset:
                                          f"at {self._cell_name(gi, ti)}")
 
     # -- derived panels ----------------------------------------------------
-
-    def restrict_groups(self, groups: Iterable) -> "PanelDataset":
-        """Sub-panel containing only the given group labels (order preserved)."""
-        keep = [self._group_index[g] for g in groups]
-        return self.with_groups(keep, [self.group_labels[i] for i in keep])
 
     def with_groups(self, indices: Sequence[int], labels: Sequence) -> "PanelDataset":
         """Panel built from rows of this one, allowing repeated groups (bootstrap)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -203,11 +203,11 @@ def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
 
 # the values a field or element of each declared type takes, read from JSON or
 # built in Python (true and false are not numbers), and their name in messages;
-# in Python an integer may be a float, as generate refuses a date not whole
+# an adoption date built in Python may be a float, as generate refuses one not whole
 _TYPES = {str: (str, "a string"), int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer), "a number"),
           tuple: ((list, tuple, np.ndarray), "an array")}
-_PYTHON_TYPES = {**_TYPES, int: _TYPES[float]}
+_DATE_TYPES = {**_TYPES, int: _TYPES[float]}
 
 
 @dataclass(frozen=True)
@@ -301,10 +301,11 @@ def _checked(name: str, value, hint, types: dict, null: str = ""):
 class SyntheticPanel:
     """A panel plus the ground truth it was built from.
 
-    Static designs expose ``potential_outcome`` for every treatment vector;
-    staggered designs expose the per-horizon second-treatment effects. The
-    observed outcome always equals the potential outcome at the realized
-    treatments, whose combination per cell ``masks`` holds as a bit mask.
+    Static designs store ``po[g, t, mask]``, each cell's outcome under each
+    treatment combination (bit k of ``mask`` for treatment k); staggered
+    designs store ``second_effect[g, ell]``, the effect of ``ell + 1`` periods
+    of the second treatment. The observed outcome always equals the potential
+    outcome at the realized treatments, whose bit mask per cell is ``masks``.
     """
 
     def __init__(self, panel: PanelDataset, kind: str,
@@ -323,16 +324,6 @@ class SyntheticPanel:
         self.second_effect = second_effect
         self.masks = _mask_grid(panel.d)
         self.masks.setflags(write=False)
-
-    # -- static designs ----------------------------------------------------
-
-    def potential_outcome(self, gi: int, ti: int, d: Sequence[float]) -> float:
-        """Outcome of cell (gi, ti) under treatment vector ``d`` (binary)."""
-        mask = 0
-        for k, v in enumerate(d):
-            if v > 0.5:
-                mask |= 1 << k
-        return float(self._require_po()[gi, ti, mask])
 
     def _require_po(self) -> np.ndarray:
         if self.po is None:
@@ -355,17 +346,6 @@ class SyntheticPanel:
         po = self._require_po()
         return _at(po, self.masks & ~(1 << target)) - po[:, :, 0]
 
-    # -- staggered designs ---------------------------------------------------
-
-    def second_effect_at(self, gi: int, ell: int) -> float:
-        """Cumulative effect on group ``gi`` of carrying the second treatment
-        for ``ell + 1`` periods."""
-        if self.second_effect is None:
-            raise MissingPotentialOutcomes(
-                "staggered potential outcomes are not stored for this panel"
-            )
-        return float(self.second_effect[gi, ell])
-
 
 def generate(spec: DgpSpec) -> SyntheticPanel:
     """Materialize a specification into a panel with stored ground truth."""
@@ -382,7 +362,8 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
                               f"got {value!r}")
     for name, field in DgpSpec.__dataclass_fields__.items():  # defaults are valid
         if (value := getattr(spec, name)) is not field.default:
-            _checked(name, value, _HINTS[name], _PYTHON_TYPES)
+            _checked(name, value, _HINTS[name],
+                     _DATE_TYPES if name in ("f1", "f2") else _TYPES)
     if spec.n_groups < 2 or spec.n_periods < 2:
         raise InvalidSpec("need at least 2 groups and 2 periods")
     if spec.noise_sd < 0:
@@ -616,88 +597,6 @@ def delta_ell_oracle(synthetic: SyntheticPanel, structure: CohortStructure,
             adopters = [g for g in cohort if f2[g] == t - ell]
             size += sum(n[g, t - 1] for g in adopters)
             for g in adopters:
-                total += n[g, t - 1] * synthetic.second_effect_at(g, ell)
+                total += n[g, t - 1] * synthetic.second_effect[g, ell]
     return float(total / size)
 
-
-def standard_did_residual_closed_form(n: np.ndarray, g1: int, t1: int,
-                                      g2: int, t2: int) -> tuple[np.ndarray, float]:
-    """Closed-form partialling residuals for the two-threshold design.
-
-    Valid when cell sizes factor as a group share times a period share.
-    Returns the residual grid and the coefficient of the second treatment in
-    the partialling regression.
-    """
-    G, T = n.shape
-    A = n.sum()
-    a = n.sum(axis=1) / A
-    b = n.sum(axis=0) / A
-    i1 = (np.arange(1, G + 1) >= g1).astype(float)
-    j1 = (np.arange(1, T + 1) >= t1).astype(float)
-    i2 = (np.arange(1, G + 1) >= g2).astype(float)
-    j2 = (np.arange(1, T + 1) >= t2).astype(float)
-    p1g, p1t, p2g, p2t = a @ i1, b @ j1, a @ i2, b @ j2
-    zeta = (1 - p1g) * (1 - p1t) / ((1 - p2g) * (1 - p2t))
-    eps = np.outer(i1 - p1g, j1 - p1t) - zeta * np.outer(i2 - p2g, j2 - p2t)
-    return eps, float(zeta)
-
-
-# -- reference fixtures -----------------------------------------------------
-
-def four_group_example() -> SyntheticPanel:
-    """Four groups, two periods, two treatments arriving in period 2.
-
-    Groups 2 and 4 receive the first treatment, groups 3 and 4 the second.
-    Effects are chosen so the period-2 outcome gains are (0, 1, 0, 2): the
-    fixed-effects coefficient on the first treatment is then 1.5, the
-    half-half average of a clean comparison (group 2 vs 1) and a comparison
-    contaminated by the second treatment (group 4 vs 3).
-    """
-    G, T, K = 4, 2, 2
-    d = np.zeros((K, G, T))
-    d[0, 1, 1] = d[0, 3, 1] = 1.0
-    d[1, 2, 1] = d[1, 3, 1] = 1.0
-    po = np.zeros((G, T, 1 << K))
-    # masks: 1 = first only, 2 = second only, 3 = both
-    po[1, 1, 1] = 1.0   # group 2: first treatment raises outcome by 1
-    po[1, 1, 3] = 1.0
-    po[3, 1, 2] = 0.5   # group 4: second treatment alone raises by 0.5
-    po[3, 1, 1] = 1.2
-    po[3, 1, 3] = 2.0   # group 4: both treatments raise by 2
-    po[2, 1, 2] = 0.0   # group 3: second treatment has no effect
-    po[2, 1, 3] = 0.7
-    po[2, 1, 1] = 0.7
-    panel = PanelDataset(range(1, G + 1), range(1, T + 1), _at(po, _mask_grid(d)),
-                         np.ones((G, T)), d)
-    return SyntheticPanel(panel, "random-binary", po=po)
-
-
-def three_cohort_example(extra_never_treated: bool = False) -> SyntheticPanel:
-    """Three groups adopting the first treatment together in period 2 of four,
-    then the second treatment at dates 3, never, and 4.
-
-    First-treatment effects start at (1, 2, 0) and all grow by 0.5 per period;
-    second-treatment effects are +10 then +12 for the early adopter and +7 for
-    the late one. With the optional fourth never-treated group the first
-    treatment's own event study becomes estimable as well.
-    """
-    f1 = (2, 2, 2, 5) if extra_never_treated else (2, 2, 2)
-    f2 = (3, 5, 4, 5) if extra_never_treated else (3, 5, 4)
-    levels = (1.0, 2.0, 0.0, 0.0) if extra_never_treated else (1.0, 2.0, 0.0)
-    second = [(10.0, 12.0), (0.0,), (7.0,)]
-    if extra_never_treated:
-        second.append((0.0,))
-    spec = DgpSpec(
-        kind="consecutive-staggered",
-        n_groups=4 if extra_never_treated else 3,
-        n_periods=4,
-        seed=0,
-        group_sd=0.0,
-        time_slope=1.0,
-        f1=f1,
-        f2=f2,
-        first_level=levels,
-        first_growth=0.5,
-        second_effects=tuple(second),
-    )
-    return generate(spec)

@@ -4,6 +4,8 @@ from hypothesis import settings
 
 import multidid as m
 
+from .examples import four_group_example, three_cohort_example
+
 # derandomized so every run draws the same examples; few of them, so the
 # property suite adds seconds, not minutes
 settings.register_profile("multidid", derandomize=True, deadline=None,
@@ -14,13 +16,13 @@ settings.load_profile("multidid")
 @pytest.fixture
 def four_group():
     """Four groups, two periods, both treatments arriving in period 2."""
-    return m.four_group_example()
+    return four_group_example()
 
 
 @pytest.fixture
 def abc_staggered():
     """Three groups adopting the first treatment together, the second at 3/never/4."""
-    return m.three_cohort_example()
+    return three_cohort_example()
 
 
 def make_random_panel(rng, g_max=20, t_max=10, k_max=3, noise=1.0,
@@ -60,7 +62,7 @@ def overflowing_staggered_panel(extra_never_treated=False):
     """The three-cohort example with outcomes times 1e299 and sizes times 1e10:
     every adopter-versus-not-yet contrast overflows. The never-treated fourth
     group makes every estimator defined on it."""
-    p = m.three_cohort_example(extra_never_treated).panel
+    p = three_cohort_example(extra_never_treated).panel
     return m.PanelDataset(p.group_labels, p.period_labels, p.y * 1e299, p.n * 1e10, p.d)
 
 
@@ -83,6 +85,19 @@ def degenerate_denominator_panel():
     n[2, 1] = 1e-14
     return m.PanelDataset(range(1, 5), range(1, 4), np.arange(12.0).reshape(4, 3), n,
                           np.stack([d1, d2]))
+
+
+def light_first_period_panel(heavy_group=False):
+    """Nine groups over three periods, sizes 1e-30, 2, 2, the first five
+    treated in period 3; ``heavy_group`` gives group 0 size 1 in period 1.
+    Without it each group's total rounds to 4, so the Schur complement of
+    periods 2 and 3 is exactly [[9, -9], [-9, 9]] on any BLAS, and its
+    Cholesky factor meets an exactly zero pivot."""
+    n = np.tile([1e-30, 2.0, 2.0], (9, 1))
+    n[0, 0] = 1.0 if heavy_group else 1e-30
+    d = np.zeros((1, 9, 3))
+    d[0, :5, 2] = 1.0
+    return m.PanelDataset(range(9), range(3), np.arange(27.0).reshape(9, 3) % 5, n, d)
 
 
 def random_staggered_spec(rng, g_max=8, t_max=8):

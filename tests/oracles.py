@@ -252,6 +252,15 @@ def polyfit_linear_trends(panel, structure, ell):
             tuple(dropped))
 
 
+def potential_outcome(synthetic, gi, ti, d):
+    """Outcome of cell (gi, ti) of a static synthetic panel under the binary
+    treatment vector ``d``: ``po[gi, ti, mask]``, bit k of mask set when d_k is
+    on; MissingPotentialOutcomes without stored outcomes, as the library's
+    oracles raise."""
+    mask = sum(1 << k for k, v in enumerate(d) if v > 0.5)
+    return float(synthetic._require_po()[gi, ti, mask])
+
+
 def delta_s_reference(synthetic, target):
     """True switcher-average effect, one ``potential_outcome`` pair per switcher.
 
@@ -274,8 +283,8 @@ def delta_s_reference(synthetic, target):
         d_hi[target] = cell.target_to
         d_lo = d_obs.copy()
         d_lo[target] = cell.target_from
-        effect = synthetic.potential_outcome(gi, ti, d_hi) \
-            - synthetic.potential_outcome(gi, ti, d_lo)
+        effect = potential_outcome(synthetic, gi, ti, d_hi) \
+            - potential_outcome(synthetic, gi, ti, d_lo)
         total += cell.n * effect / (cell.target_to - cell.target_from)
     return float(total / switchers.n_s)
 

@@ -10,10 +10,17 @@ from multidid.errors import (
     AllReplicationsDegenerate,
     HorizonOutOfRange,
     NonFiniteValue,
+    NumericallySingular,
     PathologicalDesign,
 )
 
-from .conftest import make_random_panel, overflowing_replicates_panel, random_staggered_spec
+from .conftest import (
+    light_first_period_panel,
+    make_random_panel,
+    overflowing_replicates_panel,
+    random_staggered_spec,
+)
+from .examples import three_cohort_example
 from .oracles import copy_path_estimate
 
 
@@ -194,7 +201,7 @@ def test_replicates_whose_products_overflow_are_degenerate(estimator):
         panels = [m.PanelDataset(range(4), range(3), y, np.full((4, 3), n), d)
                   for n in (1.0, 1e300)]
     else:
-        p = m.three_cohort_example().panel
+        p = three_cohort_example().panel
         panels = [m.PanelDataset(p.group_labels, p.period_labels, p.y * 1e7, p.n * n, p.d)
                   for n in (1.0, 1e300)]
     plain, huge = (m.bootstrap_se(panel, estimator, 20, 0, keep_replicates=True)
@@ -203,6 +210,21 @@ def test_replicates_whose_products_overflow_are_degenerate(estimator):
     assert huge.n_degenerate > plain.n_degenerate
     assert huge.n_retained + huge.n_degenerate == 20
     assert all(np.isfinite(huge.replicates))
+
+
+def test_replicates_whose_fixed_effects_are_singular_are_degenerate():
+    # group 0 holds almost all of period 1's weight; in a draw without it the
+    # nine copies' sizes again give the Schur complement [[9, -9], [-9, 9]]
+    panel = light_first_period_panel(heavy_group=True)
+    estimate = _reducer(panel, "twfe", 0, 0, 1, 0)
+    draws = [np.random.Generator(np.random.Philox(np.random.SeedSequence((3, rep))))
+             .integers(0, 9, size=9) for rep in range(30)]
+    missing = [np.bincount(draw, minlength=9) * 1.0 for draw in draws if 0 not in draw]
+    for counts in missing:
+        with pytest.raises(NumericallySingular):
+            estimate(counts)
+    result = m.bootstrap_se(panel, "twfe", 30, 3)
+    assert 0 < len(missing) <= result.n_degenerate < 30
 
 
 @pytest.mark.parametrize("estimator", ["twfe", "didm"])

@@ -16,12 +16,14 @@ from multidid.errors import InsufficientPrePeriods, NonFiniteValue
 
 from .conftest import (
     degenerate_denominator_panel,
+    light_first_period_panel,
     overflowing_first_stage_panel,
     overflowing_replicates_panel,
     overflowing_staggered_panel,
     overflowing_twfe_panel,
     random_staggered_spec,
 )
+from .examples import four_group_example, three_cohort_example
 
 
 def _run(capsys, *argv):
@@ -168,7 +170,7 @@ def test_dynamic_split(capsys, staggered_csv):
 
 
 def test_dynamic_first_and_combined(capsys, tmp_path):
-    synthetic = m.three_cohort_example(extra_never_treated=True)
+    synthetic = three_cohort_example(extra_never_treated=True)
     path = tmp_path / "four.csv"
     m.write_panel_csv(synthetic.panel, path)
     code, out, err = _run(capsys, "dynamic", "--input", str(path),
@@ -219,15 +221,19 @@ def test_dynamic_pathological_exit_code(capsys, tmp_path):
             assert "PathologicalDesign" in err
 
 
-def test_degenerate_denominator_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("panel, error", [
+    (degenerate_denominator_panel, "DegenerateDenominator"),
+    (light_first_period_panel, "NumericallySingular"),
+])
+def test_undefined_coefficient_exit_code(capsys, tmp_path, panel, error):
     path = tmp_path / "degenerate.csv"
-    m.write_panel_csv(degenerate_denominator_panel(), path)
+    m.write_panel_csv(panel(), path)
     for argv in (["decompose"], ["bootstrap", "--estimator", "twfe", "-B", "4"]):
         code, out, err = _run(capsys, argv[0], "--input", str(path), "--target", "d1",
                               *argv[1:])
         assert code == 4
         assert out == ""
-        assert "DegenerateDenominator" in err
+        assert err.startswith(f"error: {error}: ")
 
 
 @pytest.mark.parametrize("panel, argv, message", [
@@ -305,7 +311,7 @@ def test_non_finite_report_values_are_refused(capsys, value):
     args = cli.build_parser().parse_args(["simulate", "--spec", "s.json", "--out", "p.csv"])
     with pytest.raises(NonFiniteValue, match="non-finite"):
         cli._emit_json(args, {"estimate": 1.0, "replicates": [0.5, value]}, None)
-    panel = m.four_group_example().panel
+    panel = four_group_example().panel
     decomp = m.decompose(panel, 0)
     weights = decomp.weights.copy()
     weights[3, 1] = value  # a cell of both tables
@@ -744,7 +750,7 @@ EXIT_CODES = {
     "UnbalancedPanel": 3, "DuplicateCell": 3, "NonBinaryTreatment": 3,
     "NonPositiveWeight": 3, "NonFiniteValue": 3, "InsufficientVariation": 3,
     "NonSharpDesign": 3, "MissingColumn": 3, "InvalidSpec": 3,
-    "CollinearTreatments": 4, "DegenerateDenominator": 4,
+    "CollinearTreatments": 4, "DegenerateDenominator": 4, "NumericallySingular": 4,
     "NotStaggered": 5, "WrongOrder": 5, "PathologicalDesign": 5,
     "NoControls": 6, "InsufficientPrePeriods": 6, "HorizonOutOfRange": 6,
     "AllReplicationsDegenerate": 7, "MissingPotentialOutcomes": 1,

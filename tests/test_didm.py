@@ -9,6 +9,7 @@ from multidid.didm import DroppedSwitcher, _pack
 from multidid.errors import NonBinaryTreatment, NonFiniteValue
 
 from .conftest import make_random_panel
+from .examples import three_cohort_example
 from .oracles import brute_force_didm, brute_force_single_didm
 
 
@@ -149,7 +150,7 @@ def test_truth_oracles_call_no_estimator_kernel(monkeypatch):
                                   n_treatments=3, seed=0, cell_sizes="random",
                                   base_effects=(1.0, 2.0, -1.0), effect_group_sd=1.0,
                                   effect_time_sd=0.5))
-    staggered = m.three_cohort_example(extra_never_treated=True)
+    staggered = three_cohort_example(extra_never_treated=True)
     structure = m.build_cohorts(staggered.panel, 0, 1)
     decomp = m.decompose(static.panel, 0)
 
@@ -256,7 +257,7 @@ def test_packed_keys_sort_and_group_as_the_rows():
 def test_dropped_records_are_built_when_read():
     result = m.didm(_matched_switcher_panel(), 0)
     assert "records" not in vars(result.lost)
-    assert result.n_dropped == 1
+    assert len(result.lost) == 1
     assert "records" not in vars(result.lost)
     assert result.dropped == (DroppedSwitcher(3, 2, "no_matching_stayer"),)
     assert result.dropped is result.lost.records

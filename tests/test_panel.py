@@ -43,7 +43,6 @@ def test_load_panel_four_groups_two_periods():
     assert panel.n_periods == 2
     assert panel.total_n == 8.0
     assert panel.binary_treatments
-    assert panel.treated_count(0) == 2.0
 
 
 def test_load_panel_single_cell_insufficient():
@@ -110,18 +109,16 @@ def test_non_binary_errors_name_the_cell(estimator):
     lambda syn, k: m.bootstrap_se(syn.panel, "didm", 5, 0, target=k),
     lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, first=k),
     lambda syn, k: m.bootstrap_se(syn.panel, "did_ell", 5, 0, second=k),
-    lambda syn, k: syn.panel.treated_count(k),
     lambda syn, k: syn.target_effect_grid(k),
     lambda syn, k: syn.others_effect_grid(k),
 ], ids=["first_stage", "didm", "didm_binary_only", "find_switchers", "delta_s_oracle",
         "bootstrap_twfe", "bootstrap_didm", "bootstrap_first", "bootstrap_second",
-        "treated_count", "target_effect_grid", "others_effect_grid"])
+        "target_effect_grid", "others_effect_grid"])
 def test_treatment_index_out_of_range(abc_staggered, call, k):
     """These functions refuse -1 and K alike, as adoption_dates does. Before,
     didm read -1 as the last treatment, K was an IndexError, delta_s_oracle
     failed on a negative shift and the didm bootstrap called every replicate
-    degenerate. treated_count read -1 as the last treatment too, and the
-    effect grids failed on a negative shift or an IndexError."""
+    degenerate. The effect grids failed on a negative shift or an IndexError."""
     with pytest.raises(ValueError, match=f"^treatment must be in 0..1, got {k}$"):
         call(abc_staggered, k)
 
@@ -354,14 +351,6 @@ def test_csv_no_n_column(tmp_path):
     path.write_text("g,t,y,d1\n1,1,0.0,0\n1,2,0.0,1\n2,1,0.0,0\n2,2,0.0,0\n")
     panel = m.read_panel_csv(path)
     assert panel.total_n == 4.0
-
-
-def test_restrict_groups():
-    panel = m.load_panel(_four_by_two_rows(), n_treatments=2)
-    sub = panel.restrict_groups([1, 3])
-    assert sub.group_labels == (1, 3)
-    assert np.array_equal(sub.d[:, sub.group_index(3), sub.period_index(2)],
-                          panel.d[:, panel.group_index(3), panel.period_index(2)])
 
 
 def test_arrays_read_only():

@@ -28,6 +28,8 @@ import pytest
 import multidid as m
 from multidid.cli import main
 
+from .examples import three_cohort_example
+
 STRING_GROUPS = ('a "quoted" group', "back\\slash", "comma, space", "Zürich",
                  "東京", "plain")
 FLOAT_GROUPS = (0.5, 2.75, 1e16, 3.5e20, 1.2345678901234567e-7)
@@ -55,7 +57,7 @@ def _panels() -> dict[str, m.PanelDataset]:
                                ("p, 1", "p, 2", 'p "3"', "p\\4")),
         "floats": _relabelled(_synthetic(2, len(FLOAT_GROUPS), 4, 14), FLOAT_GROUPS,
                               FLOAT_PERIODS),
-        "staggered": m.three_cohort_example(extra_never_treated=True).panel,
+        "staggered": three_cohort_example(extra_never_treated=True).panel,
     }
 
 

@@ -7,6 +7,8 @@ import multidid as m
 from multidid.errors import HorizonOutOfRange, InvalidSpec, MissingPotentialOutcomes
 from multidid.simulate import _batch, _bounded, _gauss, _unit
 
+from .oracles import potential_outcome
+
 
 def _numpy_stream(seed, stream, *coords):
     """The keyed stream as numpy itself builds it."""
@@ -34,7 +36,7 @@ def test_observed_equals_potential_outcome_static():
     for gi in range(panel.n_groups):
         for ti in range(panel.n_periods):
             assert panel.y[gi, ti] == pytest.approx(
-                synthetic.potential_outcome(gi, ti, panel.d[:, gi, ti]), abs=0)
+                potential_outcome(synthetic, gi, ti, panel.d[:, gi, ti]), abs=0)
 
 
 def test_observed_decomposes_staggered():
@@ -133,6 +135,9 @@ STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
      r"first_level must have one entry per group$"),
     (dict(STAGGERED, second_effects=((1.0,),), cell_sizes="huge"),
      r"second_effects must have one row per group$"),
+    # a float index of an interaction pair, as from_json refuses it
+    (dict(STATIC, interactions=((0.0, 1, 1.0),)),
+     r"interactions\[0\]\[0\] must be an integer, got 0\.0$"),
 ])
 def test_invalid_specs(fields, message):
     """Every InvalidSpec guard of ``generate``, each with its own message; a
@@ -153,8 +158,6 @@ def test_whole_float_dates_are_accepted():
 def test_staggered_truths_refuse_a_static_panel_and_a_far_horizon(abc_staggered):
     static = m.generate(m.DgpSpec(kind="random-binary", n_groups=4, n_periods=3))
     message = "^staggered potential outcomes are not stored for this panel$"
-    with pytest.raises(MissingPotentialOutcomes, match=message):
-        static.second_effect_at(0, 0)
     structure = m.build_cohorts(abc_staggered.panel, 0, 1)
     with pytest.raises(MissingPotentialOutcomes, match=message):
         m.delta_ell_oracle(static, structure, 0)
@@ -200,14 +203,12 @@ def test_effect_grids_match_potential_outcomes_cell_by_cell():
             for ti in range(panel.n_periods):
                 on, off = panel.d[:, gi, ti].copy(), panel.d[:, gi, ti].copy()
                 on[k], off[k] = 1.0, 0.0
-                po = lambda d: synthetic.potential_outcome(gi, ti, d)  # noqa: E731
+                po = lambda d: potential_outcome(synthetic, gi, ti, d)  # noqa: E731
                 assert target[gi, ti] == po(on) - po(off)
                 assert others[gi, ti] == po(off) - po(np.zeros(3))
 
 
 def test_staggered_panel_has_no_static_outcomes(abc_staggered):
-    with pytest.raises(MissingPotentialOutcomes):
-        abc_staggered.potential_outcome(0, 0, (0.0, 0.0))
     with pytest.raises(MissingPotentialOutcomes):
         abc_staggered.target_effect_grid(0)
 

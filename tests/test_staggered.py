@@ -14,6 +14,7 @@ from multidid.errors import (
 from multidid.staggered import adoption_dates
 
 from .conftest import overflowing_staggered_panel, random_staggered_spec
+from .examples import three_cohort_example
 from .oracles import brute_force_event_study
 
 
@@ -180,7 +181,7 @@ def test_placebo_insufficient_pre_periods(abc_staggered):
 
 
 def test_first_treatment_effects_fixture():
-    synthetic = m.three_cohort_example(extra_never_treated=True)
+    synthetic = three_cohort_example(extra_never_treated=True)
     result = m.first_treatment_effects(synthetic.panel, 0, 1)
     assert result.estimates[0] == pytest.approx(1.0, abs=1e-12)
     assert result.estimates[1] == pytest.approx(1.5, abs=1e-12)
@@ -222,7 +223,7 @@ def test_combined_matches_first_when_second_absent():
 
 
 def test_combined_on_fixture_matches_first_at_zero():
-    synthetic = m.three_cohort_example(extra_never_treated=True)
+    synthetic = three_cohort_example(extra_never_treated=True)
     first = m.first_treatment_effects(synthetic.panel, 0, 1)
     combined = m.combined_effects(synthetic.panel, 0, 1)
     assert combined.estimates[0] == pytest.approx(first.estimates[0], abs=1e-12)
