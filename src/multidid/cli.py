@@ -163,9 +163,12 @@ def _cmd_didm(args) -> int:
     result = didm(panel, target, binary_only=args.binary_only)
     report = result.to_dict()
     warned = [] if result.n_s else ["no usable switcher, estimate is 0 by convention"]
-    warned += [f"dropped switching cell g={drop['g']!r} t={drop['t']!r} ({drop['reason']})"
-               for drop in report["dropped"]]
-    if warned:  # one write, however many cells were dropped
+    for reason in dict.fromkeys(d["reason"] for d in report["dropped"]):
+        drops = [d for d in report["dropped"] if d["reason"] == reason]  # the report lists all
+        cells = ", ".join(f"g={d['g']!r} t={d['t']!r}" for d in drops[:5])
+        more = f" and {len(drops) - 5} more" if len(drops) > 5 else ""
+        warned.append(f"dropped {len(drops)} switching cell(s) ({reason}): {cells}{more}")
+    if warned:
         sys.stderr.write("".join(f"warning: {w}\n" for w in warned))
     if args.output == "csv":
         rows = [(c.period, "|".join(repr(v) for v in c.baseline), c.direction,

@@ -352,18 +352,13 @@ def generate(spec: DgpSpec) -> SyntheticPanel:
     if spec.kind not in KINDS:
         raise InvalidSpec(f"unknown kind {spec.kind!r}, expected one of {KINDS}")
     # sizes and seeds are integers in Python too, where a date may be a whole float
-    for name in ("n_groups", "n_periods", "n_treatments", "seed", "noise_seed"):
-        value, seed = getattr(spec, name), name.endswith("seed")
-        if value is None and name == "noise_seed":
-            continue
-        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not whole or seed and value < 0:
-            raise InvalidSpec(f"{name} must be {'a nonnegative' if seed else 'an'} integer, "
-                              f"got {value!r}")
     for name, field in DgpSpec.__dataclass_fields__.items():  # defaults are valid
         if (value := getattr(spec, name)) is not field.default:
             _checked(name, value, _HINTS[name],
                      _DATE_TYPES if name in ("f1", "f2") else _TYPES)
+    for name in ("seed", "noise_seed"):
+        if (value := getattr(spec, name)) is not None and value < 0:
+            raise InvalidSpec(f"{name} must be a nonnegative integer, got {value!r}")
     if spec.n_groups < 2 or spec.n_periods < 2:
         raise InvalidSpec("need at least 2 groups and 2 periods")
     if spec.noise_sd < 0:

@@ -101,9 +101,20 @@ def test_didm_dropped_cell_warnings_are_pinned(capsys, tmp_path):
                               "--output", output)
         assert code == 0
         assert err == (
-            "warning: dropped switching cell g='c' t=2 (other_treatment_changed)\n"
-            "warning: dropped switching cell g='a' t=3 (no_matching_stayer)\n"
-            "warning: dropped switching cell g='d' t=3 (no_matching_stayer)\n")
+            "warning: dropped 1 switching cell(s) (other_treatment_changed): g='c' t=2\n"
+            "warning: dropped 2 switching cell(s) (no_matching_stayer): g='a' t=3, g='d' t=3\n")
+
+
+def test_didm_warns_one_line_per_drop_reason_with_five_cells_at_most(capsys, tmp_path):
+    # seven groups switch on at 2 and none stays off, so every switcher drops
+    path = tmp_path / "all_switch.csv"
+    path.write_text("g,t,y,d1\n" + "".join(f"{g},1,0,0\n{g},2,1,1\n" for g in "abcdefg"))
+    code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d1")
+    assert code == 0 and len(json.loads(out)["dropped"]) == 7
+    assert err == (
+        "warning: no usable switcher, estimate is 0 by convention\n"
+        "warning: dropped 7 switching cell(s) (no_matching_stayer): g='a' t=2, g='b' t=2, "
+        "g='c' t=2, g='d' t=2, g='e' t=2 and 2 more\n")
 
 
 def test_missing_treatment_column_exit_code(capsys, tmp_path):

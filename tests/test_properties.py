@@ -11,12 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
-from multidid import cli
+from multidid import cli, decomposition
 from multidid import panel as panel_mod
 from multidid.errors import (
     CollinearTreatments,
@@ -323,6 +324,42 @@ def test_direct_lapack_calls_equal_scipy_wrappers(panel, data):
     else:
         assert np.array_equal(got.residuals, want[0])
         assert got.coef_other == want[1]
+
+
+@st.composite
+def tall_matrices(draw):
+    """Tall (M, N) matrices with 1..4 columns, each scaled by 1e-8..1e8; a
+    column may be zero or a copy of another, as a first stage's may be."""
+    cols = draw(st.integers(1, 4))
+    a = draw(arrays(float, (draw(st.integers(cols, 3 * cols + 6)), cols),
+                    elements=st.floats(-1, 1), fill=st.nothing()))
+    a *= 10.0 ** np.array(draw(st.lists(st.integers(-8, 8), min_size=cols, max_size=cols)))
+    for j in range(cols):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "copy")))
+        if kind != "drawn":
+            a[:, j] = 0.0 if kind == "zero" else a[:, draw(st.integers(0, cols - 1))]
+    return a
+
+
+@settings(max_examples=200)
+@given(tall_matrices())
+def test_pivoted_qr_equals_scipy_qr(a):
+    """Q, R and the pivots of the direct LAPACK calls are ``==`` to
+    ``scipy.linalg.qr``'s, in dtype and shape too."""
+    got = decomposition._pivoted_qr(a)
+    want = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@given(tall_matrices(), st.sampled_from((np.nan, np.inf, -np.inf)), st.data())
+def test_pivoted_qr_refuses_a_non_finite_matrix_as_scipy_does(a, bad, data):
+    a[data.draw(st.integers(0, a.shape[0] - 1)), data.draw(st.integers(0, a.shape[1] - 1))] = bad
+    with pytest.raises(ValueError) as got:
+        decomposition._pivoted_qr(a)
+    with pytest.raises(ValueError) as want:
+        scipy.linalg.qr(a, mode="economic", pivoting=True)
+    assert str(got.value) == str(want.value)
 
 
 @given(st.integers(4, 10), st.integers(3, 6), st.integers(2, 3),

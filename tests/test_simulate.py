@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -95,8 +98,8 @@ STATIC = dict(kind="random-binary", n_groups=4, n_periods=4)
     (dict(STATIC, n_periods=4.0), r"n_periods must be an integer, got 4\.0$"),
     (dict(STATIC, n_treatments=2.0), r"n_treatments must be an integer, got 2\.0$"),
     (dict(STAGGERED, n_treatments=2.0), r"n_treatments must be an integer, got 2\.0$"),
-    (dict(STATIC, n_groups="4"), r"n_groups must be an integer, got '4'$"),
-    (dict(STATIC, n_groups=True), r"n_groups must be an integer, got True$"),
+    (dict(STATIC, n_groups="4"), r'n_groups must be an integer, got "4"$'),
+    (dict(STATIC, n_groups=True), r"n_groups must be an integer, got true$"),
     (dict(STATIC, noise_sd="x"), r'noise_sd must be a number, got "x"$'),
     (dict(STATIC, noise_sd=-1.0), r"noise_sd must be nonnegative$"),
     (dict(STAGGERED, n_treatments=3), r"the staggered design uses exactly 2 treatments$"),
@@ -333,5 +336,8 @@ def test_one_batch_matches_numpy(seed, wide_seed, stream, data):
 def test_seeds_must_be_nonnegative_integers(field, value):
     spec = m.DgpSpec(kind="random-binary", n_groups=4, n_periods=3, noise_sd=1.0,
                      **{field: value})
-    with pytest.raises(InvalidSpec, match=f"^{field} must be a nonnegative integer"):
+    # a type fault is worded as every field's, in JSON
+    want = (f"a nonnegative integer, got {value}" if isinstance(value, int)
+            else f"an integer, got {json.dumps(value)}")
+    with pytest.raises(InvalidSpec, match=f"^{field} must be {re.escape(want)}$"):
         m.generate(spec)
