@@ -107,13 +107,26 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 
 
 class _UsageError(Exception):
-    """A command line whose column names contradict each other (exit 2)."""
+    """A command line whose options contradict each other (exit 2)."""
+
+
+def _dropped_lines(what: str, drops: list[tuple[str, object]], name) -> list[str]:
+    """One warning per reason of ``drops``, (reason, item) pairs, in order of
+    first appearance: the count of ``what`` dropped and the first 5 items,
+    spelled by ``name``; the report lists them all."""
+    lines = []
+    for reason in dict.fromkeys(r for r, _ in drops):
+        items = [item for r, item in drops if r == reason]
+        more = f" and {len(items) - 5} more" if len(items) > 5 else ""
+        lines.append(f"dropped {len(items)} {what} ({reason}): "
+                     f"{', '.join(map(name, items[:5]))}{more}")
+    return lines
 
 
 def _load(args):
     """The panel of ``--input`` and its treatment names; the bytes are read
     once: they are hashed into ``args._input_sha256`` for the report and
-    decoded for the reader."""
+    handed to the reader."""
     treatments = args.treatments.split(",") if args.treatments else None
     if treatments and (twice := _repeated([c.strip().lower() for c in treatments])):
         raise _UsageError(f"--treatments names the column {twice!r} twice")
@@ -163,11 +176,8 @@ def _cmd_didm(args) -> int:
     result = didm(panel, target, binary_only=args.binary_only)
     report = result.to_dict()
     warned = [] if result.n_s else ["no usable switcher, estimate is 0 by convention"]
-    for reason in dict.fromkeys(d["reason"] for d in report["dropped"]):
-        drops = [d for d in report["dropped"] if d["reason"] == reason]  # the report lists all
-        cells = ", ".join(f"g={d['g']!r} t={d['t']!r}" for d in drops[:5])
-        more = f" and {len(drops) - 5} more" if len(drops) > 5 else ""
-        warned.append(f"dropped {len(drops)} switching cell(s) ({reason}): {cells}{more}")
+    warned += _dropped_lines("switching cell(s)", [(d["reason"], d) for d in report["dropped"]],
+                             lambda d: f"g={d['g']!r} t={d['t']!r}")
     if warned:
         sys.stderr.write("".join(f"warning: {w}\n" for w in warned))
     if args.output == "csv":
@@ -181,6 +191,8 @@ def _cmd_didm(args) -> int:
 
 
 def _cmd_dynamic(args) -> int:
+    if args.output == "csv" and args.strategy in ("linear", "split"):
+        raise _UsageError(f"--output csv has no table for --strategy {args.strategy}")
     panel, names = _load(args)
     first = _column_index(names, args.first, "first treatment")
     second = _column_index(names, args.second, "second treatment")
@@ -202,17 +214,17 @@ def _cmd_dynamic(args) -> int:
                 print(f"warning: horizon {ell}: {exc}", file=sys.stderr)
         if not horizons:
             raise InsufficientPrePeriods("no horizon is estimable with linear trends")
-        for ell, res in horizons.items():
-            for g, reason in res.dropped:
-                print(f"warning: horizon {ell}: group {g!r} dropped ({reason})",
-                      file=sys.stderr)
+        drops = [(reason, (ell, g)) for ell, res in horizons.items() for g, reason in res.dropped]
+        for line in _dropped_lines("group-horizon pair(s)", drops,
+                                   lambda pair: f"ell={pair[0]} g={pair[1]!r}"):
+            print(f"warning: {line}", file=sys.stderr)
         payload = {"horizons": [
             {"ell": ell, **res.to_dict()} for ell, res in sorted(horizons.items())
         ]}
     else:  # split
         payload = split_by_order(panel, first, second).to_dict()
 
-    if args.output == "csv" and args.strategy in studies:
+    if args.output == "csv":
         rows = [(h["ell"], c["f"], c["t"], c["did"], c["n_treated"],
                  c["n_control"], c["weight"])
                 for h in payload["horizons"] for c in h["components"]]
@@ -243,6 +255,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    if args.output == "csv":
+        raise _UsageError("--output csv has no table for bootstrap")
     panel, names = _load(args)
     target = _column_index(names, args.target, "target treatment") \
         if args.target else 0

@@ -28,6 +28,7 @@ are kept bit for bit.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -319,32 +320,30 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
     order, trimmed and lower-cased.
 
     ``path`` is a file name, or a binary file object read from where it
-    stands. The file's bytes are read once and decoded, a leading UTF-8
-    byte-order mark dropped; a text that is not UTF-8 is decoded as a stream,
-    which names the byte as reading the file record by record names it. A
-    text with no ``"`` has its body tokenized by numpy's C reader; quoted text,
-    and any body numpy refuses or whose panel would be refused, goes through
-    the ``csv`` module's records, which alone name defects. Both accept the
-    same files with the same labels and value bits: numpy parses a field only
-    if Python's ``float`` gives that very value; in an ASCII text it first asks
-    for the labels as int64, which any label that is not an int64 integer
-    refuses, and then labels stay plain ``str`` until each distinct spelling is
-    parsed. A field longer than ``csv.field_size_limit()`` is refused with a
-    ValueError naming its line.
+    stands. Its bytes are read once and no decoded copy of the whole text is
+    made: the quote, line and ASCII tests look at the bytes, and one stream
+    decodes them a chunk at a time for the tokenizer, a leading UTF-8
+    byte-order mark dropped. A text with no ``"`` has its body tokenized by
+    numpy's C reader; quoted text, and any body numpy refuses (a byte that is
+    not UTF-8 among them) or whose panel would be refused, goes through the
+    ``csv`` module's records, which alone name defects. They read the stream
+    again from its first byte, so a byte that is not UTF-8 is named at its
+    offset in the chunk being decoded, as one pass over the file names it.
+    Both accept the same files with the same labels and value bits: numpy
+    parses a field only if Python's ``float`` gives that very value; in an
+    ASCII text it first asks for the labels as int64, which any label that is
+    not an int64 integer refuses, and then labels stay plain ``str`` until each
+    distinct spelling is parsed. A field longer than ``csv.field_size_limit()``
+    is refused with a ValueError naming its line.
     """
     if hasattr(path, "read"):
         data = path.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    try:
-        text = data.decode("utf-8-sig")  # -sig: drop a BOM
-    except UnicodeDecodeError:  # read as a stream, header defects come first
-        return _read_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
-                                              newline=""),
-                             treatment_cols)
-    return _read_records(io.StringIO(text, newline=""), treatment_cols,
-                         plain=_plain(text), ascii_text=text.isascii())
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
+        return _read_records(lines, treatment_cols, plain=_plain(data),
+                             ascii_text=data.removeprefix(codecs.BOM_UTF8).isascii())
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -352,19 +351,20 @@ def _repeated(names: Sequence[str]) -> str | None:
     return next((name for i, name in enumerate(names) if name in names[:i]), None)
 
 
-def _plain(text: str) -> bool:
-    """Whether numpy may tokenize ``text``: no quotes (where two tokenizers can
-    disagree), a line after the header (else numpy warns of no data), and no
-    field that may pass ``csv.field_size_limit()``, which the records name. Such
-    a field fills a whole block of half the limit with no separator."""
+def _plain(data: bytes) -> bool:
+    """Whether numpy may tokenize the UTF-8 bytes ``data``: no quotes (where two
+    tokenizers can disagree), a line after the header (else numpy warns of no
+    data), and no field that may pass ``csv.field_size_limit()``, which the
+    records name. Such a field, of at least as many bytes as characters, fills a
+    whole block of half the limit with no separator."""
     block = max(1, (csv.field_size_limit() + 1) // 2)
-    return ('"' not in text and re.search("[\r\n][^\r\n]", text) is not None
-            and all(any(text.find(sep, i, i + block) >= 0 for sep in ",\r\n")
-                    for i in range(0, len(text) - block + 1, block)))
+    return (b'"' not in data and re.search(b"[\r\n][^\r\n]", data) is not None
+            and all(any(data.find(sep, i, i + block) >= 0 for sep in b",\r\n")
+                    for i in range(0, len(data) - block + 1, block)))
 
 
 def _csv_records(lines):
-    reader = csv.reader(lines)
+    reader = csv.reader(iter(lines.readline, ""))  # not next(lines): tell() stays on
     try:
         yield from reader
     except csv.Error as exc:  # a field past csv.field_size_limit()
@@ -375,7 +375,7 @@ def _read_records(lines, treatment_cols, plain: bool = False,
                   ascii_text: bool = False) -> PanelDataset:
     """The header, then the body: numpy's when ``plain`` (int64 labels tried
     first in an ``ascii_text``), else, or when numpy refuses it or its panel,
-    the ``csv`` module's records of ``lines``."""
+    the ``csv`` module's records of ``lines``, a seekable text stream."""
     records = _csv_records(lines)
     header = next(records, None)
     if header is None:
@@ -407,11 +407,12 @@ def _read_records(lines, treatment_cols, plain: bool = False,
     fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
     parse = functools.cache(_parse_label)
     if plain:
-        body = lines.tell()
         try:
             return _read_plain(lines, fields, parse, ascii_text, tcols)
-        except (ValueError, MultiDidError):  # the records name the defect
-            lines.seek(body)
+        except (ValueError, MultiDidError):  # the records name the defect, read again
+            lines.seek(0)  # from byte 0, so the decoder's chunks fall as in one pass
+            records = _csv_records(lines)
+            next(records)
     last = max(j for j in fields if j is not None)
     kept, linenos = [], []
     for lineno, rec in enumerate(records, start=2):

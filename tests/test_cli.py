@@ -117,6 +117,22 @@ def test_didm_warns_one_line_per_drop_reason_with_five_cells_at_most(capsys, tmp
         "g='c' t=2, g='d' t=2, g='e' t=2 and 2 more\n")
 
 
+def test_dynamic_linear_warns_one_line_per_drop_reason(capsys, tmp_path):
+    # groups 2..8 adopt the second treatment one period after the first, too
+    # short a window for a trend at horizons 0 and 1; group 9 keeps cohort 2 usable
+    spec = m.DgpSpec(kind="consecutive-staggered", n_groups=9, n_periods=6, seed=0,
+                     f1=(1,) + (2,) * 8, f2=(4,) + (3,) * 7 + (5,))
+    path = tmp_path / "short_windows.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    code, out, err = _run(capsys, "dynamic", "--input", str(path), "--first", "d1",
+                          "--second", "d2", "--strategy", "linear")
+    assert code == 0
+    assert sum(len(h["dropped"]) for h in json.loads(out)["horizons"]) == 14
+    assert err == (
+        "warning: dropped 14 group-horizon pair(s) (fewer_than_two_pre_periods): "
+        "ell=0 g=2, ell=0 g=3, ell=0 g=4, ell=0 g=5, ell=0 g=6 and 9 more\n")
+
+
 def test_missing_treatment_column_exit_code(capsys, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("g,t,y,d1\n1,1,0,0\n1,2,0,1\n2,1,0,0\n2,2,0,0\n")
@@ -500,6 +516,24 @@ def test_one_column_named_twice_is_a_usage_error(capsys, staggered_csv, argv, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bootstrap", "--estimator", "didm", "--target", "d1"],
+     "bootstrap: --output csv has no table for bootstrap"),
+    (["dynamic", "--first", "d1", "--second", "d2", "--strategy", "linear"],
+     "dynamic: --output csv has no table for --strategy linear"),
+    (["dynamic", "--first", "d1", "--second", "d2", "--strategy", "split"],
+     "dynamic: --output csv has no table for --strategy split"),
+], ids=["bootstrap", "dynamic-linear", "dynamic-split"])
+def test_output_csv_without_a_table_is_a_usage_error(capsys, staggered_csv, argv, message):
+    """Before, these wrote a JSON report and exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", staggered_csv, "--output", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err.endswith(f"error: {message}\n")
 
 

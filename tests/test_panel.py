@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,27 @@ def test_csv_from_a_binary_file_object(tmp_path, text):
     got, want = m.read_panel_csv(stream), m.read_panel_csv(path)
     assert (got.group_labels, got.period_labels) == (want.group_labels, want.period_labels)
     assert got.d.tobytes() == want.d.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+def test_reading_a_panel_holds_no_decoded_copy_of_the_file(tmp_path):
+    """The reader tokenizes the bytes through a stream that decodes a chunk at
+    a time: reading a 1 MB ASCII panel peaks under 7 times its size in Python
+    allocations (4.5 times on numpy 2.4), where a decoded text and a StringIO
+    of it, 4 bytes per character, took 9.5 times."""
+    spec = m.DgpSpec(kind="random-binary", n_groups=2500, n_periods=10, n_treatments=3,
+                     seed=1, cell_sizes="random", base_effects=(1.0, 2.0, -1.0))
+    path = tmp_path / "panel.csv"
+    m.write_panel_csv(m.generate(spec).panel, path)
+    data = path.read_bytes()
+    m.read_panel_csv(io.BytesIO(data))  # first use: imports and caches
+    tracemalloc.start()
+    try:
+        panel = m.read_panel_csv(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.n_groups == 2500 and len(data) > 1_000_000
+    assert peak / len(data) < 7
 
 
 def test_csv_no_n_column(tmp_path):
