@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteValue,
     NumericallySingular,
 )
-from .panel import PanelDataset
+from .panel import PanelDataset, _integer
 from .staggered import _did_ell_reducer, build_cohorts, did_ell  # noqa: F401
 
 ESTIMATORS = ("twfe", "didm", "did_ell")
@@ -88,7 +88,7 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
     """Point estimate plus block-bootstrap standard error over ``b`` replications."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
-    if b < 1:
+    if _integer(b, "b") < 1:
         raise ValueError("b must be >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

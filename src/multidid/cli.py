@@ -13,12 +13,12 @@ configuration, and a digest of the input file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import io
 import sys
 import warnings
+from itertools import chain, repeat
 
 from . import __version__
 from .bootstrap import ESTIMATORS, bootstrap_se
@@ -32,7 +32,7 @@ from .decomposition import (
 )
 from .didm import didm
 from .errors import InsufficientPrePeriods, MissingColumn, MultiDidError
-from .panel import _repeated, read_panel_csv, write_panel_csv
+from .panel import _destination, _repeated, _write_csv, read_panel_csv, write_panel_csv
 from .simulate import DgpSpec, generate
 from .staggered import (
     build_cohorts,
@@ -62,17 +62,6 @@ exit codes:
 """
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write ``text``, ending in a newline, to ``out_path`` or standard output."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_json(args, payload: dict, out_path: str | None) -> None:
     """Write ``payload`` as a JSON report with the tool version, the effective
     configuration and the input digest."""
@@ -83,27 +72,21 @@ def _emit_json(args, payload: dict, out_path: str | None) -> None:
 def _emit_report(args, fields: dict[str, str], out_path: str | None) -> None:
     """Write the JSON report whose top-level values are the JSON texts
     ``fields``, after the tool version, the effective configuration and the
-    input digest (a field of the same name takes their place)."""
+    input digest (a field of the same name takes their place), a field at a
+    time to ``out_path`` or standard output; all are encoded first, so a
+    refused report writes nothing."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("func",) and not k.startswith("_")}
-    head = {
-        "tool": {"name": "multidid", "version": __version__},
-        "config": config,
-    }
+    head = {"tool": {"name": "multidid", "version": __version__}, "config": config}
     if getattr(args, "input", None):
         head["input_sha256"] = args._input_sha256
     fields = {key: encode_json(value) for key, value in head.items()} | fields
-    # json.dumps of a dict is exactly this join, so a value may arrive encoded
-    _emit("{" + ", ".join(f"{encode_json(key)}: {text}" for key, text in fields.items())
-          + "}", out_path)
-
-
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # json.dumps of a dict writes exactly these pieces, so a value may arrive encoded
+    with _destination(out_path) as fh:
+        for sep, (key, text) in zip(chain("{", repeat(", ")), fields.items()):
+            fh.write(f"{sep}{encode_json(key)}: ")
+            fh.write(text)
+        fh.write("}\n")
 
 
 class _UsageError(Exception):
@@ -163,8 +146,7 @@ def _cmd_decompose(args) -> int:
     decomp = decompose(panel, target)
     summary = summarize(decomp, panel)
     if args.output == "csv":
-        _emit(_csv_text(["g", "t", "role", "weight"],
-                        decomposition_csv_rows(decomp)), args.out)
+        _write_csv(args.out, ["g", "t", "role", "weight"], decomposition_csv_rows(decomp))
     else:
         _emit_report(args, decomposition_report_json(decomp, summary), args.out)
     return 0
@@ -183,8 +165,7 @@ def _cmd_didm(args) -> int:
     if args.output == "csv":
         rows = [(c.period, "|".join(repr(v) for v in c.baseline), c.direction,
                  c.value, c.weight) for c in result.components]
-        _emit(_csv_text(["t", "baseline", "direction", "did", "weight"], rows),
-              args.out)
+        _write_csv(args.out, ["t", "baseline", "direction", "did", "weight"], rows)
     else:
         _emit_json(args, report, args.out)
     return 0
@@ -225,11 +206,10 @@ def _cmd_dynamic(args) -> int:
         payload = split_by_order(panel, first, second).to_dict()
 
     if args.output == "csv":
-        rows = [(h["ell"], c["f"], c["t"], c["did"], c["n_treated"],
-                 c["n_control"], c["weight"])
-                for h in payload["horizons"] for c in h["components"]]
-        _emit(_csv_text(["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
-                        rows), args.out)
+        # a component's keys are f, t, did, n_treated, n_control and weight
+        _write_csv(args.out, ["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
+                   ((h["ell"], *c.values()) for h in payload["horizons"]
+                    for c in h["components"]))
     else:
         _emit_json(args, payload, args.out)
     return 0
@@ -240,17 +220,11 @@ def _cmd_simulate(args) -> int:
         spec = DgpSpec.from_json(fh.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    synthetic = generate(spec)
-    write_panel_csv(synthetic.panel, args.out_csv)
-    payload = {
-        "written": args.out_csv,
-        "kind": spec.kind,
-        "n_groups": synthetic.panel.n_groups,
-        "n_periods": synthetic.panel.n_periods,
-        "n_treatments": synthetic.panel.n_treatments,
-        "seed": spec.seed,
-    }
-    _emit_json(args, payload, None)
+    panel = generate(spec).panel
+    write_panel_csv(panel, args.out_csv)
+    _emit_json(args, {"written": args.out_csv, "kind": spec.kind, "n_groups": panel.n_groups,
+                      "n_periods": panel.n_periods, "n_treatments": panel.n_treatments,
+                      "seed": spec.seed}, None)
     return 0
 
 

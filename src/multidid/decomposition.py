@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
@@ -144,16 +144,7 @@ class DecompositionSummary:
                 "negative_sum": self.own_negative_sum,
             },
             "others_mutually_exclusive": self.others_mutually_exclusive,
-            "contamination_by_treatment": [
-                {
-                    "treatment": o.treatment,
-                    "positive_count": o.positive_count,
-                    "positive_sum": o.positive_sum,
-                    "negative_count": o.negative_count,
-                    "negative_sum": o.negative_sum,
-                }
-                for o in self.others
-            ],
+            "contamination_by_treatment": list(map(asdict, self.others)),
         }
 
 
@@ -397,23 +388,26 @@ def decomposition_report(decomp: WeightDecomposition,
 def decomposition_report_json(decomp: WeightDecomposition,
                               summary: DecompositionSummary) -> dict[str, str]:
     """:func:`decomposition_report` with each value as its :func:`encode_json`
-    text, the cell tables written straight from the weight grid.
+    text, the cell tables written straight from the weight grid; the command
+    line writes the texts a field at a time.
 
-    Each distinct label is encoded once, and so are the weights of the cells
-    in either support, in one list, so that a float's spelling is json's own.
-    A row ``{"g": <g>, "t": <t>, "weight": <w>}`` is its group's piece, its
-    period's piece and its weight, joined; each table takes its rows from
-    those of both supports by mask.
+    Each distinct label is encoded once, and each weight of the cells in
+    either support is spelled once by ``float.__repr__``, json's own spelling
+    of a finite float, after one ``np.isfinite`` check. A row ``{"g": <g>,
+    "t": <t>, "weight": <w>}`` is its group's piece, its period's piece and
+    its weight, joined; each table takes its rows from those of both
+    supports by mask.
     """
     cells = decomp.own_support | decomp.contamination_support
     gi, ti = np.nonzero(cells)
+    weights = decomp.weights[cells]
+    if not (finite := np.isfinite(weights)).all():
+        raise NonFiniteValue(f"report holds a non-finite number ({float(weights[~finite][0])!r})")
     g_piece = [f'{{"g": {encode_json(g)}, "t": ' for g in decomp.group_labels]
     t_piece = [f'{encode_json(t)}, "weight": ' for t in decomp.period_labels]
-    # a float's spelling has no ", "; with no cell, zip stops at the empty gi
-    weights = encode_json(decomp.weights[cells].tolist())[1:-1].split(", ")
     rows = list(map("".join, zip(map(g_piece.__getitem__, gi.tolist()),
                                  map(t_piece.__getitem__, ti.tolist()),
-                                 weights, repeat("}"))))
+                                 map(float.__repr__, weights.tolist()), repeat("}"))))
     own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
                           for mask in (decomp.own_support, decomp.contamination_support))
     return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),
@@ -423,7 +417,6 @@ def decomposition_report_json(decomp: WeightDecomposition,
 
 def decomposition_csv_rows(decomp: WeightDecomposition) -> list[tuple]:
     """Flat ``(g, t, role, weight)`` rows, the lossy tabular projection."""
-    rows = [(g, t, "own", w) for g, t, w in decomp._cells(decomp.own_support)]
-    rows += [(g, t, "contamination", w)
-             for g, t, w in decomp._cells(decomp.contamination_support)]
-    return rows
+    return [(g, t, role, w) for role, mask in (("own", decomp.own_support),
+                                               ("contamination", decomp.contamination_support))
+            for g, t, w in decomp._cells(mask)]

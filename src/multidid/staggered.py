@@ -46,7 +46,7 @@ from .errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from .panel import PanelDataset, _running_sum
+from .panel import PanelDataset, _integer, _running_sum
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
 
 
 def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
-    if first == second:
+    if first == second:  # 0 == 0.0: each is checked
         panel.check_treatment(first)
+        panel.check_treatment(second)
         raise ValueError(f"the first and second treatments are both "
                          f"{panel.treatment_names[first]}")
     panel.require_binary()
@@ -191,7 +192,7 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
 
 
 def _check_horizon(l_nt: int, ell: int) -> None:
-    if not 0 <= ell <= l_nt:
+    if not 0 <= _integer(ell, "horizon") <= l_nt:
         raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
 
 
@@ -349,7 +350,7 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
     fit points are dropped and reported. Negative horizons would put the
     target date inside the fit window and raise HorizonOutOfRange.
     """
-    if ell < 0:
+    if _integer(ell, "horizon") < 0:
         raise HorizonOutOfRange(f"horizon {ell} is negative; linear trends "
                                 f"estimate horizons 0 and up")
     f1, f2 = structure.f1, structure.f2

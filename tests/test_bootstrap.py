@@ -44,6 +44,9 @@ def test_replications_start_no_thread(monkeypatch, abc_staggered):
 @pytest.mark.parametrize("estimator, b, message", [
     ("ols", 5, "unknown estimator 'ols', expected one of ('twfe', 'didm', 'did_ell')"),
     ("twfe", 0, "b must be >= 1"),
+    ("twfe", 2.5, "b must be an integer, got 2.5"),
+    ("didm", 3.0, "b must be an integer, got 3.0"),
+    ("twfe", True, "b must be an integer, got True"),
 ])
 def test_bad_arguments_are_refused(estimator, b, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

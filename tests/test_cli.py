@@ -332,20 +332,31 @@ def test_overflow_inputs_give_finite_reports_or_exit_3(capsys, tmp_path, panel, 
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_report_values_are_refused(capsys, value):
+def test_non_finite_report_values_are_refused(capsys, monkeypatch, tmp_path,
+                                              four_group_csv, value):
     """The report encoder raises NonFiniteValue (exit 3) rather than print
-    NaN or Infinity, in a nested value and in a decompose cell table."""
+    NaN or Infinity, in a nested value and in a decompose cell table. A
+    refused report writes nothing: not to standard output, and no ``--out``
+    file is created."""
+    out_path = tmp_path / "report.json"
     args = cli.build_parser().parse_args(["simulate", "--spec", "s.json", "--out", "p.csv"])
-    with pytest.raises(NonFiniteValue, match="non-finite"):
-        cli._emit_json(args, {"estimate": 1.0, "replicates": [0.5, value]}, None)
+    for out in (None, str(out_path)):
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            cli._emit_json(args, {"estimate": 1.0, "replicates": [0.5, value]}, out)
     panel = four_group_example().panel
     decomp = m.decompose(panel, 0)
     weights = decomp.weights.copy()
     weights[3, 1] = value  # a cell of both tables
+    spoiled = dataclasses.replace(decomp, weights=weights)
     with pytest.raises(NonFiniteValue, match="non-finite"):
-        decomposition_report_json(dataclasses.replace(decomp, weights=weights),
-                                  m.summarize(decomp, panel))
+        decomposition_report_json(spoiled, m.summarize(decomp, panel))
     assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "decompose", lambda panel, target: spoiled)
+    code, out, err = _run(capsys, "decompose", "--input", four_group_csv, "--target", "d1",
+                          "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert err == f"error: NonFiniteValue: report holds a non-finite number ({value!r})\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("line, field", [(1, "g"), (3, "1"), (3, "0")])
@@ -485,6 +496,16 @@ def test_out_file(capsys, four_group_csv, tmp_path):
         assert code == 0
         assert written.decode() == out.replace('"out": null',
                                                f'"out": {json.dumps(str(out_path))}')
+
+
+def test_empty_out_is_a_file_name(capsys, four_group_csv):
+    """``--out ""`` names a file, which cannot be opened; nothing goes to
+    standard output instead."""
+    for argv in (["decompose", "--target", "d1"],
+                 ["decompose", "--target", "d1", "--output", "csv"]):
+        code, out, err = _run(capsys, *argv, "--input", four_group_csv, "--out", "")
+        assert (code, out) == (1, "")
+        assert err == "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n"
 
 
 def test_version_flag(capsys):

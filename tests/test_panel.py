@@ -99,7 +99,7 @@ def test_non_binary_errors_name_the_cell(estimator):
         estimator(panel)
 
 
-@pytest.mark.parametrize("k", [-1, 2])
+@pytest.mark.parametrize("k", [-1, 2, 0.5, 1.0, 0.0, True, np.float64(0.0)])
 @pytest.mark.parametrize("call", [
     lambda syn, k: m.first_stage(syn.panel, k),
     lambda syn, k: m.didm(syn.panel, k),
@@ -119,8 +119,12 @@ def test_treatment_index_out_of_range(abc_staggered, call, k):
     """These functions refuse -1 and K alike, as adoption_dates does. Before,
     didm read -1 as the last treatment, K was an IndexError, delta_s_oracle
     failed on a negative shift and the didm bootstrap called every replicate
-    degenerate. The effect grids failed on a negative shift or an IndexError."""
-    with pytest.raises(ValueError, match=f"^treatment must be in 0..1, got {k}$"):
+    degenerate. The effect grids failed on a negative shift or an IndexError.
+    An index that is not an int or a numpy integer, a bool included, is
+    refused too: 0.5 and 1.0 were an IndexError or a TypeError."""
+    message = (f"treatment must be in 0..1, got {k}" if type(k) is int
+               else f"treatment must be an integer, got {k!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(abc_staggered, k)
 
 
@@ -254,6 +258,10 @@ def _panel_with(**changes):
      "one name per treatment required"),
     (lambda: m.load_panel([(1, 1, 0.0, 0.0)], n_treatments=0), ValueError,
      "n_treatments must be >= 1"),
+    (lambda: m.load_panel([(1, 1, 0.0, 0.0)], n_treatments=1.9), ValueError,
+     "n_treatments must be an integer, got 1.9"),
+    (lambda: m.load_panel([(1, 1, 0.0, 0.0)], n_treatments=True), ValueError,
+     "n_treatments must be an integer, got True"),
     (lambda: m.load_panel([(1, 1, 0.0, 1.0, 0.0, 0.0)], n_treatments=1), ValueError,
      "rows must have 4 or 5 fields for K=1, got 6"),
     (lambda: m.load_panel([(1, 1, 0.0, 0.0), (1, 2, 0.0, 1.0, 0.0)], n_treatments=1),
@@ -403,6 +411,11 @@ def _csv(tmp_path, lines):
     (CSV_BASE[:1] + ["", " , "] + CSV_BASE[1:4] + ["2,2,0.5,1,x"], ValueError,
      "line 7: cannot parse row: could not convert string to float: 'x'"),
     (CSV_BASE[:1], InsufficientVariation, "no rows supplied"),
+    # a quoted label spanning lines: the record on line 7 is named by its line
+    (["g,t,y,d1", '"a', 'b",1,0,0', '"a', 'b",2,0,1', "c,1,0,0", "c,2,x,1"], ValueError,
+     "line 7: cannot parse row: could not convert string to float: 'x'"),
+    (["g,t,y,d1", '"a', 'b",1,0,0', '"a', 'b",2,0,1', "c,1,0,0", "c,2,0"], ValueError,
+     "line 7: cannot parse row: list index out of range"),
     (["g,t,y,n,treated"] + CSV_BASE[1:], MissingColumn,
      "no treatment columns (d1, d2, ...) found"),
 ])

@@ -1,4 +1,4 @@
-"""Bit-for-bit guard on JSON reports.
+"""Bit-for-bit guard on JSON reports and ``--output csv`` tables.
 
 Each case writes a small panel, runs one command of the command line from
 the panel's directory with a relative ``--input`` (so that ``config`` holds
@@ -6,8 +6,11 @@ the same path on every machine) and pins the SHA-256 digest of its full
 standard output. The cases cover ``decompose`` with one treatment (empty
 contamination table), with three, with string labels that need escaping and
 with float labels that json spells in exponent form, then ``didm``,
-``dynamic`` and ``bootstrap``. The digests were taken before the decompose
-tables were written from the weight grid; a changed byte of any report fails
+``dynamic`` and ``bootstrap``; and the tables of ``decompose`` (string and
+float labels, which the CSV writer quotes or spells), ``didm`` and
+``dynamic``. The JSON digests were taken before the decompose tables were
+written from the weight grid, the CSV digests before the tables and the
+reports shared one writer; a changed byte of any report or table fails
 here. The tool version is part of every report, so a version bump changes
 every digest.
 
@@ -49,16 +52,15 @@ def _relabelled(panel: m.PanelDataset, groups, periods=None) -> m.PanelDataset:
                           panel.d)
 
 
-def _panels() -> dict[str, m.PanelDataset]:
-    return {
-        "k1": _synthetic(1, 8, 5, 11),
-        "k3": _synthetic(3, 10, 5, 12),
-        "strings": _relabelled(_synthetic(2, len(STRING_GROUPS), 4, 13), STRING_GROUPS,
-                               ("p, 1", "p, 2", 'p "3"', "p\\4")),
-        "floats": _relabelled(_synthetic(2, len(FLOAT_GROUPS), 4, 14), FLOAT_GROUPS,
-                              FLOAT_PERIODS),
-        "staggered": three_cohort_example(extra_never_treated=True).panel,
-    }
+PANELS = {
+    "k1": lambda: _synthetic(1, 8, 5, 11),
+    "k3": lambda: _synthetic(3, 10, 5, 12),
+    "strings": lambda: _relabelled(_synthetic(2, len(STRING_GROUPS), 4, 13), STRING_GROUPS,
+                                   ("p, 1", "p, 2", 'p "3"', "p\\4")),
+    "floats": lambda: _relabelled(_synthetic(2, len(FLOAT_GROUPS), 4, 14), FLOAT_GROUPS,
+                                  FLOAT_PERIODS),
+    "staggered": lambda: three_cohort_example(extra_never_treated=True).panel,
+}
 
 
 CASES = {
@@ -71,16 +73,27 @@ CASES = {
                                      "--strategy", "second"]),
     "bootstrap-twfe": ("k3", ["bootstrap", "--estimator", "twfe", "--target", "d1",
                               "-B", "20", "--seed", "3", "--parallelism", "1"]),
+    "decompose-string-labels-csv": ("strings", ["decompose", "--target", "d1",
+                                                "--output", "csv"]),
+    "decompose-float-labels-csv": ("floats", ["decompose", "--target", "d2",
+                                              "--output", "csv"]),
+    "didm-csv": ("k1", ["didm", "--target", "d1", "--output", "csv"]),
+    "dynamic-second-csv": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                         "--strategy", "second", "--output", "csv"]),
 }
 
 DIGESTS = {
     "bootstrap-twfe": "f4a3e499449dff236bd242e8f61d508c6cdb434e1c2e0111f92d7301b4f29b5f",
     "decompose-float-labels": "74e2524b2ce2070057412dea2f0a33b3c2df7050a3cbc0e0be7912b583108313",
+    "decompose-float-labels-csv": "c6ac55e892971b53cdd52076abcc13df027dec89ec3d8198f4c14ac74cba3569",
     "decompose-k1": "b6626a76daa3002390b4971bcdec7acb3ec06e9d168532224ce422151273b3d1",
     "decompose-k3": "9a7d0a052b997067211af32d71c036aacb5796933318f1645cb4859278881235",
     "decompose-string-labels": "3816e00d83aedcd7ac09bd3afe712e1b735fb8a4ec480ed831d93427dbca8ebf",
+    "decompose-string-labels-csv": "a4f7f424ed2ee2e01723677a3dd4337a3c35e171f5d1f1799e2be127c0d06ad6",
     "didm": "bb966e0eddaf62dbdf8182cdd164e045c18f7ffee959e081c9d507142ba6d258",
+    "didm-csv": "86b408ad33f1b4a795753f82fa2ad74dbc64d894a71aaf6274fca8d39827d64a",
     "dynamic-second": "8e4760b99a000ab3f989695e35a7d51874e6e521c9de61a84374deea0d255205",
+    "dynamic-second-csv": "2464986b36566bd197e72333f034b3def5c0ccd0354638faa5a2c869702785a4",
 }
 
 
@@ -103,12 +116,11 @@ def _digest(text: str) -> str:
 def test_report_bytes_are_pinned(case, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     name, argv = CASES[case]
-    assert _digest(_stdout(_panels()[name], argv)) == DIGESTS[case]
+    assert _digest(_stdout(PANELS[name](), argv)) == DIGESTS[case]
 
 
 if __name__ == "__main__":
-    panels = _panels()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for case, (name, argv) in sorted(CASES.items()):
-            sys.stdout.write(f'    "{case}": "{_digest(_stdout(panels[name], argv))}",\n')
+            sys.stdout.write(f'    "{case}": "{_digest(_stdout(PANELS[name](), argv))}",\n')

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,16 @@ def test_did_ell_fixture_values(abc_staggered):
     assert sum(c.weight for c in comp0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(HorizonOutOfRange):
         m.did_ell(panel, st, 2)
+    # a horizon that is not an int or a numpy integer, a bool included, is
+    # refused before it indexes anything; 0.5 and 1.0 were raw IndexErrors
+    for ell in (0.5, 1.0, True, np.float64(0.0)):
+        for call in (lambda: m.did_ell(panel, st, ell), lambda: m.placebo_ell(panel, st, ell),
+                     lambda: m.did_ell_linear_trends(panel, st, ell),
+                     lambda: m.bootstrap_se(panel, "did_ell", 4, 0, ell=ell)):
+            message = f"horizon must be an integer, got {ell!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+    assert m.did_ell(panel, st, np.int64(1))[0] == est1
 
 
 def test_oracle_identity_random_noiseless():
