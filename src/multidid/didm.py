@@ -343,9 +343,10 @@ def delta_s_oracle(synthetic, target: int) -> float:
         return 0.0
     g, t = cells % G, cells // G + 1
     frm, to = before[target, cells], after[target, cells]
-    masks, bit = synthetic.masks[g, t], 1 << target
-    po, n = synthetic._require_po(), panel.n[g, t]
+    # each switcher's outcomes with the target at its two values, stacked
+    on, n = list(synthetic._observed), panel.n[g, t]
+    on[target] = np.zeros((2, G, T), bool)
+    on[target][:, g, t] = np.stack([to, frm]) > 0.5
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
-        effect = (po[g, t, np.where(to > 0.5, masks | bit, masks & ~bit)]
-                  - po[g, t, np.where(frm > 0.5, masks | bit, masks & ~bit)])
-        return _running_sum(n * effect / (to - frm)) / _running_sum(n)
+        hi, lo = synthetic._outcome(on)[:, g, t]
+        return _running_sum(n * (hi - lo) / (to - frm)) / _running_sum(n)

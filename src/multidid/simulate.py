@@ -1,34 +1,43 @@
 """Synthetic panels with stored potential outcomes and exact effect oracles.
 
 Every generated panel keeps enough of its own construction to evaluate the
-true value of each estimand directly: static designs store the full potential
-outcome of every cell under every treatment combination; staggered designs
-store the never-treated baseline, the first treatment's effect path, and the
-second treatment's cumulative effect at each horizon. Observed outcomes are
-always the stored potential outcome at the realized treatments.
+true value of each estimand directly: static designs store the baseline and
+each treatment's effect surface, from which the potential outcome of every
+cell under any treatment combination is summed when an oracle asks (the full
+(G, T, 2**K) grid ``po`` only when it is read); staggered designs store the
+never-treated baseline, the first treatment's effect path, and the second
+treatment's cumulative effect at each horizon. Observed outcomes are always
+the potential outcome at the realized treatments.
 
 Randomness uses counter-based Philox streams keyed by (seed, stream id,
 coordinates), so generation is order independent and reproducible bit for
 bit; the stream ids are the ``STREAM_*`` constants below. The stream
 (seed, stream, *c) is ``Generator(Philox(SeedSequence((seed, stream, *c))))``
-from numpy. A panel's keys are hashed in one pass of uint64 array arithmetic
-that repeats numpy's SeedSequence hashing (all but the first-effect path's,
-keyed by drawn adoption dates), and its uniform and bounded-integer draws
-come from one Philox4x64-10 pass, split by stream. Keys of up to 4 entropy
-words share a pass, as SeedSequence pads its 4-word pool with zeros; a wider
-key (a seed or stream id of 2**32 or more) shares only with its own width,
-where a zero word would change the state. Normal draws run numpy's own
-ziggurat on a rekeyed bit generator. Noise, when
-requested, enters only the never-treated baseline and is therefore shared by
-all potential outcomes of a cell: parallel-trends conditions keep holding
-exactly, which makes Monte-Carlo averages of the estimators clean tests of
-the estimators themselves. Noise draws are independent across groups.
+from numpy. A panel's keys are hashed with uint64 array arithmetic that
+repeats numpy's SeedSequence hashing, and their first outputs come from a
+Philox4x64-10 pass, in blocks of 2**14 streams across all of the panel's
+requests (all but the first-effect path's, keyed by drawn adoption dates).
+Keys of up to 4 entropy words share a hash, as SeedSequence pads its 4-word
+pool with zeros; a wider key (a seed or stream id of 2**32 or more) shares
+only with its own width, where a zero word would change the state. Uniform,
+bounded-integer and normal draws are derived from the raw outputs as numpy
+derives them; normal draws take the fast path of numpy's ziggurat, whose two
+256-entry tables ``wi_double`` and ``ki_double`` (numpy's distributions.c)
+are committed as the package data file ``ziggurat.bin``. A bounded draw or
+normal draw that numpy would reject is replayed by numpy itself on a rekeyed
+bit generator. Noise, when requested, enters only the never-treated baseline
+and is therefore shared by all potential outcomes of a cell: parallel-trends
+conditions keep holding exactly, which makes Monte-Carlo averages of the
+estimators clean tests of the estimators themselves. Noise draws are
+independent across groups.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, asdict, dataclass
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -73,93 +82,143 @@ def _words(value: int) -> list[int]:
 
 
 def _keys(entropy: np.ndarray) -> np.ndarray:
-    """Philox keys, shape (2, N), with entries in [0, 2**32), of the
-    SeedSequence over each column of the (W, N) uint32 entropy words, W >= 4:
-    SeedSequence's entropy mixing over its 4-word pool, then
-    ``generate_state(2, uint64)``."""
+    """Philox keys, shape (2, N), of the SeedSequence over each column of the
+    (W, N) uint32 entropy words, W >= 4: SeedSequence's entropy mixing over
+    its 4-word pool, then ``generate_state(2, uint64)``. Successive hashmix
+    calls on one value, or on the pool's words in turn, run as one array
+    operation over a row per call."""
     const = _INIT_A
 
-    def hashmix(value, mult=_MULT_A):
+    def hashmix(value, calls, mult=_MULT_A):
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
+        xor, times = [], []
+        for _ in range(calls):
+            xor.append(const)
+            const = const * mult & _MASK32
+            times.append(const)
+        value = value ^ np.array(xor, np.uint32)[:, None]
+        value *= np.array(times, np.uint32)[:, None]
         return value ^ value >> np.uint32(16)
 
     def mix(x, y):
         value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
         return value ^ value >> np.uint32(16)
 
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = hashmix(entropy[:4], 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        pool = mix(pool, hashmix(word, 4))
     const = _INIT_B
-    w = [hashmix(word, _MULT_B).astype(np.uint64) for word in pool]
-    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)])
+    w = hashmix(pool, 4, _MULT_B).astype(np.uint64)
+    return w[0::2] | w[1::2] << np.uint64(32)
 
 
 def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a·b, from 32-bit halves."""
+    """High 64 bits of the 128-bit products a·b, from 32-bit halves, summed in
+    place: at 2**14 keys numpy elides no temporary on its own."""
     a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
-    x, y = b_hi * a_lo, b_lo * a_hi
-    mid = (b_lo * a_lo >> np.uint64(32)) + (x & np.uint64(_MASK32)) + (y & np.uint64(_MASK32))
-    return b_hi * a_hi + (x >> np.uint64(32)) + (y >> np.uint64(32)) + (mid >> np.uint64(32))
+    b_lo, hi = b & np.uint64(_MASK32), b >> np.uint64(32)
+    mid = b_lo * a_lo
+    mid >>= np.uint64(32)
+    mid += hi * a_lo
+    low = b_lo * a_hi
+    low += mid & np.uint64(_MASK32)
+    low >>= np.uint64(32)
+    mid >>= np.uint64(32)
+    hi *= a_hi
+    hi += mid
+    hi += low
+    return hi
 
 
 def _philox(keys: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` 64-bit outputs, shape (n, N), of a fresh numpy Philox
     under each of the (2, N) keys: Philox4x64-10 blocks at counters 1, 2, ...
-    Keys go in slices of 2**14, whose round temporaries stay in cache."""
-    if keys.shape[1] > 2 ** 14:
-        return np.concatenate([_philox(keys[:, i:i + 2 ** 14], n)
-                               for i in range(0, keys.shape[1], 2 ** 14)], axis=1)
-    zero = np.zeros(keys.shape[1:], np.uint64)
+    The first round multiplies only zero words and the counter, so it is
+    folded into constants."""
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
+    w0, w1 = np.uint64(_PHILOX_W[0]), np.uint64(_PHILOX_W[1])
     outputs = []
     for counter in range(1, -(-n // 4) + 1):
-        c = [zero + np.uint64(counter), zero, zero, zero]
-        k0, k1 = keys
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-            lo0, lo1 = c[0] * np.uint64(_PHILOX_M[0]), c[2] * np.uint64(_PHILOX_M[1])
-            c = [_mulhi(_PHILOX_M[1], c[2]) ^ c[1] ^ k0, lo1,
-                 _mulhi(_PHILOX_M[0], c[0]) ^ c[3] ^ k1, lo0]
+        k0, k1 = keys.copy()
+        product = _PHILOX_M[0] * counter
+        c = [keys[0], np.uint64(0), keys[1] ^ np.uint64(product >> 64),
+             np.uint64(product & 2 ** 64 - 1)]
+        for _ in range(9):
+            k0 += w0
+            k1 += w1
+            hi0, hi2 = _mulhi(_PHILOX_M[1], c[2]), _mulhi(_PHILOX_M[0], c[0])
+            hi0 ^= c[1]
+            hi0 ^= k0
+            hi2 ^= c[3]
+            hi2 ^= k1
+            c = [hi0, c[2] * m1, hi2, c[0] * m0]
         outputs += c
     return np.stack(outputs[:n])
 
 
-def _batch(requests: dict) -> tuple[dict, dict]:
-    """Keys, shape (2, *S), and first ``outputs`` raw outputs, shape
-    (outputs, *S), by name, of the streams (seed, stream, *c) of each request
-    ``name: (outputs, seed, stream, *coords)``, c ranging over the coordinates
-    broadcast to shape S: one hash per entropy width (at least 4, zero-padded),
-    then one Philox pass for every request with outputs."""
-    words, shapes = {}, {}
-    for name, (_, seed, stream, *coords) in requests.items():
-        cols = np.broadcast_arrays(*coords)
-        shapes[name] = cols[0].shape
-        words[name] = [np.full(cols[0].size, w, np.uint32) for w in _words(seed) + _words(stream)]
-        words[name] += [c.astype(np.uint32).ravel() for c in cols]
-        words[name] += [np.zeros(cols[0].size, np.uint32)] * (4 - len(words[name]))
+_BLOCK = 2 ** 14  # streams per hash and Philox pass: their temporaries stay in cache
 
-    def cut(flat, names):
-        ends = np.cumsum([words[name][0].size for name in names])[:-1]
-        return zip(names, np.split(flat, ends, axis=-1))
-    keys, raw = {}, {}
-    for width in {len(w) for w in words.values()}:
-        names = [name for name, w in words.items() if len(w) == width]
-        keys.update(cut(_keys(np.concatenate([words[name] for name in names], axis=1)), names))
-    if drawn := [name for name in requests if requests[name][0]]:
-        flat = np.concatenate([keys[name] for name in drawn], axis=1)
-        raw.update(cut(_philox(flat, max(requests[name][0] for name in drawn)), drawn))
-    return ({name: k.reshape(2, *shapes[name]) for name, k in keys.items()},
-            {name: r[:requests[name][0]].reshape(-1, *shapes[name]) for name, r in raw.items()})
+
+def _batch(requests: dict) -> dict:
+    """The draws by name of the streams (seed, stream, *c) of each request
+    ``name: (outputs, draw, seed, stream, *coords)``, c ranging over the
+    coordinates broadcast to shape S. ``draw(keys, raw)`` maps the keys,
+    shape (2, m), and first ``outputs`` raw outputs, shape (outputs, m), of m
+    of the streams to their draws along its last axis; they come back shaped
+    (..., *S). The streams of all requests go in blocks of at most
+    ``_BLOCK``, so that no key or raw output exists for all of them at once:
+    per block, one hash per entropy width (at least 4, zero-padded), then one
+    Philox pass per number of counter blocks."""
+    cols, start, total = {}, {}, 0
+    for name, (_, _, _, _, *coords) in requests.items():
+        cols[name] = np.broadcast_arrays(*coords)
+        start[name], total = total, total + cols[name][0].size
+    out = {}
+    for lo in range(0, max(total, 1), _BLOCK):
+        words, offset = {}, {}
+        for name, (_, _, seed, stream, *_) in requests.items():
+            size = cols[name][0].size
+            a, b = max(lo - start[name], 0), min(lo + _BLOCK - start[name], size)
+            if a < b or not size and not lo:
+                lead = _words(seed) + _words(stream)
+                w = words[name] = np.zeros((max(4, len(lead) + len(cols[name])), b - a),
+                                           np.uint32)
+                offset[name] = a
+                w[:len(lead)] = np.array(lead, np.uint32)[:, None]
+                for i, c in enumerate(cols[name], len(lead)):
+                    # c.flat[a:b], copying only the rows it spans
+                    row = int(np.prod(c.shape[1:]))
+                    w[i] = c[a // row:-(-b // row)].reshape(-1)[a % row:a % row + b - a]
+
+        def cut(flat, names):
+            ends = np.cumsum([words[name].shape[1] for name in names])[:-1]
+            return zip(names, np.split(flat, ends, axis=-1))
+        keys, raw = {}, {}
+        for width in {len(w) for w in words.values()}:
+            names = [name for name, w in words.items() if len(w) == width]
+            keys.update(cut(_keys(np.concatenate([words[name] for name in names], axis=1)), names))
+        for blocks in {-(-requests[name][0] // 4) for name in words}:
+            names = [name for name in words if -(-requests[name][0] // 4) == blocks]
+            flat = np.concatenate([keys[name] for name in names], axis=1)
+            raw.update(cut(_philox(flat, 4 * blocks), names))
+        for outputs, draw in dict.fromkeys(requests[name][:2] for name in words):
+            names = [name for name in words if requests[name][:2] == (outputs, draw)]
+            value = draw(np.concatenate([keys[name] for name in names], axis=1),
+                         np.concatenate([raw[name][:outputs] for name in names], axis=1))
+            for name, part in cut(value, names):
+                if name not in out:
+                    out[name] = np.empty(part.shape[:-1] + (cols[name][0].size,), part.dtype)
+                out[name][..., offset[name]:offset[name] + part.shape[-1]] = part
+    return {name: v.reshape(v.shape[:-1] + cols[name][0].shape) for name, v in out.items()}
+
+
+def _keyed(keys: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The draw that is the keys over the raw outputs, shape (2 + outputs, m),
+    for a draw whose bounds wait on other draws."""
+    return np.concatenate([keys, raw])
 
 
 def _replay(keys: np.ndarray):
@@ -194,11 +253,33 @@ def _bounded(keys: np.ndarray, raw: np.ndarray, low, high) -> np.ndarray:
     return out
 
 
-def _gauss(keys: np.ndarray, size: int | None = None) -> np.ndarray:
-    """``.standard_normal(size)`` of each key's stream, shape S or (*S, size),
-    from numpy's own ziggurat."""
-    draws = [gen.standard_normal(size) for gen in _replay(keys)]
-    return np.array(draws).reshape(keys.shape[1:] + (() if size is None else (size,)))
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's 256-layer ziggurat tables for the standard normal, ``wi_double``
+    and ``ki_double`` of its distributions.c, as committed in ziggurat.bin:
+    256 little-endian float64, then 256 little-endian uint64."""
+    data = Path(__file__).with_name("ziggurat.bin").read_bytes()
+    return np.frombuffer(data, "<f8", 256), np.frombuffer(data, "<u8", 256, 2048)
+
+
+def _gauss(keys: np.ndarray, raw: np.ndarray, size: int | None = None) -> np.ndarray:
+    """``.standard_normal(size)`` of each key's stream, shape S or (size, *S),
+    from the keys and first raw outputs of its streams, one output per draw:
+    numpy's ziggurat fast path takes layer ``r & 0xff``, sign bit 8 and the
+    52 bits above it as ``rabs``, and returns ``±rabs·wi[layer]`` when ``rabs <
+    ki[layer]``. A stream with a draw it would reject is replayed by numpy
+    itself, as the rejection consumes more outputs."""
+    wi, ki = _ziggurat()
+    draws = 1 if size is None else size
+    r = raw[:draws].reshape(draws, -1)
+    layer = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = r >> np.uint64(9) & np.uint64(2 ** 52 - 1)
+    x = rabs * wi[layer]
+    np.negative(x, out=x, where=r & np.uint64(0x100) != 0)
+    rejected = np.flatnonzero((rabs >= ki[layer]).any(axis=0))
+    for i, gen in zip(rejected, _replay(keys.reshape(2, -1)[:, rejected])):
+        x[:, i] = gen.standard_normal(draws)
+    return x.reshape(raw.shape[1:] if size is None else (size,) + raw.shape[1:])
 
 
 # the values a field or element of each declared type takes, read from JSON or
@@ -298,14 +379,21 @@ def _checked(name: str, value, hint, types: dict, null: str = ""):
                  for i, (v, h) in enumerate(zip(value, items)))
 
 
+_ON_OFF = np.array([True, False])[:, None, None]  # stacks a treatment on, then off
+
+
 class SyntheticPanel:
     """A panel plus the ground truth it was built from.
 
-    Static designs store ``po[g, t, mask]``, each cell's outcome under each
-    treatment combination (bit k of ``mask`` for treatment k); staggered
-    designs store ``second_effect[g, ell]``, the effect of ``ell + 1`` periods
-    of the second treatment. The observed outcome always equals the potential
-    outcome at the realized treatments, whose bit mask per cell is ``masks``.
+    Static designs store each cell's potential outcome under every treatment
+    combination as a function of the combination: ``outcomes(on)`` takes a
+    length-K sequence, each entry a (G, T) bool grid or one bool for every
+    cell saying where treatment k is on, and returns the (G, T) outcomes. A
+    hand-built grid ``po[g, t, mask]`` (bit k of ``mask`` for treatment k) is
+    read the same way. ``po`` is that grid, built on its first read.
+    Staggered designs store ``second_effect[g, ell]``, the effect of
+    ``ell + 1`` periods of the second treatment. The observed outcome always
+    equals the potential outcome at the realized treatments.
     """
 
     def __init__(self, panel: PanelDataset, kind: str,
@@ -313,38 +401,93 @@ class SyntheticPanel:
                  f1: np.ndarray | None = None, f2: np.ndarray | None = None,
                  baseline: np.ndarray | None = None,
                  first_effect: np.ndarray | None = None,
-                 second_effect: np.ndarray | None = None):
+                 second_effect: np.ndarray | None = None,
+                 outcomes=None):
         self.panel = panel
         self.kind = kind
-        self.po = po
         self.f1 = f1
         self.f2 = f2
         self.baseline = baseline
         self.first_effect = first_effect
         self.second_effect = second_effect
-        self.masks = _mask_grid(panel.d)
-        self.masks.setflags(write=False)
+        self._outcomes = outcomes if po is None else _stored(np.asarray(po))
+        self._po = None
 
-    def _require_po(self) -> np.ndarray:
-        if self.po is None:
+    @functools.cached_property
+    def _observed(self) -> tuple:
+        """Where each treatment is on, one (G, T) bool grid per treatment."""
+        return tuple(self.panel.d > 0.5)
+
+    @property
+    def po(self) -> np.ndarray | None:
+        """The (G, T, 2**K) potential outcomes ``po[g, t, mask]``, built from
+        ``outcomes`` on first read, or None for a staggered design."""
+        if self._po is None and self._outcomes is not None:
+            K = self.panel.n_treatments
+            self._po = np.stack([self._outcomes([bool(mask >> k & 1) for k in range(K)])
+                                 for mask in range(1 << K)], axis=2)
+        return self._po
+
+    def _outcome(self, on) -> np.ndarray:
+        """``outcomes(on)``, or MissingPotentialOutcomes without static truth;
+        an entry of ``on`` with more axes than (G, T) stacks outcomes."""
+        if self._outcomes is None:
             raise MissingPotentialOutcomes(
                 "static potential outcomes are not stored for this panel"
             )
-        return self.po
+        return self._outcomes(on)
+
+    def _switched(self, target: int, value) -> np.ndarray:
+        """Every cell's outcome with ``target`` at ``value`` and the other
+        treatments as observed."""
+        self.panel.check_treatment(target)
+        on = list(self._observed)
+        on[target] = value
+        return self._outcome(on)
 
     def target_effect_grid(self, target: int) -> np.ndarray:
         """Effect of switching ``target`` on, holding the other treatments at
         their observed values, for every cell."""
-        self.panel.check_treatment(target)
-        po, bit = self._require_po(), 1 << target
-        return _at(po, self.masks | bit) - _at(po, self.masks & ~bit)
+        on, off = self._switched(target, _ON_OFF)
+        return on - off
 
     def others_effect_grid(self, target: int) -> np.ndarray:
         """Effect of the observed other treatments versus none, with the
         target held off, for every cell."""
-        self.panel.check_treatment(target)
-        po = self._require_po()
-        return _at(po, self.masks & ~(1 << target)) - po[:, :, 0]
+        return (self._switched(target, False)
+                - self._outcome([False] * self.panel.n_treatments))
+
+
+def _stored(po: np.ndarray):
+    """The ``outcomes`` function that reads a (G, T, 2**K) grid ``po[g, t, mask]``."""
+    def outcomes(on):
+        masks = sum(np.where(o, 1 << k, 0) for k, o in enumerate(on))
+        shape = np.broadcast_shapes(po.shape[:2], np.shape(masks))
+        return np.take_along_axis(np.broadcast_to(po, shape + po.shape[2:]),
+                                  np.broadcast_to(masks, shape)[..., None], axis=-1)[..., 0]
+    return outcomes
+
+
+def _additive(base: np.ndarray, group_part: np.ndarray, time_part: np.ndarray,
+              interactions):
+    """The ``outcomes`` function of a static design: ``base``, plus treatment
+    k's effect ``group_part[k][:, None] + time_part[k]`` where k is on, in k
+    order, then each interaction's coefficient where both of its treatments
+    are on, in list order. Where a treatment is off its term is -0.0, whose
+    addition returns every float unchanged, -0.0 included, so each cell gets
+    the bits of the sum of the terms that are on in it."""
+    base.setflags(write=False)
+    tau = group_part[:, :, None] + time_part[:, None, :]
+
+    def outcomes(on):
+        surf = base
+        for k, effect in enumerate(tau):
+            if on[k] is not False:
+                surf = surf + np.where(on[k], effect, -0.0)
+        for k, j, coef in interactions:
+            surf = surf + np.where(np.logical_and(on[k], on[j]), coef, -0.0)
+        return surf
+    return outcomes
 
 
 def generate(spec: DgpSpec) -> SyntheticPanel:
@@ -374,49 +517,45 @@ def _requests(spec: DgpSpec) -> dict:
     """The ``_batch`` requests of the baseline and cell sizes of both kinds."""
     G, T = spec.n_groups, spec.n_periods
     g, t = np.arange(G), np.arange(T)
-    want = {"theta": (0, spec.seed, STREAM_GROUP_FE, g), "eta": (0, spec.seed, STREAM_TIME_FE, t)}
+    want = {"theta": (1, _gauss, spec.seed, STREAM_GROUP_FE, g)}
+    if spec.time_sd:
+        want["eta"] = (1, _gauss, spec.seed, STREAM_TIME_FE, t)
     if spec.noise_sd > 0:
         nseed = spec.seed if spec.noise_seed is None else spec.noise_seed
-        want["noise"] = (0, nseed, STREAM_NOISE, g[:, None], t)
+        want["noise"] = (1, _gauss, nseed, STREAM_NOISE, g[:, None], t)
     if spec.cell_sizes == "random":
-        want["n"] = (1, spec.seed, STREAM_CELL_SIZE, g[:, None], t)
+        want["n"] = (1, _sizes, spec.seed, STREAM_CELL_SIZE, g[:, None], t)
     elif spec.cell_sizes == "product":
-        want["n"] = (1, spec.seed, STREAM_CELL_SIZE, np.concatenate([g, G + t]))
+        want["n"] = (1, _sizes, spec.seed, STREAM_CELL_SIZE, np.concatenate([g, G + t]))
     return want
 
 
-def _cell_sizes(spec: DgpSpec, keys: dict, raw: dict) -> np.ndarray:
+def _sizes(keys: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Cell sizes 1 to 4, as floats."""
+    return _bounded(keys, raw, 1, 5) * 1.0
+
+
+def _cell_sizes(spec: DgpSpec, draws: dict) -> np.ndarray:
     G, T = spec.n_groups, spec.n_periods
     if spec.cell_sizes == "unit":
         return np.ones((G, T))
     if spec.cell_sizes == "random":
-        return _bounded(keys["n"], raw["n"], 1, 5) * 1.0
+        return draws["n"]
     if spec.cell_sizes == "product":
-        sizes = _bounded(keys["n"], raw["n"], 1, 5) * 1.0
-        return np.outer(sizes[:G], sizes[G:])
+        return np.outer(draws["n"][:G], draws["n"][G:])
     raise InvalidSpec(f"unknown cell_sizes rule {spec.cell_sizes!r}")
 
 
-def _baseline(spec: DgpSpec, keys: dict) -> np.ndarray:
-    theta = spec.group_sd * _gauss(keys["theta"])
+def _baseline(spec: DgpSpec, draws: dict) -> np.ndarray:
+    theta = spec.group_sd * draws["theta"]
     periods = np.arange(1, spec.n_periods + 1, dtype=float)
     eta = spec.time_slope * periods + spec.time_curvature * periods ** 2
     if spec.time_sd:
-        eta = eta + spec.time_sd * _gauss(keys["eta"])
+        eta = eta + spec.time_sd * draws["eta"]
     base = theta[:, None] + eta[None, :]
     if spec.noise_sd > 0:
-        base = base + spec.noise_sd * _gauss(keys["noise"])
+        base = base + spec.noise_sd * draws["noise"]
     return base
-
-
-def _mask_grid(d: np.ndarray) -> np.ndarray:
-    """Each cell's treatment combination as a bit mask: bit k is d_k > 0.5."""
-    return ((d > 0.5) << np.arange(len(d))[:, None, None]).sum(axis=0)
-
-
-def _at(po: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``po[g, t, masks[g, t]]`` for every cell."""
-    return np.take_along_axis(po, masks[:, :, None], axis=2)[:, :, 0]
 
 
 def _generate_static(spec: DgpSpec) -> SyntheticPanel:
@@ -431,8 +570,8 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec(f"bad interaction pair ({k}, {j})")
 
     g, t, k = np.arange(G), np.arange(T), np.arange(K)[:, None]
-    want = {"effect_group": (0, spec.seed, STREAM_EFFECT_GROUP, k, g),
-            "effect_time": (0, spec.seed, STREAM_EFFECT_TIME, k, t), **_requests(spec)}
+    want = {"effect_group": (1, _gauss, spec.seed, STREAM_EFFECT_GROUP, k, g),
+            "effect_time": (1, _gauss, spec.seed, STREAM_EFFECT_TIME, k, t), **_requests(spec)}
     if spec.kind == "standard-did":
         if K != 2:
             raise InvalidSpec("the standard design uses exactly 2 treatments")
@@ -443,37 +582,24 @@ def _generate_static(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec(
                 "thresholds must satisfy 1 < G1 < G2 <= G and 1 < T1 < T2 <= T"
             )
-        d = np.stack([np.outer(g + 1 >= g1, t + 1 >= t1),
-                      np.outer(g + 1 >= g2, t + 1 >= t2)]) * 1.0
-        keys, raw = _batch(want)
+        on = np.stack([np.outer(g + 1 >= g1, t + 1 >= t1), np.outer(g + 1 >= g2, t + 1 >= t2)])
+        draws = _batch(want)
     else:
         if not 0.0 <= spec.treat_prob <= 1.0:
             raise InvalidSpec("treat_prob must lie in [0, 1]")
-        keys, raw = _batch({"d": (K, spec.seed, STREAM_TREATMENT, g[:, None], t), **want})
-        d = (_unit(raw["d"]) < spec.treat_prob) * 1.0
+        draws = _batch({"d": (K, lambda keys, raw: _unit(raw) < spec.treat_prob,
+                              spec.seed, STREAM_TREATMENT, g[:, None], t), **want})
+        on = draws["d"]
 
     # per-treatment effect surface split into group and period parts, so all
     # potential outcomes share common trends
-    gpart = spec.effect_group_sd * _gauss(keys["effect_group"])
-    tpart = spec.effect_time_sd * _gauss(keys["effect_time"])
-    tau = np.array(base_eff, dtype=float)[:, None, None] + gpart[:, :, None] \
-        + tpart[:, None, :]
-
-    base = _baseline(spec, keys)
-    po = np.empty((G, T, 1 << K))
-    for mask in range(1 << K):
-        surf = base.copy()
-        for k in range(K):
-            if mask >> k & 1:
-                surf += tau[k]
-        for k, j, coef in spec.interactions:
-            if mask >> k & 1 and mask >> j & 1:
-                surf += coef
-        po[:, :, mask] = surf
-
-    n = _cell_sizes(spec, keys, raw)
-    panel = PanelDataset(range(1, G + 1), range(1, T + 1), _at(po, _mask_grid(d)), n, d)
-    return SyntheticPanel(panel, spec.kind, po=po)
+    group_part = np.array(base_eff, dtype=float)[:, None] \
+        + spec.effect_group_sd * draws["effect_group"]
+    outcomes = _additive(_baseline(spec, draws), group_part,
+                         spec.effect_time_sd * draws["effect_time"], spec.interactions)
+    panel = PanelDataset(range(1, G + 1), range(1, T + 1), outcomes(on),
+                         _cell_sizes(spec, draws), on * 1.0)
+    return SyntheticPanel(panel, spec.kind, outcomes=outcomes)
 
 
 def _given_dates(name: str, dates, G: int) -> np.ndarray:
@@ -490,14 +616,17 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     G, T = spec.n_groups, spec.n_periods
     g = np.arange(G)
     seed = spec.seed
-    keys, raw = _batch({
-        "f1": (1, seed, STREAM_ADOPTION, g), "f2": (1, seed, STREAM_ADOPTION, G + g),
-        "level": (0, seed, STREAM_FIRST_LEVEL, g), "violation": (0, seed, STREAM_VIOLATION, g),
-        "second": (0, seed, STREAM_SECOND, g), **_requests(spec)})
+    draws = _batch({
+        "f1": (1, lambda keys, raw: _bounded(keys, raw, 2, T + 1), seed, STREAM_ADOPTION, g),
+        "f2": (1, _keyed, seed, STREAM_ADOPTION, G + g),
+        "level": (1, _gauss, seed, STREAM_FIRST_LEVEL, g),
+        "violation": (1, _gauss, seed, STREAM_VIOLATION, g),
+        "second": (T, functools.partial(_gauss, size=T), seed, STREAM_SECOND, g),
+        **_requests(spec)})
     if spec.f1 is not None:
         f1 = _given_dates("f1", spec.f1, G)
     else:
-        f1 = _bounded(keys["f1"], raw["f1"], 2, T + 1)
+        f1 = draws["f1"]
     if spec.f2 is not None:
         f2 = _given_dates("f2", spec.f2, G)
     else:
@@ -505,7 +634,8 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
         # a date outside 1..T+1 is refused below, whatever is drawn here
         f2 = np.full(G, T + 1)
         drawn = np.flatnonzero((f1 >= 1) & (f1 <= T))
-        f2[drawn] = _bounded(keys["f2"][:, drawn], raw["f2"][:, drawn], f1[drawn] + 1, T + 2)
+        keyed = draws["f2"][:, drawn]
+        f2[drawn] = _bounded(keyed[:2], keyed[2:], f1[drawn] + 1, T + 2)
     if np.any(f1 < 1) or np.any(f1 > T + 1) or np.any(f2 < 1) or np.any(f2 > T + 1):
         raise InvalidSpec("adoption dates must lie in 1..T+1")
     if np.any(f2 < f1):
@@ -516,7 +646,7 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
             raise InvalidSpec("first_level must have one entry per group")
         lam = np.asarray(spec.first_level, dtype=float)
     else:
-        lam = spec.first_level_sd * _gauss(keys["level"])
+        lam = spec.first_level_sd * draws["level"]
 
     # event time t - F1 of every treated cell; the first-effect path is keyed
     # by (F1, t), so groups adopting together share it
@@ -527,11 +657,11 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
     path = 0.0
     if spec.first_path_sd:
         dates, cell = np.unique(np.column_stack([f, t]), axis=0, return_inverse=True)
-        request = {"path": (0, spec.seed, STREAM_FIRST_PATH, dates[:, 0], dates[:, 1])}
-        path = spec.first_path_sd * _gauss(_batch(request)[0]["path"])[cell.ravel()]
+        request = {"path": (1, _gauss, spec.seed, STREAM_FIRST_PATH, dates[:, 0], dates[:, 1])}
+        path = spec.first_path_sd * _batch(request)["path"][cell.ravel()]
     viol = 0.0
     if spec.break_common_evolution:
-        viol = spec.break_common_evolution * _gauss(keys["violation"])[gi]
+        viol = spec.break_common_evolution * draws["violation"][gi]
     first_effect = np.zeros((G, T))
     first_effect[gi, ti] = lam[gi] + spec.first_growth * (t - f) + path + viol * (t - f)
 
@@ -544,16 +674,16 @@ def _generate_staggered(spec: DgpSpec) -> SyntheticPanel:
                 second_effect[i, ell] = float(v)
     else:
         second_effect[:] = spec.second_base + spec.second_growth * np.arange(T) \
-            + spec.second_sd * _gauss(keys["second"], T)
+            + spec.second_sd * draws["second"].T
 
-    base = _baseline(spec, keys)
+    base = _baseline(spec, draws)
     y = base.copy()
     y[on1] += first_effect[on1]
     on2 = periods >= f2[:, None]
     y[on2] += second_effect[np.nonzero(on2)[0], (periods - f2[:, None])[on2]]
     d = np.stack([on1, on2]) * 1.0
 
-    n = _cell_sizes(spec, keys, raw)
+    n = _cell_sizes(spec, draws)
     panel = PanelDataset(range(1, G + 1), range(1, T + 1), y, n, d)
     return SyntheticPanel(panel, spec.kind, f1=f1, f2=f2, baseline=base,
                           first_effect=first_effect, second_effect=second_effect)

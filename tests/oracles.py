@@ -12,6 +12,9 @@ copy path runs the library's public estimators on a panel that holds each
 drawn group's copies as groups of their own. The scipy first stage is the
 library's former first stage, which called scipy's checked wrappers for one
 target at a time, kept as the reference that the direct LAPACK calls must
+equal bit for bit. The potential-outcome grid is the library's former
+``generate`` arithmetic on normals that numpy draws stream by stream, kept as
+the reference that the effect surfaces and the grid built from them must
 equal bit for bit.
 """
 
@@ -22,9 +25,10 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
+from multidid import simulate
 from multidid.decomposition import twfe_coefficient
 from multidid.didm import didm, find_switchers
-from multidid.errors import CollinearTreatments
+from multidid.errors import CollinearTreatments, MissingPotentialOutcomes
 from multidid.staggered import build_cohorts, did_ell
 from multidid.tolerances import RANK_RTOL
 
@@ -252,13 +256,68 @@ def polyfit_linear_trends(panel, structure, ell):
             tuple(dropped))
 
 
+def numpy_stream(seed, stream, *coords):
+    """The keyed stream (seed, stream, *coords) as numpy itself builds it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, *coords))))
+
+
+def grid_reference(spec):
+    """The (G, T, 2**K) potential-outcome grid ``po[g, t, mask]`` of a static
+    spec as ``generate`` stored it before it kept effect surfaces instead:
+    every normal drawn by numpy's own ``Generator``, one stream at a time,
+    then each mask's surface summed from the baseline treatment by treatment
+    in k order, then the interactions in list order."""
+    G, T, K = spec.n_groups, spec.n_periods, spec.n_treatments
+
+    def normals(stream, *shape, seed=spec.seed):
+        return np.array([numpy_stream(seed, stream, *cell).standard_normal()
+                         for cell in product(*map(range, shape))]).reshape(shape)
+    periods = np.arange(1, T + 1, dtype=float)
+    eta = spec.time_slope * periods + spec.time_curvature * periods ** 2
+    if spec.time_sd:
+        eta = eta + spec.time_sd * normals(simulate.STREAM_TIME_FE, T)
+    base = spec.group_sd * normals(simulate.STREAM_GROUP_FE, G)[:, None] + eta[None, :]
+    if spec.noise_sd > 0:
+        seed = spec.seed if spec.noise_seed is None else spec.noise_seed
+        base = base + spec.noise_sd * normals(simulate.STREAM_NOISE, G, T, seed=seed)
+    tau = np.array(spec.base_effects or (0.0,) * K, dtype=float)[:, None, None] \
+        + spec.effect_group_sd * normals(simulate.STREAM_EFFECT_GROUP, K, G)[:, :, None] \
+        + spec.effect_time_sd * normals(simulate.STREAM_EFFECT_TIME, K, T)[:, None, :]
+    po = np.empty((G, T, 1 << K))
+    for mask in range(1 << K):
+        surf = base.copy()
+        for k in range(K):
+            if mask >> k & 1:
+                surf += tau[k]
+        for k, j, coef in spec.interactions:
+            if mask >> k & 1 and mask >> j & 1:
+                surf += coef
+        po[:, :, mask] = surf
+    return po
+
+
+def grid_effects(synthetic, target):
+    """``target_effect_grid`` and ``others_effect_grid`` read off ``po``:
+    each cell's outcome with the target on and off, the other treatments as
+    observed, and with none on."""
+    d = synthetic.panel.d
+    masks = sum((d[k] > 0.5).astype(np.int64) << k for k in range(len(d)))
+
+    def at(m):
+        return np.take_along_axis(synthetic.po, m[:, :, None], axis=2)[:, :, 0]
+    on, off = masks | 1 << target, masks & ~(1 << target)
+    return at(on) - at(off), at(off) - synthetic.po[:, :, 0]
+
+
 def potential_outcome(synthetic, gi, ti, d):
     """Outcome of cell (gi, ti) of a static synthetic panel under the binary
     treatment vector ``d``: ``po[gi, ti, mask]``, bit k of mask set when d_k is
     on; MissingPotentialOutcomes without stored outcomes, as the library's
     oracles raise."""
+    if synthetic.po is None:
+        raise MissingPotentialOutcomes("static potential outcomes are not stored for this panel")
     mask = sum(1 << k for k, v in enumerate(d) if v > 0.5)
-    return float(synthetic._require_po()[gi, ti, mask])
+    return float(synthetic.po[gi, ti, mask])
 
 
 def delta_s_reference(synthetic, target):

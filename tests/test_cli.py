@@ -435,7 +435,7 @@ def test_bootstrap_seed_must_be_non_negative(capsys, monkeypatch, four_group_csv
     # the library refuses the seed before it computes the point estimate
     monkeypatch.setattr(m.bootstrap, "_reducer", None)
     panel = m.read_panel_csv(four_group_csv)
-    for seed in (-1, 1.0):
+    for seed in (-1, 1.0, True):  # a bool is no seed, as it is no count b
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, "
                                              f"got {seed!r}$"):
             m.bootstrap_se(panel, "twfe", 4, seed)

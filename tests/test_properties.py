@@ -35,6 +35,8 @@ from .oracles import (
     cohort_reach,
     delta_s_reference,
     dense_dummy_fit,
+    grid_effects,
+    grid_reference,
     polyfit_linear_trends,
     scipy_first_stage,
 )
@@ -111,27 +113,37 @@ def test_switchers_partition_the_target_changes(case):
 
 
 @st.composite
-def static_truths(draw):
-    """Synthetic static panels with stored potential outcomes: random-binary
-    with K = 1..4 (treatment probability 0 gives no switcher) or
-    standard-did, under every cell-size rule."""
+def static_specs(draw):
+    """Static specs: random-binary with K = 1..4 (treatment probability 0
+    gives no switcher) and up to three interactions, or standard-did, under
+    every cell-size rule, with noise on and off. A baseline of signed zeros
+    (-0.0 wherever the group's draw is negative) and effect spreads of 0 make
+    outcomes whose sign of zero an added +0.0 would change."""
     G, T = draw(st.integers(3, 9)), draw(st.integers(3, 6))
     seed = draw(st.integers(0, 2 ** 40))
+    zeros = dict(group_sd=0.0, time_slope=-0.0, time_curvature=-0.0) if draw(st.booleans()) else {}
     common = dict(n_groups=G, n_periods=T, seed=seed, effect_group_sd=1.0,
-                  effect_time_sd=0.5, noise_sd=draw(st.sampled_from((0.0, 0.7))),
-                  cell_sizes=draw(st.sampled_from(("unit", "random", "product"))))
+                  effect_time_sd=draw(st.sampled_from((0.0, 0.5))),
+                  noise_sd=draw(st.sampled_from((0.0, 0.7))),
+                  cell_sizes=draw(st.sampled_from(("unit", "random", "product"))), **zeros)
     if draw(st.booleans()):
         K = draw(st.integers(1, 4))
-        spec = m.DgpSpec(kind="random-binary", n_treatments=K,
+        pairs = st.tuples(st.integers(0, K - 1), st.integers(0, K - 1),
+                          st.sampled_from((0.25, -0.5, 1.0))).filter(lambda p: p[0] != p[1])
+        return m.DgpSpec(kind="random-binary", n_treatments=K,
                          treat_prob=draw(st.sampled_from((0.0, 0.2, 0.5, 0.8))),
                          base_effects=tuple(1.0 - 0.5 * k for k in range(K)),
-                         interactions=((0, K - 1, 0.25),) if K > 1 else (), **common)
-    else:
-        g1, t1 = draw(st.integers(2, G - 1)), draw(st.integers(2, T - 1))
-        spec = m.DgpSpec(kind="standard-did", base_effects=(1.0, -2.0),
-                         thresholds=(g1, t1, draw(st.integers(g1 + 1, G)),
-                                     draw(st.integers(t1 + 1, T))), **common)
-    return m.generate(spec)
+                         interactions=tuple(draw(st.lists(pairs, max_size=3 * (K > 1)))),
+                         **common)
+    g1, t1 = draw(st.integers(2, G - 1)), draw(st.integers(2, T - 1))
+    return m.DgpSpec(kind="standard-did", base_effects=(1.0, -2.0),
+                     thresholds=(g1, t1, draw(st.integers(g1 + 1, G)),
+                                 draw(st.integers(t1 + 1, T))), **common)
+
+
+def static_truths():
+    """Synthetic static panels with stored potential outcomes."""
+    return static_specs().map(m.generate)
 
 
 def _truth(oracle, synthetic, target):
@@ -162,6 +174,38 @@ def _same_truth(synthetic):
                               n_treatments=1, seed=0, treat_prob=0.0)))
 def test_delta_s_oracle_is_the_reference_bit_for_bit(synthetic):
     _same_truth(synthetic)
+
+
+@settings(max_examples=100)
+@given(static_specs())
+def test_oracles_read_the_grid_bit_for_bit(spec):
+    """The effect surfaces give every oracle the bits the potential-outcome
+    grid gives it, and the grid ``po`` built from them on first read is the
+    grid ``generate`` stored: the observed outcomes are its cells at the
+    realized treatments, and each target's effect grids, switcher truth and
+    decomposition right-hand side equal their values read off it."""
+    synthetic = m.generate(spec)
+    panel = synthetic.panel
+    po = grid_reference(spec)
+    assert synthetic.po.tobytes() == po.tobytes()
+    masks = sum((panel.d[k] > 0.5).astype(np.int64) << k for k in range(panel.n_treatments))
+    assert panel.y.tobytes() == np.take_along_axis(po, masks[:, :, None], axis=2).tobytes()
+    # a panel whose oracles compute surfaces, and one that holds the grid
+    lazy = m.generate(spec)
+    for target in range(panel.n_treatments):
+        target_grid, others_grid = grid_effects(synthetic, target)
+        assert lazy.target_effect_grid(target).tobytes() == target_grid.tobytes()
+        assert lazy.others_effect_grid(target).tobytes() == others_grid.tobytes()
+        assert repr(m.delta_s_oracle(lazy, target)) == repr(delta_s_reference(synthetic, target))
+        try:
+            decomp = m.decompose(panel, target)
+        except MultiDidError:
+            continue
+        own, other = decomp.own_support, decomp.contamination_support
+        rhs = float(np.sum(decomp.weights[own] * target_grid[own])
+                    + np.sum(decomp.weights[other] * others_grid[other]))
+        assert repr(m.decomposition_rhs(lazy, decomp)) == repr(rhs)
+    assert lazy._po is None  # no oracle built the grid
 
 
 @given(panels(), st.data())

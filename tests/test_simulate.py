@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -7,15 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import multidid as m
+from multidid import simulate
 from multidid.errors import HorizonOutOfRange, InvalidSpec, MissingPotentialOutcomes
-from multidid.simulate import _batch, _bounded, _gauss, _unit
+from multidid.simulate import _batch, _bounded, _gauss, _keyed, _unit, _ziggurat
 
-from .oracles import potential_outcome
-
-
-def _numpy_stream(seed, stream, *coords):
-    """The keyed stream as numpy itself builds it."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, *coords))))
+from .oracles import numpy_stream, potential_outcome
 
 
 def test_identical_spec_identical_panel():
@@ -261,19 +258,20 @@ def test_keyed_streams_match_numpy(seed, stream, width, size, data):
     lows = np.arange(len(keys)) - 3
     spans = np.array([1, 4, 3, 2 ** 31 + 1, 2 ** 32 - 1, 7, 5, 2 ** 30 * 3 + 1][:len(keys)])
     coords = [np.array(c) for c in zip(*keys)]
-    got_keys, raw = (out[0] for out in _batch({0: (size, seed, stream, *coords)}))
-    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    keyed = _batch({0: (size, _keyed, seed, stream, *coords)})[0]
+    got_keys, raw = keyed[:2], keyed[2:]
+    streams = [numpy_stream(seed, stream, *key) for key in keys]
     assert np.array_equal(np.moveaxis(_unit(raw), 0, -1),
                           [gen.random(size) for gen in streams])
-    streams = [_numpy_stream(seed, stream, *key) for key in keys]
+    streams = [numpy_stream(seed, stream, *key) for key in keys]
     assert np.array_equal(_bounded(got_keys, raw, lows, lows + spans),
                           [gen.integers(lo, lo + n) for gen, lo, n in
                            zip(streams, lows.tolist(), spans.tolist())])
-    streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_gauss(got_keys, size),
+    streams = [numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(np.moveaxis(_gauss(got_keys, raw, size), 0, -1),
                           [gen.standard_normal(size) for gen in streams])
-    streams = [_numpy_stream(seed, stream, *key) for key in keys]
-    assert np.array_equal(_gauss(got_keys),
+    streams = [numpy_stream(seed, stream, *key) for key in keys]
+    assert np.array_equal(_gauss(got_keys, raw),
                           [gen.standard_normal() for gen in streams])
 
 
@@ -282,12 +280,76 @@ def test_rejected_bounded_draws_are_replayed():
     the first draws; those keys go back to numpy, the rest stay vectorized."""
     g = np.arange(200)
     span = 2 ** 31 + 1
-    keys, raw = _batch({0: (1, 11, 7, g)})
-    got = _bounded(keys[0], raw[0], 0, span)
-    first = np.array([_numpy_stream(11, 7, i).bit_generator.random_raw() & 0xFFFFFFFF
+    keyed = _batch({0: (1, _keyed, 11, 7, g)})[0]
+    got = _bounded(keyed[:2], keyed[2:], 0, span)
+    first = np.array([numpy_stream(11, 7, i).bit_generator.random_raw() & 0xFFFFFFFF
                       for i in g.tolist()])
     assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 50
-    assert got.tolist() == [_numpy_stream(11, 7, i).integers(0, span) for i in g.tolist()]
+    assert got.tolist() == [numpy_stream(11, 7, i).integers(0, span) for i in g.tolist()]
+
+
+@given(seed=st.one_of(WORD, st.integers(2 ** 32, 2 ** 70)), stream=st.integers(0, 2 ** 40),
+       first=st.integers(0, 2 ** 32 - 400), count=st.integers(1, 400),
+       size=st.sampled_from((None, 1, 2, 5, 12)))
+@example(seed=0, stream=0, first=0, count=400, size=None)
+@example(seed=7, stream=11, first=0, count=400, size=12)
+def test_batched_normals_match_numpy(seed, stream, first, count, size):
+    """``_batch``'s normal draws, through the ziggurat fast path on the raw
+    Philox outputs or numpy's replay, equal numpy's ``standard_normal()`` and
+    ``standard_normal(size)``, key by key and bit for bit."""
+    g = first + np.arange(count)
+    draw = _gauss if size is None else functools.partial(_gauss, size=size)
+    got = _batch({0: (size or 1, draw, seed, stream, g)})[0]
+    want = np.array([numpy_stream(seed, stream, i).standard_normal(size) for i in g.tolist()])
+    assert (got if size is None else got.T).tobytes() == want.tobytes()
+
+
+def test_rejected_normal_draws_are_replayed():
+    """The ziggurat tables are numpy's: over 4000 first draws every one of
+    the 256 layers occurs, each draw the fast path takes equals numpy's, and
+    the draws it rejects (``rabs >= ki[layer]``; layer 1 always rejects) go
+    back to numpy, a first draw or a later draw of a 12-draw stream alike."""
+    wi, ki = _ziggurat()
+    assert (wi.dtype, ki.dtype, ki[0], ki[1]) == (np.float64, np.uint64, 0xEF33D8025EF6A, 0)
+    g = np.arange(4000)
+    keyed = _batch({0: (12, _keyed, 3, 11, g)})[0]
+    keys, raw = keyed[:2], keyed[2:]
+    layer = raw & np.uint64(0xFF)
+    rejected = raw >> np.uint64(9) & np.uint64(2 ** 52 - 1) >= ki[layer]
+    assert set(layer[0].tolist()) == set(range(256))
+    assert rejected[0].sum() > 10
+    first_rejected = rejected.argmax(axis=0)[rejected.any(axis=0)]
+    assert (first_rejected > 0).sum() > 100
+    assert _gauss(keys, raw).tobytes() == np.array(
+        [numpy_stream(3, 11, i).standard_normal() for i in g.tolist()]).tobytes()
+    assert _gauss(keys, raw, 12).T.tobytes() == np.array(
+        [numpy_stream(3, 11, i).standard_normal(12) for i in g.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    m.DgpSpec(kind="random-binary", n_groups=23, n_periods=7, n_treatments=3, seed=2 ** 33,
+              noise_sd=0.5, cell_sizes="random", time_sd=0.5, effect_group_sd=1.0,
+              interactions=((2, 0, 0.5),)),
+    m.DgpSpec(kind="standard-did", n_groups=19, n_periods=9, thresholds=(3, 2, 9, 6), seed=4,
+              cell_sizes="product", noise_sd=1.0, noise_seed=5, effect_time_sd=0.3),
+    m.DgpSpec(kind="consecutive-staggered", n_groups=31, n_periods=8, seed=9, noise_sd=0.3,
+              cell_sizes="random", first_path_sd=0.4, break_common_evolution=0.2,
+              second_sd=1.0),
+    # no group adopts, so the first-effect path is a request of no stream
+    m.DgpSpec(kind="consecutive-staggered", n_groups=3, n_periods=4, seed=1,
+              f1=(5, 5, 5), f2=(5, 5, 5), first_path_sd=0.4),
+], ids=["random-binary", "standard-did", "staggered", "staggered-no-adopter"])
+def test_blocks_of_streams_do_not_change_the_panel(monkeypatch, spec):
+    """Blocks of 7 streams split every request, and blocks shared between
+    requests, yet give the panel and truth of one block."""
+    whole = m.generate(spec)
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    split = m.generate(spec)
+    for name in ("y", "n", "d"):
+        assert getattr(split.panel, name).tobytes() == getattr(whole.panel, name).tobytes()
+    for name in ("po", "f1", "f2", "baseline", "first_effect", "second_effect"):
+        a, b = getattr(split, name), getattr(whole, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 @given(seed=WORD, wide_seed=st.integers(2 ** 32, 2 ** 64 - 1),
@@ -305,30 +367,34 @@ def test_one_batch_matches_numpy(seed, wide_seed, stream, data):
         pairs += data.draw(st.lists(st.tuples(WORD, WORD), max_size=6))
     a, b = (np.array(c) for c in zip(*pairs))
     g = np.arange(64)
-    requests = {"one": (3, seed, 7, a), "two": (3, seed, 7, a, b), "stream": (3, seed, stream, a),
-                "wide_seed": (3, wide_seed, 7, a, b), "wide_stream": (3, seed, stream, a, b),
+    requests = {"one": (3, _keyed, seed, 7, a), "two": (3, _keyed, seed, 7, a, b),
+                "stream": (3, _keyed, seed, stream, a),
+                "wide_seed": (3, _keyed, wide_seed, 7, a, b),
+                "wide_stream": (3, _keyed, seed, stream, a, b),
                 # staggered-style adoption dates: bounds that differ by key,
                 # spans just above 2**31 so that about half the draws reject
-                "dates": (1, seed, 7, g)}
-    keys, raw = _batch(requests)
-    for name, (outputs, s, k, *coords) in requests.items():
+                "dates": (1, _keyed, seed, 7, g)}
+    keyed = _batch(requests)
+    keys = {name: k[:2] for name, k in keyed.items()}
+    raw = {name: k[2:] for name, k in keyed.items()}
+    for name, (outputs, _, s, k, *coords) in requests.items():
         streams = [(s, k, *c) for c in zip(*(c.tolist() for c in coords))]
         low = np.arange(len(streams)) % 5 + 1
         high = low + 2 ** 31 + 1 + np.arange(len(streams)) % 3
         assert np.array_equal(_bounded(keys[name], raw[name], low, high),
-                              [_numpy_stream(*e).integers(lo, hi) for e, lo, hi in
+                              [numpy_stream(*e).integers(lo, hi) for e, lo, hi in
                                zip(streams, low.tolist(), high.tolist())])
-        assert np.array_equal(_gauss(keys[name]),
-                              [_numpy_stream(*e).standard_normal() for e in streams])
+        assert np.array_equal(_gauss(keys[name], raw[name]),
+                              [numpy_stream(*e).standard_normal() for e in streams])
         assert np.array_equal(np.moveaxis(_unit(raw[name]), 0, -1),
-                              [_numpy_stream(*e).random(outputs) for e in streams])
+                              [numpy_stream(*e).random(outputs) for e in streams])
     first = raw["dates"][0] & 0xFFFFFFFF
     span = (2 ** 31 + 1 + g % 3).astype(np.uint64)
     assert ((first * span) % 2 ** 32 < (2 ** 32 - span) % span).sum() > 10
     drawn = g[g % 3 > 0]  # a selection of keys, as the second adoption date draws
     high = 2 ** 31 + 3
     assert np.array_equal(_bounded(keys["dates"][:, drawn], raw["dates"][:, drawn], 2, high),
-                          [_numpy_stream(seed, 7, i).integers(2, high) for i in drawn.tolist()])
+                          [numpy_stream(seed, 7, i).integers(2, high) for i in drawn.tolist()])
 
 
 @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", "7"),
