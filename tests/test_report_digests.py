@@ -6,12 +6,16 @@ the same path on every machine) and pins the SHA-256 digest of its full
 standard output. The cases cover ``decompose`` with one treatment (empty
 contamination table), with three, with string labels that need escaping and
 with float labels that json spells in exponent form, then ``didm``,
-``dynamic`` and ``bootstrap``; and the tables of ``decompose`` (string and
-float labels, which the CSV writer quotes or spells), ``didm`` and
+``dynamic`` (all three event studies, on the three-cohort example and on a
+generated panel of several cohorts whose studies have placebos) and
+``bootstrap`` (twfe and did_ell); and the tables of ``decompose`` (string
+and float labels, which the CSV writer quotes or spells), ``didm`` and
 ``dynamic``. The JSON digests were taken before the decompose tables were
 written from the weight grid, the CSV digests before the tables and the
-reports shared one writer; a changed byte of any report or table fails
-here. The tool version is part of every report, so a version bump changes
+reports shared one writer, and the digests of the first and combined
+studies, of the several-cohort panel and of the did_ell bootstrap before
+every horizon of a study came from one kernel call; a changed byte of any
+report or table fails here. The tool version is part of every report, so a version bump changes
 every digest.
 
 Print the current digests with ``PYTHONPATH=src python -m tests.test_report_digests``.
@@ -60,6 +64,11 @@ PANELS = {
     "floats": lambda: _relabelled(_synthetic(2, len(FLOAT_GROUPS), 4, 14), FLOAT_GROUPS,
                                   FLOAT_PERIODS),
     "staggered": lambda: three_cohort_example(extra_never_treated=True).panel,
+    # several first-adoption cohorts, each with adopters at several dates
+    "cohorts": lambda: m.generate(m.DgpSpec(
+        kind="consecutive-staggered", n_groups=60, n_periods=10, seed=15,
+        cell_sizes="random", time_sd=0.5, first_level_sd=1.0, first_growth=0.3,
+        second_base=2.0, second_growth=0.5, second_sd=1.0)).panel,
 }
 
 
@@ -71,8 +80,21 @@ CASES = {
     "didm": ("k1", ["didm", "--target", "d1"]),
     "dynamic-second": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
                                      "--strategy", "second"]),
+    "dynamic-first": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                    "--strategy", "first"]),
+    "dynamic-combined": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                       "--strategy", "combined"]),
+    "dynamic-second-cohorts": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                           "--strategy", "second"]),
+    "dynamic-first-cohorts": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                          "--strategy", "first"]),
+    "dynamic-combined-cohorts": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                             "--strategy", "combined"]),
     "bootstrap-twfe": ("k3", ["bootstrap", "--estimator", "twfe", "--target", "d1",
                               "-B", "20", "--seed", "3", "--parallelism", "1"]),
+    "bootstrap-did-ell": ("cohorts", ["bootstrap", "--estimator", "did_ell", "--first", "d1",
+                                      "--second", "d2", "--ell", "1", "-B", "20",
+                                      "--seed", "3"]),
     "decompose-string-labels-csv": ("strings", ["decompose", "--target", "d1",
                                                 "--output", "csv"]),
     "decompose-float-labels-csv": ("floats", ["decompose", "--target", "d2",
@@ -83,6 +105,7 @@ CASES = {
 }
 
 DIGESTS = {
+    "bootstrap-did-ell": "a9e4e5c7d5d573c954e767d88631038dc11471dadf9482b8af9f54957974121b",
     "bootstrap-twfe": "f4a3e499449dff236bd242e8f61d508c6cdb434e1c2e0111f92d7301b4f29b5f",
     "decompose-float-labels": "74e2524b2ce2070057412dea2f0a33b3c2df7050a3cbc0e0be7912b583108313",
     "decompose-float-labels-csv": "c6ac55e892971b53cdd52076abcc13df027dec89ec3d8198f4c14ac74cba3569",
@@ -92,7 +115,12 @@ DIGESTS = {
     "decompose-string-labels-csv": "a4f7f424ed2ee2e01723677a3dd4337a3c35e171f5d1f1799e2be127c0d06ad6",
     "didm": "bb966e0eddaf62dbdf8182cdd164e045c18f7ffee959e081c9d507142ba6d258",
     "didm-csv": "86b408ad33f1b4a795753f82fa2ad74dbc64d894a71aaf6274fca8d39827d64a",
+    "dynamic-combined": "d07e67bc518f5b85e517bfe9ce0cc0b71f0fd75cd2de1fd2caf4051fe73c600c",
+    "dynamic-combined-cohorts": "5bc2e62fcccec441dbc7d880e6be69abfe67be3a1adac5a428593aa06a61c1d3",
+    "dynamic-first": "a23ab38a07785514a4559f5a3b846fcaee5bfca4bcdf1cd5773b7f91ff96056a",
+    "dynamic-first-cohorts": "c08605fe407590a6732a5cbd166ae44a5c8742bc3e3489b1c88a1773f7bdcb80",
     "dynamic-second": "8e4760b99a000ab3f989695e35a7d51874e6e521c9de61a84374deea0d255205",
+    "dynamic-second-cohorts": "fa66bfd8fe24552730391673ec1e110643bedb21aa240e7372db585cdeef11f4",
     "dynamic-second-csv": "2464986b36566bd197e72333f034b3def5c0ccd0354638faa5a2c869702785a4",
 }
 
