@@ -10,7 +10,9 @@ long as its path over time is common across groups.
 
 Every event study here is built from one contrast, the not-yet-treated
 comparison of Callaway & Sant'Anna (2021), over per-group adoption dates a,
-cohort dates c and caps k. At horizon l and date t, the adopters are the
+cohort dates c and caps k; one kernel computes it at every horizon of a
+study in one pass over the dates, and every estimate, component, placebo
+and bootstrap draw is read from its table. At horizon l and date t, the adopters are the
 groups with a = t - l > c and t <= k, and the controls are their cohort mates
 with a > t. The contrast is the difference of the two arms' mean long
 differences Y_t - Y_{t-l-1}, each weighted by cell size at t, wherever both
@@ -90,9 +92,8 @@ class DynamicEffectResult:
         return {
             "horizons": [
                 {"ell": ell, "estimate": est, "components": [
-                    {"f": c.cohort, "t": c.period, "did": c.value,
-                     "n_treated": c.n_treated, "n_control": c.n_control,
-                     "weight": c.weight}
+                    {"f": c.cohort, "t": c.period, "did": c.value, "n_treated": c.n_treated,
+                     "n_control": c.n_control, "weight": c.weight}
                     for c in self.components.get(ell, ())]}
                 for ell, est in sorted(self.estimates.items())],
             "placebos": by_ell(self.placebos, "estimate"),
@@ -111,10 +112,8 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     d = panel.d[k]
     if np.any(d[:, 1:] < d[:, :-1]):
         gi, ti = np.argwhere(d[:, 1:] < d[:, :-1])[0]
-        raise NotStaggered(
-            f"treatment {panel.treatment_names[k]} switches off for group "
-            f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}"
-        )
+        raise NotStaggered(f"treatment {panel.treatment_names[k]} switches off for group "
+                           f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}")
     on = d > 0.5
     return np.where(on.any(axis=1), on.argmax(axis=1) + 1, panel.n_periods + 1)
 
@@ -133,43 +132,55 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
     f1, f2 = _binary_adoption_dates(panel, first, second)
     bad = np.nonzero(f2 < f1)[0]
     if bad.size:
-        raise WrongOrder(
-            f"group {panel.group_labels[bad[0]]!r} adopts the second treatment "
-            f"before the first"
-        )
+        raise WrongOrder(f"group {panel.group_labels[bad[0]]!r} adopts the second "
+                         f"treatment before the first")
     return f1, f2
 
 
 def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
-               cap: np.ndarray | int, ell: int, placebo: bool, n: np.ndarray):
-    """Adopter-versus-not-yet contrasts at horizon ``ell``, as the module defines.
-
-    Each arm is summed per (cohort, date) with ``np.bincount`` over groups in
-    index order, with cell sizes ``n``. Returns the arrays ``cohort, date,
-    value, n_treated, n_control`` over the pairs where both arms have positive
-    size, in (cohort, date) order.
-    """
+               cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
+    """The module's contrasts at every horizon, or at ``ell`` alone, with
+    cell sizes ``n``: arrays ``ell, cohort, date, value, n_treated,
+    n_control`` over the (horizon, cohort, date) triples where both arms have
+    positive size, in that order. One ``np.bincount`` sums the adopter arm,
+    the controls' sizes are summed once per (cohort, date) and their changes
+    date by date, for the horizons with a contrast at that date; every arm
+    sums its groups in index order."""
     T = panel.n_periods
-    t = np.arange(ell + 2 + placebo, T + 1)
-    hi, lo = (t - ell - 2, t - ell - 3) if placebo else (t - 1, t - ell - 2)
-    n_t = n[:, t - 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dy = n_t * (panel.y[:, hi] - panel.y[:, lo])
-    adopter = (adopt > cohort + placebo) & (adopt + ell <= cap)
-    treated = adopter[:, None] & (adopt[:, None] == t - ell)
-    keys = cohort[:, None] * (T + 1) + t
-    size = (T + 2) * (T + 1)
+    y, size = panel.y.ravel(), n.ravel()
+    dates, cells = np.arange(1, T + 1), (T + 2) * T  # cells: (cohort, date) keys
 
-    def arm(mask):
-        return (np.bincount(keys[mask], n_t[mask], size),
-                np.bincount(keys[mask], dy[mask], size))
+    def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
+        hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+            return size[at] * (y[hi] - y[lo])
 
-    n_tr, s_tr = arm(treated)
-    n_co, s_co = arm(adopt[:, None] > t)
-    hit = np.flatnonzero((n_tr > 0) & (n_co > 0))
-    with np.errstate(over="ignore", invalid="ignore"):  # _horizon refuses the result
-        value = s_tr[hit] / n_tr[hit] - s_co[hit] / n_co[hit]
-    return (*np.divmod(hit, T + 1), value, n_tr[hit], n_co[hit])
+    treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
+               & (dates <= np.reshape(cap, (-1, 1))))
+    at = np.flatnonzero(treated if ell is None else treated & (dates == adopt[:, None] + ell))
+    g, t = np.divmod(at, T)
+    h = t + 1 - adopt[g]
+    key = h * cells + cohort[g] * T + t
+    n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, h))
+    control = adopt[:, None] > dates
+    co = np.flatnonzero(control)
+    n_co = np.bincount(cohort[co // T] * T + co % T, size[co], cells)
+    hit = np.flatnonzero((n_tr > 0) & (n_co[np.arange(n_tr.size) % cells] > 0))
+    h, ft = np.divmod(hit, cells)
+    f, t = np.divmod(ft, T)
+    s_co = np.empty(hit.size)
+    for date in np.unique(t).tolist():
+        here = np.flatnonzero(t == date)
+        ells, j = np.unique(h[here], return_inverse=True)
+        # the controls of the cohorts with a contrast at this date
+        controls = np.flatnonzero(control[:, date]
+                                  & (np.bincount(f[here], minlength=T + 2)[cohort] > 0))
+        keys = np.arange(ells.size) * (T + 2) + cohort[controls, None]
+        sums = np.bincount(keys.ravel(), change(controls[:, None] * T + date, ells).ravel())
+        s_co[here] = sums[j * (T + 2) + f[here]]
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+        value = s_tr[hit] / n_tr[hit] - s_co / n_co[ft]
+    return h, f, t + 1, value, n_tr[hit], n_co[ft]
 
 
 def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
@@ -184,10 +195,8 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
     np.minimum.at(first_later, f1[later], f2[later])
     l_nt = int((last - first_later).max()) - 1
     if l_nt < 0:
-        raise PathologicalDesign(
-            "no cohort has two distinct second-treatment adoption dates after "
-            "its first-treatment adoption date"
-        )
+        raise PathologicalDesign("no cohort has two distinct second-treatment adoption "
+                                 "dates after its first-treatment adoption date")
     return CohortStructure(first=first, second=second, f1=f1, f2=f2, l_nt=l_nt)
 
 
@@ -196,44 +205,51 @@ def _check_horizon(l_nt: int, ell: int) -> None:
         raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
 
 
-def _horizon(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-             cap: np.ndarray | int, ell: int, placebo: bool, n: np.ndarray):
-    """Horizon ``ell`` of a cohort event study, None where no contrast exists.
-
-    Calls :func:`_contrasts` once, with cell sizes ``n``; returns the placebo
-    mean if ``placebo``, else the estimate and its components, weighted by
-    adopter size. Totals run left to right in (cohort, date) order.
-    ``cohort=None`` puts all groups in one cohort dated period 1, so any
-    group adopting from period 2 on is an adopter; components are then
-    labelled by adoption date instead of cohort date.
-    """
+def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
+              cap: np.ndarray | int, placebo: bool, n: np.ndarray,
+              ell: int | None = None) -> dict:
+    """Each horizon with a contrast, or ``ell`` alone, of a cohort event
+    study with cell sizes ``n``: its placebo mean if ``placebo``, else its
+    estimate and components, weighted by adopter size and totalled left to
+    right in (cohort, date) order; :func:`_finite` checks them. With
+    ``cohort=None`` all groups form one cohort dated period 1, and
+    components are labelled by adoption date."""
     one_cohort = cohort is None
-    f, t, value, n_tr, n_co = _contrasts(
-        panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, ell, placebo, n)
-    if not t.size:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        n_ell = _running_sum(n_tr)
-        weight = n_tr / n_ell
-        estimate = _running_sum(n_tr * value) / n_ell if placebo else _running_sum(weight * value)
-    if not math.isfinite(estimate):
-        raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
-                             f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
-    if placebo:
-        return estimate
+    h, f, t, value, n_tr, n_co = _contrasts(
+        panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, placebo, n, ell)
+    bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
     label = panel.period_labels.__getitem__
-    cohorts = ((t - ell if one_cohort else f) - 1).tolist()
-    return estimate, tuple(map(HorizonComponent, map(label, cohorts), map(label, (t - 1).tolist()),
-                               value.tolist(), n_tr.tolist(), n_co.tolist(), weight.tolist()))
+    columns = (list(map(label, ((t - h if one_cohort else f) - 1).tolist())),
+               list(map(label, (t - 1).tolist())), value.tolist(), n_tr.tolist(),
+               n_co.tolist())
+    horizons = {}
+    for i, k in zip(bounds, bounds[1:]):
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+            n_ell = _running_sum(n_tr[i:k])
+            weight = n_tr[i:k] / n_ell
+            estimate = (_running_sum(n_tr[i:k] * value[i:k]) / n_ell if placebo
+                        else _running_sum(weight * value[i:k]))
+        horizons[int(h[i])] = estimate if placebo else (estimate, tuple(map(
+            HorizonComponent, *(c[i:k] for c in columns), weight.tolist())))
+    return horizons
+
+
+def _finite(ell: int, estimate: float | None = None, placebo: float | None = None):
+    """Refuse a horizon's overflowed estimate, then its placebo."""
+    for what, value in (("estimate", estimate), ("placebo", placebo)):
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteValue(f"n * (y - earlier y) overflows in the {what} at horizon {ell}")
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
             ell: int) -> tuple[float, tuple[HorizonComponent, ...]]:
     """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
     _check_horizon(structure.l_nt, ell)
-    # every horizon in 0..l_nt has a contrast, so this is never None
-    return _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
-                    placebo=False, n=panel.n)
+    # every horizon in 0..l_nt has a contrast
+    effect = _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
+                       panel.n, ell)[ell]
+    _finite(ell, effect[0])
+    return effect
 
 
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
@@ -245,9 +261,10 @@ def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
     _check_horizon(structure.l_nt, ell)
 
     def estimate(counts: np.ndarray) -> float | None:
-        effect = _horizon(panel, structure.f2, structure.f1, panel.n_periods, ell,
-                          placebo=False, n=counts[:, None] * panel.n)
-        return None if effect is None else effect[0]
+        effect = _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
+                           counts[:, None] * panel.n, ell).get(ell, (None,))
+        _finite(ell, effect[0])
+        return effect[0]
     return estimate
 
 
@@ -255,46 +272,36 @@ def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> fl
     """Pre-adoption analogue of :func:`did_ell`; expectation zero under the
     common-evolution assumption on the first treatment's effect."""
     _check_horizon(structure.l_nt, ell)
-
-    def pre(l):
-        return _horizon(panel, structure.f2, structure.f1, panel.n_periods, l,
-                        placebo=True, n=panel.n)
-
-    if (value := pre(ell)) is None:
-        raise InsufficientPrePeriods(
-            f"no pre-adoption window for horizon {ell}",
-            feasible_horizons=tuple(l for l in range(structure.l_nt + 1)
-                                    if pre(l) is not None))
-    return value
+    pre = _horizons(panel, structure.f2, structure.f1, panel.n_periods, True, panel.n)
+    feasible = tuple(l for l in pre if l <= structure.l_nt)
+    for l in (ell,) if ell in pre else feasible:  # as the per-horizon order would
+        _finite(l, placebo=pre[l])
+    if ell in pre:
+        return pre[ell]
+    raise InsufficientPrePeriods(f"no pre-adoption window for horizon {ell}",
+                                 feasible_horizons=feasible)
 
 
 def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
                  cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
-    """Cohort event study: :func:`_horizon` at every horizon that has a contrast."""
-    estimates: dict[int, float] = {}
-    components: dict[int, tuple[HorizonComponent, ...]] = {}
-    placebo_map: dict[int, float] = {}
-    for ell in range(panel.n_periods - 1):
-        effect = _horizon(panel, adopt, cohort, cap, ell, placebo=False, n=panel.n)
-        if effect is None:
-            continue
-        estimates[ell], components[ell] = effect
-        pre = (_horizon(panel, adopt, cohort, cap, ell, placebo=True, n=panel.n)
-               if placebos else None)
-        if pre is not None:
-            placebo_map[ell] = pre
-    if not estimates:
+    """Cohort event study: each horizon with a contrast, and its placebo if any."""
+    effects = _horizons(panel, adopt, cohort, cap, False, panel.n)
+    pre = _horizons(panel, adopt, cohort, cap, True, panel.n) if placebos else {}
+    if not effects:
         raise NoControls("no adoption date has a not-yet-treated comparison group")
-    return DynamicEffectResult(estimates=estimates, components=components,
-                               placebos=placebo_map)
+    for ell, (estimate, _) in effects.items():
+        _finite(ell, estimate, pre.get(ell))
+    return DynamicEffectResult(
+        estimates={ell: e for ell, (e, _) in effects.items()},
+        components={ell: c for ell, (_, c) in effects.items()},
+        placebos={ell: pre[ell] for ell in effects if ell in pre})
 
 
 def second_treatment_effects(panel: PanelDataset, first: int, second: int,
                              placebos: bool = True) -> DynamicEffectResult:
     """All estimable horizons of the second treatment, with placebos."""
     structure = build_cohorts(panel, first, second)
-    return _event_study(panel, structure.f2, structure.f1, panel.n_periods,
-                        placebos)
+    return _event_study(panel, structure.f2, structure.f1, panel.n_periods, placebos)
 
 
 def first_treatment_effects(panel: PanelDataset, first: int,
@@ -318,8 +325,7 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
     cannot be separated for groups adopting both at once.
     """
     f1, f2 = _binary_adoption_dates(panel, first, second)
-    return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods,
-                        placebos)
+    return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods, placebos)
 
 
 @dataclass(frozen=True)
@@ -329,13 +335,10 @@ class LinearTrendsResult:
     dropped: tuple[tuple[object, str], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "contributions": [
-                {"g": g, "value": v, "weight": w} for g, v, w in self.contributions
-            ],
-            "dropped": [{"g": g, "reason": r} for g, r in self.dropped],
-        }
+        return {"estimate": self.estimate,
+                "contributions": [{"g": g, "value": v, "weight": w}
+                                  for g, v, w in self.contributions],
+                "dropped": [{"g": g, "reason": r} for g, r in self.dropped]}
 
 
 def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
@@ -360,11 +363,8 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
                     for g in np.flatnonzero(short))
     fit = np.flatnonzero(reach & ~short)
     if not fit.size:
-        raise InsufficientPrePeriods(
-            f"no group has both a two-point pre-adoption window and an "
-            f"observation at horizon {ell}",
-            dropped=dropped,
-        )
+        raise InsufficientPrePeriods(f"no group has both a two-point pre-adoption window "
+                                     f"and an observation at horizon {ell}", dropped=dropped)
     # every group's fit at once: weights are the cell sizes inside its
     # window and 0 outside, and x and y are centred on the group's weighted
     # means, which keeps the extrapolation accurate when y is far from 0
@@ -422,11 +422,9 @@ class OrderPartition:
             "second_before_first": list(self.second_before_first),
             "simultaneous": list(self.simultaneous),
             "never_treated": list(self.never_treated),
-            "subsamples": {
-                "first": list(self.first_subsample),
-                "second": list(self.second_subsample),
-                "simultaneous": list(self.simultaneous_subsample),
-            },
+            "subsamples": {"first": list(self.first_subsample),
+                           "second": list(self.second_subsample),
+                           "simultaneous": list(self.simultaneous_subsample)},
         }
 
 

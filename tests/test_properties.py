@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multidid as m
-from multidid import cli, decomposition
+from multidid import cli, decomposition, staggered
 from multidid import panel as panel_mod
 from multidid.errors import (
     CollinearTreatments,
@@ -838,6 +838,23 @@ def test_placebo_ell_is_the_event_study_placebo(panel):
             with pytest.raises(InsufficientPrePeriods) as err:
                 m.placebo_ell(panel, structure, ell)
             assert err.value.feasible_horizons == feasible
+
+
+@given(staggered_panels(), st.data())
+def test_did_ell_reducer_is_the_event_study_table(panel, data):
+    """A bootstrap draw's did_ell is the event-study table's estimate at cell
+    sizes counts * n, and None exactly where that table has no contrast."""
+    counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=panel.n_groups,
+                                         max_size=panel.n_groups)), dtype=float)
+    structure = m.build_cohorts(panel, 0, 1)
+    table = staggered._horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
+                                counts[:, None] * panel.n)
+    for ell in range(structure.l_nt + 1):
+        estimate = staggered._did_ell_reducer(panel, 0, 1, ell)(counts)
+        if ell in table:
+            assert estimate == table[ell][0]
+        else:
+            assert estimate is None
 
 
 def _same(a, b):
