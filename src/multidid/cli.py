@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import sys
@@ -232,8 +233,7 @@ def _cmd_bootstrap(args) -> int:
     if args.output == "csv":
         raise _UsageError("--output csv has no table for bootstrap")
     panel, names = _load(args)
-    target = _column_index(names, args.target, "target treatment") \
-        if args.target else 0
+    target = _column_index(names, args.target, "target treatment") if args.target else 0
     first = _column_index(names, args.first, "first treatment") if args.first else 0
     second = _column_index(names, args.second, "second treatment") if args.second else 1
     if args.estimator == "did_ell":
@@ -340,8 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

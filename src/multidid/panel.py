@@ -124,16 +124,17 @@ class PanelDataset:
             )
         for name, values in zip(("y", "n", *self.treatment_names),
                                 (self.y, self.n, *self.d)):
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                raise NonFiniteValue(f"{name} is {float(values[tuple(bad[0])])!r} at "
-                                     f"{self._cell_name(*bad[0])}")
+            if not np.isfinite(values).all():
+                bad = tuple(np.argwhere(~np.isfinite(values))[0])
+                raise NonFiniteValue(f"{name} is {float(values[bad])!r} at "
+                                     f"{self._cell_name(*bad)}")
         if np.any(self.n <= 0):
             gi, ti = np.argwhere(self.n <= 0)[0]
             raise NonPositiveWeight(f"cell size must be positive, got "
                                     f"{float(self.n[gi, ti])} at {self._cell_name(gi, ti)}")
-        self.d = _canonical(self.d)
-        self.binary_treatments = bool(np.isin(self.d, (0.0, 1.0)).all())
+        binary = np.isin(self.d, (0.0, 1.0)).all()  # then canonical already: no sort
+        self.d = self.d if binary else _canonical(self.d)
+        self.binary_treatments = bool(binary or np.isin(self.d, (0.0, 1.0)).all())
         with np.errstate(over="ignore"):  # groups outer, periods inner
             self.total_n = _running_sum(self.n.ravel())
         if self.total_n == np.inf:

@@ -474,6 +474,17 @@ def test_dynamic_resolves_event_studies_at_call_time(capsys, monkeypatch, stagge
                       "combined_effects"]
 
 
+def test_main_builds_its_parser_once(capsys, four_group_csv):
+    """Every ``main`` call of a process parses with one parser, while
+    ``build_parser`` still returns a fresh one on each call."""
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert _run(capsys, "didm", "--input", four_group_csv, "--target", "d1")[0] == 0
+    assert cli._parser.cache_info()[:2] == (1, 1)  # one call built it, the next reused it
+    assert cli._parser() is cli._parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_out_file(capsys, four_group_csv, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = _run(capsys, "decompose", "--input", four_group_csv,
