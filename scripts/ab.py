@@ -1,0 +1,129 @@
+"""A/B comparison of two revisions on the benchmark, in alternating fresh processes.
+
+Usage, from the repository root:
+
+    python scripts/ab.py PARENT CHANGE --workload staggered-cohorts --pairs 10 \\
+        --seed 1 --out BENCH_27.json
+
+Both revisions are exported with ``git archive`` into a scratch directory
+(``--workdir``, default a new temporary one), so neither side runs stale
+``.pyc`` files. Each pair runs ``bench/run.py --trace 0`` once per side, in
+fresh processes started the same way: this interpreter, the export's root as
+working directory, ``PYTHONDONTWRITEBYTECODE=1``, BLAS on one thread and no
+``PYTHONPATH``. The side that runs first alternates from pair to pair. The
+run length is ``run_seconds`` of the parent's ``BENCHMARK.json``.
+
+For every workload and every end-to-end metric of ``BENCHMARK.json`` (plus
+``wall_s``, read from the report lines), the output holds each side's runs,
+its median and quartiles, and the number of pairs in which the change is
+better; a tie counts for neither side. Operations attempted and failed are
+summed per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def export(rev: str, dest: Path) -> None:
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One fresh ``bench/run.py`` process: its metric values, wall_s and counts."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(THREADS, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, check=True, capture_output=True, text=True).stdout
+    report = json.loads(out.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in report["metrics"].items()}
+    wall = re.search(r"^\s+wall_s\s+([0-9.eE+-]+) s$", out, re.MULTILINE)
+    if wall:
+        values["wall_s"] = float(wall.group(1))
+    return {"values": values, "attempted": report["attempted"], "failed": report["failed"],
+            "correct": report["correct"]}
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    return {"parent_median": statistics.median(parent), "parent_quartiles": [q1, q3],
+            "change_median": statistics.median(change), "change_better_pairs": wins,
+            "pairs": len(parent), "parent": parent, "change": change}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="revision of the parent, e.g. a commit")
+    p.add_argument("change", help="revision of the change")
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload of bench/run.py; repeat for several")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--workdir", default=None, help="scratch directory for the exports")
+    p.add_argument("--out", required=True, help="the JSON file to write")
+    args = p.parse_args(argv)
+
+    work = Path(args.workdir or tempfile.mkdtemp(prefix="multidid-ab-"))
+    trees = {"parent": work / "parent", "change": work / "change"}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        export(rev, trees[side])
+    spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"wall_s": "lower"}
+
+    result = {}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(trees[side], workload, args.seed,
+                                           spec["run_seconds"]))
+            print(f"{workload} pair {pair + 1}: " + ", ".join(
+                f"{side} wall_rel {runs[side][-1]['values'].get('wall_rel'):.4f}"
+                for side in ("parent", "change")), file=sys.stderr)
+        result[workload] = {
+            name: summarize([r["values"][name] for r in runs["parent"]],
+                            [r["values"][name] for r in runs["change"]], better[name])
+            for name in better if name in runs["parent"][0]["values"]}
+        result[workload]["operations"] = {
+            side: {"attempted": sum(r["attempted"] for r in runs[side]),
+                   "failed": sum(r["failed"] for r in runs[side]),
+                   "all_correct": all(r["correct"] for r in runs[side])}
+            for side in runs}
+
+    import numpy  # the interpreter's, which both sides run on
+    import scipy
+    report = {
+        "command": f"python3 bench/run.py --workload <w> --seed {args.seed} "
+                   f"--seconds {spec['run_seconds']} --trace 0",
+        "revisions": {"parent": args.parent, "change": args.change},
+        "method": "fresh git-archive exports, alternating fresh processes, "
+                  "PYTHONDONTWRITEBYTECODE=1, BLAS on one thread",
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "ab": result,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
