@@ -96,12 +96,16 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
     estimate = _reducer(panel, estimator, target, first, second, ell)
     point = estimate(np.ones(G))
     if point is None:
-        raise AllReplicationsDegenerate("the estimator is undefined on the original panel")
+        raise AllReplicationsDegenerate(
+            "the estimator is undefined on the original panel"
+        )
 
     group_n = panel.n.sum(axis=1)
 
     def one(rep: int) -> float | None:
-        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, rep))))
+        rng = np.random.Generator(
+            np.random.Philox(seed=np.random.SeedSequence((seed, rep)))
+        )
         counts = np.bincount(rng.integers(0, G, size=G), minlength=G).astype(float)
         with np.errstate(over="ignore"):
             if not np.isfinite(counts @ group_n):  # a panel PanelDataset refuses

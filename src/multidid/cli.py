@@ -233,7 +233,8 @@ def _cmd_bootstrap(args) -> int:
     if args.output == "csv":
         raise _UsageError("--output csv has no table for bootstrap")
     panel, names = _load(args)
-    target = _column_index(names, args.target, "target treatment") if args.target else 0
+    target = _column_index(names, args.target, "target treatment") \
+        if args.target else 0
     first = _column_index(names, args.first, "first treatment") if args.first else 0
     second = _column_index(names, args.second, "second treatment") if args.second else 1
     if args.estimator == "did_ell":

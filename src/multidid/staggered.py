@@ -10,9 +10,7 @@ long as its path over time is common across groups.
 
 Every event study here is built from one contrast, the not-yet-treated
 comparison of Callaway & Sant'Anna (2021), over per-group adoption dates a,
-cohort dates c and caps k; one kernel computes it at every horizon of a
-study in one pass over the dates, and every estimate, component, placebo
-and bootstrap draw is read from its table. At horizon l and date t, the adopters are the
+cohort dates c and caps k. At horizon l and date t, the adopters are the
 groups with a = t - l > c and t <= k, and the controls are their cohort mates
 with a > t. The contrast is the difference of the two arms' mean long
 differences Y_t - Y_{t-l-1}, each weighted by cell size at t, wherever both
@@ -22,6 +20,7 @@ need a >= c + 2, and have expectation zero exactly when the first
 treatment's effect path is common. The second treatment's study uses
 (a, c, k) = (F2, F1, none); the first treatment's, on the second-free
 sample, (F1, 1, F2 - 1); the bundled treatment's (min(F1, F2), 1, none).
+One kernel pass over the dates gives every horizon of a study its contrasts.
 
 A first-adoption cohort is eligible for the second-treatment study when its
 groups have at least two distinct second-adoption dates strictly after the
@@ -92,8 +91,9 @@ class DynamicEffectResult:
         return {
             "horizons": [
                 {"ell": ell, "estimate": est, "components": [
-                    {"f": c.cohort, "t": c.period, "did": c.value, "n_treated": c.n_treated,
-                     "n_control": c.n_control, "weight": c.weight}
+                    {"f": c.cohort, "t": c.period, "did": c.value,
+                     "n_treated": c.n_treated, "n_control": c.n_control,
+                     "weight": c.weight}
                     for c in self.components.get(ell, ())]}
                 for ell, est in sorted(self.estimates.items())],
             "placebos": by_ell(self.placebos, "estimate"),
@@ -112,8 +112,10 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     d = panel.d[k]
     if np.any(d[:, 1:] < d[:, :-1]):
         gi, ti = np.argwhere(d[:, 1:] < d[:, :-1])[0]
-        raise NotStaggered(f"treatment {panel.treatment_names[k]} switches off for group "
-                           f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}")
+        raise NotStaggered(
+            f"treatment {panel.treatment_names[k]} switches off for group "
+            f"{panel.group_labels[gi]!r} at period {panel.period_labels[ti + 1]!r}"
+        )
     on = d > 0.5
     return np.where(on.any(axis=1), on.argmax(axis=1) + 1, panel.n_periods + 1)
 
@@ -132,27 +134,28 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
     f1, f2 = _binary_adoption_dates(panel, first, second)
     bad = np.nonzero(f2 < f1)[0]
     if bad.size:
-        raise WrongOrder(f"group {panel.group_labels[bad[0]]!r} adopts the second "
-                         f"treatment before the first")
+        raise WrongOrder(
+            f"group {panel.group_labels[bad[0]]!r} adopts the second treatment "
+            f"before the first"
+        )
     return f1, f2
 
 
 def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
                cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
-    """The module's contrasts at every horizon, or at ``ell`` alone, with
-    cell sizes ``n``: arrays ``ell, cohort, date, value, n_treated,
-    n_control`` over the (horizon, cohort, date) triples where both arms have
-    positive size, in that order. One ``np.bincount`` sums the adopter arm,
-    the controls' sizes are summed once per (cohort, date) and their changes
-    date by date, for the horizons with a contrast at that date; every arm
-    sums its groups in index order."""
+    """The module's contrasts at every horizon, or at ``ell`` alone, with cell
+    sizes ``n``: arrays ``ell, cohort, date, value, n_treated, n_control``
+    over the (horizon, cohort, date) triples where both arms have positive
+    size, in that order. One ``np.bincount`` sums the adopter arm; the control
+    sizes are summed once per (cohort, date) and their changes date by date,
+    for the horizons with a contrast at the date. Arms sum groups in index order."""
     T = panel.n_periods
     y, size = panel.y.ravel(), n.ravel()
     dates, cells = np.arange(1, T + 1), (T + 2) * T  # cells: (cohort, date) keys
 
     def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
         hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):  # _horizons refuses the result
             return size[at] * (y[hi] - y[lo])
 
     treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
@@ -163,8 +166,7 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     key = h * cells + cohort[g] * T + t
     n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, h))
     control = adopt[:, None] > dates
-    co = np.flatnonzero(control)
-    n_co = np.bincount(cohort[co // T] * T + co % T, size[co], cells)
+    n_co = np.bincount((cohort[:, None] * T + dates - 1)[control], n[control], cells)
     hit = np.flatnonzero((n_tr > 0) & (n_co[np.arange(n_tr.size) % cells] > 0))
     h, ft = np.divmod(hit, cells)
     f, t = np.divmod(ft, T)
@@ -178,7 +180,7 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
         keys = np.arange(ells.size) * (T + 2) + cohort[controls, None]
         sums = np.bincount(keys.ravel(), change(controls[:, None] * T + date, ells).ravel())
         s_co[here] = sums[j * (T + 2) + f[here]]
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):  # _horizons refuses the result
         value = s_tr[hit] / n_tr[hit] - s_co / n_co[ft]
     return h, f, t + 1, value, n_tr[hit], n_co[ft]
 
@@ -195,8 +197,10 @@ def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructu
     np.minimum.at(first_later, f1[later], f2[later])
     l_nt = int((last - first_later).max()) - 1
     if l_nt < 0:
-        raise PathologicalDesign("no cohort has two distinct second-treatment adoption "
-                                 "dates after its first-treatment adoption date")
+        raise PathologicalDesign(
+            "no cohort has two distinct second-treatment adoption dates after "
+            "its first-treatment adoption date"
+        )
     return CohortStructure(first=first, second=second, f1=f1, f2=f2, l_nt=l_nt)
 
 
@@ -206,14 +210,12 @@ def _check_horizon(l_nt: int, ell: int) -> None:
 
 
 def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-              cap: np.ndarray | int, placebo: bool, n: np.ndarray,
-              ell: int | None = None) -> dict:
-    """Each horizon with a contrast, or ``ell`` alone, of a cohort event
-    study with cell sizes ``n``: its placebo mean if ``placebo``, else its
-    estimate and components, weighted by adopter size and totalled left to
-    right in (cohort, date) order; :func:`_finite` checks them. With
-    ``cohort=None`` all groups form one cohort dated period 1, and
-    components are labelled by adoption date."""
+              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
+    """Estimates and components by horizon of a cohort event study with cell
+    sizes ``n``, at each horizon with a contrast or at ``ell`` alone (placebo
+    means, no components, if ``placebo``), weighted by adopter size and summed
+    left to right in (cohort, date) order. ``cohort=None`` makes all groups one
+    cohort dated period 1, with components labelled by adoption date."""
     one_cohort = cohort is None
     h, f, t, value, n_tr, n_co = _contrasts(
         panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, placebo, n, ell)
@@ -222,23 +224,21 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
     columns = (list(map(label, ((t - h if one_cohort else f) - 1).tolist())),
                list(map(label, (t - 1).tolist())), value.tolist(), n_tr.tolist(),
                n_co.tolist())
-    horizons = {}
+    estimates, components = {}, {}
     for i, k in zip(bounds, bounds[1:]):
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the result
+        ell = int(h[i])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
             n_ell = _running_sum(n_tr[i:k])
             weight = n_tr[i:k] / n_ell
-            estimate = (_running_sum(n_tr[i:k] * value[i:k]) / n_ell if placebo
-                        else _running_sum(weight * value[i:k]))
-        horizons[int(h[i])] = estimate if placebo else (estimate, tuple(map(
-            HorizonComponent, *(c[i:k] for c in columns), weight.tolist())))
-    return horizons
-
-
-def _finite(ell: int, estimate: float | None = None, placebo: float | None = None):
-    """Refuse a horizon's overflowed estimate, then its placebo."""
-    for what, value in (("estimate", estimate), ("placebo", placebo)):
-        if value is not None and not math.isfinite(value):
-            raise NonFiniteValue(f"n * (y - earlier y) overflows in the {what} at horizon {ell}")
+            estimates[ell] = (_running_sum(n_tr[i:k] * value[i:k]) / n_ell if placebo
+                              else _running_sum(weight * value[i:k]))
+        if not math.isfinite(estimates[ell]):
+            raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
+                                 f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
+        if not placebo:
+            components[ell] = tuple(map(HorizonComponent, *(c[i:k] for c in columns),
+                                        weight.tolist()))
+    return estimates, components
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
@@ -246,25 +246,21 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
     """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
     _check_horizon(structure.l_nt, ell)
     # every horizon in 0..l_nt has a contrast
-    effect = _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
-                       panel.n, ell)[ell]
-    _finite(ell, effect[0])
-    return effect
+    estimates, components = _horizons(panel, structure.f2, structure.f1, panel.n_periods,
+                                      False, panel.n, ell)
+    return estimates[ell], components[ell]
 
 
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
-    """:func:`did_ell` as a function of per-group draw counts: a bootstrap
-    draw is the panel with cell sizes ``counts[g] * n``. A draw has a
-    contrast at ``ell`` exactly when ``ell`` is at most its drawn groups'
-    ``l_nt``; the estimate is None where it has none."""
+    """:func:`did_ell` as a function of per-group draw counts, a draw being the
+    panel with cell sizes ``counts[g] * n``: None where the draw has no
+    contrast at ``ell``, which is where ``ell`` exceeds its groups' ``l_nt``."""
     structure = build_cohorts(panel, first, second)
     _check_horizon(structure.l_nt, ell)
 
     def estimate(counts: np.ndarray) -> float | None:
-        effect = _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
-                           counts[:, None] * panel.n, ell).get(ell, (None,))
-        _finite(ell, effect[0])
-        return effect[0]
+        return _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
+                         counts[:, None] * panel.n, ell)[0].get(ell)
     return estimate
 
 
@@ -272,36 +268,32 @@ def placebo_ell(panel: PanelDataset, structure: CohortStructure, ell: int) -> fl
     """Pre-adoption analogue of :func:`did_ell`; expectation zero under the
     common-evolution assumption on the first treatment's effect."""
     _check_horizon(structure.l_nt, ell)
-    pre = _horizons(panel, structure.f2, structure.f1, panel.n_periods, True, panel.n)
-    feasible = tuple(l for l in pre if l <= structure.l_nt)
-    for l in (ell,) if ell in pre else feasible:  # as the per-horizon order would
-        _finite(l, placebo=pre[l])
-    if ell in pre:
-        return pre[ell]
-    raise InsufficientPrePeriods(f"no pre-adoption window for horizon {ell}",
-                                 feasible_horizons=feasible)
+    study = (panel, structure.f2, structure.f1, panel.n_periods, True, panel.n)
+    if ell not in (placebos := _horizons(*study, ell)[0]):
+        # a placebo needs an estimate, so none is past l_nt
+        raise InsufficientPrePeriods(f"no pre-adoption window for horizon {ell}",
+                                     feasible_horizons=tuple(_horizons(*study)[0]))
+    return placebos[ell]
 
 
 def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
                  cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
-    """Cohort event study: each horizon with a contrast, and its placebo if any."""
-    effects = _horizons(panel, adopt, cohort, cap, False, panel.n)
-    pre = _horizons(panel, adopt, cohort, cap, True, panel.n) if placebos else {}
-    if not effects:
+    """Cohort event study: every horizon with a contrast, and its placebo where
+    it has one (a placebo's adopters are some of the estimate's adopters)."""
+    estimates, components = _horizons(panel, adopt, cohort, cap, False, panel.n)
+    if not estimates:
         raise NoControls("no adoption date has a not-yet-treated comparison group")
-    for ell, (estimate, _) in effects.items():
-        _finite(ell, estimate, pre.get(ell))
     return DynamicEffectResult(
-        estimates={ell: e for ell, (e, _) in effects.items()},
-        components={ell: c for ell, (_, c) in effects.items()},
-        placebos={ell: pre[ell] for ell in effects if ell in pre})
+        estimates=estimates, components=components,
+        placebos=_horizons(panel, adopt, cohort, cap, True, panel.n)[0] if placebos else {})
 
 
 def second_treatment_effects(panel: PanelDataset, first: int, second: int,
                              placebos: bool = True) -> DynamicEffectResult:
     """All estimable horizons of the second treatment, with placebos."""
     structure = build_cohorts(panel, first, second)
-    return _event_study(panel, structure.f2, structure.f1, panel.n_periods, placebos)
+    return _event_study(panel, structure.f2, structure.f1, panel.n_periods,
+                        placebos)
 
 
 def first_treatment_effects(panel: PanelDataset, first: int,
@@ -325,7 +317,8 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
     cannot be separated for groups adopting both at once.
     """
     f1, f2 = _binary_adoption_dates(panel, first, second)
-    return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods, placebos)
+    return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods,
+                        placebos)
 
 
 @dataclass(frozen=True)
@@ -335,10 +328,13 @@ class LinearTrendsResult:
     dropped: tuple[tuple[object, str], ...]
 
     def to_dict(self) -> dict:
-        return {"estimate": self.estimate,
-                "contributions": [{"g": g, "value": v, "weight": w}
-                                  for g, v, w in self.contributions],
-                "dropped": [{"g": g, "reason": r} for g, r in self.dropped]}
+        return {
+            "estimate": self.estimate,
+            "contributions": [
+                {"g": g, "value": v, "weight": w} for g, v, w in self.contributions
+            ],
+            "dropped": [{"g": g, "reason": r} for g, r in self.dropped],
+        }
 
 
 def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
@@ -363,8 +359,11 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
                     for g in np.flatnonzero(short))
     fit = np.flatnonzero(reach & ~short)
     if not fit.size:
-        raise InsufficientPrePeriods(f"no group has both a two-point pre-adoption window "
-                                     f"and an observation at horizon {ell}", dropped=dropped)
+        raise InsufficientPrePeriods(
+            f"no group has both a two-point pre-adoption window and an "
+            f"observation at horizon {ell}",
+            dropped=dropped,
+        )
     # every group's fit at once: weights are the cell sizes inside its
     # window and 0 outside, and x and y are centred on the group's weighted
     # means, which keeps the extrapolation accurate when y is far from 0
@@ -422,9 +421,11 @@ class OrderPartition:
             "second_before_first": list(self.second_before_first),
             "simultaneous": list(self.simultaneous),
             "never_treated": list(self.never_treated),
-            "subsamples": {"first": list(self.first_subsample),
-                           "second": list(self.second_subsample),
-                           "simultaneous": list(self.simultaneous_subsample)},
+            "subsamples": {
+                "first": list(self.first_subsample),
+                "second": list(self.second_subsample),
+                "simultaneous": list(self.simultaneous_subsample),
+            },
         }
 
 

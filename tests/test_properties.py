@@ -847,12 +847,12 @@ def test_did_ell_reducer_is_the_event_study_table(panel, data):
     counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=panel.n_groups,
                                          max_size=panel.n_groups)), dtype=float)
     structure = m.build_cohorts(panel, 0, 1)
-    table = staggered._horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
-                                counts[:, None] * panel.n)
+    estimates = staggered._horizons(panel, structure.f2, structure.f1, panel.n_periods,
+                                    False, counts[:, None] * panel.n)[0]
     for ell in range(structure.l_nt + 1):
         estimate = staggered._did_ell_reducer(panel, 0, 1, ell)(counts)
-        if ell in table:
-            assert estimate == table[ell][0]
+        if ell in estimates:
+            assert estimate == estimates[ell]
         else:
             assert estimate is None
 
