@@ -151,7 +151,7 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     for the horizons with a contrast at the date. Arms sum groups in index order."""
     T = panel.n_periods
     y, size = panel.y.ravel(), n.ravel()
-    dates, cells = np.arange(1, T + 1), (T + 2) * T  # cells: (cohort, date) keys
+    dates = np.arange(1, T + 1)
 
     def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
         hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
@@ -162,14 +162,21 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
                & (dates <= np.reshape(cap, (-1, 1))))
     at = np.flatnonzero(treated if ell is None else treated & (dates == adopt[:, None] + ell))
     g, t = np.divmod(at, T)
-    h = t + 1 - adopt[g]
-    key = h * cells + cohort[g] * T + t
-    n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, h))
+    # adopter cells keyed by date and by their group's (cohort, adoption date)
+    # ranked among those present, which keeps the table within the panel's size
+    pair = cohort[g] * (T + 2) + adopt[g]
+    present = np.bincount(pair, minlength=(T + 2) ** 2) > 0
+    key = (np.cumsum(present) - 1)[pair] * T + t
+    n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, t + 1 - adopt[g]))
     control = adopt[:, None] > dates
-    n_co = np.bincount((cohort[:, None] * T + dates - 1)[control], n[control], cells)
-    hit = np.flatnonzero((n_tr > 0) & (n_co[np.arange(n_tr.size) % cells] > 0))
-    h, ft = np.divmod(hit, cells)
-    f, t = np.divmod(ft, T)
+    n_co = np.bincount((cohort[:, None] * T + dates - 1)[control], n[control], (T + 2) * T)
+    bins = np.flatnonzero(n_tr > 0)
+    f, a = np.divmod(np.flatnonzero(present)[bins // T], T + 2)
+    t = bins % T
+    keep = np.flatnonzero(n_co[f * T + t] > 0)
+    keep = keep[np.lexsort((t[keep], f[keep], (t - a)[keep]))]  # (horizon, cohort, date)
+    hit, h, f, t = bins[keep], (t - a + 1)[keep], f[keep], t[keep]
+    ft = f * T + t
     s_co = np.empty(hit.size)
     for date in np.unique(t).tolist():
         here = np.flatnonzero(t == date)
