@@ -20,7 +20,7 @@ need a >= c + 2, and have expectation zero exactly when the first
 treatment's effect path is common. The second treatment's study uses
 (a, c, k) = (F2, F1, none); the first treatment's, on the second-free
 sample, (F1, 1, F2 - 1); the bundled treatment's (min(F1, F2), 1, none).
-One kernel pass over the dates gives every horizon of a study its contrasts.
+One kernel call gives every horizon of a study its contrasts.
 
 A first-adoption cohort is eligible for the second-treatment study when its
 groups have at least two distinct second-adoption dates strictly after the
@@ -147,8 +147,8 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     sizes ``n``: arrays ``ell, cohort, date, value, n_treated, n_control``
     over the (horizon, cohort, date) triples where both arms have positive
     size, in that order. One ``np.bincount`` sums the adopter arm; the control
-    sizes are summed once per (cohort, date) and their changes date by date,
-    for the horizons with a contrast at the date. Arms sum groups in index order."""
+    sizes are summed once per (cohort, date), and their changes once per
+    horizon, over the control cells of its contrasts. Arms sum groups in index order."""
     T = panel.n_periods
     y, size = panel.y.ravel(), n.ravel()
     dates = np.arange(1, T + 1)
@@ -168,8 +168,9 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     present = np.bincount(pair, minlength=(T + 2) ** 2) > 0
     key = (np.cumsum(present) - 1)[pair] * T + t
     n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, t + 1 - adopt[g]))
-    control = adopt[:, None] > dates
-    n_co = np.bincount((cohort[:, None] * T + dates - 1)[control], n[control], (T + 2) * T)
+    control = np.flatnonzero(adopt[:, None] > dates)
+    at_co = cohort[control // T] * T + control % T  # the (cohort, date) of each control cell
+    n_co = np.bincount(at_co, size[control], (T + 2) * T)
     bins = np.flatnonzero(n_tr > 0)
     f, a = np.divmod(np.flatnonzero(present)[bins // T], T + 2)
     t = bins % T
@@ -178,15 +179,12 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     hit, h, f, t = bins[keep], (t - a + 1)[keep], f[keep], t[keep]
     ft = f * T + t
     s_co = np.empty(hit.size)
-    for date in np.unique(t).tolist():
-        here = np.flatnonzero(t == date)
-        ells, j = np.unique(h[here], return_inverse=True)
-        # the controls of the cohorts with a contrast at this date
-        controls = np.flatnonzero(control[:, date]
-                                  & (np.bincount(f[here], minlength=T + 2)[cohort] > 0))
-        keys = np.arange(ells.size) * (T + 2) + cohort[controls, None]
-        sums = np.bincount(keys.ravel(), change(controls[:, None] * T + date, ells).ravel())
-        s_co[here] = sums[j * (T + 2) + f[here]]
+    bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
+    for i, k in zip(bounds, bounds[1:]):  # each horizon: its contrasts' control cells
+        want = np.zeros((T + 2) * T, bool)
+        want[ft[i:k]] = True
+        cells = np.flatnonzero(want[at_co])
+        s_co[i:k] = np.bincount(at_co[cells], change(control[cells], h[i]), (T + 2) * T)[ft[i:k]]
     with np.errstate(over="ignore", invalid="ignore"):  # _horizons refuses the result
         value = s_tr[hit] / n_tr[hit] - s_co / n_co[ft]
     return h, f, t + 1, value, n_tr[hit], n_co[ft]
@@ -217,20 +215,23 @@ def _check_horizon(l_nt: int, ell: int) -> None:
 
 
 def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
-    """Estimates and components by horizon of a cohort event study with cell
-    sizes ``n``, at each horizon with a contrast or at ``ell`` alone (placebo
-    means, no components, if ``placebo``), weighted by adopter size and summed
-    left to right in (cohort, date) order. ``cohort=None`` makes all groups one
-    cohort dated period 1, with components labelled by adoption date."""
+              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None,
+              labelled: bool = False):
+    """Estimates (placebo means if ``placebo``) by horizon of a cohort event
+    study with cell sizes ``n``, at each horizon with a contrast or at ``ell``
+    alone, weighted by adopter size and summed left to right in (cohort, date)
+    order; if ``labelled``, also each horizon's components. ``cohort=None``
+    makes all groups one cohort dated period 1, with components labelled by
+    adoption date."""
     one_cohort = cohort is None
     h, f, t, value, n_tr, n_co = _contrasts(
         panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, placebo, n, ell)
     bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
-    label = panel.period_labels.__getitem__
-    columns = (list(map(label, ((t - h if one_cohort else f) - 1).tolist())),
-               list(map(label, (t - 1).tolist())), value.tolist(), n_tr.tolist(),
-               n_co.tolist())
+    if labelled:
+        label = panel.period_labels.__getitem__
+        columns = (list(map(label, ((t - h if one_cohort else f) - 1).tolist())),
+                   list(map(label, (t - 1).tolist())), value.tolist(), n_tr.tolist(),
+                   n_co.tolist())
     estimates, components = {}, {}
     for i, k in zip(bounds, bounds[1:]):
         ell = int(h[i])
@@ -242,7 +243,7 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
         if not math.isfinite(estimates[ell]):
             raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
                                  f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
-        if not placebo:
+        if labelled:
             components[ell] = tuple(map(HorizonComponent, *(c[i:k] for c in columns),
                                         weight.tolist()))
     return estimates, components
@@ -254,7 +255,7 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
     _check_horizon(structure.l_nt, ell)
     # every horizon in 0..l_nt has a contrast
     estimates, components = _horizons(panel, structure.f2, structure.f1, panel.n_periods,
-                                      False, panel.n, ell)
+                                      False, panel.n, ell, labelled=True)
     return estimates[ell], components[ell]
 
 
@@ -287,7 +288,7 @@ def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | No
                  cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
     """Cohort event study: every horizon with a contrast, and its placebo where
     it has one (a placebo's adopters are some of the estimate's adopters)."""
-    estimates, components = _horizons(panel, adopt, cohort, cap, False, panel.n)
+    estimates, components = _horizons(panel, adopt, cohort, cap, False, panel.n, labelled=True)
     if not estimates:
         raise NoControls("no adoption date has a not-yet-treated comparison group")
     return DynamicEffectResult(

@@ -36,8 +36,7 @@ MUTANTS = {
         ["test_bootstrap.py::test_didm_empty_switchers_excluded",
          "test_bootstrap.py::test_count_weighted_replicates_match_the_copy_path"]),
     "an adopter on its adoption date is a control": (
-        staggered, "_contrasts", "control = adopt[:, None] > dates",
-        "control = adopt[:, None] >= dates",
+        staggered, "_contrasts", "adopt[:, None] > dates", "adopt[:, None] >= dates",
         ["test_staggered.py::test_did_ell_fixture_values",
          "test_staggered.py::test_event_studies_match_brute_force_oracle"]),
     "fixed effects without the refinement pass": (
