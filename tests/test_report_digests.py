@@ -5,18 +5,22 @@ the panel's directory with a relative ``--input`` (so that ``config`` holds
 the same path on every machine) and pins the SHA-256 digest of its full
 standard output. The cases cover ``decompose`` with one treatment (empty
 contamination table), with three, with string labels that need escaping and
-with float labels that json spells in exponent form, then ``didm``,
-``dynamic`` (all three event studies, on the three-cohort example and on a
-generated panel of several cohorts whose studies have placebos) and
-``bootstrap`` (twfe and did_ell); and the tables of ``decompose`` (string
-and float labels, which the CSV writer quotes or spells), ``didm`` and
-``dynamic``. The JSON digests were taken before the decompose tables were
-written from the weight grid, the CSV digests before the tables and the
-reports shared one writer, and the digests of the first and combined
-studies, of the several-cohort panel and of the did_ell bootstrap before
-every horizon of a study came from one kernel call; a changed byte of any
-report or table fails here. The tool version is part of every report, so a version bump changes
-every digest.
+with float labels that json spells in exponent form, then ``didm`` on the
+same four panels (on the last three with both drop reasons, baselines of one
+and two other treatments, and the labels in the dropped cells and the
+component periods), ``dynamic`` (all three event studies, on the
+three-cohort example and on a generated panel of several cohorts whose
+studies have placebos) and ``bootstrap`` (twfe and did_ell); and the tables
+of ``decompose`` (string and float labels, which the CSV writer quotes or
+spells), ``didm`` (on the four panels) and ``dynamic``. The JSON digests
+were taken before the decompose tables were written from the weight grid,
+the CSV digests before the tables and the reports shared one writer, and the
+digests of the first and combined studies, of the several-cohort panel and
+of the did_ell bootstrap before every horizon of a study came from one
+kernel call, and the ``didm`` digests on the K=3, string and float panels
+before the ``didm`` tables were written from the strata arrays; a changed
+byte of any report or table fails here. The tool version is part of every
+report, so a version bump changes every digest.
 
 Print the current digests with ``PYTHONPATH=src python -m tests.test_report_digests``.
 """
@@ -100,6 +104,12 @@ CASES = {
     "decompose-float-labels-csv": ("floats", ["decompose", "--target", "d2",
                                               "--output", "csv"]),
     "didm-csv": ("k1", ["didm", "--target", "d1", "--output", "csv"]),
+    "didm-k3": ("k3", ["didm", "--target", "d2"]),
+    "didm-k3-csv": ("k3", ["didm", "--target", "d2", "--output", "csv"]),
+    "didm-string-labels": ("strings", ["didm", "--target", "d2"]),
+    "didm-string-labels-csv": ("strings", ["didm", "--target", "d2", "--output", "csv"]),
+    "didm-float-labels": ("floats", ["didm", "--target", "d1"]),
+    "didm-float-labels-csv": ("floats", ["didm", "--target", "d1", "--output", "csv"]),
     "dynamic-second-csv": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
                                          "--strategy", "second", "--output", "csv"]),
 }
@@ -115,6 +125,12 @@ DIGESTS = {
     "decompose-string-labels-csv": "a4f7f424ed2ee2e01723677a3dd4337a3c35e171f5d1f1799e2be127c0d06ad6",
     "didm": "bb966e0eddaf62dbdf8182cdd164e045c18f7ffee959e081c9d507142ba6d258",
     "didm-csv": "86b408ad33f1b4a795753f82fa2ad74dbc64d894a71aaf6274fca8d39827d64a",
+    "didm-float-labels": "3271555e915f831b2a1ce2508307006b9d0a9bc727c4a0292c1a2e8cbc5e36af",
+    "didm-float-labels-csv": "032dcf7cfae51a097d3a64afa456cea458d5d5d2e43af77393b078498e3ece8c",
+    "didm-k3": "a2512f4c541f0f3766897dbe0758cf0b8e247afb59d8f5b2f923fae1c670900c",
+    "didm-k3-csv": "3ec169c59ec79805c7e9af0888aa14ad5881cb99361c0ad0be63d761a03423fb",
+    "didm-string-labels": "f528fefef0d1e718a9797a7218058b0ce07799c44f8f6566dbb8f81eed29a84e",
+    "didm-string-labels-csv": "edb990f59a1a663e1861461653466ab0a132a122ecf81761a267800e23a452ef",
     "dynamic-combined": "d07e67bc518f5b85e517bfe9ce0cc0b71f0fd75cd2de1fd2caf4051fe73c600c",
     "dynamic-combined-cohorts": "5bc2e62fcccec441dbc7d880e6be69abfe67be3a1adac5a428593aa06a61c1d3",
     "dynamic-first": "a23ab38a07785514a4559f5a3b846fcaee5bfca4bcdf1cd5773b7f91ff96056a",
