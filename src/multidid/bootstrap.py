@@ -90,7 +90,7 @@ def bootstrap_se(panel: PanelDataset, estimator: str, b: int, seed: int, *,
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATORS}")
     if _integer(b, "b") < 1:
         raise ValueError("b must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     G = panel.n_groups
     estimate = _reducer(panel, estimator, target, first, second, ell)

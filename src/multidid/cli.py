@@ -17,13 +17,18 @@ import dataclasses
 import functools
 import hashlib
 import io
+import os
 import sys
 import warnings
 from itertools import chain, repeat
 
+import numpy as np
+
 from . import __version__
 from .bootstrap import ESTIMATORS, bootstrap_se
 from .decomposition import (
+    _json_rows,
+    _json_texts,
     decompose,
     decomposition_csv_rows,
     decomposition_report,  # noqa: F401  the benchmark's trace wraps this name (ROADMAP item 2)
@@ -31,7 +36,7 @@ from .decomposition import (
     encode_json,
     summarize,
 )
-from .didm import didm
+from .didm import _REASONS, didm
 from .errors import InsufficientPrePeriods, MissingColumn, MultiDidError
 from .panel import _destination, _repeated, _write_csv, read_panel_csv, write_panel_csv
 from .simulate import DgpSpec, generate
@@ -59,6 +64,7 @@ exit codes:
   6  nothing estimable at the requested horizon (no controls, not enough
      pre-periods, horizon out of range)
   7  all bootstrap replications degenerate
+  141  standard output closed by its reader (128 + SIGPIPE)
   1  unexpected error
 """
 
@@ -94,16 +100,17 @@ class _UsageError(Exception):
     """A command line whose options contradict each other (exit 2)."""
 
 
-def _dropped_lines(what: str, drops: list[tuple[str, object]], name) -> list[str]:
-    """One warning per reason of ``drops``, (reason, item) pairs, in order of
-    first appearance: the count of ``what`` dropped and the first 5 items,
-    spelled by ``name``; the report lists them all."""
+def _dropped_lines(what: str, codes: np.ndarray, reasons, name) -> list[str]:
+    """One warning per reason, in order of first appearance, for dropped items
+    i of reason ``reasons[codes[i]]``: the count of ``what`` dropped and the
+    first 5 items, item i spelled by ``name(i)``; the report lists them all."""
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     lines = []
-    for reason in dict.fromkeys(r for r, _ in drops):
-        items = [item for r, item in drops if r == reason]
-        more = f" and {len(items) - 5} more" if len(items) > 5 else ""
-        lines.append(f"dropped {len(items)} {what} ({reason}): "
-                     f"{', '.join(map(name, items[:5]))}{more}")
+    for i, count in sorted(zip(first.tolist(), counts.tolist())):
+        items = np.flatnonzero(codes == codes[i])[:5].tolist()
+        more = f" and {count - 5} more" if count > 5 else ""
+        lines.append(f"dropped {count} {what} ({reasons[codes[i]]}): "
+                     f"{', '.join(map(name, items))}{more}")
     return lines
 
 
@@ -153,14 +160,42 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _didm_report_json(result) -> dict[str, str]:
+    """``result.to_dict()`` with each value as its :func:`encode_json` text,
+    the component and drop tables written by :func:`_json_rows` straight from
+    the strata arrays and the lost cells."""
+    key, lost = result.key, result.lost
+    G = len(lost.group_labels)
+    baseline = key[:, 1:-2].T
+    sep = [", "] * (len(baseline) - 1) + [""]  # after each of the baseline's values
+    up = (key[:, -1] > key[:, -2]).view(np.int8)
+    components = _json_rows(
+        ([f'{{"t": {t}, "baseline": [' for t in _json_texts(result.period_labels)],
+         key[:, 0].astype(np.intp)),
+        *chain.from_iterable(zip(baseline, sep)),
+        (['], "direction": "down", "target_from": ',
+          '], "direction": "up", "target_from": '], up),
+        key[:, -2], ', "target_to": ', key[:, -1], ', "did": ', result.value,
+        ', "weight": ', result.weight, "}")
+    dropped = _json_rows(
+        ([f'{{"g": {g}, "t": ' for g in _json_texts(lost.group_labels)], lost.cells % G),
+        ([f'{t}, "reason": ' for t in _json_texts(lost.period_labels)], lost.cells // G + 1),
+        ([f'{encode_json(r)}}}' for r in _REASONS], lost.moved.view(np.int8)))
+    return {"estimate": encode_json(result.estimate), "n_switchers": encode_json(result.n_s),
+            "components": f"[{', '.join(components)}]", "dropped": f"[{', '.join(dropped)}]",
+            "standard_error": encode_json(result.standard_error)}
+
+
 def _cmd_didm(args) -> int:
     panel, names = _load(args)
     target = _column_index(names, args.target, "target treatment")
     result = didm(panel, target, binary_only=args.binary_only)
-    report = result.to_dict()
+    lost, G = result.lost, panel.n_groups
     warned = [] if result.n_s else ["no usable switcher, estimate is 0 by convention"]
-    warned += _dropped_lines("switching cell(s)", [(d["reason"], d) for d in report["dropped"]],
-                             lambda d: f"g={d['g']!r} t={d['t']!r}")
+    warned += _dropped_lines(
+        "switching cell(s)", lost.moved.view(np.int8), _REASONS,
+        lambda i: f"g={panel.group_labels[lost.cells[i] % G]!r} "
+                  f"t={panel.period_labels[lost.cells[i] // G + 1]!r}")
     if warned:
         sys.stderr.write("".join(f"warning: {w}\n" for w in warned))
     if args.output == "csv":
@@ -168,7 +203,7 @@ def _cmd_didm(args) -> int:
                  c.value, c.weight) for c in result.components]
         _write_csv(args.out, ["t", "baseline", "direction", "did", "weight"], rows)
     else:
-        _emit_json(args, report, args.out)
+        _emit_report(args, _didm_report_json(result), args.out)
     return 0
 
 
@@ -196,9 +231,10 @@ def _cmd_dynamic(args) -> int:
                 print(f"warning: horizon {ell}: {exc}", file=sys.stderr)
         if not horizons:
             raise InsufficientPrePeriods("no horizon is estimable with linear trends")
-        drops = [(reason, (ell, g)) for ell, res in horizons.items() for g, reason in res.dropped]
-        for line in _dropped_lines("group-horizon pair(s)", drops,
-                                   lambda pair: f"ell={pair[0]} g={pair[1]!r}"):
+        drops = [(ell, g, reason) for ell, res in horizons.items() for g, reason in res.dropped]
+        reasons, codes = np.unique([r for *_, r in drops], return_inverse=True)
+        for line in _dropped_lines("group-horizon pair(s)", codes, reasons,
+                                   lambda i: f"ell={drops[i][0]} g={drops[i][1]!r}"):
             print(f"warning: {line}", file=sys.stderr)
         payload = {"horizons": [
             {"ell": ell, **res.to_dict()} for ell, res in sorted(horizons.items())
@@ -348,12 +384,17 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        return code
     except _UsageError as exc:
         parser.error(f"{args.subcommand}: {exc}")
     except MultiDidError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: the flush at exit goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

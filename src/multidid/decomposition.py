@@ -54,6 +54,35 @@ def encode_json(value) -> str:
         raise NonFiniteValue(f"report holds a non-finite number ({exc})") from None
 
 
+def _json_texts(labels) -> list[str]:
+    """:func:`encode_json` of each of ``labels``; ints and floats from one
+    encoding of them all, split at its separators, which no number's text holds."""
+    if set(map(type, labels)) <= {int, float}:
+        return encode_json(list(labels))[1:-1].split(", ")
+    return list(map(encode_json, labels))
+
+
+def _json_rows(*columns) -> list[str]:
+    """Rows of JSON text, joined from one piece per column: a str column's
+    text; ``texts[codes[i]]`` of a ``(texts, codes)`` column, gathered through
+    a numpy object array, so each distinct label is encoded once; a float
+    array's ``float.__repr__``, json's spelling of a finite float, after one
+    ``np.isfinite`` check."""
+    pieces = []
+    for column in columns:
+        if isinstance(column, str):
+            pieces.append(repeat(column))
+        elif isinstance(column, tuple):
+            texts, codes = column
+            pieces.append(np.array(texts, dtype=object)[codes].tolist())
+        elif not (finite := np.isfinite(column)).all():
+            bad = float(column[~finite][0])
+            raise NonFiniteValue(f"report holds a non-finite number ({bad!r})")
+        else:
+            pieces.append(map(float.__repr__, column.tolist()))
+    return list(map("".join, zip(*pieces)))
+
+
 @dataclass(frozen=True)
 class FirstStageResult:
     """Residuals of the target treatment on fixed effects and other treatments.
@@ -391,23 +420,14 @@ def decomposition_report_json(decomp: WeightDecomposition,
     text, the cell tables written straight from the weight grid; the command
     line writes the texts a field at a time.
 
-    Each distinct label is encoded once, and each weight of the cells in
-    either support is spelled once by ``float.__repr__``, json's own spelling
-    of a finite float, after one ``np.isfinite`` check. A row ``{"g": <g>,
-    "t": <t>, "weight": <w>}`` is its group's piece, its period's piece and
-    its weight, joined; each table takes its rows from those of both
-    supports by mask.
+    The rows ``{"g": <g>, "t": <t>, "weight": <w>}`` of the cells in either
+    support come from :func:`_json_rows`, each table takes its rows by mask.
     """
     cells = decomp.own_support | decomp.contamination_support
     gi, ti = np.nonzero(cells)
-    weights = decomp.weights[cells]
-    if not (finite := np.isfinite(weights)).all():
-        raise NonFiniteValue(f"report holds a non-finite number ({float(weights[~finite][0])!r})")
-    g_piece = [f'{{"g": {encode_json(g)}, "t": ' for g in decomp.group_labels]
-    t_piece = [f'{encode_json(t)}, "weight": ' for t in decomp.period_labels]
-    rows = list(map("".join, zip(map(g_piece.__getitem__, gi.tolist()),
-                                 map(t_piece.__getitem__, ti.tolist()),
-                                 map(float.__repr__, weights.tolist()), repeat("}"))))
+    rows = _json_rows(([f'{{"g": {g}, "t": ' for g in _json_texts(decomp.group_labels)], gi),
+                      ([f'{t}, "weight": ' for t in _json_texts(decomp.period_labels)], ti),
+                      decomp.weights[cells], "}")
     own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
                           for mask in (decomp.own_support, decomp.contamination_support))
     return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),

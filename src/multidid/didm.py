@@ -107,38 +107,55 @@ class DidmComponent:
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DidmResult:
+    """DID_M and its strata, kept as arrays: per stratum its ``key`` (period
+    index, baseline..., target_from, target_to), switcher and stayer sizes,
+    value and weight. ``components`` builds the :class:`DidmComponent`
+    records on first read; equality compares them."""
     estimate: float
     n_s: float
-    components: tuple[DidmComponent, ...]
+    key: np.ndarray = field(repr=False)
+    n_switchers: np.ndarray = field(repr=False)
+    n_stayers: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    period_labels: tuple = field(repr=False)
     lost: LostCells = field(repr=False)
     standard_error: float | None = None
+
+    @cached_property
+    def components(self) -> tuple[DidmComponent, ...]:
+        return tuple(
+            DidmComponent(period=self.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
+                          direction="up" if k[-1] > k[-2] else "down",
+                          target_from=k[-2], target_to=k[-1], n_switchers=sw,
+                          n_stayers=st, value=v, weight=w)
+            for k, sw, st, v, w in zip(self.key.tolist(), self.n_switchers.tolist(),
+                                       self.n_stayers.tolist(), self.value.tolist(),
+                                       self.weight.tolist()))
+
+    def _fields(self) -> tuple:
+        return self.estimate, self.n_s, self.components, self.lost, self.standard_error
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DidmResult) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def dropped(self) -> tuple[DroppedSwitcher, ...]:
         return self.lost.records
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "n_switchers": self.n_s,
-            "components": [
-                {
-                    "t": c.period,
-                    "baseline": list(c.baseline),
-                    "direction": c.direction,
-                    "target_from": c.target_from,
-                    "target_to": c.target_to,
-                    "did": c.value,
-                    "weight": c.weight,
-                }
-                for c in self.components
-            ],
-            "dropped": [{"g": g, "t": t, "reason": reason}
-                        for g, t, reason in self.lost.rows()],
-            "standard_error": self.standard_error,
-        }
+        return {"estimate": self.estimate, "n_switchers": self.n_s,
+                "components": [{"t": c.period, "baseline": list(c.baseline),
+                                "direction": c.direction, "target_from": c.target_from,
+                                "target_to": c.target_to, "did": c.value, "weight": c.weight}
+                               for c in self.components],
+                "dropped": [{"g": g, "t": t, "reason": r} for g, t, r in self.lost.rows()],
+                "standard_error": self.standard_error}
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,14 +189,14 @@ def _cell(panel: PanelDataset, i: int) -> str:
     return panel._cell_name(i % G, i // G + 1)
 
 
-def _pack(key: np.ndarray, radix: int, columns) -> np.ndarray:
+def _pack(key: np.ndarray, radix: int, columns, binary: bool = False) -> np.ndarray:
     """Extend the int64 ``key``, whose values are below ``radix``, by the
     ``np.unique`` code of each column in mixed radix, so that packed keys sort
     as the rows do; the key is first coded densely whenever the radix would
-    pass 2**62."""
+    pass 2**62. ``binary`` columns hold only 0 and 1, their own codes."""
     for column in columns:
-        _, code = np.unique(column, return_inverse=True)
-        m = int(code.max()) + 1 if code.size else 1
+        code = column.astype(np.int64) if binary else np.unique(column, return_inverse=True)[1]
+        m = 2 if binary else int(code.max()) + 1 if code.size else 1
         if radix * m > 1 << 62:
             _, key = np.unique(key, return_inverse=True)
             radix = int(key.max()) + 1
@@ -205,7 +222,8 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     # that may match them are the cells whose other treatments stay put
     still = np.flatnonzero(~other_moved)
     columns = [*before[others][:, still], before[target, still]]
-    _, first, origin = np.unique(_pack(still // G, T - 1, columns),
+    binary = panel.binary_treatments
+    _, first, origin = np.unique(_pack(still // G, T - 1, columns, binary),
                                  return_index=True, return_inverse=True)
     stayer = ~switching[still]
     matched = ~stayer & (np.bincount(origin[stayer], minlength=first.size) > 0)[origin]
@@ -214,7 +232,7 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
     lost = np.flatnonzero(switching)
 
     to = after[target, kept]
-    _, head, stratum = np.unique(_pack(origin[matched], first.size, [to]),
+    _, head, stratum = np.unique(_pack(origin[matched], first.size, [to], binary),
                                  return_index=True, return_inverse=True)
     origins, home = np.unique(origin[matched][head], return_inverse=True)
     h = np.full(first.size, -1)  # h of each origin, -1 where no stratum has it
@@ -301,15 +319,9 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
         panel.require_binary((target,))
     strata = _strata(panel, target)
     estimate, n_s, weight, sw_n, st_n, value = _reduce(strata, np.ones(panel.n_groups))
-    components = tuple(
-        DidmComponent(period=panel.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
-                      direction="up" if k[-1] > k[-2] else "down",
-                      target_from=k[-2], target_to=k[-1], n_switchers=sw,
-                      n_stayers=st, value=v, weight=w)
-        for k, sw, st, v, w in zip(strata.key.tolist(), sw_n.tolist(), st_n.tolist(),
-                                   value.tolist(), weight.tolist()))
-    return DidmResult(estimate=estimate, n_s=n_s, components=components,
-                      lost=strata.lost)
+    return DidmResult(estimate=estimate, n_s=n_s, key=strata.key, n_switchers=sw_n,
+                      n_stayers=st_n, value=value, weight=weight,
+                      period_labels=panel.period_labels, lost=strata.lost)
 
 
 def delta_s_oracle(synthetic, target: int) -> float:

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -435,9 +437,10 @@ def test_bootstrap_seed_must_be_non_negative(capsys, monkeypatch, four_group_csv
     # the library refuses the seed before it computes the point estimate
     monkeypatch.setattr(m.bootstrap, "_reducer", None)
     panel = m.read_panel_csv(four_group_csv)
-    for seed in (-1, 1.0, True):  # a bool is no seed, as it is no count b
-        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, "
-                                             f"got {seed!r}$"):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        m.bootstrap_se(panel, "twfe", 4, -1)
+    for seed in (1.0, True):  # a bool is no seed, as it is no count b
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
             m.bootstrap_se(panel, "twfe", 4, seed)
 
 
@@ -842,10 +845,48 @@ def test_every_error_class_carries_its_exit_code(capsys, monkeypatch, four_group
     epilog = cli.build_parser().epilog
     listed = {int(line.split()[0]) for line in epilog.splitlines()
               if line[:3].strip().isdigit()}
-    assert listed == {0, 2} | set(EXIT_CODES.values())
+    assert listed == {0, 2, 141} | set(EXIT_CODES.values())
     for name, cls in classes.items():
         def raising(*args, **kwargs):
             raise cls("reason")
         monkeypatch.setattr(cli, "didm", raising)
         code, out, err = _run(capsys, "didm", "--input", four_group_csv, "--target", "d1")
         assert (code, out, err) == (EXIT_CODES[name], "", f"error: {name}: reason\n")
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: every write fails as a closed
+    pipe's does. Its file descriptor is a pipe of the test's own."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["didm", "--target", "d1"],
+                                  ["didm", "--target", "d1", "--output", "csv"]])
+def test_a_closed_standard_output_exits_141_in_silence(capsys, monkeypatch, four_group_csv,
+                                                       argv):
+    """A reader that closes the pipe, as ``| head -c 100`` does, gets exit
+    128 + SIGPIPE and no error line, only the estimate's own warning; the
+    descriptor then points at os.devnull, so the flush at exit cannot fail
+    again."""
+    read, write = os.pipe()
+    with open(read, "rb") as reader:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedPipe(write))
+            code = main([*argv, "--input", four_group_csv])
+        assert code == 141
+        assert capsys.readouterr().err == ("warning: dropped 1 switching cell(s) "
+                                           "(other_treatment_changed): g=4 t=2\n")
+        os.write(write, b"lost")
+        os.close(write)
+        assert reader.read() == b""  # the write went to os.devnull

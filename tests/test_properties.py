@@ -5,6 +5,7 @@ and of the staggered horizon path."""
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import warnings
@@ -19,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 import multidid as m
 from multidid import cli, decomposition, staggered
 from multidid import panel as panel_mod
+from multidid.decomposition import encode_json
+from multidid.didm import DidmComponent
 from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
@@ -30,6 +33,9 @@ from multidid.errors import (
 from multidid.staggered import adoption_dates
 
 from .examples import four_group_example
+
+# by import path: the package's name ``didm`` is the estimator function
+didm_mod = importlib.import_module("multidid.didm")
 from .oracles import (
     brute_force_didm,
     cohort_reach,
@@ -46,11 +52,11 @@ SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
 
 
 @st.composite
-def treatments(draw, levels=st.sampled_from(LEVELS)):
+def treatments(draw, levels=st.sampled_from(LEVELS), max_k=4):
     """(K, G, T) treatment values on one level set. Groups start from one of
     two vectors and each value moves with probability 1/4 per period, so
     stayers, matched switchers and both drop reasons are all common."""
-    K, G, T = draw(st.integers(1, 4)), draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    K, G, T = draw(st.integers(1, max_k)), draw(st.integers(2, 8)), draw(st.integers(2, 4))
     values = st.sampled_from(draw(levels))
 
     def grid(shape, elements, dtype=float):
@@ -564,6 +570,115 @@ def test_decompose_report_is_json_dumps_of_the_report_dict(tmp_path_factory, cas
             "input_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
     report = m.decomposition_report(decomp, m.summarize(decomp, back))
     assert out.getvalue() == json.dumps(head | report, default=str) + "\n"
+
+
+# -- the didm report from the strata arrays -----------------------------------
+
+
+@st.composite
+def didm_report_panels(draw):
+    """A panel with K = 1..3 treatments that move as :func:`treatments`'s do,
+    on a binary or an ordered level set, int, float or str labels, and a
+    target."""
+    d = draw(treatments(max_k=3))
+    K, G, T = d.shape
+    groups, periods = (sorted(draw(st.lists(draw(st.sampled_from(REPORT_LABELS)),
+                                            min_size=size, max_size=size, unique=True)))
+                       for size in (G, T))
+    y = draw(arrays(float, (G, T), elements=st.floats(-50, 50), fill=st.nothing()))
+    n = draw(arrays(float, (G, T), elements=st.sampled_from(SIZES), fill=st.nothing()))
+    return m.PanelDataset(groups, periods, y, n, d), draw(st.integers(0, K - 1))
+
+
+def _eager_didm(panel, target):
+    """The components and ``to_dict`` of DID_M as the estimator built them
+    before it kept its strata as arrays: one record per stratum, at once."""
+    strata = didm_mod._strata(panel, target)
+    estimate, n_s, weight, sw_n, st_n, value = didm_mod._reduce(strata,
+                                                               np.ones(panel.n_groups))
+    components = tuple(
+        DidmComponent(period=panel.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
+                      direction="up" if k[-1] > k[-2] else "down",
+                      target_from=k[-2], target_to=k[-1], n_switchers=sw,
+                      n_stayers=st, value=v, weight=w)
+        for k, sw, st, v, w in zip(strata.key.tolist(), sw_n.tolist(), st_n.tolist(),
+                                   value.tolist(), weight.tolist()))
+    report = {"estimate": estimate, "n_switchers": n_s,
+              "components": [{"t": c.period, "baseline": list(c.baseline),
+                              "direction": c.direction, "target_from": c.target_from,
+                              "target_to": c.target_to, "did": c.value, "weight": c.weight}
+                             for c in components],
+              "dropped": [{"g": d.group, "t": d.period, "reason": d.reason}
+                          for d in strata.lost.records],
+              "standard_error": None}
+    return components, report
+
+
+def _didm_warnings(report: dict) -> str:
+    """The standard error of ``didm`` as it was written from the report's
+    dropped rows, a reason at a time in order of first appearance."""
+    lines = [] if report["n_switchers"] else ["no usable switcher, estimate is 0 by convention"]
+    drops = report["dropped"]
+    for reason in dict.fromkeys(d["reason"] for d in drops):
+        items = [d for d in drops if d["reason"] == reason]
+        more = f" and {len(items) - 5} more" if len(items) > 5 else ""
+        lines.append(f"dropped {len(items)} switching cell(s) ({reason}): "
+                     + ", ".join(f"g={d['g']!r} t={d['t']!r}" for d in items[:5]) + more)
+    return "".join(f"warning: {line}\n" for line in lines)
+
+
+@given(didm_report_panels())
+def test_didm_components_and_dict_are_those_built_at_once(case):
+    panel, target = case
+    result = m.didm(panel, target)
+    components, report = _eager_didm(panel, target)
+    assert result.components == components
+    # repr tells -0.0 from 0.0 and 1 from 1.0
+    assert repr(result.components) == repr(components)
+    assert repr(result.to_dict()) == repr(report)
+    assert result == m.didm(panel, target) and hash(result) == hash(m.didm(panel, target))
+
+
+@given(didm_report_panels())
+def test_didm_report_is_json_dumps_of_to_dict(tmp_path_factory, case):
+    """Each field the command line writes is encode_json of the to_dict
+    value, and the whole report and its warnings are those of the dict."""
+    panel, target = case
+    result = m.didm(panel, target)
+    fields = {key: encode_json(value) for key, value in result.to_dict().items()}
+    assert cli._didm_report_json(result) == fields
+    path = tmp_path_factory.mktemp("didm") / "panel.csv"
+    m.write_panel_csv(panel, path)
+    argv = ["didm", "--input", str(path), "--target", f"d{target + 1}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 0
+    config = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+              if k != "func"}
+    head = {"tool": {"name": "multidid", "version": m.__version__}, "config": config,
+            "input_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    back = m.didm(m.read_panel_csv(path), target)
+    assert out.getvalue() == json.dumps(head | back.to_dict(), default=str) + "\n"
+    assert err.getvalue() == _didm_warnings(back.to_dict())
+
+
+@given(panels(st.just((0.0, 1.0))), st.data())
+def test_binary_codes_give_the_strata_of_unique_codes(case, data):
+    """On a binary panel, -0.0 included, ``_pack`` takes the values for codes;
+    the np.unique coding of every column gives the same strata arrays."""
+    panel, target = case
+    zero = data.draw(arrays(bool, panel.d.shape, fill=st.nothing())) & (panel.d == 0)
+    d = np.where(zero, -0.0, panel.d)
+    fast, coded = (m.PanelDataset(panel.group_labels, panel.period_labels, panel.y,
+                                  panel.n, d) for _ in range(2))
+    assert fast.binary_treatments
+    coded.binary_treatments = False
+    a, b = didm_mod._strata(fast, target), didm_mod._strata(coded, target)
+    for x, y in [(getattr(a, k), getattr(b, k))
+                 for k in ("cells", "bins", "n", "ndy", "key", "home", "step")] + [
+            (a.lost.cells, b.lost.cells), (a.lost.moved, b.lost.moved)]:
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert (a.n_kept, a.n_bins) == (b.n_kept, b.n_bins)
 
 
 # -- the two CSV readers -----------------------------------------------------
