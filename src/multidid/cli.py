@@ -165,13 +165,12 @@ def _didm_report_json(result) -> dict[str, str]:
     the component and drop tables written by :func:`_json_rows` straight from
     the strata arrays and the lost cells."""
     key, lost = result.key, result.lost
-    G = len(lost.group_labels)
+    G, periods = len(lost.group_labels), _json_texts(lost.period_labels)
     baseline = key[:, 1:-2].T
     sep = [", "] * (len(baseline) - 1) + [""]  # after each of the baseline's values
     up = (key[:, -1] > key[:, -2]).view(np.int8)
     components = _json_rows(
-        ([f'{{"t": {t}, "baseline": [' for t in _json_texts(result.period_labels)],
-         key[:, 0].astype(np.intp)),
+        ([f'{{"t": {t}, "baseline": [' for t in periods], key[:, 0].astype(np.intp)),
         *chain.from_iterable(zip(baseline, sep)),
         (['], "direction": "down", "target_from": ',
           '], "direction": "up", "target_from": '], up),
@@ -179,7 +178,7 @@ def _didm_report_json(result) -> dict[str, str]:
         ', "weight": ', result.weight, "}")
     dropped = _json_rows(
         ([f'{{"g": {g}, "t": ' for g in _json_texts(lost.group_labels)], lost.cells % G),
-        ([f'{t}, "reason": ' for t in _json_texts(lost.period_labels)], lost.cells // G + 1),
+        ([f'{t}, "reason": ' for t in periods], lost.cells // G + 1),
         ([f'{encode_json(r)}}}' for r in _REASONS], lost.moved.view(np.int8)))
     return {"estimate": encode_json(result.estimate), "n_switchers": encode_json(result.n_s),
             "components": f"[{', '.join(components)}]", "dropped": f"[{', '.join(dropped)}]",

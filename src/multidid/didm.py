@@ -111,8 +111,9 @@ class DidmComponent:
 class DidmResult:
     """DID_M and its strata, kept as arrays: per stratum its ``key`` (period
     index, baseline..., target_from, target_to), switcher and stayer sizes,
-    value and weight. ``components`` builds the :class:`DidmComponent`
-    records on first read; equality compares them."""
+    value and weight; ``lost`` holds the panel's labels. ``components``
+    builds the :class:`DidmComponent` records on first read; equality
+    compares them."""
     estimate: float
     n_s: float
     key: np.ndarray = field(repr=False)
@@ -120,14 +121,13 @@ class DidmResult:
     n_stayers: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
-    period_labels: tuple = field(repr=False)
     lost: LostCells = field(repr=False)
     standard_error: float | None = None
 
     @cached_property
     def components(self) -> tuple[DidmComponent, ...]:
         return tuple(
-            DidmComponent(period=self.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
+            DidmComponent(period=self.lost.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
                           direction="up" if k[-1] > k[-2] else "down",
                           target_from=k[-2], target_to=k[-1], n_switchers=sw,
                           n_stayers=st, value=v, weight=w)
@@ -320,8 +320,7 @@ def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmRes
     strata = _strata(panel, target)
     estimate, n_s, weight, sw_n, st_n, value = _reduce(strata, np.ones(panel.n_groups))
     return DidmResult(estimate=estimate, n_s=n_s, key=strata.key, n_switchers=sw_n,
-                      n_stayers=st_n, value=value, weight=weight,
-                      period_labels=panel.period_labels, lost=strata.lost)
+                      n_stayers=st_n, value=value, weight=weight, lost=strata.lost)
 
 
 def delta_s_oracle(synthetic, target: int) -> float:

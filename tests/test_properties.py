@@ -1,6 +1,6 @@
 """Property-based invariants of the weight decomposition, of the switcher
-estimator, of canonical values, of CSV round trips and the two CSV readers,
-and of the staggered horizon path."""
+estimator and its report, of canonical values, of CSV round trips and the two
+CSV readers, and of the staggered horizon path."""
 
 import contextlib
 import csv
@@ -33,9 +33,6 @@ from multidid.errors import (
 from multidid.staggered import adoption_dates
 
 from .examples import four_group_example
-
-# by import path: the package's name ``didm`` is the estimator function
-didm_mod = importlib.import_module("multidid.didm")
 from .oracles import (
     brute_force_didm,
     cohort_reach,
@@ -46,6 +43,9 @@ from .oracles import (
     polyfit_linear_trends,
     scipy_first_stage,
 )
+
+# by import path: the package's name ``didm`` is the estimator function
+didm_mod = importlib.import_module("multidid.didm")
 
 LEVELS = [(0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.5, 2.0, 3.25)]
 SUB_TOL = (5e-13, -5e-13, 9e-13, -9e-13)
