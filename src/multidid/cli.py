@@ -28,7 +28,6 @@ from . import __version__
 from .bootstrap import ESTIMATORS, bootstrap_se
 from .decomposition import (
     _json_rows,
-    _json_texts,
     decompose,
     decomposition_csv_rows,
     decomposition_report,  # noqa: F401  the benchmark's trace wraps this name (ROADMAP item 2)
@@ -165,21 +164,18 @@ def _didm_report_json(result) -> dict[str, str]:
     the component and drop tables written by :func:`_json_rows` straight from
     the strata arrays and the lost cells."""
     key, lost = result.key, result.lost
-    G, periods = len(lost.group_labels), _json_texts(lost.period_labels)
-    baseline = key[:, 1:-2].T
+    G, baseline = len(lost.group_labels), key[:, 1:-2].T
     sep = [", "] * (len(baseline) - 1) + [""]  # after each of the baseline's values
-    up = (key[:, -1] > key[:, -2]).view(np.int8)
     components = _json_rows(
-        ([f'{{"t": {t}, "baseline": [' for t in periods], key[:, 0].astype(np.intp)),
+        ('{{"t": {}, "baseline": [', lost.period_labels, key[:, 0].astype(np.intp)),
         *chain.from_iterable(zip(baseline, sep)),
-        (['], "direction": "down", "target_from": ',
-          '], "direction": "up", "target_from": '], up),
+        ('], "direction": {}, "target_from": ', ("down", "up"),
+         (key[:, -1] > key[:, -2]).view(np.int8)),
         key[:, -2], ', "target_to": ', key[:, -1], ', "did": ', result.value,
         ', "weight": ', result.weight, "}")
-    dropped = _json_rows(
-        ([f'{{"g": {g}, "t": ' for g in _json_texts(lost.group_labels)], lost.cells % G),
-        ([f'{t}, "reason": ' for t in periods], lost.cells // G + 1),
-        ([f'{encode_json(r)}}}' for r in _REASONS], lost.moved.view(np.int8)))
+    dropped = _json_rows(('{{"g": {}, "t": ', lost.group_labels, lost.cells % G),
+                         ('{}, "reason": ', lost.period_labels, lost.cells // G + 1),
+                         ("{}}}", _REASONS, lost.moved.view(np.int8)))
     return {"estimate": encode_json(result.estimate), "n_switchers": encode_json(result.n_s),
             "components": f"[{', '.join(components)}]", "dropped": f"[{', '.join(dropped)}]",
             "standard_error": encode_json(result.standard_error)}

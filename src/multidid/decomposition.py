@@ -54,27 +54,24 @@ def encode_json(value) -> str:
         raise NonFiniteValue(f"report holds a non-finite number ({exc})") from None
 
 
-def _json_texts(labels) -> list[str]:
-    """:func:`encode_json` of each of ``labels``; ints and floats from one
-    encoding of them all, split at its separators, which no number's text holds."""
-    if set(map(type, labels)) <= {int, float}:
-        return encode_json(list(labels))[1:-1].split(", ")
-    return list(map(encode_json, labels))
-
-
 def _json_rows(*columns) -> list[str]:
     """Rows of JSON text, joined from one piece per column: a str column's
-    text; ``texts[codes[i]]`` of a ``(texts, codes)`` column, gathered through
-    a numpy object array, so each distinct label is encoded once; a float
-    array's ``float.__repr__``, json's spelling of a finite float, after one
-    ``np.isfinite`` check."""
+    text; for a ``(template, labels, codes)`` column, ``template`` filled
+    with the :func:`encode_json` text of ``labels[codes[i]]``, each label
+    encoded once (ints and floats in one encoding of them all, split at its
+    separators, which no number's text holds) and the pieces gathered through
+    a numpy object array; a float array's ``float.__repr__``, json's spelling
+    of a finite float, after one ``np.isfinite`` check."""
     pieces = []
     for column in columns:
         if isinstance(column, str):
             pieces.append(repeat(column))
         elif isinstance(column, tuple):
-            texts, codes = column
-            pieces.append(np.array(texts, dtype=object)[codes].tolist())
+            template, labels, codes = column
+            texts = (encode_json(list(labels))[1:-1].split(", ")
+                     if set(map(type, labels)) <= {int, float} else map(encode_json, labels))
+            texts = np.array(list(map(template.format, texts)), dtype=object)
+            pieces.append(texts[codes].tolist())
         elif not (finite := np.isfinite(column)).all():
             bad = float(column[~finite][0])
             raise NonFiniteValue(f"report holds a non-finite number ({bad!r})")
@@ -425,9 +422,8 @@ def decomposition_report_json(decomp: WeightDecomposition,
     """
     cells = decomp.own_support | decomp.contamination_support
     gi, ti = np.nonzero(cells)
-    rows = _json_rows(([f'{{"g": {g}, "t": ' for g in _json_texts(decomp.group_labels)], gi),
-                      ([f'{t}, "weight": ' for t in _json_texts(decomp.period_labels)], ti),
-                      decomp.weights[cells], "}")
+    rows = _json_rows(('{{"g": {}, "t": ', decomp.group_labels, gi),
+                      ('{}, "weight": ', decomp.period_labels, ti), decomp.weights[cells], "}")
     own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
                           for mask in (decomp.own_support, decomp.contamination_support))
     return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),
