@@ -167,15 +167,15 @@ def _didm_report_json(result) -> dict[str, str]:
     G, baseline = len(lost.group_labels), key[:, 1:-2].T
     sep = [", "] * (len(baseline) - 1) + [""]  # after each of the baseline's values
     components = _json_rows(
-        ('{{"t": {}, "baseline": [', lost.period_labels, key[:, 0].astype(np.intp)),
+        ('{"t": %s, "baseline": [', lost.period_labels, key[:, 0].astype(np.intp)),
         *chain.from_iterable(zip(baseline, sep)),
-        ('], "direction": {}, "target_from": ', ("down", "up"),
+        ('], "direction": %s, "target_from": ', ("down", "up"),
          (key[:, -1] > key[:, -2]).view(np.int8)),
         key[:, -2], ', "target_to": ', key[:, -1], ', "did": ', result.value,
         ', "weight": ', result.weight, "}")
-    dropped = _json_rows(('{{"g": {}, "t": ', lost.group_labels, lost.cells % G),
-                         ('{}, "reason": ', lost.period_labels, lost.cells // G + 1),
-                         ("{}}}", _REASONS, lost.moved.view(np.int8)))
+    dropped = _json_rows(('{"g": %s, "t": ', lost.group_labels, lost.cells % G),
+                         ('%s, "reason": ', lost.period_labels, lost.cells // G + 1),
+                         ("%s}", _REASONS, lost.moved.view(np.int8)))
     return {"estimate": encode_json(result.estimate), "n_switchers": encode_json(result.n_s),
             "components": f"[{', '.join(components)}]", "dropped": f"[{', '.join(dropped)}]",
             "standard_error": encode_json(result.standard_error)}

@@ -56,8 +56,8 @@ def encode_json(value) -> str:
 
 def _json_rows(*columns) -> list[str]:
     """Rows of JSON text, joined from one piece per column: a str column's
-    text; for a ``(template, labels, codes)`` column, ``template`` filled
-    with the :func:`encode_json` text of ``labels[codes[i]]``, each label
+    text; for a ``(template, labels, codes)`` column, ``template % text`` of
+    the :func:`encode_json` text of ``labels[codes[i]]``, each label
     encoded once (ints and floats in one encoding of them all, split at its
     separators, which no number's text holds) and the pieces gathered through
     a numpy object array; a float array's ``float.__repr__``, json's spelling
@@ -70,7 +70,7 @@ def _json_rows(*columns) -> list[str]:
             template, labels, codes = column
             texts = (encode_json(list(labels))[1:-1].split(", ")
                      if set(map(type, labels)) <= {int, float} else map(encode_json, labels))
-            texts = np.array(list(map(template.format, texts)), dtype=object)
+            texts = np.array([template % text for text in texts], dtype=object)
             pieces.append(texts[codes].tolist())
         elif not (finite := np.isfinite(column)).all():
             bad = float(column[~finite][0])
@@ -422,8 +422,8 @@ def decomposition_report_json(decomp: WeightDecomposition,
     """
     cells = decomp.own_support | decomp.contamination_support
     gi, ti = np.nonzero(cells)
-    rows = _json_rows(('{{"g": {}, "t": ', decomp.group_labels, gi),
-                      ('{}, "weight": ', decomp.period_labels, ti), decomp.weights[cells], "}")
+    rows = _json_rows(('{"g": %s, "t": ', decomp.group_labels, gi),
+                      ('%s, "weight": ', decomp.period_labels, ti), decomp.weights[cells], "}")
     own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
                           for mask in (decomp.own_support, decomp.contamination_support))
     return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),
