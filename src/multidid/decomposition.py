@@ -71,7 +71,7 @@ def _json_rows(*columns) -> list[str]:
             texts = (encode_json(list(labels))[1:-1].split(", ")
                      if set(map(type, labels)) <= {int, float} else map(encode_json, labels))
             texts = np.array([template % text for text in texts], dtype=object)
-            pieces.append(texts[codes].tolist())
+            pieces.append(texts[codes])  # zipped as is: a list copy raised peak RSS
         elif not (finite := np.isfinite(column)).all():
             bad = float(column[~finite][0])
             raise NonFiniteValue(f"report holds a non-finite number ({bad!r})")
