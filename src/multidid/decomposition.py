@@ -57,20 +57,17 @@ def encode_json(value) -> str:
 def _json_rows(*columns) -> list[str]:
     """Rows of JSON text, joined from one piece per column: a str column's
     text; for a ``(template, labels, codes)`` column, ``template % text`` of
-    the :func:`encode_json` text of ``labels[codes[i]]``, each label
-    encoded once (ints and floats in one encoding of them all, split at its
-    separators, which no number's text holds) and the pieces gathered through
-    a numpy object array; a float array's ``float.__repr__``, json's spelling
-    of a finite float, after one ``np.isfinite`` check."""
+    the :func:`encode_json` text of ``labels[codes[i]]``, each label encoded
+    once and the pieces gathered through a numpy object array; a float
+    array's ``float.__repr__``, json's spelling of a finite float, after one
+    ``np.isfinite`` check."""
     pieces = []
     for column in columns:
         if isinstance(column, str):
             pieces.append(repeat(column))
         elif isinstance(column, tuple):
             template, labels, codes = column
-            texts = (encode_json(list(labels))[1:-1].split(", ")
-                     if set(map(type, labels)) <= {int, float} else map(encode_json, labels))
-            texts = np.array([template % text for text in texts], dtype=object)
+            texts = np.array([template % encode_json(v) for v in labels], dtype=object)
             pieces.append(texts[codes])  # zipped as is: a list copy raised peak RSS
         elif not (finite := np.isfinite(column)).all():
             bad = float(column[~finite][0])
