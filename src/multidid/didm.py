@@ -149,13 +149,25 @@ class DidmResult:
         return self.lost.records
 
     def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "n_switchers": self.n_s,
-                "components": [{"t": c.period, "baseline": list(c.baseline),
-                                "direction": c.direction, "target_from": c.target_from,
-                                "target_to": c.target_to, "did": c.value, "weight": c.weight}
-                               for c in self.components],
-                "dropped": [{"g": g, "t": t, "reason": r} for g, t, r in self.lost.rows()],
-                "standard_error": self.standard_error}
+        return {
+            "estimate": self.estimate,
+            "n_switchers": self.n_s,
+            "components": [
+                {
+                    "t": c.period,
+                    "baseline": list(c.baseline),
+                    "direction": c.direction,
+                    "target_from": c.target_from,
+                    "target_to": c.target_to,
+                    "did": c.value,
+                    "weight": c.weight,
+                }
+                for c in self.components
+            ],
+            "dropped": [{"g": g, "t": t, "reason": reason}
+                        for g, t, reason in self.lost.rows()],
+            "standard_error": self.standard_error,
+        }
 
 
 @dataclass(frozen=True, eq=False)
