@@ -12,13 +12,18 @@ component periods), ``dynamic`` (all three event studies, on the
 three-cohort example and on a generated panel of several cohorts whose
 studies have placebos) and ``bootstrap`` (twfe and did_ell); and the tables
 of ``decompose`` (string and float labels, which the CSV writer quotes or
-spells), ``didm`` (on the four panels) and ``dynamic``. The JSON digests
+spells, and the K=1 and K=3 panels, the first with an empty contamination
+table), ``didm`` (on the four panels) and ``dynamic`` (all three studies on
+both staggered panels). The JSON digests
 were taken before the decompose tables were written from the weight grid,
 the CSV digests before the tables and the reports shared one writer, and the
 digests of the first and combined studies, of the several-cohort panel and
 of the did_ell bootstrap before every horizon of a study came from one
 kernel call, and the ``didm`` digests on the K=3, string and float panels
-before the ``didm`` tables were written from the strata arrays; a changed
+before the ``didm`` tables were written from the strata arrays, and the
+``decompose`` tables of the K=1 and K=3 panels and the first, combined and
+several-cohort ``dynamic`` tables before every table was laid out beside its
+result and every JSON report came from one writer; a changed
 byte of any report or table fails here. The tool version is part of every
 report, so a version bump changes every digest.
 
@@ -112,6 +117,19 @@ CASES = {
     "didm-float-labels-csv": ("floats", ["didm", "--target", "d1", "--output", "csv"]),
     "dynamic-second-csv": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
                                          "--strategy", "second", "--output", "csv"]),
+    "decompose-k1-csv": ("k1", ["decompose", "--target", "d1", "--output", "csv"]),
+    "decompose-k3-csv": ("k3", ["decompose", "--target", "d2", "--output", "csv"]),
+    "dynamic-first-csv": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                        "--strategy", "first", "--output", "csv"]),
+    "dynamic-combined-csv": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                           "--strategy", "combined", "--output", "csv"]),
+    "dynamic-second-cohorts-csv": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                               "--strategy", "second", "--output", "csv"]),
+    "dynamic-first-cohorts-csv": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                              "--strategy", "first", "--output", "csv"]),
+    "dynamic-combined-cohorts-csv": ("cohorts", ["dynamic", "--first", "d1", "--second",
+                                                 "d2", "--strategy", "combined",
+                                                 "--output", "csv"]),
 }
 
 DIGESTS = {
@@ -120,7 +138,9 @@ DIGESTS = {
     "decompose-float-labels": "74e2524b2ce2070057412dea2f0a33b3c2df7050a3cbc0e0be7912b583108313",
     "decompose-float-labels-csv": "c6ac55e892971b53cdd52076abcc13df027dec89ec3d8198f4c14ac74cba3569",
     "decompose-k1": "b6626a76daa3002390b4971bcdec7acb3ec06e9d168532224ce422151273b3d1",
+    "decompose-k1-csv": "8d6366e99696ef9cbbcefc5177a8c3db5a774ca6e789eac30338afdd70ef9f81",
     "decompose-k3": "9a7d0a052b997067211af32d71c036aacb5796933318f1645cb4859278881235",
+    "decompose-k3-csv": "8620ccdd87acb0dfd72327e0be1935c2c124e4eafbfbe45287cfbc03f849bbb9",
     "decompose-string-labels": "3816e00d83aedcd7ac09bd3afe712e1b735fb8a4ec480ed831d93427dbca8ebf",
     "decompose-string-labels-csv": "a4f7f424ed2ee2e01723677a3dd4337a3c35e171f5d1f1799e2be127c0d06ad6",
     "didm": "bb966e0eddaf62dbdf8182cdd164e045c18f7ffee959e081c9d507142ba6d258",
@@ -133,10 +153,15 @@ DIGESTS = {
     "didm-string-labels-csv": "edb990f59a1a663e1861461653466ab0a132a122ecf81761a267800e23a452ef",
     "dynamic-combined": "d07e67bc518f5b85e517bfe9ce0cc0b71f0fd75cd2de1fd2caf4051fe73c600c",
     "dynamic-combined-cohorts": "5bc2e62fcccec441dbc7d880e6be69abfe67be3a1adac5a428593aa06a61c1d3",
+    "dynamic-combined-cohorts-csv": "25c3148fd562ba367189eb6ade2db27a4531d18e001ba281f0a6c6129723cc38",
+    "dynamic-combined-csv": "632301808fb3e773599c4eda1b5b8aae8fb5f40268f2b6dddcebb37cfefbe391",
     "dynamic-first": "a23ab38a07785514a4559f5a3b846fcaee5bfca4bcdf1cd5773b7f91ff96056a",
     "dynamic-first-cohorts": "c08605fe407590a6732a5cbd166ae44a5c8742bc3e3489b1c88a1773f7bdcb80",
+    "dynamic-first-cohorts-csv": "50f10fc33a23838ea575fbcc9b4bcee0e7de0ebb3503d1036635b81b8c3bd269",
+    "dynamic-first-csv": "af3a91b03c2ea4c44b0c020d608e5e81220393600754d5e7010d1084d22bc341",
     "dynamic-second": "8e4760b99a000ab3f989695e35a7d51874e6e521c9de61a84374deea0d255205",
     "dynamic-second-cohorts": "fa66bfd8fe24552730391673ec1e110643bedb21aa240e7372db585cdeef11f4",
+    "dynamic-second-cohorts-csv": "08c1814f594a8ab1f6cb55dc81ae90d1e52cd1903ad30516c80eb42e27c3c754",
     "dynamic-second-csv": "2464986b36566bd197e72333f034b3def5c0ccd0354638faa5a2c869702785a4",
 }
 
