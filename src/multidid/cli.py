@@ -27,17 +27,23 @@ import numpy as np
 from . import __version__
 from .bootstrap import ESTIMATORS, bootstrap_se
 from .decomposition import (
-    _json_rows,
     decompose,
-    decomposition_csv_rows,
     decomposition_report,  # noqa: F401  the benchmark's trace wraps this name (ROADMAP item 2)
     decomposition_report_json,
-    encode_json,
     summarize,
 )
 from .didm import _REASONS, didm
 from .errors import InsufficientPrePeriods, MissingColumn, MultiDidError
-from .panel import _destination, _repeated, _write_csv, read_panel_csv, write_panel_csv
+from .panel import (
+    _ROLES,
+    _destination,
+    _repeated,
+    _Rows,
+    _write_csv,
+    encode_json,
+    read_panel_csv,
+    write_panel_csv,
+)
 from .simulate import DgpSpec, generate
 from .staggered import (
     build_cohorts,
@@ -68,30 +74,25 @@ exit codes:
 """
 
 
-def _emit_json(args, payload: dict, out_path: str | None) -> None:
-    """Write ``payload`` as a JSON report with the tool version, the effective
-    configuration and the input digest."""
-    _emit_report(args, {key: encode_json(value) for key, value in payload.items()},
-                 out_path)
-
-
-def _emit_report(args, fields: dict[str, str], out_path: str | None) -> None:
-    """Write the JSON report whose top-level values are the JSON texts
-    ``fields``, after the tool version, the effective configuration and the
-    input digest (a field of the same name takes their place), a field at a
-    time to ``out_path`` or standard output; all are encoded first, so a
-    refused report writes nothing."""
+def _emit_report(args, payload: dict, out_path: str | None) -> None:
+    """The one JSON writer: ``payload`` after the tool version, the effective
+    configuration and the input digest (a field of the same name takes their
+    place), a field at a time to ``out_path`` or standard output. A
+    :class:`~multidid.panel._Rows` value is written as the array of its row
+    texts, any other as its :func:`encode_json` text; all are encoded first,
+    so a refused report writes nothing."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("func",) and not k.startswith("_")}
     head = {"tool": {"name": "multidid", "version": __version__}, "config": config}
     if getattr(args, "input", None):
         head["input_sha256"] = args._input_sha256
-    fields = {key: encode_json(value) for key, value in head.items()} | fields
-    # json.dumps of a dict writes exactly these pieces, so a value may arrive encoded
+    fields = {key: value if isinstance(value, _Rows) else encode_json(value)
+              for key, value in (head | payload).items()}
+    # json.dumps of a dict writes exactly these pieces
     with _destination(out_path) as fh:
         for sep, (key, text) in zip(chain("{", repeat(", ")), fields.items()):
             fh.write(f"{sep}{encode_json(key)}: ")
-            fh.write(text)
+            fh.write(f"[{', '.join(text)}]" if isinstance(text, _Rows) else text)
         fh.write("}\n")
 
 
@@ -117,15 +118,17 @@ def _load(args):
     """The panel of ``--input`` and its treatment names; the bytes are read
     once: they are hashed into ``args._input_sha256`` for the report and
     handed to the reader."""
-    treatments = args.treatments.split(",") if args.treatments else None
-    if treatments and (twice := _repeated([c.strip().lower() for c in treatments])):
+    names = [c.strip().lower() for c in args.treatments.split(",")] if args.treatments else []
+    if twice := _repeated(names):
         raise _UsageError(f"--treatments names the column {twice!r} twice")
+    if role := next((c for c in names if c in _ROLES), None):
+        raise _UsageError(f"--treatments names the {_ROLES[role]} column {role!r}")
     with open(args.input, "rb") as fh:
         data = fh.read()
     args._input_sha256 = hashlib.sha256(data).hexdigest()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        panel = read_panel_csv(io.BytesIO(data), treatment_cols=treatments)
+        panel = read_panel_csv(io.BytesIO(data), treatment_cols=names or None)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return panel, list(panel.treatment_names)
@@ -153,52 +156,28 @@ def _cmd_decompose(args) -> int:
     decomp = decompose(panel, target)
     summary = summarize(decomp, panel)
     if args.output == "csv":
-        _write_csv(args.out, ["g", "t", "role", "weight"], decomposition_csv_rows(decomp))
+        _write_csv(args.out, ["g", "t", "role", "weight"], decomp.csv_rows())
     else:
         _emit_report(args, decomposition_report_json(decomp, summary), args.out)
     return 0
-
-
-def _didm_report_json(result) -> dict[str, str]:
-    """``result.to_dict()`` with each value as its :func:`encode_json` text,
-    the component and drop tables written by :func:`_json_rows` straight from
-    the strata arrays and the lost cells."""
-    key, lost = result.key, result.lost
-    G, baseline = len(lost.group_labels), key[:, 1:-2].T
-    sep = [", "] * (len(baseline) - 1) + [""]  # after each of the baseline's values
-    components = _json_rows(
-        ('{"t": %s, "baseline": [', lost.period_labels, key[:, 0].astype(np.intp)),
-        *chain.from_iterable(zip(baseline, sep)),
-        ('], "direction": %s, "target_from": ', ("down", "up"),
-         (key[:, -1] > key[:, -2]).view(np.int8)),
-        key[:, -2], ', "target_to": ', key[:, -1], ', "did": ', result.value,
-        ', "weight": ', result.weight, "}")
-    dropped = _json_rows(('{"g": %s, "t": ', lost.group_labels, lost.cells % G),
-                         ('%s, "reason": ', lost.period_labels, lost.cells // G + 1),
-                         ("%s}", _REASONS, lost.moved.view(np.int8)))
-    return {"estimate": encode_json(result.estimate), "n_switchers": encode_json(result.n_s),
-            "components": f"[{', '.join(components)}]", "dropped": f"[{', '.join(dropped)}]",
-            "standard_error": encode_json(result.standard_error)}
 
 
 def _cmd_didm(args) -> int:
     panel, names = _load(args)
     target = _column_index(names, args.target, "target treatment")
     result = didm(panel, target, binary_only=args.binary_only)
-    lost, G = result.lost, panel.n_groups
+    lost = result.lost
     warned = [] if result.n_s else ["no usable switcher, estimate is 0 by convention"]
     warned += _dropped_lines(
         "switching cell(s)", lost.moved.view(np.int8), _REASONS,
-        lambda i: f"g={panel.group_labels[lost.cells[i] % G]!r} "
-                  f"t={panel.period_labels[lost.cells[i] // G + 1]!r}")
+        lambda i: f"g={panel.group_labels[lost.gi[i]]!r} t={panel.period_labels[lost.ti[i]]!r}")
     if warned:
         sys.stderr.write("".join(f"warning: {w}\n" for w in warned))
     if args.output == "csv":
-        rows = [(c.period, "|".join(repr(v) for v in c.baseline), c.direction,
-                 c.value, c.weight) for c in result.components]
-        _write_csv(args.out, ["t", "baseline", "direction", "did", "weight"], rows)
+        _write_csv(args.out, ["t", "baseline", "direction", "did", "weight"],
+                   result.csv_rows())
     else:
-        _emit_report(args, _didm_report_json(result), args.out)
+        _emit_report(args, result.report_json(), args.out)
     return 0
 
 
@@ -215,6 +194,10 @@ def _cmd_dynamic(args) -> int:
     if args.strategy in studies:
         result = studies[args.strategy](panel, first, second,
                                         placebos=not args.no_placebos)
+        if args.output == "csv":
+            _write_csv(args.out, ["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
+                       result.csv_rows())
+            return 0
         payload = result.to_dict()
     elif args.strategy == "linear":
         structure = build_cohorts(panel, first, second)
@@ -236,14 +219,7 @@ def _cmd_dynamic(args) -> int:
         ]}
     else:  # split
         payload = split_by_order(panel, first, second).to_dict()
-
-    if args.output == "csv":
-        # a component's keys are f, t, did, n_treated, n_control and weight
-        _write_csv(args.out, ["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
-                   ((h["ell"], *c.values()) for h in payload["horizons"]
-                    for c in h["components"]))
-    else:
-        _emit_json(args, payload, args.out)
+    _emit_report(args, payload, args.out)
     return 0
 
 
@@ -254,9 +230,9 @@ def _cmd_simulate(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     panel = generate(spec).panel
     write_panel_csv(panel, args.out_csv)
-    _emit_json(args, {"written": args.out_csv, "kind": spec.kind, "n_groups": panel.n_groups,
-                      "n_periods": panel.n_periods, "n_treatments": panel.n_treatments,
-                      "seed": spec.seed}, None)
+    _emit_report(args, {"written": args.out_csv, "kind": spec.kind, "n_groups": panel.n_groups,
+                        "n_periods": panel.n_periods, "n_treatments": panel.n_treatments,
+                        "seed": spec.seed}, None)
     return 0
 
 
@@ -282,7 +258,7 @@ def _cmd_bootstrap(args) -> int:
     if result.n_degenerate:
         print(f"warning: {result.n_degenerate} replication(s) degenerate and "
               f"excluded", file=sys.stderr)
-    _emit_json(args, result.to_dict(), args.out)
+    _emit_report(args, result.to_dict(), args.out)
     return 0
 
 

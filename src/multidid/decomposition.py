@@ -26,56 +26,19 @@ a 2-core machine); a process that never fits fixed effects loads no scipy.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
-from itertools import compress, repeat
+from itertools import compress
 
 import numpy as np
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue, NumericallySingular
-from .panel import PanelDataset, _running_sum
+from .panel import PanelDataset, _json_rows, _Rows, _running_sum
 from .tolerances import DENOM_RTOL, RANK_RTOL
-
-# no indent keeps json on its C encoder; the separators are json.dumps' own
-_ENCODER = json.JSONEncoder(default=str, allow_nan=False)
-
-
-def encode_json(value) -> str:
-    """``json.dumps(value, default=str)``, refusing NaN and infinity: the one
-    encoder of every JSON report."""
-    try:
-        return _ENCODER.encode(value)
-    except ValueError as exc:  # on a tree, json raises it only for allow_nan
-        raise NonFiniteValue(f"report holds a non-finite number ({exc})") from None
-
-
-def _json_rows(*columns) -> list[str]:
-    """Rows of JSON text, joined from one piece per column: a str column's
-    text; for a ``(template, labels, codes)`` column, ``template % text`` of
-    the :func:`encode_json` text of ``labels[codes[i]]``, each label encoded
-    once and the pieces gathered through a numpy object array; a float
-    array's ``float.__repr__``, json's spelling of a finite float, after one
-    ``np.isfinite`` check."""
-    pieces = []
-    for column in columns:
-        if isinstance(column, str):
-            pieces.append(repeat(column))
-        elif isinstance(column, tuple):
-            template, labels, codes = column
-            texts = np.array([template % encode_json(v) for v in labels], dtype=object)
-            pieces.append(texts[codes])  # zipped as is: a list copy raised peak RSS
-        elif not (finite := np.isfinite(column)).all():
-            bad = float(column[~finite][0])
-            raise NonFiniteValue(f"report holds a non-finite number ({bad!r})")
-        else:
-            pieces.append(map(float.__repr__, column.tolist()))
-    return list(map("".join, zip(*pieces)))
-
 
 @dataclass(frozen=True)
 class FirstStageResult:
@@ -119,6 +82,12 @@ class WeightDecomposition:
     @property
     def contamination(self) -> dict[tuple, float]:
         return {(g, t): w for g, t, w in self._cells(self.contamination_support)}
+
+    def csv_rows(self) -> list[tuple]:
+        """Flat ``(g, t, role, weight)`` rows, the lossy tabular projection."""
+        return [(g, t, role, w) for role, mask in (("own", self.own_support),
+                                                   ("contamination", self.contamination_support))
+                for g, t, w in self._cells(mask)]
 
     def _cells(self, mask: np.ndarray) -> list[tuple]:
         """``(g, t, weight)`` for the cells in ``mask``, in panel order."""
@@ -409,27 +378,17 @@ def decomposition_report(decomp: WeightDecomposition,
 
 
 def decomposition_report_json(decomp: WeightDecomposition,
-                              summary: DecompositionSummary) -> dict[str, str]:
-    """:func:`decomposition_report` with each value as its :func:`encode_json`
-    text, the cell tables written straight from the weight grid; the command
-    line writes the texts a field at a time.
-
-    The rows ``{"g": <g>, "t": <t>, "weight": <w>}`` of the cells in either
-    support come from :func:`_json_rows`, each table takes its rows by mask.
+                              summary: DecompositionSummary) -> dict:
+    """:func:`decomposition_report` with the cell tables as rows of JSON text,
+    written straight from the weight grid: the rows ``{"g": <g>, "t": <t>,
+    "weight": <w>}`` of the cells in either support come from
+    :func:`~multidid.panel._json_rows`, and each table takes its rows by mask.
     """
     cells = decomp.own_support | decomp.contamination_support
     gi, ti = np.nonzero(cells)
-    rows = _json_rows(('{"g": %s, "t": ', decomp.group_labels, gi),
-                      ('%s, "weight": ', decomp.period_labels, ti), decomp.weights[cells], "}")
-    own, contamination = ("[" + ", ".join(compress(rows, mask[cells].tolist())) + "]"
+    rows = _json_rows('{"g": %s, "t": %s, "weight": %s}', (decomp.group_labels, gi),
+                      (decomp.period_labels, ti), decomp.weights[cells])
+    own, contamination = (_Rows(compress(rows, mask[cells].tolist()))
                           for mask in (decomp.own_support, decomp.contamination_support))
-    return {"target": encode_json(decomp.target), "beta_fe": encode_json(decomp.beta_fe),
-            "own": own, "contamination": contamination,
-            "summary": encode_json(summary.to_dict())}
-
-
-def decomposition_csv_rows(decomp: WeightDecomposition) -> list[tuple]:
-    """Flat ``(g, t, role, weight)`` rows, the lossy tabular projection."""
-    return [(g, t, role, w) for role, mask in (("own", decomp.own_support),
-                                               ("contamination", decomp.contamination_support))
-            for g, t, w in decomp._cells(mask)]
+    return {"target": decomp.target, "beta_fe": decomp.beta_fe, "own": own,
+            "contamination": contamination, "summary": summary.to_dict()}

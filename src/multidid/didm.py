@@ -27,7 +27,7 @@ from itertools import starmap
 import numpy as np
 
 from .errors import NonFiniteValue
-from .panel import PanelDataset, _running_sum
+from .panel import PanelDataset, _json_rows, _running_sum
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,23 @@ _REASONS = ("no_matching_stayer", "other_treatment_changed")
 
 @dataclass(frozen=True, eq=False)
 class LostCells:
-    """Switching cells that no stratum can use, kept as arrays: their indices
-    (t - 1) * G + g in (period, group) order, and whether another treatment
-    moved there. ``records`` builds the :class:`DroppedSwitcher` records on
-    first read; equality compares them."""
-    cells: np.ndarray
+    """Switching cells that no stratum can use, kept as arrays in (period,
+    group) order: their group and period indices, and whether another
+    treatment moved there. ``records`` builds the :class:`DroppedSwitcher`
+    records on first read; equality compares them."""
+    gi: np.ndarray
+    ti: np.ndarray
     moved: np.ndarray
     group_labels: tuple
     period_labels: tuple
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.gi)
 
     def rows(self) -> list[tuple]:
         """``(group, period, reason)`` per cell, without building records."""
-        G = len(self.group_labels)
-        return list(zip(map(self.group_labels.__getitem__, (self.cells % G).tolist()),
-                        map(self.period_labels.__getitem__, (self.cells // G + 1).tolist()),
+        return list(zip(map(self.group_labels.__getitem__, self.gi.tolist()),
+                        map(self.period_labels.__getitem__, self.ti.tolist()),
                         map(_REASONS.__getitem__, self.moved.tolist())))
 
     @cached_property
@@ -124,16 +124,16 @@ class DidmResult:
     lost: LostCells = field(repr=False)
     standard_error: float | None = None
 
+    def _strata_rows(self):
+        """The :class:`DidmComponent` fields of each stratum, read from the arrays."""
+        columns = (a.tolist() for a in (self.n_switchers, self.n_stayers, self.value, self.weight))
+        for k, *rest in zip(self.key.tolist(), *columns):
+            yield (self.lost.period_labels[int(k[0])], tuple(k[1:-2]),
+                   "up" if k[-1] > k[-2] else "down", k[-2], k[-1], *rest)
+
     @cached_property
     def components(self) -> tuple[DidmComponent, ...]:
-        return tuple(
-            DidmComponent(period=self.lost.period_labels[int(k[0])], baseline=tuple(k[1:-2]),
-                          direction="up" if k[-1] > k[-2] else "down",
-                          target_from=k[-2], target_to=k[-1], n_switchers=sw,
-                          n_stayers=st, value=v, weight=w)
-            for k, sw, st, v, w in zip(self.key.tolist(), self.n_switchers.tolist(),
-                                       self.n_stayers.tolist(), self.value.tolist(),
-                                       self.weight.tolist()))
+        return tuple(starmap(DidmComponent, self._strata_rows()))
 
     def _fields(self) -> tuple:
         return self.estimate, self.n_s, self.components, self.lost, self.standard_error
@@ -168,6 +168,30 @@ class DidmResult:
                         for g, t, reason in self.lost.rows()],
             "standard_error": self.standard_error,
         }
+
+    def report_json(self) -> dict:
+        """:meth:`to_dict` with the component and drop tables as rows of JSON
+        text, written by :func:`~multidid.panel._json_rows` straight from the
+        strata arrays and the lost cells."""
+        key, lost = self.key, self.lost
+        components = _json_rows(
+            '{"t": %s, "baseline": [' + ", ".join(["%s"] * (key.shape[1] - 3))
+            + '], "direction": %s, "target_from": %s, "target_to": %s, "did": %s, '
+              '"weight": %s}',
+            (lost.period_labels, key[:, 0].astype(np.intp)), *key[:, 1:-2].T,
+            (("down", "up"), (key[:, -1] > key[:, -2]).view(np.int8)),
+            key[:, -2], key[:, -1], self.value, self.weight)
+        dropped = _json_rows('{"g": %s, "t": %s, "reason": %s}', (lost.group_labels, lost.gi),
+                             (lost.period_labels, lost.ti), (_REASONS, lost.moved.view(np.int8)))
+        return {"estimate": self.estimate, "n_switchers": self.n_s, "components": components,
+                "dropped": dropped, "standard_error": self.standard_error}
+
+    def csv_rows(self) -> list[tuple]:
+        """``(t, baseline, direction, did, weight)`` per stratum, the lossy
+        tabular projection, the baseline's values joined by ``|``; read from
+        the strata arrays, with no :class:`DidmComponent` built."""
+        return [(t, "|".join(map(repr, baseline)), direction, v, w)
+                for t, baseline, direction, *_, v, w in self._strata_rows()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +283,8 @@ def _strata(panel: PanelDataset, target: int) -> _Strata:
                    bins=np.concatenate([stratum, head.size + h[h >= 0]]),
                    n=n[cells], ndy=ndy[cells], key=key, home=home,
                    n_bins=head.size + origins.size, step=step,
-                   lost=LostCells(lost, other_moved[lost], panel.group_labels,
-                                  panel.period_labels))
+                   lost=LostCells(lost % G, lost // G + 1, other_moved[lost],
+                                  panel.group_labels, panel.period_labels))
 
 
 def _reduce(strata: _Strata, counts: np.ndarray):

@@ -33,6 +33,7 @@ import contextlib
 import csv
 import functools
 import io
+import json
 import re
 import sys
 import warnings
@@ -318,6 +319,7 @@ def aggregate_micro(micro_rows: Iterable[Sequence]) -> list[tuple]:
 # -- CSV long format -------------------------------------------------------
 
 _TREATMENT_PATTERN = re.compile(r"^d(\d+)$")
+_ROLES = {"g": "group", "t": "period", "y": "outcome", "n": "cell size"}  # no treatment
 
 
 def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDataset:
@@ -327,7 +329,7 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
     numeric order. Extra columns are ignored with a warning listing them.
     The panel's ``treatment_names`` are the treatment columns used, in that
-    order, trimmed and lower-cased.
+    order, trimmed and lower-cased; ``g``, ``t``, ``y`` and ``n`` are none.
 
     ``path`` is a file name, or a binary file object read from where it
     stands. Its bytes are read once and no decoded copy of the whole text is
@@ -408,6 +410,8 @@ def _read_records(lines, treatment_cols, plain: bool = False,
     else:
         tcols = [c.strip().lower() for c in treatment_cols]
         for c in tcols:
+            if c in _ROLES:
+                raise ValueError(f"treatment column {c!r} is the {_ROLES[c]} column")
             if c not in pos:
                 raise MissingColumn(f"treatment column {c!r} not found")
     used = {"g", "t", "y", "n", *tcols}
@@ -499,6 +503,44 @@ def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# no indent keeps json on its C encoder; the separators are json.dumps' own
+_ENCODER = json.JSONEncoder(default=str, allow_nan=False)
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, default=str)``, refusing NaN and infinity: the one
+    encoder of every JSON report."""
+    try:
+        return _ENCODER.encode(value)
+    except ValueError as exc:  # on a tree, json raises it only for allow_nan
+        raise NonFiniteValue(f"report holds a non-finite number ({exc})") from None
+
+
+class _Rows(list):
+    """The JSON texts of an array's elements, which a report writes as the
+    array ``[row, row, ...]``."""
+
+
+def _json_rows(template: str, *columns) -> _Rows:
+    """Rows of JSON text, ``template`` filled with one text per column: for a
+    ``(labels, codes)`` column the :func:`encode_json` text of
+    ``labels[codes[i]]``, each label encoded once and the texts gathered
+    through a numpy object array; for a float array ``float.__repr__``,
+    json's spelling of a finite float, after one ``np.isfinite`` check."""
+    texts = []
+    for column in columns:
+        if isinstance(column, tuple):
+            labels, codes = column
+            spelled = np.array([encode_json(v) for v in labels], dtype=object)
+            texts.append(spelled[codes])  # zipped as is: a list copy raised peak RSS
+        elif not (finite := np.isfinite(column)).all():
+            bad = float(column[~finite][0])
+            raise NonFiniteValue(f"report holds a non-finite number ({bad!r})")
+        else:
+            texts.append(map(float.__repr__, column.tolist()))
+    return _Rows(map(template.__mod__, zip(*texts)))
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:

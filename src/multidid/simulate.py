@@ -388,16 +388,15 @@ class SyntheticPanel:
     Static designs store each cell's potential outcome under every treatment
     combination as a function of the combination: ``outcomes(on)`` takes a
     length-K sequence, each entry a (G, T) bool grid or one bool for every
-    cell saying where treatment k is on, and returns the (G, T) outcomes. A
-    hand-built grid ``po[g, t, mask]`` (bit k of ``mask`` for treatment k) is
-    read the same way. ``po`` is that grid, built on its first read.
+    cell saying where treatment k is on, and returns the (G, T) outcomes;
+    ``po[g, t, mask]`` (bit k of ``mask`` for treatment k) is their grid,
+    built on its first read.
     Staggered designs store ``second_effect[g, ell]``, the effect of
     ``ell + 1`` periods of the second treatment. The observed outcome always
     equals the potential outcome at the realized treatments.
     """
 
     def __init__(self, panel: PanelDataset, kind: str,
-                 po: np.ndarray | None = None,
                  f1: np.ndarray | None = None, f2: np.ndarray | None = None,
                  baseline: np.ndarray | None = None,
                  first_effect: np.ndarray | None = None,
@@ -410,7 +409,7 @@ class SyntheticPanel:
         self.baseline = baseline
         self.first_effect = first_effect
         self.second_effect = second_effect
-        self._outcomes = outcomes if po is None else _stored(np.asarray(po))
+        self._outcomes = outcomes
         self._po = None
 
     @functools.cached_property
@@ -456,16 +455,6 @@ class SyntheticPanel:
         target held off, for every cell."""
         return (self._switched(target, False)
                 - self._outcome([False] * self.panel.n_treatments))
-
-
-def _stored(po: np.ndarray):
-    """The ``outcomes`` function that reads a (G, T, 2**K) grid ``po[g, t, mask]``."""
-    def outcomes(on):
-        masks = sum(np.where(o, 1 << k, 0) for k, o in enumerate(on))
-        shape = np.broadcast_shapes(po.shape[:2], np.shape(masks))
-        return np.take_along_axis(np.broadcast_to(po, shape + po.shape[2:]),
-                                  np.broadcast_to(masks, shape)[..., None], axis=-1)[..., 0]
-    return outcomes
 
 
 def _additive(base: np.ndarray, group_part: np.ndarray, time_part: np.ndarray,

@@ -101,6 +101,12 @@ class DynamicEffectResult:
                                 else by_ell(self.standard_errors, "se")),
         }
 
+    def csv_rows(self) -> list[tuple]:
+        """``(ell, f, t, did, n_treated, n_control, weight)`` per component,
+        the lossy tabular projection, in :meth:`to_dict`'s order."""
+        return [(ell, c.cohort, c.period, c.value, c.n_treated, c.n_control, c.weight)
+                for ell in sorted(self.estimates) for c in self.components.get(ell, ())]
+
 
 def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     """First 1-based period with treatment ``k`` on per group, T + 1 if never.

@@ -6,6 +6,8 @@ import numpy as np
 
 import multidid as m
 
+from .oracles import stored
+
 
 def four_group_example() -> m.SyntheticPanel:
     """Four groups, two periods, two treatments arriving in period 2.
@@ -32,7 +34,7 @@ def four_group_example() -> m.SyntheticPanel:
     po[2, 1, 1] = 0.7
     y = po[np.arange(G)[:, None], np.arange(T), (d[0] + 2 * d[1]).astype(int)]
     panel = m.PanelDataset(range(1, G + 1), range(1, T + 1), y, np.ones((G, T)), d)
-    return m.SyntheticPanel(panel, "random-binary", po=po)
+    return m.SyntheticPanel(panel, "random-binary", outcomes=stored(po))
 
 
 def three_cohort_example(extra_never_treated: bool = False) -> m.SyntheticPanel:

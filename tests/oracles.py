@@ -15,7 +15,8 @@ target at a time, kept as the reference that the direct LAPACK calls must
 equal bit for bit. The potential-outcome grid is the library's former
 ``generate`` arithmetic on normals that numpy draws stream by stream, kept as
 the reference that the effect surfaces and the grid built from them must
-equal bit for bit.
+equal bit for bit; ``stored`` reads a hand-built grid of it for the worked
+examples.
 """
 
 from __future__ import annotations
@@ -294,6 +295,21 @@ def grid_reference(spec):
                 surf += coef
         po[:, :, mask] = surf
     return po
+
+
+def stored(po):
+    """The ``outcomes`` function of a :class:`~multidid.SyntheticPanel` that
+    reads a hand-built (G, T, 2**K) grid ``po[g, t, mask]``, bit k of ``mask``
+    for treatment k; an entry of ``on`` with more axes than (G, T) stacks
+    outcomes, as the library's own ``outcomes`` functions do."""
+    po = np.asarray(po)
+
+    def outcomes(on):
+        masks = sum(np.where(o, 1 << k, 0) for k, o in enumerate(on))
+        shape = np.broadcast_shapes(po.shape[:2], np.shape(masks))
+        return np.take_along_axis(np.broadcast_to(po, shape + po.shape[2:]),
+                                  np.broadcast_to(masks, shape)[..., None], axis=-1)[..., 0]
+    return outcomes
 
 
 def grid_effects(synthetic, target):

@@ -344,7 +344,7 @@ def test_non_finite_report_values_are_refused(capsys, monkeypatch, tmp_path,
     args = cli.build_parser().parse_args(["simulate", "--spec", "s.json", "--out", "p.csv"])
     for out in (None, str(out_path)):
         with pytest.raises(NonFiniteValue, match="non-finite"):
-            cli._emit_json(args, {"estimate": 1.0, "replicates": [0.5, value]}, out)
+            cli._emit_report(args, {"estimate": 1.0, "replicates": [0.5, value]}, out)
     panel = four_group_example().panel
     decomp = m.decompose(panel, 0)
     weights = decomp.weights.copy()
@@ -539,11 +539,21 @@ def test_version_flag(capsys):
      "bootstrap: --first 'd2' and --second (default 'd2') name the same treatment column"),
     (["bootstrap", "--estimator", "did_ell", "--second", "d1"],
      "bootstrap: --first (default 'd1') and --second 'd1' name the same treatment column"),
+    (["didm", "--target", "y", "--treatments", "d1,y"],
+     "didm: --treatments names the outcome column 'y'"),
+    (["didm", "--target", "n", "--treatments", "n,d1"],
+     "didm: --treatments names the cell size column 'n'"),
+    (["decompose", "--target", "d1", "--treatments", "T,d1"],
+     "decompose: --treatments names the period column 't'"),
+    (["bootstrap", "--estimator", "didm", "--treatments", "d1, g"],
+     "bootstrap: --treatments names the group column 'g'"),
 ])
 def test_one_column_named_twice_is_a_usage_error(capsys, staggered_csv, argv, message):
     """Before, a repeated --treatments column made every switch of it drop
     (didm: estimate 0, exit 0) and --first equal to --second was reported as a
-    design violation (exit 5)."""
+    design violation (exit 5); ``--treatments d1,y --target y`` ran with the
+    outcome as a treatment (exit 0), as did ``n`` and ``t`` with the sizes and
+    the period labels."""
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--input", staggered_csv])
     assert exc.value.code == 2

@@ -322,10 +322,16 @@ def test_csv_missing_column(tmp_path):
     ("g,t,y,d1,D1", None, "column 'd1' repeats in the header"),
     ("g,t,y,d1,d2,d2", ["d1", "d2"], "column 'd2' repeats in the header"),
     ("g,t,y,n,d1, N ", None, "column 'n' repeats in the header"),
+    ("g,t,y,n,d1", ["d1", "y"], "treatment column 'y' is the outcome column"),
+    ("g,t,y,n,d1", [" N", "d1"], "treatment column 'n' is the cell size column"),
+    ("g,t,y,d1", ["t"], "treatment column 't' is the period column"),
+    ("g,t,y,d1", ["d1", "G"], "treatment column 'g' is the group column"),
 ])
 def test_csv_repeated_column_is_refused(tmp_path, header, treatments, message):
     """A treatment read twice would be its own other treatment, so every
-    switch of it would move another; a name used twice is refused instead."""
+    switch of it would move another; a name used twice is refused instead,
+    and so is the g, t, y or n column as a treatment, which was read as both
+    (the outcome, the sizes or the labels as a treatment)."""
     width = header.count(",") - 2
     path = tmp_path / "panel.csv"
     path.write_text("\n".join([header] + [f"{g},{t},0.5" + ",1" * width

@@ -20,8 +20,8 @@ from hypothesis.extra.numpy import arrays
 import multidid as m
 from multidid import cli, decomposition, staggered
 from multidid import panel as panel_mod
-from multidid.decomposition import encode_json
 from multidid.didm import DidmComponent
+from multidid.panel import _Rows, encode_json
 from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
@@ -42,6 +42,7 @@ from .oracles import (
     grid_reference,
     polyfit_linear_trends,
     scipy_first_stage,
+    stored,
 )
 
 # by import path: the package's name ``didm`` is the estimator function
@@ -222,7 +223,7 @@ def test_delta_s_oracle_is_the_reference_on_ordered_values(case, data):
     po = data.draw(arrays(float, (panel.n_groups, panel.n_periods, 1 << panel.n_treatments),
                           elements=st.integers(-40, 40).map(lambda v: v / 4),
                           fill=st.nothing()))
-    _same_truth(m.SyntheticPanel(panel, "random-binary", po=po))
+    _same_truth(m.SyntheticPanel(panel, "random-binary", outcomes=stored(po)))
 
 
 @given(treatments())
@@ -642,11 +643,16 @@ def test_didm_components_and_dict_are_those_built_at_once(case):
 @given(didm_report_panels())
 def test_didm_report_is_json_dumps_of_to_dict(tmp_path_factory, case):
     """Each field the command line writes is encode_json of the to_dict
-    value, and the whole report and its warnings are those of the dict."""
+    value, a table's rows written as one array, and the whole report and its
+    warnings are those of the dict."""
     panel, target = case
     result = m.didm(panel, target)
-    fields = {key: encode_json(value) for key, value in result.to_dict().items()}
-    assert cli._didm_report_json(result) == fields
+    report, fields = result.to_dict(), result.report_json()
+    assert list(fields) == list(report)
+    assert isinstance(fields["components"], _Rows) and isinstance(fields["dropped"], _Rows)
+    for key, value in fields.items():
+        text = f"[{', '.join(value)}]" if isinstance(value, _Rows) else encode_json(value)
+        assert text == encode_json(report[key])
     path = tmp_path_factory.mktemp("didm") / "panel.csv"
     m.write_panel_csv(panel, path)
     argv = ["didm", "--input", str(path), "--target", f"d{target + 1}"]
@@ -676,7 +682,7 @@ def test_binary_codes_give_the_strata_of_unique_codes(case, data):
     a, b = didm_mod._strata(fast, target), didm_mod._strata(coded, target)
     for x, y in [(getattr(a, k), getattr(b, k))
                  for k in ("cells", "bins", "n", "ndy", "key", "home", "step")] + [
-            (a.lost.cells, b.lost.cells), (a.lost.moved, b.lost.moved)]:
+            (a.lost.gi, b.lost.gi), (a.lost.ti, b.lost.ti), (a.lost.moved, b.lost.moved)]:
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert (a.n_kept, a.n_bins) == (b.n_kept, b.n_bins)
 
