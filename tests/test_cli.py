@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -72,6 +73,21 @@ def test_decompose_csv_projection(capsys, four_group_csv):
     lines = out.strip().splitlines()
     assert lines[0] == "g,t,role,weight"
     assert any(line.startswith("2,2,own,") for line in lines)
+
+
+def test_didm_builds_no_component_record(capsys, monkeypatch, four_group_csv):
+    """The table and the report of ``didm`` are read from the strata arrays:
+    with ``DidmComponent`` made to fail, both are written as before."""
+    runs = [("--output", "csv"), ("--output", "json")]
+    want = [_run(capsys, "didm", "--input", four_group_csv, "--target", "d1", *run)
+            for run in runs]
+    assert want[0][0] == 0 and len(want[0][1].splitlines()) == 2  # the header and a stratum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DidmComponent was built")
+    monkeypatch.setattr(importlib.import_module("multidid.didm"), "DidmComponent", refuse)
+    for run, result in zip(runs, want):
+        assert _run(capsys, "didm", "--input", four_group_csv, "--target", "d1", *run) == result
 
 
 def test_didm_no_switchers_warning(capsys, tmp_path):

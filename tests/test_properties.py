@@ -999,3 +999,65 @@ def test_linear_trends_match_the_polyfit_oracle(panel):
         for (_, value, weight), (_, want_value, want_weight) in zip(
                 result.contributions, contributions):
             assert _same(value, want_value) and _same(weight, want_weight)
+
+
+# -- the --output csv tables against csv.writer over to_dict -------------------
+
+
+def _table(tmp_path_factory, panel, argv):
+    """The exit code and standard output of ``argv`` with ``--output csv`` on
+    ``panel`` written to a file, and the panel read back from that file."""
+    path = tmp_path_factory.mktemp("table") / "panel.csv"
+    m.write_panel_csv(panel, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--input", str(path), "--output", "csv"])
+    return code, out.getvalue(), m.read_panel_csv(path)
+
+
+def _csv_text(header, rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+@given(report_panels())
+def test_decompose_table_is_csv_of_the_report_dict(tmp_path_factory, case):
+    panel, target = case
+    code, out, back = _table(tmp_path_factory, panel, ["decompose", "--target", f"d{target + 1}"])
+    decomp = _decompose(back, target)
+    report = m.decomposition_report(decomp, m.summarize(decomp, back))
+    rows = [(c["g"], c["t"], role, c["weight"]) for role in ("own", "contamination")
+            for c in report[role]]
+    assert (code, out) == (0, _csv_text(["g", "t", "role", "weight"], rows))
+
+
+@given(didm_report_panels())
+def test_didm_table_is_csv_of_to_dict(tmp_path_factory, case):
+    panel, target = case
+    code, out, back = _table(tmp_path_factory, panel, ["didm", "--target", f"d{target + 1}"])
+    rows = [(c["t"], "|".join(map(repr, c["baseline"])), c["direction"], c["did"], c["weight"])
+            for c in m.didm(back, target).to_dict()["components"]]
+    assert (code, out) == (0, _csv_text(["t", "baseline", "direction", "did", "weight"], rows))
+
+
+@given(staggered_panels(anchored=False))
+def test_event_study_tables_are_csv_of_to_dict(tmp_path_factory, panel):
+    """Each study's table, or its refusal with the error's exit code."""
+    studies = {"second": m.second_treatment_effects, "first": m.first_treatment_effects,
+               "combined": m.combined_effects}
+    for strategy, study in studies.items():
+        code, out, back = _table(tmp_path_factory, panel, ["dynamic", "--first", "d1",
+                                                           "--second", "d2",
+                                                           "--strategy", strategy])
+        try:
+            horizons = study(back, 0, 1).to_dict()["horizons"]
+        except MultiDidError as exc:
+            assert (code, out) == (exc.exit_code, "")
+            continue
+        rows = [(h["ell"], c["f"], c["t"], c["did"], c["n_treated"], c["n_control"],
+                 c["weight"]) for h in horizons for c in h["components"]]
+        assert (code, out) == (0, _csv_text(["ell", "f", "t", "did", "n_treated", "n_control",
+                                             "weight"], rows))
