@@ -187,9 +187,8 @@ class DidmResult:
                 "dropped": dropped, "standard_error": self.standard_error}
 
     def csv_rows(self) -> list[tuple]:
-        """``(t, baseline, direction, did, weight)`` per stratum, the lossy
-        tabular projection, the baseline's values joined by ``|``; read from
-        the strata arrays, with no :class:`DidmComponent` built."""
+        """``(t, baseline, direction, did, weight)`` per stratum, the baseline
+        joined by ``|``: the lossy tabular projection, building no component."""
         return [(t, "|".join(map(repr, baseline)), direction, v, w)
                 for t, baseline, direction, *_, v, w in self._strata_rows()]
 

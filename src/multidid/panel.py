@@ -524,13 +524,12 @@ class _Rows(list):
 
 
 def _json_rows(template: str, *columns) -> _Rows:
-    """Rows of JSON text, ``template`` with each ``%s`` filled by one
-    column's text: for a ``(labels, codes)`` column the :func:`encode_json`
-    text of ``labels[codes[i]]``, each label encoded once and the texts
-    gathered through a numpy object array; for a float array
-    ``float.__repr__``, json's spelling of a finite float, after one
-    ``np.isfinite`` check. A row is joined from its texts and the template's
-    pieces between them; formatting each row with ``%`` took 20% longer."""
+    """Rows of JSON text, ``template`` with each ``%s`` filled by a column's
+    text: for ``(labels, codes)`` the :func:`encode_json` text of
+    ``labels[codes[i]]``, each label encoded once and gathered through a numpy
+    object array; for a float array ``float.__repr__`` (json's spelling of a
+    finite float) after one ``np.isfinite`` check. Rows are joined from the
+    texts and the template's pieces: ``%`` on each row took 20% longer."""
     pieces = template.split("%s")
     parts = [repeat(pieces[0])]
     for column, after in zip(columns, pieces[1:]):

@@ -1,6 +1,7 @@
 """Property-based invariants of the weight decomposition, of the switcher
 estimator and its report, of canonical values, of CSV round trips and the two
-CSV readers, and of the staggered horizon path."""
+CSV readers, of the staggered horizon path, and of the ``--output csv``
+tables."""
 
 import contextlib
 import csv
@@ -21,7 +22,6 @@ import multidid as m
 from multidid import cli, decomposition, staggered
 from multidid import panel as panel_mod
 from multidid.didm import DidmComponent
-from multidid.panel import _Rows, encode_json
 from multidid.errors import (
     CollinearTreatments,
     DegenerateDenominator,
@@ -30,6 +30,7 @@ from multidid.errors import (
     MultiDidError,
     PathologicalDesign,
 )
+from multidid.panel import _Rows, encode_json
 from multidid.staggered import adoption_dates
 
 from .examples import four_group_example
