@@ -4,6 +4,8 @@ Usage, from the repository root:
 
     python scripts/ab.py PARENT CHANGE --workload staggered-cohorts --pairs 10 \\
         --seed 1 --out BENCH_27.json
+    python scripts/ab.py PARENT CHANGE --pairs 5 --out BENCH.json \\
+        --cli "panel.csv didm --target d1"
 
 Both revisions are exported with ``git archive`` into a scratch directory
 (``--workdir``, default a new temporary one), so neither side runs stale
@@ -11,13 +13,23 @@ Both revisions are exported with ``git archive`` into a scratch directory
 fresh processes started the same way: this interpreter, the export's root as
 working directory, ``PYTHONDONTWRITEBYTECODE=1``, BLAS on one thread and no
 ``PYTHONPATH``. The side that runs first alternates from pair to pair. The
-run length is ``run_seconds`` of the parent's ``BENCHMARK.json``.
+run length is ``run_seconds`` of the parent's ``BENCHMARK.json``. Each side
+has a parsed-panel cache of its own (``XDG_CACHE_HOME`` in the scratch
+directory), kept from run to run as a user's would be, so no run reads or
+fills the user's cache.
 
 For every workload and every end-to-end metric of ``BENCHMARK.json`` (plus
 ``wall_s``, read from the report lines), the output holds each side's runs,
 its median and quartiles, and the number of pairs in which the change is
 better; a tie counts for neither side. Operations attempted and failed are
 summed per side.
+
+Each ``--cli "FILE CMD..."`` probe runs ``python -m multidid.cli CMD --input
+FILE --out <scratch file>`` on each side's exported ``src`` in fresh
+processes, alternating sides as above: per pair, once cold (an empty cache
+directory) and once warm (the side's probe cache, filled by one untimed run
+first). It records the wall time from start to exit and the child's
+``ru_maxrss``, summarized as the workloads are.
 """
 
 from __future__ import annotations
@@ -27,10 +39,12 @@ import json
 import os
 import platform
 import re
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,10 +58,17 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One fresh ``bench/run.py`` process: its metric values, wall_s and counts."""
+def environment(cache: Path, **extra) -> dict:
+    """The environment of every child: no ``PYTHONPATH`` but ``extra``'s, BLAS
+    on one thread, no bytecode written, ``cache`` as ``XDG_CACHE_HOME``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update(THREADS, PYTHONDONTWRITEBYTECODE="1")
+    env.update(THREADS, PYTHONDONTWRITEBYTECODE="1", XDG_CACHE_HOME=str(cache), **extra)
+    return env
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, cache: Path) -> dict:
+    """One fresh ``bench/run.py`` process: its metric values, wall_s and counts."""
+    env = environment(cache)
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -59,6 +80,51 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         values["wall_s"] = float(wall.group(1))
     return {"values": values, "attempted": report["attempted"], "failed": report["failed"],
             "correct": report["correct"]}
+
+
+def probe_once(tree: Path, argv: list[str], cache: Path, work: Path) -> dict:
+    """One fresh command-line process of ``tree``'s package: its wall time from
+    start to exit and its own peak RSS (``ru_maxrss`` from ``wait4``)."""
+    env = environment(cache, PYTHONPATH=str(tree / "src"))
+    with open(work / "probe.err", "wb") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "multidid.cli", *argv], cwd=tree,
+                                 env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise RuntimeError(f"{argv} exited {child.returncode}: "
+                           f"{(work / 'probe.err').read_text(errors='replace')}")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def probe(trees: dict, spec: str, pairs: int, work: Path) -> dict:
+    """Cold and warm runs of the ``--cli`` probe ``spec``, "FILE CMD...", on
+    both sides, alternating which side runs first."""
+    file, *command = shlex.split(spec)
+    file = str(Path(file).resolve())
+    argv = [*command, "--input", file, "--out", str(work / "probe.out")]
+    warm = {side: work / f"probe-cache-{side}" for side in trees}
+    for side in trees:  # untimed: fill each side's warm cache
+        probe_once(trees[side], argv, warm[side], work)
+    runs = {(state, side): [] for state in ("cold", "warm") for side in trees}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            cold = Path(tempfile.mkdtemp(prefix=f"cold-{side}-", dir=work))
+            runs["cold", side].append(probe_once(trees[side], argv, cold, work))
+            runs["warm", side].append(probe_once(trees[side], argv, warm[side], work))
+        print(f"probe {spec!r} pair {pair + 1}: " + ", ".join(
+            f"{side} {state} {runs[state, side][-1]['wall_s']:.3f} s"
+            for state in ("cold", "warm") for side in ("parent", "change")), file=sys.stderr)
+    return {"command": ["python", "-m", "multidid.cli", *command, "--input", file, "--out",
+                        "<scratch file>"],
+            "file_bytes": os.path.getsize(file),
+            **{state: {metric: summarize([r[metric] for r in runs[state, "parent"]],
+                                         [r[metric] for r in runs[state, "change"]], "lower")
+                       for metric in ("wall_s", "peak_rss_mb")}
+               for state in ("cold", "warm")}}
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -73,13 +139,18 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="revision of the parent, e.g. a commit")
     p.add_argument("change", help="revision of the change")
-    p.add_argument("--workload", action="append", required=True,
+    p.add_argument("--workload", action="append", default=[],
                    help="a workload of bench/run.py; repeat for several")
+    p.add_argument("--cli", action="append", default=[], metavar="'FILE CMD...'",
+                   help="a fresh-process command-line probe, cold and warm, on FILE; "
+                        "repeat for several")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workdir", default=None, help="scratch directory for the exports")
     p.add_argument("--out", required=True, help="the JSON file to write")
     args = p.parse_args(argv)
+    if not args.workload and not args.cli:
+        p.error("give a --workload or a --cli probe")
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="multidid-ab-"))
     trees = {"parent": work / "parent", "change": work / "change"}
@@ -95,7 +166,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(trees[side], workload, args.seed,
-                                           spec["run_seconds"]))
+                                           spec["run_seconds"], work / f"cache-{side}"))
             print(f"{workload} pair {pair + 1}: " + ", ".join(
                 f"{side} wall_rel {runs[side][-1]['values'].get('wall_rel'):.4f}"
                 for side in ("parent", "change")), file=sys.stderr)
@@ -109,6 +180,8 @@ def main(argv=None) -> int:
                    "all_correct": all(r["correct"] for r in runs[side])}
             for side in runs}
 
+    probes = {cli: probe(trees, cli, args.pairs, work) for cli in args.cli}
+
     import numpy  # the interpreter's, which both sides run on
     import scipy
     report = {
@@ -116,11 +189,14 @@ def main(argv=None) -> int:
                    f"--seconds {spec['run_seconds']} --trace 0",
         "revisions": {"parent": args.parent, "change": args.change},
         "method": "fresh git-archive exports, alternating fresh processes, "
-                  "PYTHONDONTWRITEBYTECODE=1, BLAS on one thread",
+                  "PYTHONDONTWRITEBYTECODE=1, BLAS on one thread, a parsed-panel "
+                  "cache per side in the scratch directory",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
         "ab": result,
     }
+    if probes:
+        report["cli"] = probes
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

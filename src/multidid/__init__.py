@@ -24,7 +24,7 @@ from .decomposition import (
     twfe_coefficient,
 )
 from .didm import DidmResult, SwitcherSet, delta_s_oracle, didm, find_switchers
-from .errors import MultiDidError
+from .errors import InvalidEncoding, MultiDidError
 from .panel import (
     PanelDataset,
     aggregate_micro,
@@ -63,6 +63,7 @@ __all__ = [
     "DidmResult",
     "DynamicEffectResult",
     "FirstStageResult",
+    "InvalidEncoding",
     "MultiDidError",
     "OrderPartition",
     "PanelDataset",

@@ -57,6 +57,11 @@ class MissingColumn(MultiDidError):
     exit_code = 3
 
 
+class InvalidEncoding(MultiDidError):
+    """The input file holds a byte that is not UTF-8."""
+    exit_code = 3
+
+
 # regression and decomposition
 
 class CollinearTreatments(MultiDidError):

@@ -32,10 +32,13 @@ import codecs
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
+import os
 import re
 import sys
+import tempfile
 import warnings
 from itertools import product, repeat
 from operator import itemgetter, length_hint
@@ -46,6 +49,7 @@ import numpy as np
 from .errors import (
     DuplicateCell,
     InsufficientVariation,
+    InvalidEncoding,
     MissingColumn,
     MultiDidError,
     NonBinaryTreatment,
@@ -327,9 +331,10 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
 
     Column names are matched case-insensitively; ``n`` is optional. When
     ``treatment_cols`` is None, columns named ``d1, d2, ...`` are used in
-    numeric order. Extra columns are ignored with a warning listing them.
-    The panel's ``treatment_names`` are the treatment columns used, in that
-    order, trimmed and lower-cased; ``g``, ``t``, ``y`` and ``n`` are none.
+    numeric order; an empty ``treatment_cols`` is refused with a ValueError.
+    Extra columns are ignored with a warning listing them. The panel's
+    ``treatment_names`` are the treatment columns used, in that order,
+    trimmed and lower-cased; ``g``, ``t``, ``y`` and ``n`` are none.
 
     ``path`` is a file name, or a binary file object read from where it
     stands. Its bytes are read once and no decoded copy of the whole text is
@@ -338,24 +343,190 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
     byte-order mark dropped. A text with no ``"`` has its body tokenized by
     numpy's C reader; quoted text, and any body numpy refuses (a byte that is
     not UTF-8 among them) or whose panel would be refused, goes through the
-    ``csv`` module's records, which alone name defects. They read the stream
-    again from its first byte, so a byte that is not UTF-8 is named at its
-    offset in the chunk being decoded, as one pass over the file names it.
-    Both accept the same files with the same labels and value bits: numpy
-    parses a field only if Python's ``float`` gives that very value; in an
-    ASCII text it first asks for the labels as int64, which any label that is
-    not an int64 integer refuses, and then labels stay plain ``str`` until each
-    distinct spelling is parsed. A field longer than ``csv.field_size_limit()``
-    is refused with a ValueError naming its line.
+    ``csv`` module's records, which alone name defects. A byte that is not
+    UTF-8 is refused, after any defect of the header, with
+    :class:`~multidid.errors.InvalidEncoding` naming its physical line and its
+    offset in the bytes read. Both tokenizers accept the same files with the
+    same labels and value bits: numpy parses a field only if Python's
+    ``float`` gives that very value; in an ASCII text it first asks for the
+    labels as int64, which any label that is not an int64 integer refuses,
+    and then labels stay plain ``str`` until each distinct spelling is
+    parsed. A field longer than ``csv.field_size_limit()`` is refused with a
+    ValueError naming its line.
+
+    A panel read successfully is kept in the per-user parsed-panel cache
+    (:func:`_cache_entry`). A later read of the same bytes with the same
+    ``treatment_cols``, by any process, rebuilds the panel from its entry
+    through :class:`PanelDataset`, every check run again, and issues the
+    stored warnings again, without tokenizing the text. A cache that cannot
+    be read or written leaves the file read as above.
     """
     if hasattr(path, "read"):
         data = path.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
-        return _read_records(lines, treatment_cols, plain=_plain(data),
-                             ascii_text=data.removeprefix(codecs.BOM_UTF8).isascii())
+    tcols = None if treatment_cols is None else _treatment_cols(treatment_cols)
+    entry = _cache_entry(data, tcols)
+    if entry and (hit := _load_entry(entry)):
+        panel, warned = hit
+        for text in warned:
+            warnings.warn(text, stacklevel=2)
+        return panel
+    warned = []
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
+            panel = _read_records(lines, tcols, plain=_plain(data), warned=warned,
+                                  ascii_text=data.removeprefix(codecs.BOM_UTF8).isascii())
+    except UnicodeDecodeError:  # its offset is in the decoder's chunk, not in the file
+        raise _not_utf8(data) from None
+    if entry:
+        with contextlib.suppress(OSError):
+            _store_entry(entry, panel, warned)
+    return panel
+
+
+def _not_utf8(data: bytes) -> InvalidEncoding:
+    """The error naming the first byte of ``data`` that is not UTF-8: its
+    physical line (ended by LF, CR LF or a lone CR) and its offset in ``data``."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at, reason = exc.start, exc.reason
+    ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+    return InvalidEncoding(f"line {ends + 1}: not UTF-8 at byte offset {at} ({reason})")
+
+
+def _treatment_cols(treatment_cols: Sequence[str]) -> list[str]:
+    """``treatment_cols`` trimmed and lower-cased; an empty list, which would
+    read no treatment, is refused."""
+    tcols = [c.strip().lower() for c in treatment_cols]
+    if not tcols:
+        raise ValueError("treatment_cols is empty; None reads the d1, d2, ... columns")
+    return tcols
+
+
+# -- the parsed-panel cache ------------------------------------------------
+
+_CACHE_FORMAT = 1
+_CACHE_BOUND = 1 << 30  # bytes, all entries together
+# the modules whose code decides what a read returns
+_CACHE_SOURCES = ("panel.py", "errors.py", "tolerances.py")
+
+
+@functools.cache
+def _source_digests() -> tuple[str, ...]:
+    """The sha256 of each of ``_CACHE_SOURCES``, read at the first read, not
+    at import: a change to the reader, to its errors or to ``VALUE_TOL``
+    misses every entry written before it."""
+    digests = []
+    for name in _CACHE_SOURCES:
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    return tuple(digests)
+
+
+def _cache_entry(data: bytes, tcols: list[str] | None) -> str | None:
+    """The cache file of ``data`` read with the treatment columns ``tcols``,
+    in ``$XDG_CACHE_HOME/multidid``, or ``~/.cache/multidid`` when that
+    variable is unset or relative. Its name is one sha256 over the sha256 of
+    ``data``, ``tcols``, ``csv.field_size_limit()``, numpy's and Python's
+    versions, the entry format and the sources' digests. None when no
+    absolute directory is known or the sources cannot be read."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    try:
+        sources = _source_digests()
+    except OSError:
+        return None
+    key = json.dumps([hashlib.sha256(data).hexdigest(), tcols, csv.field_size_limit(),
+                      np.__version__, sys.version, _CACHE_FORMAT, sources])
+    name = hashlib.sha256(key.encode()).hexdigest()
+    return os.path.join(base, "multidid", name) if os.path.isabs(base) else None
+
+
+def _entry_digest(fields: dict, payload: Iterable) -> str:
+    """The sha256 of an entry: its header ``fields`` as JSON, then ``payload``."""
+    digest = hashlib.sha256(json.dumps(fields).encode())
+    for part in payload:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
+    """Write ``panel`` and the texts of the warnings its read gave to the file
+    ``entry``: a JSON header line (the format, G, T, K, the labels, which JSON
+    keeps as int, float or str, the treatment names, the warnings and the
+    entry's digest), then y, n and d as little-endian float64 in C order.
+    The file is written under a temporary name and renamed, so a reader finds
+    a whole entry or none; then the least recently used entries go until all
+    fit in ``_CACHE_BOUND``. An entry larger than the bound is not written."""
+    arrays = [np.ascontiguousarray(a, "<f8") for a in (panel.y, panel.n, panel.d)]
+    fields = {"format": _CACHE_FORMAT, "G": panel.n_groups, "T": panel.n_periods,
+              "K": panel.n_treatments, "groups": panel.group_labels,
+              "periods": panel.period_labels, "treatment_names": panel.treatment_names,
+              "warnings": warned}
+    fields["sha256"] = _entry_digest(fields, arrays)
+    header = json.dumps(fields).encode() + b"\n"
+    if len(header) + sum(a.nbytes for a in arrays) > _CACHE_BOUND:
+        return
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    fd, temporary = tempfile.mkstemp(dir=directory)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(header)
+            for a in arrays:
+                fh.write(a)
+        os.replace(temporary, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+    _evict(directory)
+
+
+def _evict(directory: str) -> None:
+    """Remove the files of ``directory`` least recently used first (a hit
+    touches its entry) until the rest fit in ``_CACHE_BOUND``."""
+    files = []
+    with os.scandir(directory) as listing:
+        for item in listing:
+            with contextlib.suppress(FileNotFoundError):  # removed meanwhile
+                info = item.stat()
+                files.append((info.st_mtime_ns, info.st_size, item.path))
+    excess = sum(size for _, size, _ in files) - _CACHE_BOUND
+    for _, size, path in sorted(files):
+        if excess <= 0:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        excess -= size
+
+
+def _load_entry(entry: str) -> tuple[PanelDataset, list[str]] | None:
+    """The panel and warning texts stored in the file ``entry``, or None when it
+    is missing or does not check out: a header that is not the expected JSON,
+    a payload of another size, a digest that does not match, or a panel that
+    :class:`PanelDataset` refuses. A hit touches the file."""
+    try:
+        with open(entry, "rb") as fh:
+            fields = dict(json.loads(fh.readline()))
+            payload = fh.read()
+        G, T, K = fields["G"], fields["T"], fields["K"]
+        if (fields.pop("sha256") != _entry_digest(fields, [payload])
+                or fields["format"] != _CACHE_FORMAT or len(payload) != 8 * G * T * (K + 2)
+                or (len(fields["groups"]), len(fields["periods"])) != (G, T)):
+            return None
+        y, n, d = np.split(np.frombuffer(payload, "<f8"), [G * T, 2 * G * T])
+        panel = PanelDataset(fields["groups"], fields["periods"], y.reshape(G, T),
+                             n.reshape(G, T), d.reshape(K, G, T), fields["treatment_names"])
+    except (OSError, ValueError, KeyError, TypeError, MultiDidError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return panel, fields["warnings"]
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -387,11 +558,12 @@ def _csv_records(lines):
         raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_records(lines, treatment_cols, plain: bool = False,
-                  ascii_text: bool = False) -> PanelDataset:
+def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool = False,
+                  warned: list[str] | None = None) -> PanelDataset:
     """The header, then the body: numpy's when ``plain`` (int64 labels tried
     first in an ``ascii_text``), else, or when numpy refuses it or its panel,
-    the ``csv`` module's records of ``lines``, a seekable text stream."""
+    the ``csv`` module's records of ``lines``, a seekable text stream. The
+    text of each warning given is appended to ``warned``."""
     records = _csv_records(lines)
     _, header = next(records, (1, None))
     if header is None:
@@ -408,7 +580,7 @@ def _read_records(lines, treatment_cols, plain: bool = False,
             raise MissingColumn("no treatment columns (d1, d2, ...) found")
         tcols = [name for _, name in sorted(found)]
     else:
-        tcols = [c.strip().lower() for c in treatment_cols]
+        tcols = _treatment_cols(treatment_cols)
         for c in tcols:
             if c in _ROLES:
                 raise ValueError(f"treatment column {c!r} is the {_ROLES[c]} column")
@@ -421,14 +593,17 @@ def _read_records(lines, treatment_cols, plain: bool = False,
         raise ValueError(f"treatment column {twice!r} is listed twice")
     extra = [header[i] for i, name in enumerate(lower) if name not in used]
     if extra:
-        warnings.warn(f"ignoring extra column(s): {', '.join(extra)}", stacklevel=3)
+        text = f"ignoring extra column(s): {', '.join(extra)}"
+        warnings.warn(text, stacklevel=3)
+        if warned is not None:
+            warned.append(text)
     fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
     parse = functools.cache(_parse_label)
     if plain:
         try:
             return _read_plain(lines, fields, parse, ascii_text, tcols)
         except (ValueError, MultiDidError):  # the records name the defect, read again
-            lines.seek(0)  # from byte 0, so the decoder's chunks fall as in one pass
+            lines.seek(0)  # the records start again at the header
             records = _csv_records(lines)
             next(records)
     last = max(j for j in fields if j is not None)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +14,15 @@ from .examples import four_group_example, three_cohort_example
 settings.register_profile("multidid", derandomize=True, deadline=None,
                           max_examples=30)
 settings.load_profile("multidid")
+
+
+@pytest.fixture(autouse=True)
+def panel_cache(tmp_path_factory, monkeypatch):
+    """The parsed-panel cache directory of this test alone, outside its
+    ``tmp_path``: no test reads or fills the user's cache, sees another
+    test's entries, or finds an entry among its own files."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+    return Path(os.environ["XDG_CACHE_HOME"], "multidid")
 
 
 @pytest.fixture

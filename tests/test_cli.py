@@ -854,7 +854,7 @@ def test_unknown_treatment_name_is_refused(capsys, staggered_csv, argv, what):
 EXIT_CODES = {
     "UnbalancedPanel": 3, "DuplicateCell": 3, "NonBinaryTreatment": 3,
     "NonPositiveWeight": 3, "NonFiniteValue": 3, "InsufficientVariation": 3,
-    "NonSharpDesign": 3, "MissingColumn": 3, "InvalidSpec": 3,
+    "NonSharpDesign": 3, "MissingColumn": 3, "InvalidEncoding": 3, "InvalidSpec": 3,
     "CollinearTreatments": 4, "DegenerateDenominator": 4, "NumericallySingular": 4,
     "NotStaggered": 5, "WrongOrder": 5, "PathologicalDesign": 5,
     "NoControls": 6, "InsufficientPrePeriods": 6, "HorizonOutOfRange": 6,

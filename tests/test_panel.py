@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from multidid.cli import main
 from multidid.errors import (
     DuplicateCell,
     InsufficientVariation,
+    InvalidEncoding,
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
@@ -326,17 +328,20 @@ def test_csv_missing_column(tmp_path):
     ("g,t,y,n,d1", [" N", "d1"], "treatment column 'n' is the cell size column"),
     ("g,t,y,d1", ["t"], "treatment column 't' is the period column"),
     ("g,t,y,d1", ["d1", "G"], "treatment column 'g' is the group column"),
+    ("g,t,y,d1", [], "treatment_cols is empty; None reads the d1, d2, ... columns"),
 ])
 def test_csv_repeated_column_is_refused(tmp_path, header, treatments, message):
     """A treatment read twice would be its own other treatment, so every
     switch of it would move another; a name used twice is refused instead,
     and so is the g, t, y or n column as a treatment, which was read as both
-    (the outcome, the sizes or the labels as a treatment)."""
+    (the outcome, the sizes or the labels as a treatment). An empty list of
+    treatments, which would read none, is refused by name, with no warning."""
     width = header.count(",") - 2
     path = tmp_path / "panel.csv"
     path.write_text("\n".join([header] + [f"{g},{t},0.5" + ",1" * width
                                           for g in (1, 2) for t in (1, 2)]) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         m.read_panel_csv(path, treatment_cols=treatments)
 
 
@@ -485,12 +490,16 @@ def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, caps
         raw = raw[:12000] + b"\xff" + raw[12000:]
     path, bare = tmp_path / "bom.csv", tmp_path / "bare.csv"
     path.write_bytes(codecs.BOM_UTF8 + raw)
-    if path_taken == "invalid utf-8":  # named as a stream names it, not the header
+    if path_taken == "invalid utf-8":  # named by its offset in the file, BOM counted
         with pytest.raises(UnicodeDecodeError) as streamed:
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 list(csv.reader(fh))
-        with pytest.raises(UnicodeDecodeError, match=f"^{re.escape(str(streamed.value))}$"):
+        assert streamed.value.reason == "invalid start byte"
+        message = "line 1019: not UTF-8 at byte offset 12003 (invalid start byte)"
+        with pytest.raises(InvalidEncoding, match=f"^{re.escape(message)}$"):
             m.read_panel_csv(path)
+        assert main(["didm", "--input", str(path), "--target", "d1"]) == 3
+        assert capsys.readouterr() == ("", f"error: InvalidEncoding: {message}\n")
         return
     plain = []
     monkeypatch.setattr(panel_mod, "_read_plain",
@@ -507,14 +516,17 @@ def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, caps
     assert report["input_sha256"] == hashlib.sha256(codecs.BOM_UTF8 + raw).hexdigest()
 
 
+@pytest.mark.parametrize("end, line", [("\n", 1019), ("\r\n", 941), ("\r", 1019)])
 @pytest.mark.parametrize("header", ["g,t,y,d1", "h,t,y,d1"])
-def test_invalid_utf8_is_named_as_a_streaming_read_names_it(tmp_path, header):
-    """The whole text is read at once, but a byte that is not UTF-8 is named
-    as reading the file record by record names it: at its offset within the
-    chunk being decoded, and after any defect of the header."""
+def test_invalid_utf8_is_named_by_its_line_and_file_offset(tmp_path, header, end, line):
+    """The whole text is read at once, and a byte that is not UTF-8 is named
+    by its physical line and its offset in the file, not in the chunk being
+    decoded, and after any defect of the header, as a streaming read meets
+    them. Inserted between a CR and its LF, the byte is on the line the CR
+    ends."""
     lines = [header] + [f"{g},{t},0.5,{int(t == 2 and g % 2)}" for g in range(1, 800)
                         for t in (1, 2)]
-    raw = "\n".join(lines).encode()
+    raw = end.join(lines).encode()
     path = tmp_path / "latin.csv"
     path.write_bytes(raw[:12000] + b"\xff" + raw[12000:])
     try:
@@ -523,7 +535,8 @@ def test_invalid_utf8_is_named_as_a_streaming_read_names_it(tmp_path, header):
                 pass
     except UnicodeDecodeError as exc:
         streamed = exc
+    assert streamed.reason == "invalid start byte"
     expected = (MissingColumn, "required column 'g' not found") if header[0] == "h" \
-        else (UnicodeDecodeError, str(streamed))
+        else (InvalidEncoding, f"line {line}: not UTF-8 at byte offset 12000 (invalid start byte)")
     with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}$"):
         m.read_panel_csv(path)

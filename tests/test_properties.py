@@ -9,7 +9,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -813,7 +816,9 @@ def _read_outcome(read, *args):
 
 @contextlib.contextmanager
 def _numpy_reads():
-    """The panels numpy's path returns inside the block."""
+    """The panels numpy's path returns inside the block, where every read
+    parses its text: the parsed-panel cache is an empty directory of the
+    block's own, so a text drawn twice is no cache hit."""
     real, panels = panel_mod._read_plain, []
 
     def spy(*args):
@@ -821,7 +826,9 @@ def _numpy_reads():
         return panels[-1]
     panel_mod._read_plain = spy
     try:
-        yield panels
+        with tempfile.TemporaryDirectory() as cache, \
+                mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+            yield panels
     finally:
         panel_mod._read_plain = real
 
