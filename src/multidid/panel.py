@@ -32,7 +32,6 @@ import codecs
 import contextlib
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
@@ -410,19 +409,28 @@ def _treatment_cols(treatment_cols: Sequence[str]) -> list[str]:
 
 _CACHE_FORMAT = 1
 _CACHE_BOUND = 1 << 30  # bytes, all entries together
-# the modules whose code decides what a read returns
-_CACHE_SOURCES = ("panel.py", "errors.py", "tolerances.py")
+
+
+def _sha256(*parts) -> str:
+    """The sha256 hex digest of the buffers ``parts``, in order. hashlib, which
+    maps OpenSSL (3.7 MB of RSS), is imported at the first read of a file,
+    not with the package."""
+    import hashlib
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 @functools.cache
 def _source_digests() -> tuple[str, ...]:
-    """The sha256 of each of ``_CACHE_SOURCES``, read at the first read, not
-    at import: a change to the reader, to its errors or to ``VALUE_TOL``
-    misses every entry written before it."""
+    """The sha256 of each module whose code decides what a read returns, read
+    at the first read, not at import: a change to the reader, to its errors
+    or to ``VALUE_TOL`` misses every entry written before it."""
     digests = []
-    for name in _CACHE_SOURCES:
+    for name in ("panel.py", "errors.py", "tolerances.py"):
         with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            digests.append(hashlib.sha256(fh.read()).hexdigest())
+            digests.append(_sha256(fh.read()))
     return tuple(digests)
 
 
@@ -440,25 +448,18 @@ def _cache_entry(data: bytes, tcols: list[str] | None) -> str | None:
         sources = _source_digests()
     except OSError:
         return None
-    key = json.dumps([hashlib.sha256(data).hexdigest(), tcols, csv.field_size_limit(),
-                      np.__version__, sys.version, _CACHE_FORMAT, sources])
-    name = hashlib.sha256(key.encode()).hexdigest()
-    return os.path.join(base, "multidid", name) if os.path.isabs(base) else None
-
-
-def _entry_digest(fields: dict, payload: Iterable) -> str:
-    """The sha256 of an entry: its header ``fields`` as JSON, then ``payload``."""
-    digest = hashlib.sha256(json.dumps(fields).encode())
-    for part in payload:
-        digest.update(part)
-    return digest.hexdigest()
+    key = json.dumps([_sha256(data), tcols, csv.field_size_limit(), np.__version__,
+                      sys.version, _CACHE_FORMAT, sources])
+    return os.path.join(base, "multidid", _sha256(key.encode())) \
+        if os.path.isabs(base) else None
 
 
 def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
     """Write ``panel`` and the texts of the warnings its read gave to the file
     ``entry``: a JSON header line (the format, G, T, K, the labels, which JSON
-    keeps as int, float or str, the treatment names, the warnings and the
-    entry's digest), then y, n and d as little-endian float64 in C order.
+    keeps as int, float or str, the treatment names, the warnings, and a
+    sha256 over the other fields' JSON and the payload), then the payload:
+    y, n and d as little-endian float64 in C order.
     The file is written under a temporary name and renamed, so a reader finds
     a whole entry or none; then the least recently used entries go until all
     fit in ``_CACHE_BOUND``. An entry larger than the bound is not written."""
@@ -467,7 +468,7 @@ def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
               "K": panel.n_treatments, "groups": panel.group_labels,
               "periods": panel.period_labels, "treatment_names": panel.treatment_names,
               "warnings": warned}
-    fields["sha256"] = _entry_digest(fields, arrays)
+    fields["sha256"] = _sha256(json.dumps(fields).encode(), *arrays)
     header = json.dumps(fields).encode() + b"\n"
     if len(header) + sum(a.nbytes for a in arrays) > _CACHE_BOUND:
         return
@@ -515,9 +516,8 @@ def _load_entry(entry: str) -> tuple[PanelDataset, list[str]] | None:
             fields = dict(json.loads(fh.readline()))
             payload = fh.read()
         G, T, K = fields["G"], fields["T"], fields["K"]
-        if (fields.pop("sha256") != _entry_digest(fields, [payload])
-                or fields["format"] != _CACHE_FORMAT or len(payload) != 8 * G * T * (K + 2)
-                or (len(fields["groups"]), len(fields["periods"])) != (G, T)):
+        if (fields.pop("sha256") != _sha256(json.dumps(fields).encode(), payload)
+                or fields["format"] != _CACHE_FORMAT or len(payload) != 8 * G * T * (K + 2)):
             return None
         y, n, d = np.split(np.frombuffer(payload, "<f8"), [G * T, 2 * G * T])
         panel = PanelDataset(fields["groups"], fields["periods"], y.reshape(G, T),

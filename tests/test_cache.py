@@ -231,7 +231,8 @@ def test_each_treatment_list_has_its_own_entry(tmp_path, panel_cache):
 def test_the_size_bound_evicts_the_least_recently_used_entry(tmp_path, panel_cache,
                                                               monkeypatch):
     """With room for two entries, a third evicts the one least recently used;
-    a hit counts as a use. An entry larger than the bound is not written."""
+    a hit counts as a use. An entry larger than the bound is not written, and
+    evicts nothing."""
     paths = [_panel_file(tmp_path, seed, f"p{seed}.csv") for seed in range(3)]
     _outcome(paths[0])
     (first,) = _entries(panel_cache)
@@ -245,15 +246,13 @@ def test_the_size_bound_evicts_the_least_recently_used_entry(tmp_path, panel_cac
         _outcome(paths[0])
     assert parsed == []
     _outcome(paths[2])
-    assert second not in _entries(panel_cache) and first in _entries(panel_cache)
-    assert len(_entries(panel_cache)) == 2
-    monkeypatch.setattr(panel_mod, "_CACHE_BOUND", first.stat().st_size - 1)
-    for entry in _entries(panel_cache):
-        entry.unlink()
+    kept = _entries(panel_cache)
+    assert len(kept) == 2 and first in kept and second not in kept
+    large = tmp_path / "large.csv"
+    m.write_panel_csv(m.generate(dataclasses.replace(STATIC, n_groups=30)).panel, large)
     with _parses() as parsed:
-        _outcome(paths[1])
-        _outcome(paths[1])
-    assert parsed == [1, 1] and _entries(panel_cache) == []
+        assert _outcome(large) == _outcome(large)
+    assert parsed == [1, 1] and _entries(panel_cache) == kept
 
 
 def test_a_failed_write_leaves_no_temporary_file(tmp_path, panel_cache):
