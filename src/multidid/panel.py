@@ -444,14 +444,15 @@ def _cache_entry(data: bytes, tcols: list[str] | None) -> str | None:
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home either
+        return None
     try:
         sources = _source_digests()
     except OSError:
         return None
     key = json.dumps([_sha256(data), tcols, csv.field_size_limit(), np.__version__,
                       sys.version, _CACHE_FORMAT, sources])
-    return os.path.join(base, "multidid", _sha256(key.encode())) \
-        if os.path.isabs(base) else None
+    return os.path.join(base, "multidid", _sha256(key.encode()))
 
 
 def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
