@@ -391,9 +391,9 @@ def _not_utf8(data: bytes) -> InvalidEncoding:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        at, reason = exc.start, exc.reason
-    ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
-    return InvalidEncoding(f"line {ends + 1}: not UTF-8 at byte offset {at} ({reason})")
+        at = exc.start
+        ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        return InvalidEncoding(f"line {ends + 1}: not UTF-8 at byte offset {at} ({exc.reason})")
 
 
 def _treatment_cols(treatment_cols: Sequence[str]) -> list[str]:

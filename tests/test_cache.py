@@ -4,12 +4,14 @@ line's output), and a damaged entry, an unusable cache directory or a refused
 file changes no result."""
 
 import codecs
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
 import json
 import os
 import stat
+import sys
 import warnings
 from unittest import mock
 
@@ -266,3 +268,31 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, panel_cache):
     with _parses() as parsed:
         assert _outcome(path) == want
     assert parsed == [1] and _entries(panel_cache) == [entry]
+
+
+def test_concurrent_reads_share_one_cache(tmp_path, panel_cache):
+    """Eight threads, more than the cores, each read two files again and again
+    while the interpreter switches threads at every chance: every read gives
+    the panel one read alone gives, and the cache ends with one whole entry
+    per file and no temporary file. (The threads call the reader itself:
+    ``warnings.catch_warnings`` is not thread-safe.)"""
+    def read(path):
+        p = m.read_panel_csv(path)
+        return p.group_labels, p.period_labels, p.y.tobytes(), p.n.tobytes(), p.d.tobytes()
+    paths = [_panel_file(tmp_path, seed, f"p{seed}.csv") for seed in range(2)]
+    want = [read(path) for path in paths]
+    for entry in _entries(panel_cache):
+        entry.unlink()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(read, paths[i % 2]) for i in range(48)]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i % 2] for i in range(48)]
+    assert len(_entries(panel_cache)) == 2
+    with _parses() as parsed:
+        assert [read(path) for path in paths] == want
+    assert parsed == []
