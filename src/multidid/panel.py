@@ -463,7 +463,8 @@ def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
     y, n and d as little-endian float64 in C order.
     The file is written under a temporary name and renamed, so a reader finds
     a whole entry or none; then the least recently used entries go until all
-    fit in ``_CACHE_BOUND``. An entry larger than the bound is not written."""
+    fit in ``_CACHE_BOUND``. An entry larger than the bound, or in a directory
+    that is not :func:`_private`, is not written."""
     arrays = [np.ascontiguousarray(a, "<f8") for a in (panel.y, panel.n, panel.d)]
     fields = {"format": _CACHE_FORMAT, "G": panel.n_groups, "T": panel.n_periods,
               "K": panel.n_treatments, "groups": panel.group_labels,
@@ -475,6 +476,8 @@ def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
         return
     directory = os.path.dirname(entry)
     os.makedirs(directory, mode=0o700, exist_ok=True)
+    if not _private(directory):
+        return
     fd, temporary = tempfile.mkstemp(dir=directory)
     try:
         with open(fd, "wb") as fh:
@@ -487,6 +490,16 @@ def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
             os.unlink(temporary)
         raise
     _evict(directory)
+
+
+def _private(directory: str) -> bool:
+    """Whether ``directory`` belongs to this process's user and no other user
+    may write in it. An entry's digest checks that it is whole, not who wrote
+    it, and its name follows from public inputs, so entries are read and
+    written only there: ``makedirs`` sets the mode of a directory it makes,
+    not of one that was there before."""
+    info = os.stat(directory)
+    return info.st_uid == os.getuid() and not info.st_mode & 0o022
 
 
 def _evict(directory: str) -> None:
@@ -511,8 +524,11 @@ def _load_entry(entry: str) -> tuple[PanelDataset, list[str]] | None:
     """The panel and warning texts stored in the file ``entry``, or None when it
     is missing or does not check out: a header that is not the expected JSON,
     a payload of another size, a digest that does not match, or a panel that
-    :class:`PanelDataset` refuses. A hit touches the file."""
+    :class:`PanelDataset` refuses; or when its directory is not
+    :func:`_private`. A hit touches the file."""
     try:
+        if not _private(os.path.dirname(entry)):
+            return None
         with open(entry, "rb") as fh:
             fields = dict(json.loads(fh.readline()))
             payload = fh.read()

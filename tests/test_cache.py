@@ -230,6 +230,32 @@ def test_each_treatment_list_has_its_own_entry(tmp_path, panel_cache):
     assert stat.S_IMODE(panel_cache.stat().st_mode) == 0o700
 
 
+@pytest.mark.parametrize("shared", ["group-writable", "world-writable", "another owner"])
+def test_a_directory_others_may_write_is_not_used(tmp_path, panel_cache, monkeypatch,
+                                                  shared):
+    """An entry planted under a file's name, whole and with a good digest,
+    is a hit in the user's own directory; once others may write there, or it
+    is not the user's, the file is read instead and nothing is written."""
+    paths = [_panel_file(tmp_path, seed, f"p{seed}.csv") for seed in range(2)]
+    want = [_outcome(path) for path in paths]
+    entries = _entries(panel_cache)
+    planted = {entry: entry.read_bytes() for entry in entries}
+    for entry in entries:  # each file's name now holds the other file's panel
+        entry.write_bytes(planted[entries[1 - entries.index(entry)]])
+    planted = {entry: entry.read_bytes() for entry in entries}
+    with _parses() as parsed:
+        assert [_outcome(path) for path in paths] == want[::-1]
+    assert parsed == []
+    if shared == "another owner":
+        monkeypatch.setattr(os, "getuid", lambda real=os.getuid(): real + 1)
+    else:
+        panel_cache.chmod(0o770 if shared == "group-writable" else 0o702)
+    with _parses() as parsed:
+        assert [_outcome(path) for path in paths] == want
+    assert parsed == [1, 1]
+    assert {entry: entry.read_bytes() for entry in _entries(panel_cache)} == planted
+
+
 def test_the_size_bound_evicts_the_least_recently_used_entry(tmp_path, panel_cache,
                                                               monkeypatch):
     """With room for two entries, a third evicts the one least recently used;
