@@ -19,6 +19,13 @@ Usage: python scripts/daycare_replication.py PANEL.csv
 
 Exits non-zero if any reproduced figure differs from its reference value by
 more than 0.001. Not part of the test suite (needs external data).
+
+d1 and d3 are not binary, and ``decompose`` refuses a non-binary treatment
+until ROADMAP item 13 lifts that refusal. So on a panel of the documented
+shape the script stops before its comparison: it prints
+``error: NonBinaryTreatment: <message>`` to standard error and exits 3. Any
+other refusal by the library is reported the same way, with its class name
+and exit code (listed in ``multidid --help``).
 """
 
 import sys
@@ -41,10 +48,14 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    panel = m.read_panel_csv(argv[1])
-    decomp = m.decompose(panel, 0)
-    summary = m.summarize(decomp, panel)
-    didm_result = m.didm(panel, 0)
+    try:
+        panel = m.read_panel_csv(argv[1])
+        decomp = m.decompose(panel, 0)
+        summary = m.summarize(decomp, panel)
+        didm_result = m.didm(panel, 0)
+    except m.MultiDidError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     produced = {
         "beta_fe": decomp.beta_fe,

@@ -61,7 +61,9 @@ exit codes:
   2  bad command line
   3  input validation failed (unbalanced/duplicate cells, non-binary,
      non-positive or non-finite values or labels, missing columns,
-     a file that is not UTF-8, bad simulation spec)
+     a file that is not UTF-8, a value that is not a number, a short
+     row, labels of mixed types, a column named twice in the header,
+     a field past the csv module's size limit, bad simulation spec)
   4  coefficient undefined (collinear treatments, degenerate denominator,
      numerically singular fixed effects)
   5  design violated (treatment switches off, wrong adoption order,

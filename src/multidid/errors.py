@@ -62,6 +62,14 @@ class InvalidEncoding(MultiDidError):
     exit_code = 3
 
 
+class MalformedInput(MultiDidError, ValueError):
+    """A row cannot be read as a panel: a value that is not a number, a row
+    short of a used column, labels of mixed types, a used column named twice in
+    the header, or a field past ``csv.field_size_limit()``. A ValueError too, as
+    these were before they had a class of their own."""
+    exit_code = 3
+
+
 # regression and decomposition
 
 class CollinearTreatments(MultiDidError):

@@ -49,6 +49,7 @@ from .errors import (
     DuplicateCell,
     InsufficientVariation,
     InvalidEncoding,
+    MalformedInput,
     MissingColumn,
     MultiDidError,
     NonBinaryTreatment,
@@ -209,8 +210,8 @@ def _sorted_labels(column, what: str, parse, where) -> tuple[list, np.ndarray]:
         labels = sorted(set(spelled.values()))
     except TypeError:  # its text follows the set's hash order; name the types sorted
         kinds = sorted({type(v).__name__ for v in spelled.values()})
-        raise ValueError(f"{what} labels must be mutually orderable, got labels of "
-                         f"type {', '.join(kinds)}") from None
+        raise MalformedInput(f"{what} labels must be mutually orderable, got labels "
+                             f"of type {', '.join(kinds)}") from None
     index = {label: i for i, label in enumerate(labels)}
     code = {s: index[v] for s, v in spelled.items()}
     return labels, np.fromiter(map(code.__getitem__, column), np.intp)
@@ -253,7 +254,7 @@ def _floats(records, j: int, where) -> np.ndarray:
         return np.fromiter(map(float, map(itemgetter(j), rest)), float)
     except ValueError as exc:  # float failed on the record just before ``rest``
         i = len(records) - length_hint(rest) - 1
-        raise ValueError(f"{where(i)}: cannot parse row: {exc}") from None
+        raise MalformedInput(f"{where(i)}: cannot parse row: {exc}") from None
 
 
 def _ingest(labels, values, where, parse, treatment_names=None) -> PanelDataset:
@@ -350,8 +351,8 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
     ``float`` gives that very value; in an ASCII text it first asks for the
     labels as int64, which any label that is not an int64 integer refuses,
     and then labels stay plain ``str`` until each distinct spelling is
-    parsed. A field longer than ``csv.field_size_limit()`` is refused with a
-    ValueError naming its line.
+    parsed. A field longer than ``csv.field_size_limit()`` is refused with
+    :class:`~multidid.errors.MalformedInput` naming its line.
 
     A panel read successfully is kept in the per-user parsed-panel cache
     (:func:`_cache_entry`). A later read of the same bytes with the same
@@ -572,7 +573,7 @@ def _csv_records(lines):
             yield start, record
             start = reader.line_num + 1
     except csv.Error as exc:  # a field past csv.field_size_limit()
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+        raise MalformedInput(f"line {reader.line_num}: {exc}") from None
 
 
 def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool = False,
@@ -605,7 +606,7 @@ def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool =
                 raise MissingColumn(f"treatment column {c!r} not found")
     used = {"g", "t", "y", "n", *tcols}
     if (twice := _repeated([name for name in lower if name in used])):
-        raise ValueError(f"column {twice!r} repeats in the header")
+        raise MalformedInput(f"column {twice!r} repeats in the header")
     if (twice := _repeated(tcols)):
         raise ValueError(f"treatment column {twice!r} is listed twice")
     extra = [header[i] for i, name in enumerate(lower) if name not in used]
@@ -628,8 +629,8 @@ def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool =
     for lineno, rec in records:
         if any(map(str.strip, rec)):
             if len(rec) <= last:
-                raise ValueError(f"line {lineno}: cannot parse row: "
-                                 "list index out of range")
+                raise MalformedInput(f"line {lineno}: cannot parse row: "
+                                     "list index out of range")
             kept.append(rec)
             linenos.append(lineno)
 

@@ -58,8 +58,6 @@ class CohortStructure:
     ``l_nt`` is the largest horizon estimable inside some eligible cohort.
     """
 
-    first: int
-    second: int
     f1: np.ndarray
     f2: np.ndarray
     l_nt: int
@@ -126,20 +124,17 @@ def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
     return np.where(on.any(axis=1), on.argmax(axis=1) + 1, panel.n_periods + 1)
 
 
-def _binary_adoption_dates(panel: PanelDataset, first: int, second: int):
+def _adoption_pair(panel: PanelDataset, first: int, second: int, ordered: bool = True):
+    """Adoption dates ``f1, f2`` of two distinct binary treatments; if
+    ``ordered``, a group that adopts the second before the first is refused."""
     if first == second:  # 0 == 0.0: each is checked
         panel.check_treatment(first)
         panel.check_treatment(second)
         raise ValueError(f"the first and second treatments are both "
                          f"{panel.treatment_names[first]}")
     panel.require_binary()
-    return adoption_dates(panel, first), adoption_dates(panel, second)
-
-
-def _validate_consecutive(panel: PanelDataset, first: int, second: int):
-    f1, f2 = _binary_adoption_dates(panel, first, second)
-    bad = np.nonzero(f2 < f1)[0]
-    if bad.size:
+    f1, f2 = adoption_dates(panel, first), adoption_dates(panel, second)
+    if ordered and (bad := np.flatnonzero(f2 < f1)).size:
         raise WrongOrder(
             f"group {panel.group_labels[bad[0]]!r} adopts the second treatment "
             f"before the first"
@@ -147,21 +142,51 @@ def _validate_consecutive(panel: PanelDataset, first: int, second: int):
     return f1, f2
 
 
-def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
-               cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
-    """The module's contrasts at every horizon, or at ``ell`` alone, with cell
-    sizes ``n``: arrays ``ell, cohort, date, value, n_treated, n_control``
-    over the (horizon, cohort, date) triples where both arms have positive
-    size, in that order. One ``np.bincount`` sums the adopter arm; the control
-    sizes are summed once per (cohort, date), and their changes once per
-    horizon, over the control cells of its contrasts. Arms sum groups in index order."""
+def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
+    """Validate the consecutive staggered design and compute its cohort
+    structure; raises PathologicalDesign when no cohort is eligible."""
+    f1, f2 = _adoption_pair(panel, first, second)
+    # per cohort date: the last and first second-adoption dates after it
+    later = f2 > f1
+    last = np.zeros(panel.n_periods + 2, dtype=f2.dtype)
+    first_later = np.full_like(last, panel.n_periods + 2)
+    np.maximum.at(last, f1[later], f2[later])
+    np.minimum.at(first_later, f1[later], f2[later])
+    l_nt = int((last - first_later).max()) - 1
+    if l_nt < 0:
+        raise PathologicalDesign(
+            "no cohort has two distinct second-treatment adoption dates after "
+            "its first-treatment adoption date"
+        )
+    return CohortStructure(f1=f1, f2=f2, l_nt=l_nt)
+
+
+def _check_horizon(l_nt: int, ell: int) -> None:
+    if not 0 <= _integer(ell, "horizon") <= l_nt:
+        raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
+
+
+def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
+              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None,
+              labelled: bool = False):
+    """Estimates (placebo means if ``placebo``) by horizon of a cohort event
+    study with cell sizes ``n``, at each horizon with a contrast or at ``ell``
+    alone, weighted by adopter size and summed left to right in (cohort, date)
+    order; if ``labelled``, also each horizon's components. ``cohort=None``
+    makes all groups one cohort dated period 1, with components labelled by
+    adoption date. The contrasts are the (horizon, cohort, date) triples where
+    both arms have positive size. One ``np.bincount`` sums the adopter arm; the
+    control sizes are summed once per (cohort, date), and their changes once
+    per horizon, over the control cells of its contrasts, groups in index order."""
+    one_cohort = cohort is None
+    cohort = np.ones_like(adopt) if one_cohort else cohort
     T = panel.n_periods
     y, size = panel.y.ravel(), n.ravel()
     dates = np.arange(1, T + 1)
 
     def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
         hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # _horizons refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):  # the estimate is refused below
             return size[at] * (y[hi] - y[lo])
 
     treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
@@ -182,76 +207,32 @@ def _contrasts(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray,
     t = bins % T
     keep = np.flatnonzero(n_co[f * T + t] > 0)
     keep = keep[np.lexsort((t[keep], f[keep], (t - a)[keep]))]  # (horizon, cohort, date)
-    hit, h, f, t = bins[keep], (t - a + 1)[keep], f[keep], t[keep]
+    hit, h, f, a, t = bins[keep], (t - a + 1)[keep], f[keep], a[keep], t[keep]
     ft = f * T + t
-    s_co = np.empty(hit.size)
+    label = panel.period_labels.__getitem__
+    estimates, components = {}, {}
     bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
     for i, k in zip(bounds, bounds[1:]):  # each horizon: its contrasts' control cells
+        ell = int(h[i])
         want = np.zeros((T + 2) * T, bool)
         want[ft[i:k]] = True
         cells = np.flatnonzero(want[at_co])
-        s_co[i:k] = np.bincount(at_co[cells], change(control[cells], h[i]), (T + 2) * T)[ft[i:k]]
-    with np.errstate(over="ignore", invalid="ignore"):  # _horizons refuses the result
-        value = s_tr[hit] / n_tr[hit] - s_co / n_co[ft]
-    return h, f, t + 1, value, n_tr[hit], n_co[ft]
-
-
-def build_cohorts(panel: PanelDataset, first: int, second: int) -> CohortStructure:
-    """Validate the consecutive staggered design and compute its cohort
-    structure; raises PathologicalDesign when no cohort is eligible."""
-    f1, f2 = _validate_consecutive(panel, first, second)
-    # per cohort date: the last and first second-adoption dates after it
-    later = f2 > f1
-    last = np.zeros(panel.n_periods + 2, dtype=f2.dtype)
-    first_later = np.full_like(last, panel.n_periods + 2)
-    np.maximum.at(last, f1[later], f2[later])
-    np.minimum.at(first_later, f1[later], f2[later])
-    l_nt = int((last - first_later).max()) - 1
-    if l_nt < 0:
-        raise PathologicalDesign(
-            "no cohort has two distinct second-treatment adoption dates after "
-            "its first-treatment adoption date"
-        )
-    return CohortStructure(first=first, second=second, f1=f1, f2=f2, l_nt=l_nt)
-
-
-def _check_horizon(l_nt: int, ell: int) -> None:
-    if not 0 <= _integer(ell, "horizon") <= l_nt:
-        raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
-
-
-def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None,
-              labelled: bool = False):
-    """Estimates (placebo means if ``placebo``) by horizon of a cohort event
-    study with cell sizes ``n``, at each horizon with a contrast or at ``ell``
-    alone, weighted by adopter size and summed left to right in (cohort, date)
-    order; if ``labelled``, also each horizon's components. ``cohort=None``
-    makes all groups one cohort dated period 1, with components labelled by
-    adoption date."""
-    one_cohort = cohort is None
-    h, f, t, value, n_tr, n_co = _contrasts(
-        panel, adopt, np.ones_like(adopt) if one_cohort else cohort, cap, placebo, n, ell)
-    bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
-    if labelled:
-        label = panel.period_labels.__getitem__
-        columns = (list(map(label, ((t - h if one_cohort else f) - 1).tolist())),
-                   list(map(label, (t - 1).tolist())), value.tolist(), n_tr.tolist(),
-                   n_co.tolist())
-    estimates, components = {}, {}
-    for i, k in zip(bounds, bounds[1:]):
-        ell = int(h[i])
+        s_co = np.bincount(at_co[cells], change(control[cells], ell), (T + 2) * T)[ft[i:k]]
+        n_treated, n_control = n_tr[hit[i:k]], n_co[ft[i:k]]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            n_ell = _running_sum(n_tr[i:k])
-            weight = n_tr[i:k] / n_ell
-            estimates[ell] = (_running_sum(n_tr[i:k] * value[i:k]) / n_ell if placebo
-                              else _running_sum(weight * value[i:k]))
+            value = s_tr[hit[i:k]] / n_treated - s_co / n_control
+            n_ell = _running_sum(n_treated)
+            weight = n_treated / n_ell
+            estimates[ell] = (_running_sum(n_treated * value) / n_ell if placebo
+                              else _running_sum(weight * value))
         if not math.isfinite(estimates[ell]):
             raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
                                  f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
         if labelled:
-            components[ell] = tuple(map(HorizonComponent, *(c[i:k] for c in columns),
-                                        weight.tolist()))
+            cohorts = (a if one_cohort else f)[i:k] - 1
+            components[ell] = tuple(map(
+                HorizonComponent, map(label, cohorts.tolist()), map(label, t[i:k].tolist()),
+                value.tolist(), n_treated.tolist(), n_control.tolist(), weight.tolist()))
     return estimates, components
 
 
@@ -318,7 +299,7 @@ def first_treatment_effects(panel: PanelDataset, first: int,
     truncated at the period before its second adoption; comparison groups are
     those that have not adopted the first treatment yet.
     """
-    f1, f2 = _validate_consecutive(panel, first, second)
+    f1, f2 = _adoption_pair(panel, first, second)
     return _event_study(panel, f1, None, f2 - 1, placebos)
 
 
@@ -330,7 +311,7 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
     first treatment's effect with the arrival of the second, and the two
     cannot be separated for groups adopting both at once.
     """
-    f1, f2 = _binary_adoption_dates(panel, first, second)
+    f1, f2 = _adoption_pair(panel, first, second, ordered=False)
     return _event_study(panel, np.minimum(f1, f2), None, panel.n_periods,
                         placebos)
 
@@ -445,7 +426,7 @@ class OrderPartition:
 
 def split_by_order(panel: PanelDataset, first: int, second: int) -> OrderPartition:
     """Partition groups by which treatment arrives first (no order required)."""
-    f1, f2 = _binary_adoption_dates(panel, first, second)
+    f1, f2 = _adoption_pair(panel, first, second, ordered=False)
 
     def groups(mask):
         return tuple(g for g, keep in zip(panel.group_labels, mask) if keep)

@@ -319,3 +319,24 @@ def test_daycare_script_runs_on_a_generated_panel(tmp_path):
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (1, "")
     assert [line.split()[0] for line in proc.stdout.splitlines()] == list(script.REFERENCE)
+
+
+def test_daycare_script_reports_the_non_binary_refusal(tmp_path, capsys):
+    """On a panel of the documented shape (d1 in 0..3, d3 in {0, 4, 6, 8},
+    d2 = 1{d1 = 0}, d4 = 1{d3 = 0}) decompose refuses d1 as non-binary; the
+    script names the error on standard error and exits with its code, 3,
+    with no traceback."""
+    rng = np.random.default_rng(13)
+    d1 = rng.integers(0, 4, size=(12, 3)).astype(float)
+    d3 = rng.choice([0.0, 4.0, 6.0, 8.0], size=(12, 3))
+    d1[0] = (0.0, 1.0, 3.0)  # the first non-binary value in (group, period) order
+    panel = m.PanelDataset(range(12), (1987, 1992, 1997), rng.standard_normal((12, 3)),
+                           np.ones((12, 3)), [d1, d1 == 0, d3, d3 == 0])
+    path = tmp_path / "daycare.csv"
+    m.write_panel_csv(panel, path)
+    found = importlib.util.spec_from_file_location("daycare_replication", DAYCARE_SCRIPT)
+    script = importlib.util.module_from_spec(found)
+    found.loader.exec_module(script)
+    assert script.main(["daycare_replication.py", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: NonBinaryTreatment: treatment d1 is 3.0 at group=0, period=1997\n")

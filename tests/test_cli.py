@@ -385,7 +385,7 @@ def test_over_long_fields_are_refused_with_the_line(capsys, tmp_path, line, fiel
     left as it was."""
     limit = csv.field_size_limit()
     lines = ["g,t,y,n,d1,note", "1,1,0,1,0,", "1,2,1,1,1,", "2,1,0,1,0,", "2,2,0,1,0,"]
-    for width, expected in [(limit, 0), (limit + 1, 1)]:
+    for width, expected in [(limit, 0), (limit + 1, 3)]:
         long = field.rjust(width) if field != "g" else field.ljust(width)
         rows = [row.split(",") for row in lines]
         rows[line - 1][0 if line == 1 else 5 if field == "0" else 0] = long
@@ -396,9 +396,52 @@ def test_over_long_fields_are_refused_with_the_line(capsys, tmp_path, line, fiel
         code, out, err = _run(capsys, "didm", "--input", str(path), "--target", "d1")
         assert code == expected
         if expected:
-            assert (out, err) == ("", f"error: ValueError: line {line}: "
+            assert (out, err) == ("", f"error: MalformedInput: line {line}: "
                                       f"field larger than field limit ({limit})\n")
     assert csv.field_size_limit() == limit
+
+
+def _mixed_group_labels(lines):
+    for i in range(5, 9):
+        lines[i] = "zz" + lines[i][1:]
+
+
+def _line(number, text):
+    def edit(lines):
+        lines[number - 1] = text
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_line(8, "2,3,abc,1.0,1.0,0.0"),
+     "line 8: cannot parse row: could not convert string to float: 'abc'"),
+    (_line(8, "2,3,,1.0,1.0,0.0"),
+     "line 8: cannot parse row: could not convert string to float: ''"),
+    (_line(8, "2,3,\ufeff5.5,1.0,1.0,0.0"),
+     "line 8: cannot parse row: could not convert string to float: '\\ufeff5.5'"),
+    (_line(8, "2,3,5.5,1.0\r,1.0,0.0"), "line 8: cannot parse row: list index out of range"),
+    (_line(8, "2,3,5.5,1.0"), "line 8: cannot parse row: list index out of range"),
+    (_mixed_group_labels,
+     "group labels must be mutually orderable, got labels of type int, str"),
+    (_line(1, "g,t,y,n,d1,D1"), "column 'd1' repeats in the header"),
+    (_line(8, "2" * (csv.field_size_limit() + 1) + ",3,5.5,1.0,1.0,0.0"),
+     f"line 8: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["not-a-number", "empty-field", "stray-bom", "stray-cr", "short-row",
+        "mixed-label-types", "column-twice", "over-long-field"])
+def test_malformed_rows_exit_3(capsys, tmp_path, staggered_csv, edit, message):
+    """A file whose rows cannot be read as a panel stops every command with
+    MalformedInput, exit 3, and no output; before, these were ValueErrors
+    ending in exit 1, the code for an unexpected error."""
+    with open(staggered_csv, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    edit(lines)
+    path = tmp_path / "malformed.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    for argv in (["decompose", "--target", "d1"], ["didm", "--target", "d1"],
+                 ["dynamic", "--first", "d1", "--second", "d2"],
+                 ["bootstrap", "--estimator", "did_ell", "-B", "2"]):
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (3, "", f"error: MalformedInput: {message}\n")
 
 
 def test_bootstrap_subcommand(capsys, four_group_csv):
@@ -854,7 +897,8 @@ def test_unknown_treatment_name_is_refused(capsys, staggered_csv, argv, what):
 EXIT_CODES = {
     "UnbalancedPanel": 3, "DuplicateCell": 3, "NonBinaryTreatment": 3,
     "NonPositiveWeight": 3, "NonFiniteValue": 3, "InsufficientVariation": 3,
-    "NonSharpDesign": 3, "MissingColumn": 3, "InvalidEncoding": 3, "InvalidSpec": 3,
+    "NonSharpDesign": 3, "MissingColumn": 3, "InvalidEncoding": 3, "MalformedInput": 3,
+    "InvalidSpec": 3,
     "CollinearTreatments": 4, "DegenerateDenominator": 4, "NumericallySingular": 4,
     "NotStaggered": 5, "WrongOrder": 5, "PathologicalDesign": 5,
     "NoControls": 6, "InsufficientPrePeriods": 6, "HorizonOutOfRange": 6,

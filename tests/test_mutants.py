@@ -36,9 +36,16 @@ MUTANTS = {
         ["test_bootstrap.py::test_didm_empty_switchers_excluded",
          "test_bootstrap.py::test_count_weighted_replicates_match_the_copy_path"]),
     "an adopter on its adoption date is a control": (
-        staggered, "_contrasts", "adopt[:, None] > dates", "adopt[:, None] >= dates",
+        staggered, "_horizons", "adopt[:, None] > dates", "adopt[:, None] >= dates",
         ["test_staggered.py::test_did_ell_fixture_values",
          "test_staggered.py::test_event_studies_match_brute_force_oracle"]),
+    "a group adopting the second treatment first is accepted": (
+        staggered, "_adoption_pair", "if ordered and", "if False and",
+        ["test_staggered.py::test_second_before_first_wrong_order"]),
+    "the unordered studies refuse the second treatment first": (
+        staggered, "_adoption_pair", "if ordered and", "if True and",
+        ["test_staggered.py::test_unordered_callers_accept_either_order",
+         "test_staggered.py::test_split_by_order_partition"]),
     "fixed effects without the refinement pass": (
         decomposition, "_two_way_residualize", "r -= fit(r)", "pass",
         ["test_decomposition.py::test_orthogonality_invariants_random_panels",

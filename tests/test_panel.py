@@ -483,9 +483,9 @@ def test_unorderable_label_text_is_independent_of_hash_seed(tmp_path):
         run = subprocess.run([sys.executable, "-m", "multidid.cli", "didm", "--input",
                               str(path), "--target", "d1"],
                              capture_output=True, text=True, env=env, check=False)
-        assert run.returncode == 1
+        assert run.returncode == 3
         errs.add(run.stderr)
-    assert errs == {"error: ValueError: group labels must be mutually orderable, "
+    assert errs == {"error: MalformedInput: group labels must be mutually orderable, "
                     "got labels of type int, str\n"}
 
 

@@ -23,7 +23,7 @@ from .oracles import brute_force_event_study
 def test_cohort_structure_fixture(abc_staggered):
     panel = abc_staggered.panel
     st = m.build_cohorts(panel, 0, 1)
-    assert (st.first, st.second, st.l_nt) == (0, 1, 1)
+    assert st.l_nt == 1
     assert list(st.f1) == [2, 2, 2]
     assert list(st.f2) == [3, 5, 4]
     # cohort 2 holds every contrast, the last at date 4, the last date with
@@ -80,8 +80,10 @@ def test_second_before_first_wrong_order():
     d[0, 1, 1:] = 1.0
     panel = m.PanelDataset(range(3), range(4), np.zeros((3, 4)),
                            np.ones((3, 4)), d)
-    with pytest.raises(WrongOrder):
-        m.build_cohorts(panel, 0, 1)
+    for call in (m.build_cohorts, m.second_treatment_effects, m.first_treatment_effects):
+        with pytest.raises(WrongOrder, match="^group 0 adopts the second treatment "
+                                             "before the first$"):
+            call(panel, 0, 1)
 
 
 def test_switching_off_not_staggered():
@@ -341,6 +343,33 @@ def test_split_by_order_partition():
     assert part.never_treated == ("e",)
     assert part.first_subsample == ("a", "e")
     assert set(part.simultaneous_subsample) == {"c", "e"}
+
+
+def test_unordered_callers_accept_either_order():
+    """combined_effects and split_by_order take the treatments in either
+    order: with the two columns swapped, groups that adopted the first
+    treatment first adopt the second first, and both calls give the mirror of
+    their result on the ordered panel."""
+    rng = np.random.default_rng(207)
+    reversed_groups = 0
+    for _ in range(10):
+        panel, f1, f2 = _random_staggered_panel(rng)
+        swapped = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y, panel.n,
+                                 panel.d[::-1])
+        reversed_groups += int(np.sum(f1 < f2))
+        part, mirror = m.split_by_order(panel, 0, 1), m.split_by_order(swapped, 0, 1)
+        assert (mirror.first_before_second, mirror.second_before_first,
+                mirror.simultaneous, mirror.never_treated) == (
+            part.second_before_first, part.first_before_second,
+            part.simultaneous, part.never_treated)
+        try:
+            expected = m.combined_effects(panel, 0, 1)
+        except NoControls:
+            with pytest.raises(NoControls):
+                m.combined_effects(swapped, 0, 1)
+            continue
+        assert m.combined_effects(swapped, 0, 1) == expected
+    assert reversed_groups
 
 
 def test_split_all_first_before_second(abc_staggered):
