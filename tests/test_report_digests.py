@@ -14,7 +14,11 @@ studies have placebos) and ``bootstrap`` (twfe and did_ell); and the tables
 of ``decompose`` (string and float labels, which the CSV writer quotes or
 spells, and the K=1 and K=3 panels, the first with an empty contamination
 table), ``didm`` (on the four panels) and ``dynamic`` (all three studies on
-both staggered panels). The JSON digests
+both staggered panels); and, pinned before the event-study tables were
+written from arrays and the linear trends came from one fit per group,
+``dynamic --strategy linear`` on both staggered panels, ``--strategy
+split``, and the second study's report and table and the linear report on a
+staggered panel with string labels and one with float labels. The JSON digests
 were taken before the decompose tables were written from the weight grid,
 the CSV digests before the tables and the reports shared one writer, and the
 digests of the first and combined studies, of the several-cohort panel and
@@ -50,6 +54,9 @@ STRING_GROUPS = ('a "quoted" group', "back\\slash", "comma, space", "Zürich",
                  "東京", "plain")
 FLOAT_GROUPS = (0.5, 2.75, 1e16, 3.5e20, 1.2345678901234567e-7)
 FLOAT_PERIODS = (1.5, 1e16, 2.5e16, 1e300)
+# in date order both as text and as numbers, so the staggered design survives the read
+STAGGERED_STRING_PERIODS = ('1 "a"', "2, b", "3\\c", "4, d", '5 "e"', "6\\f")
+STAGGERED_FLOAT_PERIODS = (0.5, 1.5, 1e16, 2.5e16, 3.5e20, 1e300)
 
 
 def _synthetic(K: int, G: int, T: int, seed: int) -> m.PanelDataset:
@@ -58,6 +65,13 @@ def _synthetic(K: int, G: int, T: int, seed: int) -> m.PanelDataset:
                      base_effects=tuple(1.0 - 0.5 * k for k in range(K)),
                      effect_group_sd=1.0, effect_time_sd=0.3)
     return m.generate(spec).panel
+
+
+def _staggered(G: int, T: int, seed: int) -> m.PanelDataset:
+    return m.generate(m.DgpSpec(
+        kind="consecutive-staggered", n_groups=G, n_periods=T, seed=seed,
+        cell_sizes="random", time_sd=0.5, first_level_sd=1.0, first_growth=0.3,
+        second_base=2.0, second_growth=0.5, second_sd=1.0)).panel
 
 
 def _relabelled(panel: m.PanelDataset, groups, periods=None) -> m.PanelDataset:
@@ -74,10 +88,12 @@ PANELS = {
                                   FLOAT_PERIODS),
     "staggered": lambda: three_cohort_example(extra_never_treated=True).panel,
     # several first-adoption cohorts, each with adopters at several dates
-    "cohorts": lambda: m.generate(m.DgpSpec(
-        kind="consecutive-staggered", n_groups=60, n_periods=10, seed=15,
-        cell_sizes="random", time_sd=0.5, first_level_sd=1.0, first_growth=0.3,
-        second_base=2.0, second_growth=0.5, second_sd=1.0)).panel,
+    "cohorts": lambda: _staggered(60, 10, 15),
+    # each with placebos, and a linear-trend group dropped at some horizon
+    "staggered-strings": lambda: _relabelled(_staggered(len(STRING_GROUPS), 6, 16),
+                                             STRING_GROUPS, STAGGERED_STRING_PERIODS),
+    "staggered-floats": lambda: _relabelled(_staggered(len(FLOAT_GROUPS), 6, 16),
+                                            FLOAT_GROUPS, STAGGERED_FLOAT_PERIODS),
 }
 
 
@@ -130,6 +146,17 @@ CASES = {
     "dynamic-combined-cohorts-csv": ("cohorts", ["dynamic", "--first", "d1", "--second",
                                                  "d2", "--strategy", "combined",
                                                  "--output", "csv"]),
+    "dynamic-linear": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                     "--strategy", "linear"]),
+    "dynamic-linear-cohorts": ("cohorts", ["dynamic", "--first", "d1", "--second", "d2",
+                                           "--strategy", "linear"]),
+    "dynamic-split": ("staggered", ["dynamic", "--first", "d1", "--second", "d2",
+                                    "--strategy", "split"]),
+    **{f"dynamic-{study}-{kind}-labels{csv}": (
+        f"staggered-{kind}s", ["dynamic", "--first", "d1", "--second", "d2",
+                               "--strategy", study, *(["--output", "csv"] if csv else [])])
+       for kind in ("string", "float") for study, csv in (("second", ""), ("linear", ""),
+                                                          ("second", "-csv"))},
 }
 
 DIGESTS = {
@@ -159,10 +186,19 @@ DIGESTS = {
     "dynamic-first-cohorts": "c08605fe407590a6732a5cbd166ae44a5c8742bc3e3489b1c88a1773f7bdcb80",
     "dynamic-first-cohorts-csv": "50f10fc33a23838ea575fbcc9b4bcee0e7de0ebb3503d1036635b81b8c3bd269",
     "dynamic-first-csv": "af3a91b03c2ea4c44b0c020d608e5e81220393600754d5e7010d1084d22bc341",
+    "dynamic-linear": "6ba3dfe516e633fa5c06dab54fd162d09e4528b1a47b7ed26b57670c04a7db7b",
+    "dynamic-linear-cohorts": "db39cb22b624a321e061f416d765e4708cc3979a2646be8798609b8300bec0c2",
+    "dynamic-linear-float-labels": "b64c573aed8851251e06f44c82484a533335c077cf9c4e64019ca5794241f629",
+    "dynamic-linear-string-labels": "de5b1852fec0103cf5a663d8ec46bed3726aba24bf2d578ccd16c91a0ccc1df4",
     "dynamic-second": "8e4760b99a000ab3f989695e35a7d51874e6e521c9de61a84374deea0d255205",
     "dynamic-second-cohorts": "fa66bfd8fe24552730391673ec1e110643bedb21aa240e7372db585cdeef11f4",
     "dynamic-second-cohorts-csv": "08c1814f594a8ab1f6cb55dc81ae90d1e52cd1903ad30516c80eb42e27c3c754",
     "dynamic-second-csv": "2464986b36566bd197e72333f034b3def5c0ccd0354638faa5a2c869702785a4",
+    "dynamic-second-float-labels": "b0d2185053f9015c37cf0434263febb6bf1da4e8effc0907f0342f0ead3fc0ce",
+    "dynamic-second-float-labels-csv": "c33d5934a0bbe38904a817ac0e38a2dff58aa7394432d5ae0f993e8960ea9048",
+    "dynamic-second-string-labels": "5ce25d092c2fb93dde3e2adf7845fc987b2eb7ded734c0b8cb658d768bfa5704",
+    "dynamic-second-string-labels-csv": "dbe854f6fecb6ff41ad7ac057995ebecd306b67d0be6b5ec4fcaebe160221a23",
+    "dynamic-split": "5381a29f5425e35dce803471d842b4f689e4af814f717944554d38d8296586a8",
 }
 
 
