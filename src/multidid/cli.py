@@ -46,6 +46,7 @@ from .panel import (
 )
 from .simulate import DgpSpec, generate
 from .staggered import (
+    _linear_report,
     build_cohorts,
     combined_effects,
     did_ell_linear_trends,
@@ -200,7 +201,7 @@ def _cmd_dynamic(args) -> int:
             _write_csv(args.out, ["ell", "f", "t", "did", "n_treated", "n_control", "weight"],
                        result.csv_rows())
             return 0
-        payload = result.to_dict()
+        payload = result.report_json()
     elif args.strategy == "linear":
         structure = build_cohorts(panel, first, second)
         horizons = {}
@@ -216,9 +217,7 @@ def _cmd_dynamic(args) -> int:
         for line in _dropped_lines("group-horizon pair(s)", codes, reasons,
                                    lambda i: f"ell={drops[i][0]} g={drops[i][1]!r}"):
             print(f"warning: {line}", file=sys.stderr)
-        payload = {"horizons": [
-            {"ell": ell, **res.to_dict()} for ell, res in sorted(horizons.items())
-        ]}
+        payload = {"horizons": _linear_report(horizons, panel.group_labels)}
     else:  # split
         payload = split_by_order(panel, first, second).to_dict()
     _emit_report(args, payload, args.out)

@@ -33,8 +33,9 @@ mixed-order applications.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from .panel import PanelDataset, _integer, _running_sum
+from .panel import PanelDataset, _integer, _json_rows, _Rows, _running_sum, encode_json
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class CohortStructure:
     f1: np.ndarray
     f2: np.ndarray
     l_nt: int
+    # per panel, the linear-trend fit that every horizon reads (_trend_fit)
+    _trend_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,37 +76,74 @@ class HorizonComponent:
     weight: float
 
 
-@dataclass(frozen=True)
+def _spans(h: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(ell, i, k)`` for each run ``h[i:k] == ell`` of the sorted horizons ``h``."""
+    starts = np.flatnonzero(np.diff(h, prepend=-1)).tolist()
+    return list(zip(h[starts].tolist(), starts, starts[1:] + [h.size]))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DynamicEffectResult:
-    """Per-horizon estimates with their cohort-by-date components."""
+    """Per-horizon estimates with their cohort-by-date components, kept as
+    the table of :func:`_horizons`, whose codes index ``labels``; the
+    ``components`` records are built on first read, and == and repr read them."""
 
     estimates: dict[int, float]
-    components: dict[int, tuple[HorizonComponent, ...]]
+    table: tuple
+    labels: tuple
     placebos: dict[int, float]
     standard_errors: dict[int, float] | None = None
 
-    def to_dict(self) -> dict:
+    @functools.cached_property
+    def components(self) -> dict[int, tuple[HorizonComponent, ...]]:
+        records = [HorizonComponent(*row[1:]) for row in self.csv_rows()]
+        return {ell: tuple(records[i:k]) for ell, i, k in _spans(self.table[0])}
+
+    def _fields(self) -> dict:
+        return {"estimates": self.estimates, "components": self.components,
+                "placebos": self.placebos, "standard_errors": self.standard_errors}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"DynamicEffectResult({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
+
+    def _report(self, horizons) -> dict:
         def by_ell(values, key):
             return [{"ell": ell, key: v} for ell, v in sorted(values.items())]
 
         return {
-            "horizons": [
-                {"ell": ell, "estimate": est, "components": [
-                    {"f": c.cohort, "t": c.period, "did": c.value,
-                     "n_treated": c.n_treated, "n_control": c.n_control,
-                     "weight": c.weight}
-                    for c in self.components.get(ell, ())]}
-                for ell, est in sorted(self.estimates.items())],
+            "horizons": horizons,
             "placebos": by_ell(self.placebos, "estimate"),
             "standard_errors": (None if self.standard_errors is None
                                 else by_ell(self.standard_errors, "se")),
         }
 
+    def to_dict(self) -> dict:
+        return self._report([
+            {"ell": ell, "estimate": self.estimates[ell], "components": [
+                {"f": c.cohort, "t": c.period, "did": c.value,
+                 "n_treated": c.n_treated, "n_control": c.n_control,
+                 "weight": c.weight} for c in records]}
+            for ell, records in self.components.items()])
+
+    def report_json(self) -> dict:
+        """:meth:`to_dict` with the horizons as rows of JSON text, written
+        from the table by :func:`~multidid.panel._json_rows`."""
+        _, cohort, period, *numbers = self.table
+        rows = _json_rows('{"f": %s, "t": %s, "did": %s, "n_treated": %s, "n_control": %s, '
+                          '"weight": %s}', (self.labels, cohort), (self.labels, period), *numbers)
+        return self._report(_Rows(
+            f'{{"ell": {ell}, "estimate": {encode_json(self.estimates[ell])}, '
+            f'"components": [{", ".join(rows[i:k])}]}}' for ell, i, k in _spans(self.table[0])))
+
     def csv_rows(self) -> list[tuple]:
         """``(ell, f, t, did, n_treated, n_control, weight)`` per component,
         the lossy tabular projection, in :meth:`to_dict`'s order."""
-        return [(ell, c.cohort, c.period, c.value, c.n_treated, c.n_control, c.weight)
-                for ell in sorted(self.estimates) for c in self.components.get(ell, ())]
+        ell, cohort, period, *numbers = (a.tolist() for a in self.table)
+        label = self.labels.__getitem__
+        return list(zip(ell, map(label, cohort), map(label, period), *numbers))
 
 
 def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
@@ -167,17 +207,17 @@ def _check_horizon(l_nt: int, ell: int) -> None:
 
 
 def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
-              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None,
-              labelled: bool = False):
+              cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
     """Estimates (placebo means if ``placebo``) by horizon of a cohort event
     study with cell sizes ``n``, at each horizon with a contrast or at ``ell``
     alone, weighted by adopter size and summed left to right in (cohort, date)
-    order; if ``labelled``, also each horizon's components. ``cohort=None``
-    makes all groups one cohort dated period 1, with components labelled by
-    adoption date. The contrasts are the (horizon, cohort, date) triples where
-    both arms have positive size. One ``np.bincount`` sums the adopter arm; the
-    control sizes are summed once per (cohort, date), and their changes once
-    per horizon, over the control cells of its contrasts, groups in index order."""
+    order, and the component table: horizon, cohort and date codes, value,
+    both arms' sizes and weight. ``cohort=None`` makes all groups one cohort
+    dated period 1, with components coded by adoption date. The contrasts are
+    the (horizon, cohort, date) triples where both arms have positive size. One
+    ``np.bincount`` sums the adopter arm; the control sizes are summed once per
+    (cohort, date), and their changes once per horizon, over the control cells
+    of its contrasts, groups in index order."""
     one_cohort = cohort is None
     cohort = np.ones_like(adopt) if one_cohort else cohort
     T = panel.n_periods
@@ -209,31 +249,24 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
     keep = keep[np.lexsort((t[keep], f[keep], (t - a)[keep]))]  # (horizon, cohort, date)
     hit, h, f, a, t = bins[keep], (t - a + 1)[keep], f[keep], a[keep], t[keep]
     ft = f * T + t
-    label = panel.period_labels.__getitem__
-    estimates, components = {}, {}
-    bounds = [*np.flatnonzero(np.diff(h, prepend=-1)).tolist(), h.size]
-    for i, k in zip(bounds, bounds[1:]):  # each horizon: its contrasts' control cells
-        ell = int(h[i])
+    n_treated, n_control = n_tr[hit], n_co[ft]
+    value, weight = np.empty(h.size), np.empty(h.size)
+    estimates = {}
+    for ell, i, k in _spans(h):  # each horizon: its contrasts' control cells
         want = np.zeros((T + 2) * T, bool)
         want[ft[i:k]] = True
         cells = np.flatnonzero(want[at_co])
         s_co = np.bincount(at_co[cells], change(control[cells], ell), (T + 2) * T)[ft[i:k]]
-        n_treated, n_control = n_tr[hit[i:k]], n_co[ft[i:k]]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            value = s_tr[hit[i:k]] / n_treated - s_co / n_control
-            n_ell = _running_sum(n_treated)
-            weight = n_treated / n_ell
-            estimates[ell] = (_running_sum(n_treated * value) / n_ell if placebo
-                              else _running_sum(weight * value))
+            v = value[i:k] = s_tr[hit[i:k]] / n_treated[i:k] - s_co / n_control[i:k]
+            n_ell = _running_sum(n_treated[i:k])
+            w = weight[i:k] = n_treated[i:k] / n_ell
+            estimates[ell] = (_running_sum(n_treated[i:k] * v) / n_ell if placebo
+                              else _running_sum(w * v))
         if not math.isfinite(estimates[ell]):
             raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
                                  f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
-        if labelled:
-            cohorts = (a if one_cohort else f)[i:k] - 1
-            components[ell] = tuple(map(
-                HorizonComponent, map(label, cohorts.tolist()), map(label, t[i:k].tolist()),
-                value.tolist(), n_treated.tolist(), n_control.tolist(), weight.tolist()))
-    return estimates, components
+    return estimates, (h, (a if one_cohort else f) - 1, t, value, n_treated, n_control, weight)
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
@@ -241,9 +274,10 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
     """Effect of the second treatment at horizon ``ell`` (periods since adoption)."""
     _check_horizon(structure.l_nt, ell)
     # every horizon in 0..l_nt has a contrast
-    estimates, components = _horizons(panel, structure.f2, structure.f1, panel.n_periods,
-                                      False, panel.n, ell, labelled=True)
-    return estimates[ell], components[ell]
+    estimates, table = _horizons(panel, structure.f2, structure.f1, panel.n_periods,
+                                 False, panel.n, ell)
+    return estimates[ell], DynamicEffectResult(estimates, table, panel.period_labels,
+                                               {}).components[ell]
 
 
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
@@ -275,11 +309,11 @@ def _event_study(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | No
                  cap: np.ndarray | int, placebos: bool) -> DynamicEffectResult:
     """Cohort event study: every horizon with a contrast, and its placebo where
     it has one (a placebo's adopters are some of the estimate's adopters)."""
-    estimates, components = _horizons(panel, adopt, cohort, cap, False, panel.n, labelled=True)
+    estimates, table = _horizons(panel, adopt, cohort, cap, False, panel.n)
     if not estimates:
         raise NoControls("no adoption date has a not-yet-treated comparison group")
     return DynamicEffectResult(
-        estimates=estimates, components=components,
+        estimates, table, panel.period_labels,
         placebos=_horizons(panel, adopt, cohort, cap, True, panel.n)[0] if placebos else {})
 
 
@@ -321,6 +355,8 @@ class LinearTrendsResult:
     estimate: float
     contributions: tuple[tuple[object, float, float], ...]  # (group, value, weight)
     dropped: tuple[tuple[object, str], ...]
+    # the contributing groups' indices, values and weights, the dropped groups' indices
+    arrays: tuple = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -332,6 +368,48 @@ class LinearTrendsResult:
         }
 
 
+def _linear_report(horizons: dict[int, LinearTrendsResult], labels: tuple) -> _Rows:
+    """``{"ell": ell, **to_dict()}`` per horizon, in order, as rows of JSON
+    text; one :func:`~multidid.panel._json_rows` call per table over every
+    horizon's arrays spells each group once."""
+    ells = sorted(horizons)
+    fitted, value, weight, short = zip(*(horizons[ell].arrays for ell in ells))
+
+    def table(template, codes, *numbers):  # the text inside each horizon's array
+        used, at = np.unique(np.concatenate(codes), return_inverse=True)
+        rows = _json_rows(template, ([labels[g] for g in used.tolist()], at),
+                          *map(np.concatenate, numbers))
+        ends = np.cumsum([c.size for c in codes]).tolist()
+        return [", ".join(rows[i:k]) for i, k in zip([0, *ends], ends)]
+
+    return _Rows(
+        f'{{"ell": {ell}, "estimate": {encode_json(horizons[ell].estimate)}, '
+        f'"contributions": [{c}], "dropped": [{d}]}}' for ell, c, d in zip(
+            ells, table('{"g": %s, "value": %s, "weight": %s}', fitted, value, weight),
+            table('{"g": %s, "reason": "fewer_than_two_pre_periods"}', short)))
+
+
+def _trend_fit(panel: PanelDataset, structure: CohortStructure):
+    """The fitted groups (two fit points, second adoption inside the panel),
+    x and y centred on each group's weighted means, which keeps the
+    extrapolation accurate when y is far from 0, and the slopes; computed on
+    the first call for a panel and structure, and kept in the structure."""
+    if panel not in structure._trend_fits:
+        f1, f2 = structure.f1, structure.f2
+        fit = np.flatnonzero((f2 - f1 >= 2) & (f2 <= panel.n_periods))
+        # weights are the cell sizes inside a group's window and 0 outside
+        x = np.arange(1.0, panel.n_periods + 1)
+        w = np.where((x >= f1[fit, None]) & (x < f2[fit, None]), panel.n[fit], 0.0)
+        sw = w.sum(axis=1)
+        y = panel.y[fit]
+        with np.errstate(all="ignore"):  # a horizon's estimate is refused where not finite
+            xc = x - (w @ x / sw)[:, None]
+            yc = y - ((w * y).sum(axis=1) / sw)[:, None]
+            slope = (w * xc * yc).sum(axis=1) / (w * xc * xc).sum(axis=1)
+        structure._trend_fits[panel] = fit, xc, yc, slope
+    return structure._trend_fits[panel]
+
+
 def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
                           ell: int) -> LinearTrendsResult:
     """Second-treatment effect at horizon ``ell`` via per-group linear trends.
@@ -340,49 +418,39 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
     squares) on its outcomes from first adoption F1 to F2 - 1, the period
     before second adoption, and extrapolated to the horizon date F2 + ell;
     the counterfactual needs no in-cohort control, at the cost of assuming
-    the pre-adoption evolution really is linear. Groups with fewer than two
-    fit points are dropped and reported. Negative horizons would put the
-    target date inside the fit window and raise HorizonOutOfRange.
+    the pre-adoption evolution really is linear. Each group is fit once per
+    panel and structure, for every horizon. Groups with fewer than two fit
+    points are dropped and reported. Negative horizons would put the target
+    date inside the fit window and raise HorizonOutOfRange.
     """
     if _integer(ell, "horizon") < 0:
         raise HorizonOutOfRange(f"horizon {ell} is negative; linear trends "
                                 f"estimate horizons 0 and up")
-    f1, f2 = structure.f1, structure.f2
-    reach = (f1 < f2) & (f2 + ell <= panel.n_periods)
-    short = reach & (f2 - f1 < 2)
+    f1, f2, T = structure.f1, structure.f2, panel.n_periods
+    short = np.flatnonzero((f1 < f2) & (f2 + ell <= T) & (f2 - f1 < 2))
     dropped = tuple((panel.group_labels[g], "fewer_than_two_pre_periods")
-                    for g in np.flatnonzero(short))
-    fit = np.flatnonzero(reach & ~short)
-    if not fit.size:
+                    for g in short)
+    fit, xc, yc, slope = _trend_fit(panel, structure)
+    rows = np.flatnonzero(f2[fit] + ell <= T)  # the fitted groups that reach F2 + ell
+    if not rows.size:
         raise InsufficientPrePeriods(
             f"no group has both a two-point pre-adoption window and an "
             f"observation at horizon {ell}",
             dropped=dropped,
         )
-    # every group's fit at once: weights are the cell sizes inside its
-    # window and 0 outside, and x and y are centred on the group's weighted
-    # means, which keeps the extrapolation accurate when y is far from 0
-    x = np.arange(1.0, panel.n_periods + 1)
-    w = np.where((x >= f1[fit, None]) & (x < f2[fit, None]), panel.n[fit], 0.0)
-    sw = w.sum(axis=1)
-    y = panel.y[fit]
-    rows, cols = np.arange(fit.size), f2[fit] + ell - 1  # cols: the date F2 + ell
+    fit, cols = fit[rows], f2[fit[rows]] + ell - 1  # cols: the date F2 + ell
     size = panel.n[fit, cols]
     total = size.sum()
     with np.errstate(all="ignore"):  # refused below
-        xc = x - (w @ x / sw)[:, None]
-        yc = y - ((w * y).sum(axis=1) / sw)[:, None]
-        slope = (w * xc * yc).sum(axis=1) / (w * xc * xc).sum(axis=1)
-        value = yc[rows, cols] - slope * xc[rows, cols]
+        value = yc[rows, cols] - slope[rows] * xc[rows, cols]
         estimate = float(size @ value / total)
     if not math.isfinite(estimate):
         raise NonFiniteValue(f"the size-weighted linear-trend fit overflows at "
                              f"horizon {ell}")
-    groups = [panel.group_labels[g] for g in fit]
+    groups, weight = [panel.group_labels[g] for g in fit], size / total
     return LinearTrendsResult(
-        estimate=estimate,
-        contributions=tuple(zip(groups, value.tolist(), (size / total).tolist())),
-        dropped=dropped)
+        estimate=estimate, contributions=tuple(zip(groups, value.tolist(), weight.tolist())),
+        dropped=dropped, arrays=(fit, value, weight, short))
 
 
 @dataclass(frozen=True)

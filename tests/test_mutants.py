@@ -73,6 +73,14 @@ MUTANTS = {
         " for j in used])",
         ["test_panel.py::test_equal_labels_keep_the_first_spelling",
          "test_panel.py::test_csv_round_trip_exact"]),
+    "components sliced from the wrong horizon": (
+        staggered, "DynamicEffectResult", "tuple(records[i:k])", "tuple(records[k:2 * k - i])",
+        ["test_staggered.py::test_event_studies_match_brute_force_oracle",
+         "test_properties.py::test_event_study_reports_are_encoded_to_dicts"]),
+    "a linear-trend horizon that keeps a group outside its reach": (
+        staggered, "did_ell_linear_trends", "f2[fit] + ell <= T", "f2[fit] <= T",
+        ["test_staggered.py::test_linear_trends_past_the_in_cohort_range",
+         "test_properties.py::test_linear_trends_match_the_polyfit_oracle"]),
     "every replication draws replication 0's stream": (
         bootstrap, "bootstrap_se", "SeedSequence((seed, rep))", "SeedSequence((seed, 0))",
         ["test_bootstrap.py::test_didm_empty_switchers_excluded",

@@ -34,7 +34,7 @@ from multidid.errors import (
     PathologicalDesign,
 )
 from multidid.panel import _Rows, encode_json
-from multidid.staggered import adoption_dates
+from multidid.staggered import HorizonComponent, adoption_dates
 
 from .examples import four_group_example
 from .oracles import (
@@ -1007,6 +1007,68 @@ def test_linear_trends_match_the_polyfit_oracle(panel):
         for (_, value, weight), (_, want_value, want_weight) in zip(
                 result.contributions, contributions):
             assert _same(value, want_value) and _same(weight, want_weight)
+
+
+def _encoded_fields(fields: dict, report: dict) -> None:
+    """Each field the command line writes is encode_json of the to_dict
+    value, a table's rows written as one array."""
+    assert list(fields) == list(report)
+    for key, value in fields.items():
+        text = f"[{', '.join(value)}]" if isinstance(value, _Rows) else encode_json(value)
+        assert text == encode_json(report[key])
+
+
+def _eager_components(result: m.DynamicEffectResult) -> dict:
+    """An event study's components as they were built before its table was
+    kept as arrays: a record per component, at once, by horizon."""
+    ells, cohorts, periods, *numbers = result.table
+    components = {}
+    for i, ell in enumerate(ells.tolist()):
+        components.setdefault(ell, []).append(HorizonComponent(
+            result.labels[int(cohorts[i])], result.labels[int(periods[i])],
+            *(float(a[i]) for a in numbers)))
+    return {ell: tuple(records) for ell, records in components.items()}
+
+
+@given(staggered_panels(anchored=False))
+def test_event_study_reports_are_encoded_to_dicts(panel):
+    """Every study, with and without placebos, and the linear-trend report:
+    report_json writes the to_dict bytes, and the records read on demand are
+    those built at once (repr tells -0.0 from 0.0 and 1 from 1.0)."""
+    for study in (m.second_treatment_effects, m.first_treatment_effects, m.combined_effects):
+        for placebos in (True, False):
+            try:
+                result = study(panel, 0, 1, placebos=placebos)
+            except MultiDidError:
+                continue
+            _encoded_fields(result.report_json(), result.to_dict())
+            components = _eager_components(result)
+            assert result.components == components
+            assert repr(result.components) == repr(components)
+            assert result == study(panel, 0, 1, placebos=placebos)
+    try:
+        structure = m.build_cohorts(panel, 0, 1)
+    except PathologicalDesign:
+        return
+    horizons = {}
+    for ell in range(panel.n_periods):
+        try:
+            result = horizons[ell] = m.did_ell_linear_trends(panel, structure, ell)
+        except InsufficientPrePeriods:
+            continue
+        fitted, value, weight, short = result.arrays
+        labels = panel.group_labels
+        contributions = tuple((labels[int(g)], float(v), float(w))
+                              for g, v, w in zip(fitted, value, weight))
+        dropped = tuple((labels[int(g)], "fewer_than_two_pre_periods") for g in short)
+        assert (result.contributions, result.dropped) == (contributions, dropped)
+        assert repr((result.contributions, result.dropped)) == repr((contributions, dropped))
+        again = m.did_ell_linear_trends(panel, structure, ell)
+        assert result == again and hash(result) == hash(again)
+    if horizons:
+        _encoded_fields({"horizons": staggered._linear_report(horizons, panel.group_labels)},
+                        {"horizons": [{"ell": ell, **result.to_dict()}
+                                      for ell, result in sorted(horizons.items())]})
 
 
 # -- the --output csv tables against csv.writer over to_dict -------------------
