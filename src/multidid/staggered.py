@@ -249,24 +249,36 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
     keep = keep[np.lexsort((t[keep], f[keep], (t - a)[keep]))]  # (horizon, cohort, date)
     hit, h, f, a, t = bins[keep], (t - a + 1)[keep], f[keep], a[keep], t[keep]
     ft = f * T + t
-    n_treated, n_control = n_tr[hit], n_co[ft]
-    value, weight = np.empty(h.size), np.empty(h.size)
-    estimates = {}
-    for ell, i, k in _spans(h):  # each horizon: its contrasts' control cells
+    spans = _spans(h)
+    s_co = np.empty(h.size)
+    for ell, i, k in spans:  # each horizon: its contrasts' control cells
         want = np.zeros((T + 2) * T, bool)
         want[ft[i:k]] = True
         cells = np.flatnonzero(want[at_co])
-        s_co = np.bincount(at_co[cells], change(control[cells], ell), (T + 2) * T)[ft[i:k]]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            v = value[i:k] = s_tr[hit[i:k]] / n_treated[i:k] - s_co / n_control[i:k]
-            n_ell = _running_sum(n_treated[i:k])
-            w = weight[i:k] = n_treated[i:k] / n_ell
-            estimates[ell] = (_running_sum(n_treated[i:k] * v) / n_ell if placebo
-                              else _running_sum(w * v))
-        if not math.isfinite(estimates[ell]):
-            raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
-                                 f"{'placebo' if placebo else 'estimate'} at horizon {ell}")
-    return estimates, (h, (a if one_cohort else f) - 1, t, value, n_treated, n_control, weight)
+        s_co[i:k] = np.bincount(at_co[cells], change(control[cells], ell), (T + 2) * T)[ft[i:k]]
+    # a row per horizon, its contrasts after a 0.0, so that the cumulative sums
+    # along a row are the horizon's left-to-right totals
+    ells, starts, ends = np.array(spans, dtype=np.intp).reshape(-1, 3).T
+    row = np.repeat(np.arange(ells.size), ends - starts)
+    col = np.arange(h.size) - starts[row] + 1
+    grid = np.zeros((ells.size, col.max(initial=0) + 1))
+
+    def total(values):
+        grid[row, col] = values
+        return np.cumsum(grid, axis=1)[:, -1]
+
+    n_treated, n_control = n_tr[hit], n_co[ft]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = s_tr[hit] / n_treated - s_co / n_control
+        n_ell = total(n_treated)
+        weight = n_treated / n_ell[row]
+        sums = total(n_treated * value) / n_ell if placebo else total(weight * value)
+    if not (finite := np.isfinite(sums)).all():
+        raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
+                             f"{'placebo' if placebo else 'estimate'} at horizon "
+                             f"{ells[~finite][0]}")
+    return (dict(zip(ells.tolist(), sums.tolist())),
+            (h, (a if one_cohort else f) - 1, t, value, n_treated, n_control, weight))
 
 
 def did_ell(panel: PanelDataset, structure: CohortStructure,
