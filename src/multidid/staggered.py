@@ -206,6 +206,7 @@ def _check_horizon(l_nt: int, ell: int) -> None:
         raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate is refused below
 def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
               cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
     """Estimates (placebo means if ``placebo``) by horizon of a cohort event
@@ -226,8 +227,7 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
 
     def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
         hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # the estimate is refused below
-            return size[at] * (y[hi] - y[lo])
+        return size[at] * (y[hi] - y[lo])
 
     treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
                & (dates <= np.reshape(cap, (-1, 1))))
@@ -268,11 +268,10 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
         return np.cumsum(grid, axis=1)[:, -1]
 
     n_treated, n_control = n_tr[hit], n_co[ft]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        value = s_tr[hit] / n_treated - s_co / n_control
-        n_ell = total(n_treated)
-        weight = n_treated / n_ell[row]
-        sums = total(n_treated * value) / n_ell if placebo else total(weight * value)
+    value = s_tr[hit] / n_treated - s_co / n_control
+    n_ell = total(n_treated)
+    weight = n_treated / n_ell[row]
+    sums = total(n_treated * value) / n_ell if placebo else total(weight * value)
     if not (finite := np.isfinite(sums)).all():
         raise NonFiniteValue(f"n * (y - earlier y) overflows in the "
                              f"{'placebo' if placebo else 'estimate'} at horizon "
