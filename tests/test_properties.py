@@ -5,6 +5,7 @@ tables."""
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -577,6 +578,31 @@ def test_decompose_report_is_json_dumps_of_the_report_dict(tmp_path_factory, cas
     assert out.getvalue() == json.dumps(head | report, default=str) + "\n"
 
 
+@given(report_panels())
+@example((four_group_example().panel, 0))
+def test_decompose_tables_are_those_read_cell_by_cell(case):
+    """The mappings, the ``--output csv`` rows and both reports of a
+    decomposition against its weight grid read one cell at a time from
+    ``np.nonzero``, with no row encoder (repr tells -0.0 from 0.0)."""
+    panel, target = case
+    decomp = _decompose(panel, target)
+    summary = m.summarize(decomp, panel)
+    tables = {role: [(decomp.group_labels[i], decomp.period_labels[j], float(decomp.weights[i, j]))
+                     for i, j in zip(*np.nonzero(mask))]
+              for role, mask in (("own", decomp.own_support),
+                                 ("contamination", decomp.contamination_support))}
+    report = {"target": target, "beta_fe": decomp.beta_fe,
+              **{role: [{"g": g, "t": t, "weight": w} for g, t, w in cells]
+                 for role, cells in tables.items()},
+              "summary": summary.to_dict()}
+    assert repr(m.decomposition_report(decomp, summary)) == repr(report)
+    _encoded_fields(decomposition.decomposition_report_json(decomp, summary), report)
+    for role, cells in tables.items():
+        assert repr(getattr(decomp, role)) == repr({(g, t): w for g, t, w in cells})
+    assert repr(decomp.csv_rows()) == repr([(g, t, role, w) for role, cells in tables.items()
+                                            for g, t, w in cells])
+
+
 # -- the didm report from the strata arrays -----------------------------------
 
 
@@ -1069,6 +1095,65 @@ def test_event_study_reports_are_encoded_to_dicts(panel):
         _encoded_fields({"horizons": staggered._linear_report(horizons, panel.group_labels)},
                         {"horizons": [{"ell": ell, **result.to_dict()}
                                       for ell, result in sorted(horizons.items())]})
+
+
+def _eager_study(result: m.DynamicEffectResult, components: dict) -> dict:
+    """An event study's ``to_dict`` built from its records, as it was before
+    its tables had one layout."""
+    def by_ell(values, key):
+        return [{"ell": ell, key: v} for ell, v in sorted(values.items())]
+
+    return {"horizons": [{"ell": ell, "estimate": result.estimates[ell], "components": [
+                {"f": c.cohort, "t": c.period, "did": c.value, "n_treated": c.n_treated,
+                 "n_control": c.n_control, "weight": c.weight} for c in records]}
+                         for ell, records in components.items()],
+            "placebos": by_ell(result.placebos, "estimate"),
+            "standard_errors": (None if result.standard_errors is None
+                                else by_ell(result.standard_errors, "se"))}
+
+
+@given(staggered_panels(anchored=False))
+def test_event_study_dicts_are_those_of_the_records(panel):
+    """Every study's ``to_dict``, ``csv_rows`` and repr, with and without
+    standard errors, and each linear-trend horizon's ``to_dict`` and their
+    report, against the records built at once (repr tells -0.0 from 0.0 and
+    1 from 1.0)."""
+    for study in (m.second_treatment_effects, m.first_treatment_effects, m.combined_effects):
+        for placebos in (True, False):
+            try:
+                result = study(panel, 0, 1, placebos=placebos)
+            except MultiDidError:
+                continue
+            components = _eager_components(result)
+            assert repr(result.to_dict()) == repr(_eager_study(result, components))
+            assert repr(result) == (f"DynamicEffectResult(estimates={result.estimates!r}, "
+                                    f"components={components!r}, placebos={result.placebos!r}, "
+                                    f"standard_errors=None)")
+            assert repr(result.csv_rows()) == repr(
+                [(ell, c.cohort, c.period, c.value, c.n_treated, c.n_control, c.weight)
+                 for ell, records in components.items() for c in records])
+            with_se = dataclasses.replace(result, standard_errors={0: 0.5})
+            assert repr(with_se.to_dict()) == repr(_eager_study(with_se, components))
+            _encoded_fields(with_se.report_json(), with_se.to_dict())
+    try:
+        structure = m.build_cohorts(panel, 0, 1)
+    except PathologicalDesign:
+        return
+    horizons, reports = {}, {}
+    for ell in range(panel.n_periods):
+        try:
+            result = horizons[ell] = m.did_ell_linear_trends(panel, structure, ell)
+        except InsufficientPrePeriods:
+            continue
+        reports[ell] = {"estimate": result.estimate,
+                        "contributions": [{"g": g, "value": v, "weight": w}
+                                          for g, v, w in result.contributions],
+                        "dropped": [{"g": g, "reason": r} for g, r in result.dropped]}
+        assert repr(result.to_dict()) == repr(reports[ell])
+    if reports:
+        _encoded_fields({"horizons": staggered._linear_report(horizons, panel.group_labels)},
+                        {"horizons": [{"ell": ell, **report}
+                                      for ell, report in sorted(reports.items())]})
 
 
 # -- the --output csv tables against csv.writer over to_dict -------------------
