@@ -37,7 +37,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue, NumericallySingular
-from .panel import PanelDataset, _json_rows, _Rows, _running_sum
+from .panel import PanelDataset, _Rows, _running_sum, _Table
 from .tolerances import DENOM_RTOL, RANK_RTOL
 
 @dataclass(frozen=True)
@@ -77,24 +77,23 @@ class WeightDecomposition:
 
     @property
     def own(self) -> dict[tuple, float]:
-        return {(g, t): w for g, t, w in self._cells(self.own_support)}
+        return {(g, t): w for g, t, w in self.table(self.own_support).rows()}
 
     @property
     def contamination(self) -> dict[tuple, float]:
-        return {(g, t): w for g, t, w in self._cells(self.contamination_support)}
+        return {(g, t): w for g, t, w in self.table(self.contamination_support).rows()}
 
     def csv_rows(self) -> list[tuple]:
         """Flat ``(g, t, role, weight)`` rows, the lossy tabular projection."""
         return [(g, t, role, w) for role, mask in (("own", self.own_support),
                                                    ("contamination", self.contamination_support))
-                for g, t, w in self._cells(mask)]
+                for g, t, w in self.table(mask).rows()]
 
-    def _cells(self, mask: np.ndarray) -> list[tuple]:
-        """``(g, t, weight)`` for the cells in ``mask``, in panel order."""
+    def table(self, mask: np.ndarray) -> _Table:
+        """The group, period and weight of the cells in ``mask``, in panel order."""
         gi, ti = np.nonzero(mask)
-        g, t = self.group_labels, self.period_labels
-        return [(g[i], t[j], w) for i, j, w in
-                zip(gi.tolist(), ti.tolist(), self.weights[mask].tolist())]
+        return _Table(("g", "t", "weight"), (self.group_labels, gi), (self.period_labels, ti),
+                      self.weights[mask])
 
 
 @dataclass(frozen=True)
@@ -366,28 +365,21 @@ def decomposition_report(decomp: WeightDecomposition,
 
     Cells are listed in panel order (groups outer, periods inner).
     """
-    return {
-        "target": decomp.target,
-        "beta_fe": decomp.beta_fe,
-        "own": [{"g": g, "t": t, "weight": w}
-                for g, t, w in decomp._cells(decomp.own_support)],
-        "contamination": [{"g": g, "t": t, "weight": w}
-                          for g, t, w in decomp._cells(decomp.contamination_support)],
-        "summary": summary.to_dict(),
-    }
+    return {"target": decomp.target, "beta_fe": decomp.beta_fe,
+            "own": decomp.table(decomp.own_support).dicts(),
+            "contamination": decomp.table(decomp.contamination_support).dicts(),
+            "summary": summary.to_dict()}
 
 
 def decomposition_report_json(decomp: WeightDecomposition,
                               summary: DecompositionSummary) -> dict:
     """:func:`decomposition_report` with the cell tables as rows of JSON text,
-    written straight from the weight grid: the rows ``{"g": <g>, "t": <t>,
-    "weight": <w>}`` of the cells in either support come from
-    :func:`~multidid.panel._json_rows`, and each table takes its rows by mask.
+    written straight from the weight grid: the cells in either support are
+    encoded once, by one :meth:`~WeightDecomposition.table`, and each table
+    takes its rows by mask.
     """
     cells = decomp.own_support | decomp.contamination_support
-    gi, ti = np.nonzero(cells)
-    rows = _json_rows('{"g": %s, "t": %s, "weight": %s}', (decomp.group_labels, gi),
-                      (decomp.period_labels, ti), decomp.weights[cells])
+    rows = decomp.table(cells).json()
     own, contamination = (_Rows(compress(rows, mask[cells].tolist()))
                           for mask in (decomp.own_support, decomp.contamination_support))
     return {"target": decomp.target, "beta_fe": decomp.beta_fe, "own": own,

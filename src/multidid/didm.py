@@ -27,7 +27,7 @@ from itertools import starmap
 import numpy as np
 
 from .errors import NonFiniteValue
-from .panel import PanelDataset, _json_rows, _running_sum
+from .panel import PanelDataset, _running_sum, _Table
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,14 @@ class LostCells:
     def __len__(self) -> int:
         return len(self.gi)
 
-    def rows(self) -> list[tuple]:
-        """``(group, period, reason)`` per cell, without building records."""
-        return list(zip(map(self.group_labels.__getitem__, self.gi.tolist()),
-                        map(self.period_labels.__getitem__, self.ti.tolist()),
-                        map(_REASONS.__getitem__, self.moved.tolist())))
+    def table(self) -> _Table:
+        """The group, period and reason of each cell."""
+        return _Table(("g", "t", "reason"), (self.group_labels, self.gi),
+                      (self.period_labels, self.ti), (_REASONS, self.moved.view(np.int8)))
 
     @cached_property
     def records(self) -> tuple[DroppedSwitcher, ...]:
-        return tuple(starmap(DroppedSwitcher, self.rows()))
+        return tuple(starmap(DroppedSwitcher, self.table().rows()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LostCells) and self.records == other.records
@@ -124,16 +123,18 @@ class DidmResult:
     lost: LostCells = field(repr=False)
     standard_error: float | None = None
 
-    def _strata_rows(self):
-        """The :class:`DidmComponent` fields of each stratum, read from the arrays."""
-        columns = (a.tolist() for a in (self.n_switchers, self.n_stayers, self.value, self.weight))
-        for k, *rest in zip(self.key.tolist(), *columns):
-            yield (self.lost.period_labels[int(k[0])], tuple(k[1:-2]),
-                   "up" if k[-1] > k[-2] else "down", k[-2], k[-1], *rest)
+    def table(self) -> _Table:
+        """The strata, a :class:`DidmComponent` per row, keyed as in :meth:`to_dict`."""
+        key = self.key
+        return _Table(("t", "baseline", "direction", "target_from", "target_to", None, None,
+                       "did", "weight"),
+                      (self.lost.period_labels, key[:, 0].astype(np.intp)), key[:, 1:-2],
+                      _direction(key), key[:, -2], key[:, -1], self.n_switchers,
+                      self.n_stayers, self.value, self.weight)
 
     @cached_property
     def components(self) -> tuple[DidmComponent, ...]:
-        return tuple(starmap(DidmComponent, self._strata_rows()))
+        return tuple(starmap(DidmComponent, self.table().rows()))
 
     def _fields(self) -> tuple:
         return self.estimate, self.n_s, self.components, self.lost, self.standard_error
@@ -148,49 +149,30 @@ class DidmResult:
     def dropped(self) -> tuple[DroppedSwitcher, ...]:
         return self.lost.records
 
+    def _report(self, write) -> dict:
+        return {"estimate": self.estimate, "n_switchers": self.n_s,
+                "components": write(self.table()), "dropped": write(self.lost.table()),
+                "standard_error": self.standard_error}
+
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "n_switchers": self.n_s,
-            "components": [
-                {
-                    "t": c.period,
-                    "baseline": list(c.baseline),
-                    "direction": c.direction,
-                    "target_from": c.target_from,
-                    "target_to": c.target_to,
-                    "did": c.value,
-                    "weight": c.weight,
-                }
-                for c in self.components
-            ],
-            "dropped": [{"g": g, "t": t, "reason": reason}
-                        for g, t, reason in self.lost.rows()],
-            "standard_error": self.standard_error,
-        }
+        return self._report(_Table.dicts)
 
     def report_json(self) -> dict:
         """:meth:`to_dict` with the component and drop tables as rows of JSON
-        text, written by :func:`~multidid.panel._json_rows` straight from the
-        strata arrays and the lost cells."""
-        key, lost = self.key, self.lost
-        components = _json_rows(
-            '{"t": %s, "baseline": [' + ", ".join(["%s"] * (key.shape[1] - 3))
-            + '], "direction": %s, "target_from": %s, "target_to": %s, "did": %s, '
-              '"weight": %s}',
-            (lost.period_labels, key[:, 0].astype(np.intp)), *key[:, 1:-2].T,
-            (("down", "up"), (key[:, -1] > key[:, -2]).view(np.int8)),
-            key[:, -2], key[:, -1], self.value, self.weight)
-        dropped = _json_rows('{"g": %s, "t": %s, "reason": %s}', (lost.group_labels, lost.gi),
-                             (lost.period_labels, lost.ti), (_REASONS, lost.moved.view(np.int8)))
-        return {"estimate": self.estimate, "n_switchers": self.n_s, "components": components,
-                "dropped": dropped, "standard_error": self.standard_error}
+        text, written straight from the strata arrays and the lost cells."""
+        return self._report(_Table.json)
 
     def csv_rows(self) -> list[tuple]:
         """``(t, baseline, direction, did, weight)`` per stratum, the baseline
         joined by ``|``: the lossy tabular projection, building no component."""
         return [(t, "|".join(map(repr, baseline)), direction, v, w)
-                for t, baseline, direction, *_, v, w in self._strata_rows()]
+                for t, baseline, direction, *_, v, w in self.table().rows()]
+
+
+def _direction(key: np.ndarray) -> tuple:
+    """The direction of each row of strata keys as a ``(labels, codes)``
+    column: "up" where target_to exceeds target_from, else "down"."""
+    return ("down", "up"), (key[:, -1] > key[:, -2]).view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,16 +314,12 @@ def find_switchers(panel: PanelDataset, target: int) -> SwitcherSet:
     that have a matching stayer; unusable switching cells are reported."""
     strata = _strata(panel, target)
     n_s = _reduce(strata, np.ones(panel.n_groups))[1]
-    G = panel.n_groups
     kept = strata.cells[:strata.n_kept]
-    cells = tuple(
-        SwitcherCell(group=panel.group_labels[i % G],
-                     period=panel.period_labels[i // G + 1],
-                     direction="up" if k[-1] > k[-2] else "down",
-                     baseline=tuple(k[1:-2]), target_from=k[-2], target_to=k[-1],
-                     n=float(panel.n[i % G, i // G + 1]))
-        for i, k in zip(kept.tolist(), strata.key[strata.bins[:kept.size]].tolist()))
-    return SwitcherSet(cells=cells, n_s=n_s, lost=strata.lost)
+    g, t = kept % panel.n_groups, kept // panel.n_groups + 1
+    key = strata.key[strata.bins[:kept.size]]
+    cells = _Table((None,) * 7, (panel.group_labels, g), (panel.period_labels, t),
+                   _direction(key), key[:, 1:-2], key[:, -2], key[:, -1], panel.n[g, t]).rows()
+    return SwitcherSet(cells=tuple(starmap(SwitcherCell, cells)), n_s=n_s, lost=strata.lost)
 
 
 def didm(panel: PanelDataset, target: int, binary_only: bool = False) -> DidmResult:

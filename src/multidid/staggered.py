@@ -48,22 +48,28 @@ from .errors import (
     PathologicalDesign,
     WrongOrder,
 )
-from .panel import PanelDataset, _integer, _json_rows, _Rows, _running_sum, encode_json
+from .panel import PanelDataset, _integer, _Rows, _running_sum, _Table, encode_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortStructure:
     """Adoption dates of the two staggered treatments and the horizon range.
 
     Dates are 1-based dense period indices, with T + 1 meaning "never", and
     ``l_nt`` is the largest horizon estimable inside some eligible cohort.
+    Two structures are equal when their dates and ``l_nt`` are; a structure
+    holds arrays, so it is unhashable.
     """
 
     f1: np.ndarray
     f2: np.ndarray
     l_nt: int
     # per panel, the linear-trend fit that every horizon reads (_trend_fit)
-    _trend_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _trend_fits: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CohortStructure) and self.l_nt == other.l_nt
+                and np.array_equal(self.f1, other.f1) and np.array_equal(self.f2, other.f2))
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,12 @@ class DynamicEffectResult:
     def __repr__(self) -> str:
         return f"DynamicEffectResult({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
 
+    def component_table(self) -> _Table:
+        """The components, each led by its horizon, which :meth:`csv_rows` alone gives."""
+        ell, cohort, period, *numbers = self.table
+        return _Table((None, "f", "t", "did", "n_treated", "n_control", "weight"), ell,
+                      (self.labels, cohort), (self.labels, period), *numbers)
+
     def _report(self, horizons) -> dict:
         def by_ell(values, key):
             return [{"ell": ell, key: v} for ell, v in sorted(values.items())]
@@ -121,19 +133,14 @@ class DynamicEffectResult:
         }
 
     def to_dict(self) -> dict:
-        return self._report([
-            {"ell": ell, "estimate": self.estimates[ell], "components": [
-                {"f": c.cohort, "t": c.period, "did": c.value,
-                 "n_treated": c.n_treated, "n_control": c.n_control,
-                 "weight": c.weight} for c in records]}
-            for ell, records in self.components.items()])
+        rows = self.component_table().dicts()
+        return self._report([{"ell": ell, "estimate": self.estimates[ell], "components": rows[i:k]}
+                             for ell, i, k in _spans(self.table[0])])
 
     def report_json(self) -> dict:
         """:meth:`to_dict` with the horizons as rows of JSON text, written
-        from the table by :func:`~multidid.panel._json_rows`."""
-        _, cohort, period, *numbers = self.table
-        rows = _json_rows('{"f": %s, "t": %s, "did": %s, "n_treated": %s, "n_control": %s, '
-                          '"weight": %s}', (self.labels, cohort), (self.labels, period), *numbers)
+        from the table's arrays."""
+        rows = self.component_table().json()
         return self._report(_Rows(
             f'{{"ell": {ell}, "estimate": {encode_json(self.estimates[ell])}, '
             f'"components": [{", ".join(rows[i:k])}]}}' for ell, i, k in _spans(self.table[0])))
@@ -141,9 +148,7 @@ class DynamicEffectResult:
     def csv_rows(self) -> list[tuple]:
         """``(ell, f, t, did, n_treated, n_control, weight)`` per component,
         the lossy tabular projection, in :meth:`to_dict`'s order."""
-        ell, cohort, period, *numbers = (a.tolist() for a in self.table)
-        label = self.labels.__getitem__
-        return list(zip(ell, map(label, cohort), map(label, period), *numbers))
+        return self.component_table().rows()
 
 
 def adoption_dates(panel: PanelDataset, k: int) -> np.ndarray:
@@ -361,6 +366,14 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
                         placebos)
 
 
+def _trend_tables(labels: tuple, fitted, value, weight, short) -> tuple[_Table, _Table]:
+    """The contributions and the drops of linear-trend horizons, from the
+    ``arrays`` of one :class:`LinearTrendsResult` or of several joined."""
+    reason = ("fewer_than_two_pre_periods",), np.zeros_like(short)
+    return (_Table(("g", "value", "weight"), (labels, fitted), value, weight),
+            _Table(("g", "reason"), (labels, short), reason))
+
+
 @dataclass(frozen=True)
 class LinearTrendsResult:
     estimate: float
@@ -368,36 +381,31 @@ class LinearTrendsResult:
     dropped: tuple[tuple[object, str], ...]
     # the contributing groups' indices, values and weights, the dropped groups' indices
     arrays: tuple = field(repr=False, compare=False)
+    labels: tuple = field(repr=False, compare=False)  # the panel's group labels
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "contributions": [
-                {"g": g, "value": v, "weight": w} for g, v, w in self.contributions
-            ],
-            "dropped": [{"g": g, "reason": r} for g, r in self.dropped],
-        }
+        contributions, dropped = _trend_tables(self.labels, *self.arrays)
+        return {"estimate": self.estimate, "contributions": contributions.dicts(),
+                "dropped": dropped.dicts()}
 
 
 def _linear_report(horizons: dict[int, LinearTrendsResult], labels: tuple) -> _Rows:
     """``{"ell": ell, **to_dict()}`` per horizon, in order, as rows of JSON
-    text; one :func:`~multidid.panel._json_rows` call per table over every
-    horizon's arrays spells each group once."""
+    text; one table of each kind over every horizon's arrays spells each
+    group it names once."""
     ells = sorted(horizons)
     fitted, value, weight, short = zip(*(horizons[ell].arrays for ell in ells))
 
-    def table(template, codes, *numbers):  # the text inside each horizon's array
-        used, at = np.unique(np.concatenate(codes), return_inverse=True)
-        rows = _json_rows(template, ([labels[g] for g in used.tolist()], at),
-                          *map(np.concatenate, numbers))
-        ends = np.cumsum([c.size for c in codes]).tolist()
+    def split(table, codes):  # the text inside each horizon's array
+        rows, ends = table.json(), np.cumsum([c.size for c in codes]).tolist()
         return [", ".join(rows[i:k]) for i, k in zip([0, *ends], ends)]
 
+    contributions, dropped = _trend_tables(labels, *map(np.concatenate,
+                                                        (fitted, value, weight, short)))
     return _Rows(
         f'{{"ell": {ell}, "estimate": {encode_json(horizons[ell].estimate)}, '
         f'"contributions": [{c}], "dropped": [{d}]}}' for ell, c, d in zip(
-            ells, table('{"g": %s, "value": %s, "weight": %s}', fitted, value, weight),
-            table('{"g": %s, "reason": "fewer_than_two_pre_periods"}', short)))
+            ells, split(contributions, fitted), split(dropped, short)))
 
 
 def _trend_fit(panel: PanelDataset, structure: CohortStructure):
@@ -439,29 +447,26 @@ def did_ell_linear_trends(panel: PanelDataset, structure: CohortStructure,
                                 f"estimate horizons 0 and up")
     f1, f2, T = structure.f1, structure.f2, panel.n_periods
     short = np.flatnonzero((f1 < f2) & (f2 + ell <= T) & (f2 - f1 < 2))
-    dropped = tuple((panel.group_labels[g], "fewer_than_two_pre_periods")
-                    for g in short)
     fit, xc, yc, slope = _trend_fit(panel, structure)
     rows = np.flatnonzero(f2[fit] + ell <= T)  # the fitted groups that reach F2 + ell
-    if not rows.size:
-        raise InsufficientPrePeriods(
-            f"no group has both a two-point pre-adoption window and an "
-            f"observation at horizon {ell}",
-            dropped=dropped,
-        )
     fit, cols = fit[rows], f2[fit[rows]] + ell - 1  # cols: the date F2 + ell
     size = panel.n[fit, cols]
     total = size.sum()
     with np.errstate(all="ignore"):  # refused below
         value = yc[rows, cols] - slope[rows] * xc[rows, cols]
         estimate = float(size @ value / total)
+    arrays = (fit, value, size / total, short)
+    contributions, dropped = (tuple(t.rows()) for t in _trend_tables(panel.group_labels, *arrays))
+    if not rows.size:
+        raise InsufficientPrePeriods(
+            f"no group has both a two-point pre-adoption window and an "
+            f"observation at horizon {ell}",
+            dropped=dropped,
+        )
     if not math.isfinite(estimate):
         raise NonFiniteValue(f"the size-weighted linear-trend fit overflows at "
                              f"horizon {ell}")
-    groups, weight = [panel.group_labels[g] for g in fit], size / total
-    return LinearTrendsResult(
-        estimate=estimate, contributions=tuple(zip(groups, value.tolist(), weight.tolist())),
-        dropped=dropped, arrays=(fit, value, weight, short))
+    return LinearTrendsResult(estimate, contributions, dropped, arrays, panel.group_labels)
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,43 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.d, panel.d)
 
 
+def test_writing_a_panel_holds_a_block_of_rows_at_a_time(tmp_path):
+    """``write_panel_csv`` spells 2^14 rows at a time: writing a 200 000-row
+    panel peaks under 20 MB in Python allocations, where every column's
+    value list at once took 39.9 MB; the rows across block ends read back
+    bit for bit."""
+    spec = m.DgpSpec(kind="random-binary", n_groups=5000, n_periods=40, n_treatments=4,
+                     seed=1, cell_sizes="random", base_effects=(1.0, 2.0, -1.0, 0.5))
+    panel = m.generate(spec).panel
+    path = tmp_path / "panel.csv"
+    tracemalloc.start()
+    try:
+        m.write_panel_csv(panel, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    back = m.read_panel_csv(path)
+    assert (back.group_labels, back.period_labels) == (panel.group_labels, panel.period_labels)
+    for a, b in ((back.y, panel.y), (back.n, panel.n), (back.d, panel.d)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_report_table_encodes_only_the_labels_its_rows_use(monkeypatch):
+    """A column of 3 of 600 labels spells those 3, each once."""
+    labels = tuple(range(1000, 1600))
+    table = panel_mod._Table(("g", "weight"), (labels, np.array([7, 599, 7, 0])),
+                             np.array([0.5, -1.0, 2.0, 0.25]))
+    want = ['{"g": 1007, "weight": 0.5}', '{"g": 1599, "weight": -1.0}',
+            '{"g": 1007, "weight": 2.0}', '{"g": 1000, "weight": 0.25}']
+    assert table.json() == want  # the layout's pieces are built on this first call
+    encoded = []
+    monkeypatch.setattr(panel_mod, "encode_json",
+                        lambda value: encoded.append(value) or json.dumps(value))
+    assert table.json() == want
+    assert sorted(encoded) == [1000, 1007, 1599]
+
+
 def test_csv_case_insensitive_and_extra_column_warning(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text(

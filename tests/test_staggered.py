@@ -34,6 +34,26 @@ def test_cohort_structure_fixture(abc_staggered):
         assert sum(c.n_treated for c in comps) == size
 
 
+def test_cohort_structures_compare_by_their_dates(abc_staggered):
+    """Two builds on one panel are equal, a linear-trend fit kept in one of
+    them included; moving one adoption date makes them unequal. A structure
+    holds arrays and is unhashable."""
+    panel = abc_staggered.panel
+    built = m.build_cohorts(panel, 0, 1)
+    m.did_ell_linear_trends(panel, built, 0)
+    assert built == m.build_cohorts(panel, 0, 1) and not built != m.build_cohorts(panel, 0, 1)
+    d = panel.d.copy()
+    d[1, 2, 3] = 0.0  # group c adopts the second treatment never, not at 4
+    moved = m.PanelDataset(panel.group_labels, panel.period_labels, panel.y, panel.n, d)
+    assert m.build_cohorts(moved, 0, 1) != built
+    assert built != (built.f1, built.f2, built.l_nt)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(built)
+    spec = m.DgpSpec(kind="consecutive-staggered", n_groups=600, n_periods=20, seed=1)
+    large = m.generate(spec).panel
+    assert m.build_cohorts(large, 0, 1) == m.build_cohorts(large, 0, 1)
+
+
 def test_same_second_date_pathological():
     # the second design has a simultaneous adopter plus one later date, so
     # only one second-adoption date falls after the cohort's
