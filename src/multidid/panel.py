@@ -717,10 +717,14 @@ class _Rows(list):
 
 
 @functools.cache
-def _pieces(keys: tuple) -> list[str]:
-    """The text of a JSON row around its values, built once per tuple of keys
-    and split at the values' NULs, which no key's JSON holds."""
-    return ("{" + ", ".join(f"{encode_json(key)}: \0" for key in keys) + "}").split("\0")
+def _pieces(keys: tuple, widths: tuple) -> list[str]:
+    """The text of a JSON row around its values, built once per layout: a
+    key's value is one value if its width is None, else a list of that many.
+    The text is split at the values' NULs, which no key's JSON holds."""
+    fields = (f"{encode_json(key)}: "
+              + ("\0" if n is None else "[" + ", ".join(["\0"] * n) + "]")
+              for key, n in zip(keys, widths))
+    return ("{" + ", ".join(fields) + "}").split("\0")
 
 
 class _Table:
@@ -737,8 +741,9 @@ class _Table:
 
     @staticmethod
     def _values(c, listed: bool = False) -> Iterable:
-        if isinstance(c, tuple):  # a gather of an object array beat tuple.__getitem__
-            return np.array(c[0], dtype=object)[c[1]].tolist()
+        if isinstance(c, tuple):  # indexing, not map(labels.__getitem__): 35% faster
+            labels, codes = c
+            return [labels[i] for i in codes.tolist()]
         return c.tolist() if listed or c.ndim == 1 else map(tuple, c.tolist())
 
     @staticmethod
@@ -755,8 +760,6 @@ class _Table:
             return spelled[codes]  # zipped as is: a list copy raised peak RSS
         if not (finite := np.isfinite(c)).all():
             raise NonFiniteValue(f"report holds a non-finite number ({float(c[~finite][0])!r})")
-        if c.ndim == 2:
-            return (f"[{', '.join(map(float.__repr__, row))}]" for row in c.tolist())
         return map(float.__repr__, c.tolist())
 
     def rows(self) -> list[tuple]:
@@ -769,8 +772,11 @@ class _Table:
     def json(self) -> _Rows:
         """The JSON text of each of :meth:`dicts`, joined from the spelled
         columns and the layout's pieces (``%`` on each row took 20% longer)."""
-        pieces = _pieces(self.keys)
-        parts = chain.from_iterable(zip(map(self._spelled, self.keyed), map(repeat, pieces[1:])))
+        widths = tuple(c.shape[1] if getattr(c, "ndim", 1) == 2 else None for c in self.keyed)
+        pieces = _pieces(self.keys, widths)
+        columns = [part for c, n in zip(self.keyed, widths)
+                   for part in ([c] if n is None else c.T)]
+        parts = chain.from_iterable(zip(map(self._spelled, columns), map(repeat, pieces[1:])))
         return _Rows(map("".join, zip(repeat(pieces[0]), *parts)))
 
 
