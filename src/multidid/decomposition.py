@@ -373,11 +373,9 @@ def decomposition_report(decomp: WeightDecomposition,
 
 def decomposition_report_json(decomp: WeightDecomposition,
                               summary: DecompositionSummary) -> dict:
-    """:func:`decomposition_report` with the cell tables as rows of JSON text,
-    written straight from the weight grid: the cells in either support are
-    encoded once, by one :meth:`~WeightDecomposition.table`, and each table
-    takes its rows by mask.
-    """
+    """:func:`decomposition_report` with the cell tables as rows of JSON text:
+    the cells in either support are encoded once, by one
+    :meth:`~WeightDecomposition.table`, and each table takes its rows by mask."""
     cells = decomp.own_support | decomp.contamination_support
     rows = decomp.table(cells).json()
     own, contamination = (_Rows(compress(rows, mask[cells].tolist()))

@@ -170,8 +170,7 @@ class DidmResult:
 
 
 def _direction(key: np.ndarray) -> tuple:
-    """The direction of each row of strata keys as a ``(labels, codes)``
-    column: "up" where target_to exceeds target_from, else "down"."""
+    """Each strata key's "up" or "down" as a ``(labels, codes)`` column."""
     return ("down", "up"), (key[:, -1] > key[:, -2]).view(np.int8)
 
 

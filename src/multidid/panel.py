@@ -39,7 +39,7 @@ import re
 import sys
 import tempfile
 import warnings
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter, length_hint
 from typing import Iterable, Sequence
 
@@ -716,24 +716,16 @@ class _Rows(list):
     array ``[row, row, ...]``."""
 
 
-@functools.cache
-def _pieces(keys: tuple, widths: tuple) -> list[str]:
-    """The text of a JSON row around its values, built once per layout: a
-    key's value is one value if its width is None, else a list of that many.
-    The text is split at the values' NULs, which no key's JSON holds."""
-    fields = (f"{encode_json(key)}: "
-              + ("\0" if n is None else "[" + ", ".join(["\0"] * n) + "]")
-              for key, n in zip(keys, widths))
-    return ("{" + ", ".join(fields) + "}").split("\0")
-
-
 class _Table:
     """A result's table, laid out once for its records and ``csv_rows``
-    (:meth:`rows`), its ``to_dict`` (:meth:`dicts`) and its report
-    (:meth:`json`). Column i is keyed ``keys[i]``, or None if :meth:`rows`
-    alone gives it, and is ``(labels, codes)``, the value ``labels[codes[i]]``;
-    a 1-D array of numbers; or a 2-D array, whose row i is a tuple in
-    :meth:`rows` and a list elsewhere."""
+    (:meth:`rows`), ``to_dict`` (:meth:`dicts`) and report (:meth:`json`).
+    Column i, keyed ``keys[i]`` or, if only :meth:`rows` gives it, None, is
+    ``(labels, codes)`` for the values ``labels[codes]``, or an array of
+    numbers; a 2-D array's row is a tuple in :meth:`rows`, a list elsewhere."""
+
+    # json's spellings of int and str, without encode_json's per-call C encoder
+    _SPELLERS = {int: int.__repr__, str: json.encoder.encode_basestring_ascii}
+    _PIECES: dict[tuple, list[str]] = {}  # per layout, the text of a JSON row around its values
 
     def __init__(self, keys: tuple, *columns):
         self.columns, self.keys = columns, tuple(key for key in keys if key is not None)
@@ -746,21 +738,21 @@ class _Table:
             return [labels[i] for i in codes.tolist()]
         return c.tolist() if listed or c.ndim == 1 else map(tuple, c.tolist())
 
-    @staticmethod
-    def _spelled(c) -> Iterable[str]:
-        """A column's JSON texts: each label that a code names encoded once
-        (one ``np.bincount`` finds them) and gathered through a numpy object
-        array, each float spelled by ``float.__repr__``, json's spelling of a
-        finite float, after one ``np.isfinite`` check."""
+    @classmethod
+    def _spelled(cls, c) -> Iterable[str]:
+        """A column's JSON texts: each label that a code names (one
+        ``np.bincount`` finds them) spelled once and gathered by index; finite
+        floats, and rows of them, spelled by ``repr`` as json spells them."""
         if isinstance(c, tuple):
             labels, codes = c
             spelled = np.empty(len(labels), dtype=object)
             used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
-            spelled[used] = [encode_json(labels[i]) for i in used]
+            spelled[used] = [cls._SPELLERS.get(type(v), encode_json)(v)
+                             for v in map(labels.__getitem__, used)]
             return spelled[codes]  # zipped as is: a list copy raised peak RSS
         if not (finite := np.isfinite(c)).all():
             raise NonFiniteValue(f"report holds a non-finite number ({float(c[~finite][0])!r})")
-        return map(float.__repr__, c.tolist())
+        return map(float.__repr__ if c.ndim == 1 else list.__repr__, c.tolist())
 
     def rows(self) -> list[tuple]:
         return list(zip(*map(self._values, self.columns)))
@@ -772,28 +764,25 @@ class _Table:
     def json(self) -> _Rows:
         """The JSON text of each of :meth:`dicts`, joined from the spelled
         columns and the layout's pieces (``%`` on each row took 20% longer)."""
-        widths = tuple(c.shape[1] if getattr(c, "ndim", 1) == 2 else None for c in self.keyed)
-        pieces = _pieces(self.keys, widths)
-        columns = [part for c, n in zip(self.keyed, widths)
-                   for part in ([c] if n is None else c.T)]
-        parts = chain.from_iterable(zip(map(self._spelled, columns), map(repeat, pieces[1:])))
+        if (pieces := self._PIECES.get(self.keys)) is None:  # split where values go
+            fields = ", ".join(f"{encode_json(key)}: \0" for key in self.keys)
+            pieces = self._PIECES[self.keys] = ("{" + fields + "}").split("\0")
+        parts = chain.from_iterable(zip(map(self._spelled, self.keyed), map(repeat, pieces[1:])))
         return _Rows(map("".join, zip(repeat(pieces[0]), *parts)))
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
     """Write the panel in the long CSV format accepted by :func:`read_panel_csv`,
-    its treatment columns headed by ``panel.treatment_names``, 2^14 rows at a
-    time through the package's one CSV writer (UTF-8, lines ending in CR LF).
+    its treatment columns headed by ``panel.treatment_names``, about 2^14 rows
+    at a time through the package's one CSV writer (UTF-8, lines ending in CR LF).
 
     Floats are written with shortest round-trip representation, so reading
     the file back reproduces every cell value exactly.
     """
-    columns, block = [a.ravel() for a in (panel.y, panel.n, *panel.d)], 1 << 14
-
     def rows():  # each block's value lists made after the file opens
-        groups = chain.from_iterable(map(repeat, panel.group_labels, repeat(panel.n_periods)))
-        periods = cycle(panel.period_labels)
-        for i in range(0, panel.y.size, block):
-            yield from zip(islice(groups, block), periods,
-                           *(map(repr, c[i:i + block].tolist()) for c in columns))
+        step = max(1, (1 << 14) // panel.n_periods)  # 2^14 rows' worth of whole groups
+        for i in range(0, panel.n_groups, step):
+            g, t = zip(*product(panel.group_labels[i:i + step], panel.period_labels))
+            yield from zip(g, t, *(map(repr, a[i:i + step].ravel().tolist())
+                                   for a in (panel.y, panel.n, *panel.d)))
     _write_csv(path, ["g", "t", "y", "n", *panel.treatment_names], rows())

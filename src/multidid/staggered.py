@@ -57,8 +57,7 @@ class CohortStructure:
 
     Dates are 1-based dense period indices, with T + 1 meaning "never", and
     ``l_nt`` is the largest horizon estimable inside some eligible cohort.
-    Two structures are equal when their dates and ``l_nt`` are; a structure
-    holds arrays, so it is unhashable.
+    Structures with equal dates and ``l_nt`` are equal; they are unhashable.
     """
 
     f1: np.ndarray
@@ -367,8 +366,7 @@ def combined_effects(panel: PanelDataset, first: int, second: int,
 
 
 def _trend_tables(labels: tuple, fitted, value, weight, short) -> tuple[_Table, _Table]:
-    """The contributions and the drops of linear-trend horizons, from the
-    ``arrays`` of one :class:`LinearTrendsResult` or of several joined."""
+    """The contributions and drops tables of one horizon's ``arrays`` or of several joined."""
     reason = ("fewer_than_two_pre_periods",), np.zeros_like(short)
     return (_Table(("g", "value", "weight"), (labels, fitted), value, weight),
             _Table(("g", "reason"), (labels, short), reason))

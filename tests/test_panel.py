@@ -302,7 +302,7 @@ def test_csv_round_trip_exact(tmp_path):
 
 
 def test_writing_a_panel_holds_a_block_of_rows_at_a_time(tmp_path):
-    """``write_panel_csv`` spells 2^14 rows at a time: writing a 200 000-row
+    """``write_panel_csv`` spells about 2^14 rows at a time: writing a 200 000-row
     panel peaks under 20 MB in Python allocations, where every column's
     value list at once took 39.9 MB; the rows across block ends read back
     bit for bit."""
@@ -324,18 +324,24 @@ def test_writing_a_panel_holds_a_block_of_rows_at_a_time(tmp_path):
 
 
 def test_a_report_table_encodes_only_the_labels_its_rows_use(monkeypatch):
-    """A column of 3 of 600 labels spells those 3, each once."""
-    labels = tuple(range(1000, 1600))
-    table = panel_mod._Table(("g", "weight"), (labels, np.array([7, 599, 7, 0])),
-                             np.array([0.5, -1.0, 2.0, 0.25]))
-    want = ['{"g": 1007, "weight": 0.5}', '{"g": 1599, "weight": -1.0}',
-            '{"g": 1007, "weight": 2.0}', '{"g": 1000, "weight": 0.25}']
+    """A column of 3 of 600 labels spells those 3, each once: float labels
+    through ``encode_json``; int and str labels by json's own spellings,
+    which equal ``json.dumps``."""
+    labels = tuple(i + 0.5 for i in range(1000, 1600))
+    codes, weight = np.array([7, 599, 7, 0]), np.array([0.5, -1.0, 2.0, 0.25])
+    table = panel_mod._Table(("g", "weight"), (labels, codes), weight)
+    want = ['{"g": 1007.5, "weight": 0.5}', '{"g": 1599.5, "weight": -1.0}',
+            '{"g": 1007.5, "weight": 2.0}', '{"g": 1000.5, "weight": 0.25}']
     assert table.json() == want  # the layout's pieces are built on this first call
     encoded = []
     monkeypatch.setattr(panel_mod, "encode_json",
                         lambda value: encoded.append(value) or json.dumps(value))
     assert table.json() == want
-    assert sorted(encoded) == [1000, 1007, 1599]
+    assert sorted(encoded) == [1000.5, 1007.5, 1599.5]
+    for labels in (tuple(range(-300, 300)), tuple(f'q"\\é{i}' for i in range(600))):
+        table = panel_mod._Table(("g", "weight"), (labels, codes), weight)
+        assert table.json() == [json.dumps(row) for row in table.dicts()]
+    assert len(encoded) == 3  # no int or str label went through encode_json
 
 
 def test_csv_case_insensitive_and_extra_column_warning(tmp_path):
