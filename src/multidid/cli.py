@@ -13,12 +13,16 @@ configuration, and a digest of the input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
 import warnings
 from itertools import chain, repeat
 
@@ -36,6 +40,7 @@ from .didm import _REASONS, didm
 from .errors import InsufficientPrePeriods, MissingColumn, MultiDidError
 from .panel import (
     _ROLES,
+    PanelDataset,
     _destination,
     _repeated,
     _Rows,
@@ -117,10 +122,151 @@ def _dropped_lines(what: str, codes: np.ndarray, reasons, name) -> list[str]:
     return lines
 
 
+# -- the parsed-panel cache ------------------------------------------------
+
+_CACHE_FORMAT = 1
+_CACHE_BOUND = 1 << 30  # bytes, all entries together
+
+
+def _sha256(*parts) -> str:
+    """The sha256 hex digest of the buffers ``parts``, in order."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+@functools.cache
+def _source_digests() -> tuple[str, ...]:
+    """The sha256 of each module whose code decides what a read returns, read
+    at the first load, not at import: a change to the reader, to its errors
+    or to ``VALUE_TOL`` misses every entry written before it."""
+    digests = []
+    for name in ("panel.py", "errors.py", "tolerances.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digests.append(_sha256(fh.read()))
+    return tuple(digests)
+
+
+def _cache_entry(input_sha256: str, tcols: list[str] | None) -> str | None:
+    """The cache file of the bytes whose sha256 is ``input_sha256``, read with
+    the treatment columns ``tcols``, in ``$XDG_CACHE_HOME/multidid``, or
+    ``~/.cache/multidid`` when that variable is unset or relative. Its name is
+    one sha256 over ``input_sha256``, ``tcols``, ``csv.field_size_limit()``,
+    numpy's and Python's versions, the entry format and the sources' digests.
+    None when no absolute directory is known or the sources cannot be read."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home either
+        return None
+    try:
+        sources = _source_digests()
+    except OSError:
+        return None
+    key = json.dumps([input_sha256, tcols, csv.field_size_limit(), np.__version__,
+                      sys.version, _CACHE_FORMAT, sources])
+    return os.path.join(base, "multidid", _sha256(key.encode()))
+
+
+def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
+    """Write ``panel`` and the texts of the warnings its read gave to the file
+    ``entry``: a JSON header line (the format, G, T, K, the labels, which JSON
+    keeps as int, float or str, the treatment names, the warnings, and a
+    sha256 over the other fields' JSON and the payload), then the payload:
+    y, n and d as little-endian float64 in C order.
+    The file is written under a temporary name and renamed, so a reader finds
+    a whole entry or none; then the least recently used entries go until all
+    fit in ``_CACHE_BOUND``. An entry larger than the bound, or in a directory
+    that is not :func:`_private`, is not written."""
+    arrays = [np.ascontiguousarray(a, "<f8") for a in (panel.y, panel.n, panel.d)]
+    fields = {"format": _CACHE_FORMAT, "G": panel.n_groups, "T": panel.n_periods,
+              "K": panel.n_treatments, "groups": panel.group_labels,
+              "periods": panel.period_labels, "treatment_names": panel.treatment_names,
+              "warnings": warned}
+    fields["sha256"] = _sha256(json.dumps(fields).encode(), *arrays)
+    header = json.dumps(fields).encode() + b"\n"
+    if len(header) + sum(a.nbytes for a in arrays) > _CACHE_BOUND:
+        return
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    if not _private(directory):
+        return
+    fd, temporary = tempfile.mkstemp(dir=directory)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(header)
+            for a in arrays:
+                fh.write(a)
+        os.replace(temporary, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+    _evict(directory)
+
+
+def _private(directory: str) -> bool:
+    """Whether ``directory`` belongs to this process's user and no other user
+    may write in it. An entry's digest checks that it is whole, not who wrote
+    it, and its name follows from public inputs, so entries are read and
+    written only there: ``makedirs`` sets the mode of a directory it makes,
+    not of one that was there before."""
+    info = os.stat(directory)
+    return info.st_uid == os.getuid() and not info.st_mode & 0o022
+
+
+def _evict(directory: str) -> None:
+    """Remove the files of ``directory`` least recently used first (a hit
+    touches its entry) until the rest fit in ``_CACHE_BOUND``."""
+    files = []
+    with os.scandir(directory) as listing:
+        for item in listing:
+            with contextlib.suppress(FileNotFoundError):  # removed meanwhile
+                info = item.stat()
+                files.append((info.st_mtime_ns, info.st_size, item.path))
+    excess = sum(size for _, size, _ in files) - _CACHE_BOUND
+    for _, size, path in sorted(files):
+        if excess <= 0:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        excess -= size
+
+
+def _load_entry(entry: str) -> tuple[PanelDataset, list[str]] | None:
+    """The panel and warning texts stored in the file ``entry``, or None when it
+    is missing or does not check out: a header that is not the expected JSON,
+    a payload of another size, a digest that does not match, or a panel that
+    :class:`PanelDataset` refuses; or when its directory is not
+    :func:`_private`. A hit touches the file."""
+    try:
+        if not _private(os.path.dirname(entry)):
+            return None
+        with open(entry, "rb") as fh:
+            fields = dict(json.loads(fh.readline()))
+            payload = fh.read()
+        G, T, K = fields["G"], fields["T"], fields["K"]
+        if (fields.pop("sha256") != _sha256(json.dumps(fields).encode(), payload)
+                or fields["format"] != _CACHE_FORMAT or len(payload) != 8 * G * T * (K + 2)):
+            return None
+        y, n, d = np.split(np.frombuffer(payload, "<f8"), [G * T, 2 * G * T])
+        panel = PanelDataset(fields["groups"], fields["periods"], y.reshape(G, T),
+                             n.reshape(G, T), d.reshape(K, G, T), fields["treatment_names"])
+    except (OSError, ValueError, KeyError, TypeError, MultiDidError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return panel, fields["warnings"]
+
+
 def _load(args):
-    """The panel of ``--input`` and its treatment names; the bytes are read
-    once: they are hashed into ``args._input_sha256`` for the report and
-    handed to the reader."""
+    """The panel of ``--input`` and its treatment names. The bytes are read
+    and hashed once, for the report's ``args._input_sha256`` and the
+    parsed-panel cache key (:func:`_cache_entry`). A hit rebuilds the panel
+    from its entry, every check run again; a miss, or a cache that cannot be
+    used, parses the bytes and stores the panel with the text of every
+    warning the read gave. Either way those texts go to standard error."""
     names = [c.strip().lower() for c in args.treatments.split(",")] if args.treatments else []
     if twice := _repeated(names):
         raise _UsageError(f"--treatments names the column {twice!r} twice")
@@ -128,12 +274,20 @@ def _load(args):
         raise _UsageError(f"--treatments names the {_ROLES[role]} column {role!r}")
     with open(args.input, "rb") as fh:
         data = fh.read()
-    args._input_sha256 = hashlib.sha256(data).hexdigest()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        panel = read_panel_csv(io.BytesIO(data), treatment_cols=names or None)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    args._input_sha256 = _sha256(data)
+    entry = _cache_entry(args._input_sha256, names or None)
+    if entry and (hit := _load_entry(entry)):
+        panel, warned = hit
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            panel = read_panel_csv(io.BytesIO(data), names or None)
+        warned = [str(w.message) for w in caught]
+        if entry:
+            with contextlib.suppress(OSError):
+                _store_entry(entry, panel, warned)
+    for text in warned:
+        print(f"warning: {text}", file=sys.stderr)
     return panel, list(panel.treatment_names)
 
 

@@ -34,10 +34,8 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
-import tempfile
 import warnings
 from itertools import chain, product, repeat
 from operator import itemgetter, length_hint
@@ -354,36 +352,20 @@ def read_panel_csv(path, treatment_cols: Sequence[str] | None = None) -> PanelDa
     parsed. A field longer than ``csv.field_size_limit()`` is refused with
     :class:`~multidid.errors.MalformedInput` naming its line.
 
-    A panel read successfully is kept in the per-user parsed-panel cache
-    (:func:`_cache_entry`). A later read of the same bytes with the same
-    ``treatment_cols``, by any process, rebuilds the panel from its entry
-    through :class:`PanelDataset`, every check run again, and issues the
-    stored warnings again, without tokenizing the text. A cache that cannot
-    be read or written leaves the file read as above.
+    The read writes nothing; the ``multidid`` command keeps the parsed-panel
+    cache (:func:`multidid.cli._load`).
     """
     if hasattr(path, "read"):
         data = path.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    tcols = None if treatment_cols is None else _treatment_cols(treatment_cols)
-    entry = _cache_entry(data, tcols)
-    if entry and (hit := _load_entry(entry)):
-        panel, warned = hit
-        for text in warned:
-            warnings.warn(text, stacklevel=2)
-        return panel
-    warned = []
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
-            panel = _read_records(lines, tcols, plain=_plain(data), warned=warned,
-                                  ascii_text=data.removeprefix(codecs.BOM_UTF8).isascii())
+            return _read_records(lines, treatment_cols, plain=_plain(data),
+                                 ascii_text=data.removeprefix(codecs.BOM_UTF8).isascii())
     except UnicodeDecodeError:  # its offset is in the decoder's chunk, not in the file
         raise _not_utf8(data) from None
-    if entry:
-        with contextlib.suppress(OSError):
-            _store_entry(entry, panel, warned)
-    return panel
 
 
 def _not_utf8(data: bytes) -> InvalidEncoding:
@@ -404,147 +386,6 @@ def _treatment_cols(treatment_cols: Sequence[str]) -> list[str]:
     if not tcols:
         raise ValueError("treatment_cols is empty; None reads the d1, d2, ... columns")
     return tcols
-
-
-# -- the parsed-panel cache ------------------------------------------------
-
-_CACHE_FORMAT = 1
-_CACHE_BOUND = 1 << 30  # bytes, all entries together
-
-
-def _sha256(*parts) -> str:
-    """The sha256 hex digest of the buffers ``parts``, in order. hashlib, which
-    maps OpenSSL (3.7 MB of RSS), is imported at the first read of a file,
-    not with the package."""
-    import hashlib
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    return digest.hexdigest()
-
-
-@functools.cache
-def _source_digests() -> tuple[str, ...]:
-    """The sha256 of each module whose code decides what a read returns, read
-    at the first read, not at import: a change to the reader, to its errors
-    or to ``VALUE_TOL`` misses every entry written before it."""
-    digests = []
-    for name in ("panel.py", "errors.py", "tolerances.py"):
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            digests.append(_sha256(fh.read()))
-    return tuple(digests)
-
-
-def _cache_entry(data: bytes, tcols: list[str] | None) -> str | None:
-    """The cache file of ``data`` read with the treatment columns ``tcols``,
-    in ``$XDG_CACHE_HOME/multidid``, or ``~/.cache/multidid`` when that
-    variable is unset or relative. Its name is one sha256 over the sha256 of
-    ``data``, ``tcols``, ``csv.field_size_limit()``, numpy's and Python's
-    versions, the entry format and the sources' digests. None when no
-    absolute directory is known or the sources cannot be read."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(base):  # no home either
-        return None
-    try:
-        sources = _source_digests()
-    except OSError:
-        return None
-    key = json.dumps([_sha256(data), tcols, csv.field_size_limit(), np.__version__,
-                      sys.version, _CACHE_FORMAT, sources])
-    return os.path.join(base, "multidid", _sha256(key.encode()))
-
-
-def _store_entry(entry: str, panel: PanelDataset, warned: list[str]) -> None:
-    """Write ``panel`` and the texts of the warnings its read gave to the file
-    ``entry``: a JSON header line (the format, G, T, K, the labels, which JSON
-    keeps as int, float or str, the treatment names, the warnings, and a
-    sha256 over the other fields' JSON and the payload), then the payload:
-    y, n and d as little-endian float64 in C order.
-    The file is written under a temporary name and renamed, so a reader finds
-    a whole entry or none; then the least recently used entries go until all
-    fit in ``_CACHE_BOUND``. An entry larger than the bound, or in a directory
-    that is not :func:`_private`, is not written."""
-    arrays = [np.ascontiguousarray(a, "<f8") for a in (panel.y, panel.n, panel.d)]
-    fields = {"format": _CACHE_FORMAT, "G": panel.n_groups, "T": panel.n_periods,
-              "K": panel.n_treatments, "groups": panel.group_labels,
-              "periods": panel.period_labels, "treatment_names": panel.treatment_names,
-              "warnings": warned}
-    fields["sha256"] = _sha256(json.dumps(fields).encode(), *arrays)
-    header = json.dumps(fields).encode() + b"\n"
-    if len(header) + sum(a.nbytes for a in arrays) > _CACHE_BOUND:
-        return
-    directory = os.path.dirname(entry)
-    os.makedirs(directory, mode=0o700, exist_ok=True)
-    if not _private(directory):
-        return
-    fd, temporary = tempfile.mkstemp(dir=directory)
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(header)
-            for a in arrays:
-                fh.write(a)
-        os.replace(temporary, entry)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temporary)
-        raise
-    _evict(directory)
-
-
-def _private(directory: str) -> bool:
-    """Whether ``directory`` belongs to this process's user and no other user
-    may write in it. An entry's digest checks that it is whole, not who wrote
-    it, and its name follows from public inputs, so entries are read and
-    written only there: ``makedirs`` sets the mode of a directory it makes,
-    not of one that was there before."""
-    info = os.stat(directory)
-    return info.st_uid == os.getuid() and not info.st_mode & 0o022
-
-
-def _evict(directory: str) -> None:
-    """Remove the files of ``directory`` least recently used first (a hit
-    touches its entry) until the rest fit in ``_CACHE_BOUND``."""
-    files = []
-    with os.scandir(directory) as listing:
-        for item in listing:
-            with contextlib.suppress(FileNotFoundError):  # removed meanwhile
-                info = item.stat()
-                files.append((info.st_mtime_ns, info.st_size, item.path))
-    excess = sum(size for _, size, _ in files) - _CACHE_BOUND
-    for _, size, path in sorted(files):
-        if excess <= 0:
-            break
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-        excess -= size
-
-
-def _load_entry(entry: str) -> tuple[PanelDataset, list[str]] | None:
-    """The panel and warning texts stored in the file ``entry``, or None when it
-    is missing or does not check out: a header that is not the expected JSON,
-    a payload of another size, a digest that does not match, or a panel that
-    :class:`PanelDataset` refuses; or when its directory is not
-    :func:`_private`. A hit touches the file."""
-    try:
-        if not _private(os.path.dirname(entry)):
-            return None
-        with open(entry, "rb") as fh:
-            fields = dict(json.loads(fh.readline()))
-            payload = fh.read()
-        G, T, K = fields["G"], fields["T"], fields["K"]
-        if (fields.pop("sha256") != _sha256(json.dumps(fields).encode(), payload)
-                or fields["format"] != _CACHE_FORMAT or len(payload) != 8 * G * T * (K + 2)):
-            return None
-        y, n, d = np.split(np.frombuffer(payload, "<f8"), [G * T, 2 * G * T])
-        panel = PanelDataset(fields["groups"], fields["periods"], y.reshape(G, T),
-                             n.reshape(G, T), d.reshape(K, G, T), fields["treatment_names"])
-    except (OSError, ValueError, KeyError, TypeError, MultiDidError):
-        return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)
-    return panel, fields["warnings"]
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -576,12 +417,13 @@ def _csv_records(lines):
         raise MalformedInput(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool = False,
-                  warned: list[str] | None = None) -> PanelDataset:
+def _read_records(lines, treatment_cols, plain: bool = False,
+                  ascii_text: bool = False) -> PanelDataset:
     """The header, then the body: numpy's when ``plain`` (int64 labels tried
     first in an ``ascii_text``), else, or when numpy refuses it or its panel,
-    the ``csv`` module's records of ``lines``, a seekable text stream. The
-    text of each warning given is appended to ``warned``."""
+    the ``csv`` module's records of ``lines``, a seekable text stream. An
+    empty ``treatment_cols`` is refused before a byte is decoded."""
+    tcols = None if treatment_cols is None else _treatment_cols(treatment_cols)
     records = _csv_records(lines)
     _, header = next(records, (1, None))
     if header is None:
@@ -591,14 +433,13 @@ def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool =
     for required in ("g", "t", "y"):
         if required not in pos:
             raise MissingColumn(f"required column {required!r} not found")
-    if treatment_cols is None:
+    if tcols is None:
         found = [(int(m.group(1)), name) for name in lower
                  if (m := _TREATMENT_PATTERN.match(name))]
         if not found:
             raise MissingColumn("no treatment columns (d1, d2, ...) found")
         tcols = [name for _, name in sorted(found)]
     else:
-        tcols = _treatment_cols(treatment_cols)
         for c in tcols:
             if c in _ROLES:
                 raise ValueError(f"treatment column {c!r} is the {_ROLES[c]} column")
@@ -611,10 +452,7 @@ def _read_records(lines, treatment_cols, plain: bool = False, ascii_text: bool =
         raise ValueError(f"treatment column {twice!r} is listed twice")
     extra = [header[i] for i, name in enumerate(lower) if name not in used]
     if extra:
-        text = f"ignoring extra column(s): {', '.join(extra)}"
-        warnings.warn(text, stacklevel=3)
-        if warned is not None:
-            warned.append(text)
+        warnings.warn(f"ignoring extra column(s): {', '.join(extra)}", stacklevel=3)
     fields = (pos["g"], pos["t"], pos["y"], pos.get("n"), *map(pos.get, tcols))
     parse = functools.cache(_parse_label)
     if plain:

@@ -1,18 +1,21 @@
-"""The parsed-panel cache behind ``read_panel_csv``: a hit gives what a miss
-gives (the panel's bits, label types, names and warnings, and the command
-line's output), and a damaged entry, an unusable cache directory or a refused
-file changes no result."""
+"""The parsed-panel cache of the command line (``cli._load``): a hit gives
+what a miss gives (the panel's bits, label types, names and warnings, and the
+command's output), a damaged entry, an unusable cache directory or a refused
+file changes no result, the library's reader writes nothing, and a command
+hashes its input once."""
 
+import argparse
 import codecs
 import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
+import multiprocessing
 import os
 import stat
-import sys
-import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -29,8 +32,7 @@ from .test_properties import csv_texts
 @contextlib.contextmanager
 def _parses():
     """One item per read inside the block that parsed the text. The spy is on
-    ``_plain``, which each parse calls once and which is no caller of the
-    warning, so the place a warning names is the reader's caller either way."""
+    ``_plain``, which each parse calls once and a cache hit never calls."""
     real, calls = panel_mod._plain, []
 
     def spy(data):
@@ -40,21 +42,26 @@ def _parses():
         yield calls
 
 
+def _args(path, treatments=None) -> argparse.Namespace:
+    """The options ``cli._load`` reads: ``--input path --treatments a,b``."""
+    return argparse.Namespace(input=str(path), treatments=treatments and ",".join(treatments))
+
+
 def _outcome(path, treatments=None):
-    """What a read gives: the labels with their types, the treatment names and
-    the value bits, or the exception's class and message; plus each warning's
-    category, text and the place it names."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """What the command line's load gives: the labels with their types, the
+    treatment names and the value bits, or the exception's class and message;
+    plus the standard error it wrote, every warning's text."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
         try:
-            p = m.read_panel_csv(path, treatments)
-        except (ValueError, m.MultiDidError) as exc:
+            p, _ = cli._load(_args(path, treatments))
+        except (ValueError, m.MultiDidError, cli._UsageError) as exc:
             result = (type(exc), str(exc))
         else:
             result = (p.group_labels, tuple(map(type, p.group_labels)), p.period_labels,
                       tuple(map(type, p.period_labels)), p.treatment_names, p.d.shape,
                       p.y.tobytes(), p.n.tobytes(), p.d.tobytes(), p.binary_treatments)
-    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return result, err.getvalue()
 
 
 def _run(*argv):
@@ -106,9 +113,10 @@ def panel_texts(draw):
 @example(("g,t,y,d1\n1,1,0,0\n1,1,0,1\n2,1,0,0\n2,2,0,0\n", None, False), False)
 def test_a_hit_reads_what_a_miss_reads(tmp_path_factory, case, bom):
     """On the reader's property texts (labels of every kind, extra columns,
-    quotes, defects, every line end), with or without a BOM: the second read
+    quotes, defects, every line end), with or without a BOM: the second load
     of a text read successfully is a hit and gives what the first gave,
-    warnings included; a refused text leaves no entry and is parsed again."""
+    warnings included; a refused text leaves no entry and is parsed again,
+    unless ``--treatments`` names a column twice, which refuses it unparsed."""
     text, treatments, _ = case
     directory = tmp_path_factory.mktemp("hit")
     path = _write(directory / "panel.csv", text, bom)
@@ -120,8 +128,9 @@ def test_a_hit_reads_what_a_miss_reads(tmp_path_factory, case, bom):
             hit = _outcome(path, treatments)
     assert hit == miss
     refused = isinstance(miss[0][0], type)
+    parsed = int(miss[0][0] is not cli._UsageError)
     assert (len(first), len(second), len(_entries(cache))) == \
-        ((1, 1, 0) if refused else (1, 0, 1))
+        ((parsed, parsed, 0) if refused else (1, 0, 1))
 
 
 @given(panel_texts())
@@ -267,7 +276,7 @@ def test_the_size_bound_evicts_the_least_recently_used_entry(tmp_path, panel_cac
     _outcome(paths[1])
     (second,) = set(_entries(panel_cache)) - {first}
     assert first.stat().st_size == second.stat().st_size
-    monkeypatch.setattr(panel_mod, "_CACHE_BOUND", 2 * first.stat().st_size)
+    monkeypatch.setattr(cli, "_CACHE_BOUND", 2 * first.stat().st_size)
     os.utime(first, ns=(10**9, 10**9))  # first the older, until its hit
     os.utime(second, ns=(2 * 10**9, 2 * 10**9))
     with _parses() as parsed:
@@ -296,29 +305,76 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, panel_cache):
     assert parsed == [1] and _entries(panel_cache) == [entry]
 
 
+def _loaded_bits(path):
+    """The panel ``cli._load`` gives for ``path``, as its labels and value bits."""
+    p, _ = cli._load(_args(path))
+    return p.group_labels, p.period_labels, p.y.tobytes(), p.n.tobytes(), p.d.tobytes()
+
+
 def test_concurrent_reads_share_one_cache(tmp_path, panel_cache):
-    """Eight threads, more than the cores, each read two files again and again
-    while the interpreter switches threads at every chance: every read gives
-    the panel one read alone gives, and the cache ends with one whole entry
-    per file and no temporary file. (The threads call the reader itself:
-    ``warnings.catch_warnings`` is not thread-safe.)"""
-    def read(path):
-        p = m.read_panel_csv(path)
-        return p.group_labels, p.period_labels, p.y.tobytes(), p.n.tobytes(), p.d.tobytes()
+    """Four processes, the cache's real traffic of separate commands, each
+    load two files again and again: every load gives the panel one load alone
+    gives, and the cache ends with one whole entry per file and no temporary
+    file. (Processes, not threads: ``warnings.catch_warnings``, which a miss
+    enters, is not thread-safe.)"""
     paths = [_panel_file(tmp_path, seed, f"p{seed}.csv") for seed in range(2)]
-    want = [read(path) for path in paths]
+    want = [_loaded_bits(path) for path in paths]
     for entry in _entries(panel_cache):
         entry.unlink()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(read, paths[i % 2]) for i in range(48)]
-            got = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
+    with concurrent.futures.ProcessPoolExecutor(
+            4, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(_loaded_bits, paths[i % 2]) for i in range(48)]
+        got = [future.result(timeout=120) for future in futures]
     assert got == [want[i % 2] for i in range(48)]
     assert len(_entries(panel_cache)) == 2
     with _parses() as parsed:
-        assert [read(path) for path in paths] == want
+        assert [_loaded_bits(path) for path in paths] == want
     assert parsed == []
+
+
+def test_the_library_reader_writes_nothing(tmp_path, tmp_path_factory, monkeypatch):
+    """``read_panel_csv`` only parses: with a private, writable and empty
+    ``XDG_CACHE_HOME``, reading a plain file and one whose extra column gives
+    a warning, each by name and as a file object, leaves it empty."""
+    cache = tmp_path_factory.mktemp("private-cache")
+    cache.chmod(0o700)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    plain = _panel_file(tmp_path)
+    extra = _write(tmp_path / "extra.csv", "g,t,y,d1,note\n1,1,0,0,a\n1,2,0,1,a\n"
+                   "2,1,0,0,a\n2,2,0,0,a\n")
+    for path, warns in ((plain, False), (extra, True)):
+        for source in (path, io.BytesIO(Path(path).read_bytes())):
+            with pytest.warns(UserWarning) if warns else contextlib.nullcontext():
+                m.read_panel_csv(source)
+    assert list(cache.iterdir()) == []
+
+
+def test_each_command_hashes_its_input_once(tmp_path, panel_cache):
+    """A command's input bytes go through sha256 once, on a miss as on a hit:
+    one digest is the report's ``input_sha256`` and the cache key's part."""
+    path = _panel_file(tmp_path)
+    data = Path(path).read_bytes()
+    real, hashed = hashlib.sha256, []
+
+    class Counted:
+        """A sha256 that records the bytes it was fed when its digest is taken."""
+        def __init__(self, part=b"", **kwargs):
+            self._digest, self._fed = real(**kwargs), []
+            self.update(part)
+
+        def update(self, part):
+            self._fed.append(memoryview(part).cast("B").tobytes())
+            self._digest.update(part)
+
+        def hexdigest(self):
+            hashed.append(b"".join(self._fed))
+            return self._digest.hexdigest()
+
+    counts = []
+    with mock.patch.object(hashlib, "sha256", Counted):
+        for _ in range(2):  # a miss, then a hit
+            hashed.clear()
+            code, out, _ = _run("didm", "--input", path, "--target", "d1")
+            counts.append(hashed.count(data))
+    assert code == 0 and json.loads(out)["input_sha256"] == real(data).hexdigest()
+    assert counts == [1, 1] and len(_entries(panel_cache)) == 1

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import hashlib
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import multidid as m
+from multidid import cli
 from multidid import panel as panel_mod
 from multidid.cli import main
 from multidid.errors import (
@@ -409,39 +411,41 @@ def test_csv_from_a_binary_file_object(tmp_path, text):
     assert got.d.tobytes() == want.d.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
-def _peak_of_read(data: bytes) -> tuple[m.PanelDataset, int]:
-    """The panel read from ``data`` and the peak of Python allocations while
-    reading it."""
+def _peak(call, *args):
+    """What ``call(*args)`` returns and the peak of Python allocations while
+    it runs."""
     tracemalloc.start()
     try:
-        panel = m.read_panel_csv(io.BytesIO(data))
-        return panel, tracemalloc.get_traced_memory()[1]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_reading_a_panel_holds_no_decoded_copy_of_the_file(tmp_path, tmp_path_factory,
-                                                           monkeypatch):
+def test_reading_a_panel_holds_no_decoded_copy_of_the_file(tmp_path, panel_cache):
     """The reader tokenizes the bytes through a stream that decodes a chunk at
     a time: reading a 1 MB ASCII panel peaks under 7 times its size in Python
     allocations (4.5 times on numpy 2.4), where a decoded text and a StringIO
-    of it, 4 bytes per character, took 9.5 times. The measured read misses
-    the parsed-panel cache, an empty directory, so it tokenizes and stores
-    the entry; a second read of the bytes loads that entry and holds less."""
+    of it, 4 bytes per character, took 9.5 times. The read stores nothing.
+    The command line's load of the file misses the parsed-panel cache, an
+    empty directory, so it tokenizes and stores the entry; a second load of
+    the bytes reads that entry and holds less."""
     spec = m.DgpSpec(kind="random-binary", n_groups=2500, n_periods=10, n_treatments=3,
                      seed=1, cell_sizes="random", base_effects=(1.0, 2.0, -1.0))
     path = tmp_path / "panel.csv"
     m.write_panel_csv(m.generate(spec).panel, path)
     data = path.read_bytes()
-    m.read_panel_csv(io.BytesIO(data))  # first use: imports and caches
-    cache = tmp_path_factory.mktemp("empty-cache")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    panel, peak = _peak_of_read(data)
-    assert len(list((cache / "multidid").iterdir())) == 1  # a miss, then stored
+    m.read_panel_csv(io.BytesIO(data))  # first use: imports
+    panel, peak = _peak(m.read_panel_csv, io.BytesIO(data))
+    assert not panel_cache.exists()
     assert panel.n_groups == 2500 and len(data) > 1_000_000
     assert peak / len(data) < 7
-    hit, hit_peak = _peak_of_read(data)
-    assert hit.d.tobytes() == panel.d.tobytes() and hit_peak < peak
+    args = argparse.Namespace(input=str(path), treatments=None)
+    (miss, _), miss_peak = _peak(cli._load, args)
+    assert len(list(panel_cache.iterdir())) == 1  # a miss, then stored
+    (hit, _), hit_peak = _peak(cli._load, args)
+    assert hit.d.tobytes() == miss.d.tobytes() == panel.d.tobytes() and hit_peak < miss_peak
+
 
 def test_csv_no_n_column(tmp_path):
     path = tmp_path / "panel.csv"

@@ -10,10 +10,7 @@ import hashlib
 import importlib
 import io
 import json
-import os
-import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -842,9 +839,7 @@ def _read_outcome(read, *args):
 
 @contextlib.contextmanager
 def _numpy_reads():
-    """The panels numpy's path returns inside the block, where every read
-    parses its text: the parsed-panel cache is an empty directory of the
-    block's own, so a text drawn twice is no cache hit."""
+    """The panels numpy's path returns inside the block."""
     real, panels = panel_mod._read_plain, []
 
     def spy(*args):
@@ -852,9 +847,7 @@ def _numpy_reads():
         return panels[-1]
     panel_mod._read_plain = spy
     try:
-        with tempfile.TemporaryDirectory() as cache, \
-                mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
-            yield panels
+        yield panels
     finally:
         panel_mod._read_plain = real
 
