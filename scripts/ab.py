@@ -6,6 +6,8 @@ Usage, from the repository root:
         --seed 1 --out BENCH_27.json
     python scripts/ab.py PARENT CHANGE --pairs 5 --out BENCH.json \\
         --cli "panel.csv didm --target d1"
+    python scripts/ab.py PARENT CHANGE --workload staggered-cohorts --pairs 10 \\
+        --setup-only --out SETUP.json
 
 Both revisions are exported with ``git archive`` into a scratch directory
 (``--workdir``, default a new temporary one), so neither side runs stale
@@ -23,6 +25,13 @@ For every workload and every end-to-end metric of ``BENCHMARK.json`` (plus
 its median and quartiles, and the number of pairs in which the change is
 better; a tie counts for neither side. Operations attempted and failed are
 summed per side.
+
+With ``--setup-only``, each pair runs ``bench/run.py --setup-only`` instead,
+once per side in the same alternating fresh processes and environment: the
+set-up alone (imports, generating and writing the inputs, one warm-up
+operation), with no timed pass. Each workload's ``setup_s`` is summarized as
+above. One such process is one sample, where a full run reports the median
+of three.
 
 Each ``--cli "FILE CMD..."`` probe runs ``python -m multidid.cli CMD --input
 FILE --out <scratch file>`` on each side's exported ``src`` in fresh
@@ -66,14 +75,18 @@ def environment(cache: Path, **extra) -> dict:
     return env
 
 
+def bench(tree: Path, cache: Path, workload: str, seed: int, *extra: str) -> tuple[dict, str]:
+    """One fresh ``bench/run.py`` process of ``tree``: its last line, parsed,
+    and its whole standard output."""
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), *extra],
+        cwd=tree, env=environment(cache), check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1]), out
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, cache: Path) -> dict:
     """One fresh ``bench/run.py`` process: its metric values, wall_s and counts."""
-    env = environment(cache)
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, check=True, capture_output=True, text=True).stdout
-    report = json.loads(out.strip().splitlines()[-1])
+    report, out = bench(tree, cache, workload, seed, "--seconds", str(seconds), "--trace", "0")
     values = {name: m["value"] for name, m in report["metrics"].items()}
     wall = re.search(r"^\s+wall_s\s+([0-9.eE+-]+) s$", out, re.MULTILINE)
     if wall:
@@ -144,6 +157,8 @@ def main(argv=None) -> int:
     p.add_argument("--cli", action="append", default=[], metavar="'FILE CMD...'",
                    help="a fresh-process command-line probe, cold and warm, on FILE; "
                         "repeat for several")
+    p.add_argument("--setup-only", action="store_true",
+                   help="time each workload's set-up alone (bench/run.py --setup-only)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workdir", default=None, help="scratch directory for the exports")
@@ -151,6 +166,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if not args.workload and not args.cli:
         p.error("give a --workload or a --cli probe")
+    if args.setup_only and not args.workload:
+        p.error("--setup-only times workloads; give a --workload")
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="multidid-ab-"))
     trees = {"parent": work / "parent", "change": work / "change"}
@@ -165,11 +182,19 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(trees[side], workload, args.seed,
-                                           spec["run_seconds"], work / f"cache-{side}"))
+                cache = work / f"cache-{side}"
+                runs[side].append(
+                    bench(trees[side], cache, workload, args.seed, "--setup-only")[0]["setup_s"]
+                    if args.setup_only else
+                    run_once(trees[side], workload, args.seed, spec["run_seconds"], cache))
             print(f"{workload} pair {pair + 1}: " + ", ".join(
+                f"{side} setup_s {runs[side][-1]:.4f}" if args.setup_only else
                 f"{side} wall_rel {runs[side][-1]['values'].get('wall_rel'):.4f}"
                 for side in ("parent", "change")), file=sys.stderr)
+        if args.setup_only:
+            result[workload] = {"setup_s": summarize(runs["parent"], runs["change"],
+                                                     better["setup_s"])}
+            continue
         result[workload] = {
             name: summarize([r["values"][name] for r in runs["parent"]],
                             [r["values"][name] for r in runs["change"]], better[name])
@@ -185,8 +210,10 @@ def main(argv=None) -> int:
     import numpy  # the interpreter's, which both sides run on
     import scipy
     report = {
-        "command": f"python3 bench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {spec['run_seconds']} --trace 0",
+        "command": (f"python3 bench/run.py --workload <w> --seed {args.seed} --setup-only"
+                    if args.setup_only else
+                    f"python3 bench/run.py --workload <w> --seed {args.seed} "
+                    f"--seconds {spec['run_seconds']} --trace 0"),
         "revisions": {"parent": args.parent, "change": args.change},
         "method": "fresh git-archive exports, alternating fresh processes, "
                   "PYTHONDONTWRITEBYTECODE=1, BLAS on one thread, a parsed-panel "

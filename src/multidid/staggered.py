@@ -210,6 +210,25 @@ def _check_horizon(l_nt: int, ell: int) -> None:
         raise HorizonOutOfRange(f"horizon {ell} outside the estimable range 0..{l_nt}")
 
 
+def _cells(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray, cap: np.ndarray | int,
+           placebo: bool, ell: int | None):
+    """A cohort study's adopter cells (at ``ell`` alone if given) and control
+    cells, flat g * T + date - 1 in index order; the adopters' keys, their
+    (cohort, adoption date) ranked among the present pairs * T + date; those
+    pairs, cohort * (T + 2) + adoption date; and the controls' cohort * T + date - 1."""
+    T = panel.n_periods
+    dates = np.arange(1, T + 1)
+    treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
+               & (dates <= np.reshape(cap, (-1, 1))))
+    at = np.flatnonzero(treated if ell is None else treated & (dates == adopt[:, None] + ell))
+    g, t = np.divmod(at, T)
+    pair = cohort[g] * (T + 2) + adopt[g]
+    present = np.bincount(pair, minlength=(T + 2) ** 2) > 0
+    control = np.flatnonzero(adopt[:, None] > dates)
+    return (at, (np.cumsum(present) - 1)[pair] * T + t, np.flatnonzero(present),
+            control, cohort[control // T] * T + control % T)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate is refused below
 def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
               cap: np.ndarray | int, placebo: bool, n: np.ndarray, ell: int | None = None):
@@ -227,27 +246,17 @@ def _horizons(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray | None,
     cohort = np.ones_like(adopt) if one_cohort else cohort
     T = panel.n_periods
     y, size = panel.y.ravel(), n.ravel()
-    dates = np.arange(1, T + 1)
 
     def change(at, h):  # n * (y_hi - y_lo) at flat cells g * T + date - 1, horizons h
         hi, lo = (at - h - 1, at - h - 2) if placebo else (at, at - h - 1)
         return size[at] * (y[hi] - y[lo])
 
-    treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
-               & (dates <= np.reshape(cap, (-1, 1))))
-    at = np.flatnonzero(treated if ell is None else treated & (dates == adopt[:, None] + ell))
+    at, key, pairs, control, at_co = _cells(panel, adopt, cohort, cap, placebo, ell)
     g, t = np.divmod(at, T)
-    # adopter cells keyed by date and by their group's (cohort, adoption date)
-    # ranked among those present, which keeps the table within the panel's size
-    pair = cohort[g] * (T + 2) + adopt[g]
-    present = np.bincount(pair, minlength=(T + 2) ** 2) > 0
-    key = (np.cumsum(present) - 1)[pair] * T + t
     n_tr, s_tr = np.bincount(key, size[at]), np.bincount(key, change(at, t + 1 - adopt[g]))
-    control = np.flatnonzero(adopt[:, None] > dates)
-    at_co = cohort[control // T] * T + control % T  # the (cohort, date) of each control cell
     n_co = np.bincount(at_co, size[control], (T + 2) * T)
     bins = np.flatnonzero(n_tr > 0)
-    f, a = np.divmod(np.flatnonzero(present)[bins // T], T + 2)
+    f, a = np.divmod(pairs[bins // T], T + 2)
     t = bins % T
     keep = np.flatnonzero(n_co[f * T + t] > 0)
     keep = keep[np.lexsort((t[keep], f[keep], (t - a)[keep]))]  # (horizon, cohort, date)
@@ -295,16 +304,42 @@ def did_ell(panel: PanelDataset, structure: CohortStructure,
                                                {}).components[ell]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate is refused below
 def _did_ell_reducer(panel: PanelDataset, first: int, second: int, ell: int):
     """:func:`did_ell` as a function of per-group draw counts, a draw being the
     panel with cell sizes ``counts[g] * n``: None where the draw has no
-    contrast at ``ell``, which is where ``ell`` exceeds its groups' ``l_nt``."""
+    contrast at ``ell``, which is where ``ell`` exceeds its groups' ``l_nt``.
+    The table is built once: the adopter cells at ``ell``, binned by their
+    (cohort, adoption date), and the control cells of each bin's (cohort,
+    date), with their sizes and changes at lag ``ell + 1``. A draw makes the
+    sums of :func:`_horizons` in its order, so each keeps its bits."""
     structure = build_cohorts(panel, first, second)
     _check_horizon(structure.l_nt, ell)
+    T = panel.n_periods
+    at, key, pairs, control, at_co = _cells(panel, structure.f2, structure.f1, T, False, ell)
+    f, a = np.divmod(pairs, T + 2)
+    nb, slot = pairs.size, np.full((T + 2) * T, -1)  # the bin of each (cohort, date) with one
+    slot[f * T + a + ell - 1] = np.arange(nb)
+    bin_tr, bin_co = key // T, slot[at_co]
+    control, bin_co = control[bin_co >= 0], bin_co[bin_co >= 0]
+    n, y = panel.n.ravel(), panel.y.ravel()
+    g_tr, n_tr, dy_tr = at // T, n[at], y[at] - y[at - ell - 1]
+    g_co, n_co, dy_co = control // T, n[control], y[control] - y[control - ell - 1]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def estimate(counts: np.ndarray) -> float | None:
-        return _horizons(panel, structure.f2, structure.f1, panel.n_periods, False,
-                         counts[:, None] * panel.n, ell)[0].get(ell)
+        tr, co = counts[g_tr] * n_tr, counts[g_co] * n_co
+        size_tr, size_co = np.bincount(bin_tr, tr, nb), np.bincount(bin_co, co, nb)
+        keep = np.flatnonzero((size_tr > 0) & (size_co > 0))
+        if not keep.size:
+            return None
+        n_treated = size_tr[keep]
+        value = (np.bincount(bin_tr, tr * dy_tr, nb)[keep] / n_treated
+                 - np.bincount(bin_co, co * dy_co, nb)[keep] / size_co[keep])
+        total = _running_sum(n_treated / _running_sum(n_treated) * value)
+        if not math.isfinite(total):
+            raise NonFiniteValue(f"n * (y - earlier y) overflows in the estimate at horizon {ell}")
+        return total
     return estimate
 
 

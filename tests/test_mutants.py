@@ -36,9 +36,17 @@ MUTANTS = {
         ["test_bootstrap.py::test_didm_empty_switchers_excluded",
          "test_bootstrap.py::test_count_weighted_replicates_match_the_copy_path"]),
     "an adopter on its adoption date is a control": (
-        staggered, "_horizons", "adopt[:, None] > dates", "adopt[:, None] >= dates",
+        staggered, "_cells", "adopt[:, None] > dates", "adopt[:, None] >= dates",
         ["test_staggered.py::test_did_ell_fixture_values",
          "test_staggered.py::test_event_studies_match_brute_force_oracle"]),
+    "did_ell draws take the control sizes without the counts": (
+        staggered, "_did_ell_reducer", "counts[g_co] * n_co", "n_co",
+        ["test_bootstrap.py::test_count_weighted_did_ell_replicates_match_the_copy_path",
+         "test_properties.py::test_did_ell_reducer_is_the_event_study_table"]),
+    "did_ell draws take the control change at lag ell": (
+        staggered, "_did_ell_reducer", "control - ell - 1", "control - ell",
+        ["test_bootstrap.py::test_count_weighted_did_ell_replicates_match_the_copy_path",
+         "test_properties.py::test_did_ell_reducer_is_the_event_study_table"]),
     "a group adopting the second treatment first is accepted": (
         staggered, "_adoption_pair", "if ordered and", "if False and",
         ["test_staggered.py::test_second_before_first_wrong_order"]),

@@ -1,9 +1,11 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 import multidid as m
+from multidid import staggered
 from multidid.errors import (
     HorizonOutOfRange,
     InsufficientPrePeriods,
@@ -478,6 +480,33 @@ def test_overflowing_contrasts_are_refused():
         with pytest.raises(NonFiniteValue, match=rf"^n \* \(y - earlier y\) overflows "
                                                  rf"in the {what} at horizon 0$"):
             call()
+
+
+@pytest.mark.parametrize("extra_never_treated", [False, True])
+def test_overflowing_draws_raise_what_the_event_study_raises(extra_never_treated):
+    """At every draw of up to two copies per group, the did_ell bootstrap's
+    table and the event-study kernel at sizes counts * n give the same
+    estimate, or the same None, or the same NonFiniteValue text."""
+    panel = overflowing_staggered_panel(extra_never_treated)
+    structure = m.build_cohorts(panel, 0, 1)
+
+    def outcome(call):
+        try:
+            return call()
+        except NonFiniteValue as err:
+            return str(err)
+    raised = 0
+    for ell in range(structure.l_nt + 1):
+        reducer = staggered._did_ell_reducer(panel, 0, 1, ell)
+        for copies in itertools.product(range(3), repeat=panel.n_groups):
+            counts = np.array(copies, dtype=float)
+            table = outcome(lambda: staggered._horizons(
+                panel, structure.f2, structure.f1, panel.n_periods, False,
+                counts[:, None] * panel.n, ell)[0].get(ell))
+            assert outcome(lambda: reducer(counts)) == table
+            raised += table == (f"n * (y - earlier y) overflows in the estimate at "
+                                f"horizon {ell}")
+    assert raised > 0
 
 
 def test_overflowing_linear_trends_are_refused():
