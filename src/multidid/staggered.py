@@ -212,10 +212,11 @@ def _check_horizon(l_nt: int, ell: int) -> None:
 
 def _cells(panel: PanelDataset, adopt: np.ndarray, cohort: np.ndarray, cap: np.ndarray | int,
            placebo: bool, ell: int | None):
-    """A cohort study's adopter cells (at ``ell`` alone if given) and control
-    cells, flat g * T + date - 1 in index order; the adopters' keys, their
-    (cohort, adoption date) ranked among the present pairs * T + date; those
-    pairs, cohort * (T + 2) + adoption date; and the controls' cohort * T + date - 1."""
+    """A cohort study's cells, flat g * T + date - 1 in index order: the adopter
+    cells (at ``ell`` alone if given), keyed by their (cohort, adoption date)'s
+    rank among the pairs present * T + date - 1, which keeps keys within the
+    panel's size; those pairs, cohort * (T + 2) + adoption date; and the control
+    cells with their (cohort, date) codes cohort * T + date - 1."""
     T = panel.n_periods
     dates = np.arange(1, T + 1)
     treated = ((adopt > cohort + placebo)[:, None] & (dates >= adopt[:, None])
