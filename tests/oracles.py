@@ -16,11 +16,13 @@ equal bit for bit. The potential-outcome grid is the library's former
 ``generate`` arithmetic on normals that numpy draws stream by stream, kept as
 the reference that the effect surfaces and the grid built from them must
 equal bit for bit; ``stored`` reads a hand-built grid of it for the worked
-examples.
+examples. The exact TWFE fit solves the dummy-variable normal equations in
+``fractions.Fraction``, exact in the float inputs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -414,3 +416,57 @@ def scipy_first_stage(panel, target):
     if float(np.linalg.norm(sqrtn * eps.ravel())) <= tol:
         raise CollinearTreatments("target is collinear")
     return eps, coef_other
+
+
+def _exact_wls(columns, w, z):
+    """Coefficients of ``z`` on ``columns`` (lists over the same cells) by
+    least squares at weights ``w``, all in rationals, from the normal
+    equations by Gauss-Jordan elimination; None if they are singular."""
+    wc = [[wi * ci for wi, ci in zip(w, c)] for c in columns]
+    rows = [[sum(a * b for a, b in zip(u, c)) for c in columns]
+            + [sum(a * b for a, b in zip(u, z))] for u in wc]
+    p = len(rows)
+    for i in range(p):
+        pivot = next((r for r in range(i, p) if rows[r][i]), None)
+        if pivot is None:
+            return None
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for r in range(p):
+            if r != i and rows[r][i]:
+                f = rows[r][i] / rows[i][i]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    return [rows[i][p] / rows[i][i] for i in range(p)]
+
+
+def exact_twfe(panel, target, counts):
+    """``(beta, weights, denominator)`` of the TWFE regression on ``target``
+    at cell weights ``counts[g] * n``, exact in the float inputs, or None
+    where it is undefined.
+
+    The groups with a nonzero count enter the dummy design: an intercept,
+    each of them but the first, each period but the first, then the
+    treatments. ``beta`` is the target's coefficient in the regression of
+    ``y``. ``weights`` maps each cell of those groups to ``w * eps /
+    denominator``, where ``eps`` is the residual of the target on the other
+    columns and ``denominator = sum(w * eps * d_target)``. None where either
+    system is singular or the denominator is zero.
+    """
+    G, T, K = panel.n_groups, panel.n_periods, panel.n_treatments
+    groups = [g for g in range(G) if counts[g]]
+    cells = [(g, t) for g in groups for t in range(T)]
+    w = [Fraction(counts[g]) * Fraction(panel.n[g, t]) for g, t in cells]
+    effects = [[Fraction(1)] * len(cells)]
+    effects += [[Fraction(int(g == h)) for g, _ in cells] for h in groups[1:]]
+    effects += [[Fraction(int(t == s)) for _, t in cells] for s in range(1, T)]
+    d = [[Fraction(panel.d[k, g, t]) for g, t in cells] for k in range(K)]
+    coef = _exact_wls(effects + d, w, [Fraction(panel.y[g, t]) for g, t in cells])
+    first = _exact_wls(effects + [d[k] for k in range(K) if k != target], w, d[target])
+    if coef is None or first is None:
+        return None
+    columns = effects + [d[k] for k in range(K) if k != target]
+    eps = [v - sum(b * c[i] for b, c in zip(first, columns)) for i, v in enumerate(d[target])]
+    denominator = sum(wi * e * v for wi, e, v in zip(w, eps, d[target]))
+    if not denominator:
+        return None
+    weights = {cell: wi * e / denominator for cell, wi, e in zip(cells, w, eps)}
+    return coef[len(effects) + target], weights, denominator

@@ -202,6 +202,28 @@ DIGESTS = {
 }
 
 
+# the "bootstrap-twfe" case's replicates, by repr, when every draw refitted the
+# copied groups; the count-linear draws must stay within 1e-12 relative of
+# them with the same degenerate count, though their last bits may move
+BOOTSTRAP_TWFE_REPLICATES = (
+    0.7430006373946656, 0.914061620997757, 0.23049496146347237, 0.08025015111652066,
+    0.2295295941601245, 0.2742807904542163, 1.1169739053958327, 0.1918677461785656,
+    -0.06939005724113617, 0.08800115235022235, 0.1354315486441498, -0.6712091163950425,
+    0.004119406970257859, -0.34553226683000426, 1.1209929711064177, 0.2828887111602805,
+    -0.34142058663756497, 0.4837193314829239, 0.5144627988863684, 0.5154493381684191,
+)
+
+
+def test_bootstrap_twfe_replicates_stay_within_1e_12():
+    name, argv = CASES["bootstrap-twfe"]
+    assert argv[argv.index("-B") + 1] == "20" and argv[argv.index("--seed") + 1] == "3"
+    result = m.bootstrap_se(PANELS[name](), "twfe", 20, 3, target=0, keep_replicates=True)
+    assert result.n_degenerate == 0
+    assert len(result.replicates) == len(BOOTSTRAP_TWFE_REPLICATES)
+    for got, held in zip(result.replicates, BOOTSTRAP_TWFE_REPLICATES):
+        assert abs(got - held) <= 1e-12 * abs(held), (got, held)
+
+
 def _stdout(panel: m.PanelDataset, argv: list[str]) -> str:
     """Standard output of ``argv`` on ``panel``, written to ``panel.csv`` in
     the current directory."""
