@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CollinearTreatments, DegenerateDenominator, NonFiniteValue, NumericallySingular
 from .panel import PanelDataset, _Rows, _running_sum, _Table
-from .tolerances import DENOM_RTOL, RANK_RTOL
+from .tolerances import CANCEL_RTOL, DENOM_RTOL, DRAW_MAX, RANK_RTOL
 
 @dataclass(frozen=True)
 class FirstStageResult:
@@ -305,19 +305,77 @@ def twfe_coefficient(panel: PanelDataset, target: int) -> float:
     return _twfe_reducer(panel, target)(np.ones(panel.n_groups))
 
 
+def _fit(n: np.ndarray, d: np.ndarray, y: np.ndarray, target: int, names: tuple) -> float:
+    """The coefficient on ``target`` at cell sizes ``n``, fitted anew."""
+    total_n = _running_sum(n.ravel())
+    eps, _ = _partial(n, *_two_way_residualize(n, d, total_n, names), target, names)
+    return _coefficient(n, y, d[target], eps, total_n)
+
+
+def _draw_tables(panel: PanelDataset) -> tuple[np.ndarray, ...]:
+    """Per-group tables that a draw's fit is linear in. For ``z`` each of
+    d_1..d_K, y and ``w`` its deviation from its n-weighted group mean: the
+    group sizes, ``n * w`` on periods 2.., the products ``sum_t n w w'`` and
+    the group size beside ``sum_t n z^2``."""
+    n, z = panel.n, np.concatenate([panel.d, panel.y[None]])
+    sizes = n.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nz = n * z
+        squares = np.column_stack([sizes, np.einsum("igt,igt->gi", nz, z)])
+        z -= (np.einsum("igt->ig", nz) / sizes)[..., None]
+        nz = np.multiply(n, z, out=nz)
+        cross = np.einsum("igt,jgt->gij", nz, z).reshape(len(sizes), -1)
+    return sizes, nz[..., 1:].transpose(1, 0, 2).reshape(len(sizes), -1), cross, squares
+
+
+def _draw(panel: PanelDataset, tables: tuple, counts: np.ndarray, target: int) -> float | None:
+    """The coefficient on ``target`` at draw ``counts`` from :func:`_draw_tables`:
+    copies share their group's effect, so the period block's Schur complement
+    S, its right-hand sides B and the products P are linear in the counts,
+    and ``M = P - B' S^-1 B`` holds the products of the partialled d_1..d_K,
+    y. Each ``1 / inv(M_KK)_jj`` bounds the pivots of :func:`_partial` and
+    the denominator from below. None, for :func:`_fit` to decide, where a
+    pivot of S or one of those keeps at most ``CANCEL_RTOL`` of its
+    unpartialled diagonal or is within twice its threshold, where a value
+    is not finite, or where a size or square sum reaches ``DRAW_MAX``."""
+    sizes, rhs, cross, squares = tables
+    lapack, m, k = _flapack(), panel.n[:, 1:], panel.n_treatments
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, diag = counts @ squares, counts @ m
+        u, info = lapack.dpotrf(np.diag(diag) - m.T @ ((counts / sizes)[:, None] * m), clean=0)
+        if info or not (np.diag(u) ** 2 > CANCEL_RTOL * diag).all():
+            return None
+        b, p = (counts @ rhs).reshape(k + 1, -1).T, (counts @ cross).reshape(k + 1, k + 1)
+        mm = p - b.T @ lapack.dpotrs(u, b)[0]
+        v, info = lapack.dpotrf(mm[:k, :k], clean=0)
+        x = lapack.dpotrs(v, np.column_stack([np.eye(k), mm[:k, k]]))[0]
+        floor = np.maximum(CANCEL_RTOL * np.diag(p)[:k],
+                           2 * max(RANK_RTOL ** 2 * sums[:k + 1].max(), DENOM_RTOL * sums[0]))
+        decided = (not info and np.isfinite(x).all() and (sums < DRAW_MAX).all()
+                   and (1 / np.diag(x)[:k] > floor).all())
+    return float(x[target, k]) if decided else None
+
+
 def _twfe_reducer(panel: PanelDataset, target: int):
-    """The TWFE coefficient as a function of per-group draw counts: copies of
-    a group get identical fixed effects, so a bootstrap draw is the drawn
-    groups with cell sizes ``counts[g] * n``."""
+    """The TWFE coefficient as a function of per-group draw counts: at one
+    copy of each group, the fit of :func:`decompose` on the panel's arrays;
+    at a draw, :func:`_draw` on tables built at the first draw, or, where it
+    leaves the draw undecided, the fit of the drawn groups at cell sizes
+    ``counts[g] * n``, as copies of a group get identical fixed effects."""
     panel.check_treatment(target)
+    names, tables = panel.treatment_names, []
 
     def estimate(counts: np.ndarray) -> float:
-        drawn = np.flatnonzero(counts)
-        n, d = counts[drawn, None] * panel.n[drawn], panel.d[:, drawn]
-        total_n = _running_sum(n.ravel())
-        shared = _two_way_residualize(n, d, total_n, panel.treatment_names)
-        eps, _ = _partial(n, *shared, target, panel.treatment_names)
-        return _coefficient(n, panel.y[drawn], d[target], eps, total_n)
+        if (counts == 1).all():
+            return _fit(panel.n, panel.d, panel.y, target, names)
+        if not tables:
+            tables.append(_draw_tables(panel))
+        beta = _draw(panel, tables[0], counts, target)
+        if beta is None:
+            drawn = np.flatnonzero(counts)
+            beta = _fit(counts[drawn, None] * panel.n[drawn], panel.d[:, drawn],
+                        panel.y[drawn], target, names)
+        return beta
     return estimate
 
 

@@ -58,6 +58,13 @@ MUTANTS = {
         decomposition, "_two_way_residualize", "r -= fit(r)", "pass",
         ["test_decomposition.py::test_orthogonality_invariants_random_panels",
          "test_decomposition.py::test_orthogonality_with_cell_sizes_over_twelve_decades"]),
+    "twfe draws build the Schur complement without the counts": (
+        decomposition, "_draw", "(counts / sizes)", "(1 / sizes)",
+        ["test_bootstrap.py::test_count_weighted_replicates_match_the_copy_path",
+         "test_report_digests.py::test_bootstrap_twfe_replicates_stay_within_1e_12"]),
+    "twfe draws without the cancellation margin": (
+        decomposition, "_draw", "CANCEL_RTOL * np.diag(p)", "0 * np.diag(p)",
+        ["test_twfe_draws.py::test_draws_near_a_threshold_are_refitted"]),
     "stayers matched on the target's previous value alone": (
         didm, "_strata", "columns = [*before[others][:, still], before[target, still]]",
         "columns = [before[target, still]]",
