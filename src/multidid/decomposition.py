@@ -363,14 +363,12 @@ def _twfe_reducer(panel: PanelDataset, target: int):
     leaves the draw undecided, the fit of the drawn groups at cell sizes
     ``counts[g] * n``, as copies of a group get identical fixed effects."""
     panel.check_treatment(target)
-    names, tables = panel.treatment_names, []
+    names, tables = panel.treatment_names, cache(lambda: _draw_tables(panel))
 
     def estimate(counts: np.ndarray) -> float:
         if (counts == 1).all():
             return _fit(panel.n, panel.d, panel.y, target, names)
-        if not tables:
-            tables.append(_draw_tables(panel))
-        beta = _draw(panel, tables[0], counts, target)
+        beta = _draw(panel, tables(), counts, target)
         if beta is None:
             drawn = np.flatnonzero(counts)
             beta = _fit(counts[drawn, None] * panel.n[drawn], panel.d[:, drawn],
