@@ -459,11 +459,11 @@ def exact_twfe(panel, target, counts):
     effects += [[Fraction(int(g == h)) for g, _ in cells] for h in groups[1:]]
     effects += [[Fraction(int(t == s)) for _, t in cells] for s in range(1, T)]
     d = [[Fraction(panel.d[k, g, t]) for g, t in cells] for k in range(K)]
+    columns = effects + [d[k] for k in range(K) if k != target]
     coef = _exact_wls(effects + d, w, [Fraction(panel.y[g, t]) for g, t in cells])
-    first = _exact_wls(effects + [d[k] for k in range(K) if k != target], w, d[target])
+    first = _exact_wls(columns, w, d[target])
     if coef is None or first is None:
         return None
-    columns = effects + [d[k] for k in range(K) if k != target]
     eps = [v - sum(b * c[i] for b, c in zip(first, columns)) for i, v in enumerate(d[target])]
     denominator = sum(wi * e * v for wi, e, v in zip(w, eps, d[target]))
     if not denominator:
